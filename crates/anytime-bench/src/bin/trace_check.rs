@@ -92,9 +92,8 @@ fn run(chrome_path: &str, jsonl_path: &str, prom_path: &str) -> Result<(), Strin
         return Err(format!("anytime_serve_live_runs is {live}, expected 0"));
     }
     // Governor lifecycle counters reconcile with their trace events: each
-    // death/respawn/drain/transition/clamp emits exactly one event.
+    // respawn/add/drain/transition/clamp emits exactly one event.
     for (event, expected) in [
-        ("worker_died", summary.worker_died),
         ("worker_respawned", summary.worker_respawned),
         ("worker_added", summary.worker_added),
         ("worker_drained", summary.worker_drained),
@@ -111,7 +110,7 @@ fn run(chrome_path: &str, jsonl_path: &str, prom_path: &str) -> Result<(), Strin
         }
     }
     // The brownout rung gauge is one of the ladder's four states, and the
-    // worker-state gauges are present (a governed pool always exports them).
+    // worker-state gauges are present (every pool exports them).
     let rung = prom_value(&samples, "anytime_serve_brownout_state")
         .ok_or_else(|| format!("{prom_path}: missing anytime_serve_brownout_state"))?;
     if rung.fract() != 0.0 || !(0.0..=3.0).contains(&rung) {

@@ -452,10 +452,7 @@ pub struct TraceSummary {
     pub failed: u64,
     /// `publish` events.
     pub publishes: u64,
-    /// `worker_died` events (governor noticed a dead replica thread).
-    pub worker_died: u64,
-    /// `worker_respawned` events (governor or rolling restart healed a
-    /// worker).
+    /// `worker_respawned` events (a rolling restart replaced a worker).
     pub worker_respawned: u64,
     /// `worker_added` events (resize scale-up grew the pool).
     pub worker_added: u64,
@@ -480,7 +477,6 @@ pub fn summarize(records: &[TraceRecord]) -> TraceSummary {
             "request_done" => s.completed += 1,
             "request_failed" => s.failed += 1,
             "publish" => s.publishes += 1,
-            "worker_died" => s.worker_died += 1,
             "worker_respawned" => s.worker_respawned += 1,
             "worker_added" => s.worker_added += 1,
             "worker_drained" => s.worker_drained += 1,
@@ -684,14 +680,12 @@ mod tests {
 
     #[test]
     fn summary_counts_governor_lifecycle_events() {
-        let text = "{\"at_us\":0,\"kind\":\"worker_died\",\"stage\":\"replica-0\"}\n\
-                    {\"at_us\":1,\"kind\":\"worker_respawned\",\"stage\":\"replica-0\"}\n\
+        let text = "{\"at_us\":1,\"kind\":\"worker_respawned\",\"stage\":\"replica-0\"}\n\
                     {\"at_us\":2,\"kind\":\"worker_drained\",\"stage\":\"replica-1\"}\n\
                     {\"at_us\":3,\"kind\":\"worker_added\",\"stage\":\"replica-2\"}\n\
                     {\"at_us\":4,\"kind\":\"governor_state\",\"version\":2}\n\
                     {\"at_us\":5,\"kind\":\"clamp\",\"req\":7}\n";
         let s = summarize(&parse_jsonl(text).unwrap());
-        assert_eq!(s.worker_died, 1);
         assert_eq!(s.worker_respawned, 1);
         assert_eq!(s.worker_added, 1);
         assert_eq!(s.worker_drained, 1);

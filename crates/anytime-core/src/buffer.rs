@@ -1100,7 +1100,9 @@ mod tests {
         assert!(stats.wakeups >= 1);
         assert_eq!(stats.observations, 1);
         assert!(stats.total_wait >= Duration::from_millis(5));
-        assert!(stats.total_publish_to_observe < Duration::from_millis(100) * stats.observations as u32);
+        assert!(
+            stats.total_publish_to_observe < Duration::from_millis(100) * stats.observations as u32
+        );
     }
 
     #[test]

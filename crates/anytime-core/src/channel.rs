@@ -1,14 +1,15 @@
 //! Control-aware bounded channel for synchronous update streams.
 //!
 //! The synchronous pipeline (§III-C2) and the parallel sampled map need a
-//! bounded producer/consumer queue whose blocking operations participate in
-//! the event-driven control plane: a backpressured `send` or an empty-queue
-//! `recv` must *block* — no polling quantum — yet wake immediately when
-//! space/data appears, when the peer disappears, or when the automaton is
-//! stopped or paused. The stdlib and crossbeam channels cannot observe a
-//! [`ControlToken`], so a stop would only be noticed by sleeping in slices;
-//! this channel subscribes its waiters to both the channel's own
-//! [`Watchers`] and the control token's.
+//! bounded producer/consumer queue whose operations participate in the
+//! event-driven control plane: a backpressured `send` must *block* — no
+//! polling quantum — yet wake immediately when space appears, when the
+//! peer disappears, or when the automaton is stopped or paused. Runtime
+//! tasks use the never-blocking `poll_send`/`poll_recv` instead and
+//! subscribe their waker for the same events. The stdlib and crossbeam
+//! channels cannot observe a [`ControlToken`], so a stop would only be
+//! noticed by sleeping in slices; this channel subscribes its waiters to
+//! both the channel's own [`Watchers`] and the control token's.
 //!
 //! Pause semantics follow checkpoints: a paused automaton blocks producers
 //! and consumers inside [`ControlToken::checkpoint`] until resumed.
@@ -222,9 +223,10 @@ impl<T> Receiver<T> {
         lock_unpoisoned(&self.shared.state).queue.len()
     }
 
-    /// Receives the next message, blocking while the queue is empty or the
-    /// automaton is paused, waking immediately on publication, producer
-    /// exit, or stop.
+    /// Test-only: receives the next message, blocking while the queue is
+    /// empty or the automaton is paused, waking immediately on
+    /// publication, producer exit, or stop. Production consumers are
+    /// runtime tasks and use [`Receiver::poll_recv`].
     ///
     /// Like crossbeam, a closed channel still drains: queued messages are
     /// delivered before [`CoreError::ChannelClosed`].
@@ -235,7 +237,7 @@ impl<T> Receiver<T> {
     ///   the queue, so a stop is honored promptly even with a full queue).
     /// - [`CoreError::ChannelClosed`] once all senders are gone and the
     ///   queue is drained.
-    #[allow(dead_code)] // blocking path exercised only by cfg(test) drivers
+    #[cfg(test)]
     pub(crate) fn recv(&self, ctl: &ControlToken) -> Result<T> {
         // Fast path.
         if let Some(v) = self.try_pop(ctl)? {
@@ -276,6 +278,7 @@ impl<T> Receiver<T> {
 
     /// One non-blocking receive attempt: `Ok(Some(v))` on data, `Ok(None)`
     /// when empty but still open, `Err` on stop or a drained closed stream.
+    #[cfg(test)]
     fn try_pop(&self, ctl: &ControlToken) -> Result<Option<T>> {
         ctl.checkpoint()?;
         self.poll_recv(ctl)

@@ -71,16 +71,18 @@ pub enum CoreError {
     },
     /// The serve pool was shut down before this request completed.
     PoolShutdown,
-    /// A caller-supplied serve closure (pipeline factory, batch factory,
-    /// or quality estimator) panicked inside a worker. The panic was
+    /// A serve path panicked inside a replica worker. The panic was
     /// fenced by `catch_unwind`, so the worker survives and the run is
-    /// reported as this structured failure, feeding the pool's retry and
-    /// circuit-breaker machinery instead of silently killing capacity.
+    /// reported as this structured failure. A caller-supplied closure's
+    /// panic (pipeline factory, batch factory, or quality estimator)
+    /// feeds the pool's retry and circuit-breaker machinery; any other
+    /// panic fails the request at once (`context` `"serve"`).
     ReplicaPanicked {
         /// Index of the replica whose run absorbed the panic.
         replica: usize,
-        /// Which closure panicked: `"pipeline factory"`,
-        /// `"batch factory"`, or `"quality estimator"`.
+        /// What panicked: `"pipeline factory"`, `"batch factory"`,
+        /// `"quality estimator"`, or `"serve"` (the rest of the serve
+        /// path).
         context: &'static str,
         /// The panic payload, when it was a `String` or `&str`.
         message: Option<String>,

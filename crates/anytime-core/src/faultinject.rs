@@ -100,7 +100,7 @@ impl ArmedFaults {
 ///
 /// Build one explicitly with the builder methods, or derive one from a
 /// seed with [`FaultPlan::seeded`]. Apply it with
-/// [`crate::Pipeline::inject_faults`].
+/// [`crate::PipelineBuilder::with_faults`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     entries: BTreeMap<String, StageFaults>,
@@ -204,11 +204,12 @@ impl fmt::Display for FaultPlan {
 /// A deterministic worker-kill schedule for serve-pool chaos testing.
 ///
 /// Maps serve request ids to "kill the worker serving this request":
-/// when a worker picks up a targeted request it unwinds mid-run (after
-/// marking itself busy), exactly as if a caller closure had panicked
-/// outside the `catch_unwind` fences. Kills are one-shot per request id
-/// (the pool tracks fired kills), so a retried or respawn-rescued request
-/// is not re-killed and chaos runs terminate.
+/// when a worker picks up a targeted request its serve path unwinds
+/// mid-run (after marking itself busy), exactly as if serve code outside
+/// the caller-closure fences had panicked. The worker's per-request fence
+/// answers the request with `CoreError::ReplicaPanicked { context:
+/// "serve", .. }` and the same thread serves on, so a killed request is
+/// never re-dispatched and each kill fires once.
 ///
 /// Like [`FaultPlan`], plans are fully deterministic:
 /// [`WorkerKillPlan::seeded`] derives the targeted ids from a single

@@ -1,21 +1,18 @@
-//! Closed-loop pool governance: policy knobs and the brownout controller.
+//! Closed-loop pool governance: the brownout policy and controller.
 //!
-//! The governor is the serving pool's control plane. A standing thread
-//! (spawned by [`crate::serve::ServePool`], modeled on the
-//! `anytime-supervisor` watchdog) ticks at a fixed cadence and does two
-//! jobs:
-//!
-//! 1. **Self-healing** — scan the worker registry for threads that died
-//!    (a caller-supplied closure panicked through the `catch_unwind`
-//!    fence, or the OS killed the thread) and respawn them so the pool
-//!    never silently loses capacity.
-//! 2. **Brownout control** — fold windowed overload signals (deadline
-//!    miss rate, shed/clamp activity, RTA bound violations, projected
-//!    queue delay) into the [`BrownoutState`] ladder. Each rung trades a
-//!    little quality for availability: hedging off, wider batch windows,
-//!    clamped budgets for low-floor work, and finally tightened
-//!    admission. De-escalation uses a separate (stricter) threshold and a
-//!    longer streak so the ladder has hysteresis and does not flap.
+//! The governor is the serving pool's overload control plane. When a
+//! [`BrownoutPolicy`] is installed ([`crate::serve::ServeOptions::brownout`]),
+//! [`crate::serve::ServePool`] spawns one standing thread (modeled on the
+//! `anytime-supervisor` watchdog) that ticks every [`BrownoutPolicy::tick`]
+//! and folds windowed overload signals (deadline miss rate, shed/clamp
+//! activity, RTA bound violations, projected queue delay) into the
+//! [`BrownoutState`] ladder. Each rung trades a little quality for
+//! availability: hedging off, wider batch windows, clamped budgets for
+//! low-floor work, and finally tightened admission. De-escalation uses a
+//! separate (stricter) threshold and a longer streak so the ladder has
+//! hysteresis and does not flap. Without a policy no governor thread
+//! runs: replica threads cannot die (each request's serve path runs
+//! behind a panic fence), so there is nothing else to watch.
 //!
 //! Everything in this module is deliberately free of generics and I/O so
 //! the controller can be unit-tested as a pure state machine.
@@ -101,6 +98,9 @@ impl BrownoutState {
 /// accumulated since the previous tick.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BrownoutPolicy {
+    /// Interval between governor ticks. The governor sleeps
+    /// interruptibly, so shutdown never waits out a full tick.
+    pub tick: Duration,
     /// Windowed deadline-miss rate at or above which a tick counts as
     /// "hot" (pressure present). Must be in `(0, 1]` and strictly above
     /// [`Self::exit_miss_rate`].
@@ -138,6 +138,7 @@ pub struct BrownoutPolicy {
 impl Default for BrownoutPolicy {
     fn default() -> Self {
         BrownoutPolicy {
+            tick: Duration::from_millis(5),
             enter_miss_rate: 0.2,
             exit_miss_rate: 0.05,
             enter_queue: 8,
@@ -156,6 +157,11 @@ impl Default for BrownoutPolicy {
 impl BrownoutPolicy {
     /// Rejects self-contradictory knob combinations.
     pub fn validate(&self) -> Result<()> {
+        if self.tick.is_zero() {
+            return Err(CoreError::InvalidConfig(
+                "brownout tick must be non-zero".into(),
+            ));
+        }
         if !(self.enter_miss_rate > 0.0 && self.enter_miss_rate <= 1.0) {
             return Err(CoreError::InvalidConfig(format!(
                 "brownout enter_miss_rate must be in (0, 1], got {}",
@@ -202,63 +208,6 @@ impl BrownoutPolicy {
             )));
         }
         Ok(())
-    }
-}
-
-/// Top-level governor configuration for a [`crate::serve::ServePool`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GovernorPolicy {
-    /// Interval between governor ticks. The governor sleeps
-    /// interruptibly, so shutdown never waits out a full tick.
-    pub tick: Duration,
-    /// Whether the governor respawns dead worker threads. On by default;
-    /// turning it off leaves panics fenced but capacity unrepaired.
-    pub respawn: bool,
-    /// Optional closed-loop brownout controller. `None` (the default)
-    /// keeps self-healing without any quality-degradation ladder.
-    pub brownout: Option<BrownoutPolicy>,
-}
-
-impl Default for GovernorPolicy {
-    fn default() -> Self {
-        GovernorPolicy {
-            tick: Duration::from_millis(5),
-            respawn: true,
-            brownout: None,
-        }
-    }
-}
-
-impl GovernorPolicy {
-    /// Rejects self-contradictory knob combinations.
-    pub fn validate(&self) -> Result<()> {
-        if self.tick.is_zero() {
-            return Err(CoreError::InvalidConfig(
-                "governor tick must be non-zero".into(),
-            ));
-        }
-        if let Some(b) = &self.brownout {
-            b.validate()?;
-        }
-        Ok(())
-    }
-
-    /// Sets the tick interval.
-    pub fn tick(mut self, tick: Duration) -> Self {
-        self.tick = tick;
-        self
-    }
-
-    /// Enables or disables dead-worker respawn.
-    pub fn respawn(mut self, respawn: bool) -> Self {
-        self.respawn = respawn;
-        self
-    }
-
-    /// Installs a brownout controller.
-    pub fn brownout(mut self, policy: BrownoutPolicy) -> Self {
-        self.brownout = Some(policy);
-        self
     }
 }
 
@@ -459,11 +408,6 @@ mod tests {
     #[test]
     fn default_policies_validate() {
         BrownoutPolicy::default().validate().expect("brownout");
-        GovernorPolicy::default().validate().expect("governor");
-        GovernorPolicy::default()
-            .brownout(BrownoutPolicy::default())
-            .validate()
-            .expect("combined");
     }
 
     #[test]
@@ -502,12 +446,10 @@ mod tests {
             admission_tighten: f64::NAN,
             ..BrownoutPolicy::default()
         });
-        GovernorPolicy {
+        bad(BrownoutPolicy {
             tick: Duration::ZERO,
-            ..GovernorPolicy::default()
-        }
-        .validate()
-        .expect_err("zero tick");
+            ..BrownoutPolicy::default()
+        });
     }
 
     #[test]

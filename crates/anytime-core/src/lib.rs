@@ -121,7 +121,7 @@ pub use error::{CoreError, Result};
 pub use executor::{Automaton, RunReport, StageReport};
 #[cfg(feature = "fault-inject")]
 pub use faultinject::{FaultPlan, StageFaults, WorkerKillPlan};
-pub use governor::{BrownoutPolicy, BrownoutState, GovernorPolicy};
+pub use governor::{BrownoutPolicy, BrownoutState};
 pub use iterative::Iterative;
 pub use map::SampledMap;
 pub use parallel_map::ParallelSampledMap;

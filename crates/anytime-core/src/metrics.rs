@@ -852,8 +852,8 @@ pub struct ServeStats {
     /// Response-time-analysis admission activity, when the pool runs with
     /// an analytical gate (all-zero otherwise).
     pub rta: RtaStats,
-    /// Replica-lifecycle and brownout-controller activity, when the pool
-    /// runs with a governor (all-zero otherwise).
+    /// Replica-lifecycle, serve-fence, and brownout-controller activity
+    /// (the brownout fields stay zero without a brownout policy).
     pub governor: GovernorStats,
 }
 
@@ -1048,14 +1048,14 @@ pub(crate) fn render_rta_stats(
 }
 
 /// Cumulative counters for a serve pool's governor
-/// ([`crate::governor`]): replica lifecycle churn (deaths, respawns,
-/// drains, operator reconfiguration) and brownout-controller activity.
+/// ([`crate::governor`]): replica lifecycle churn (operator
+/// reconfiguration), panics absorbed by the serve fences, and
+/// brownout-controller activity.
 /// Relaxed atomics: diagnostics, not synchronization.
 #[derive(Debug, Default)]
 pub struct GovernorCounters {
     ticks: AtomicU64,
     transitions: AtomicU64,
-    worker_deaths: AtomicU64,
     worker_respawns: AtomicU64,
     worker_adds: AtomicU64,
     worker_drains: AtomicU64,
@@ -1072,10 +1072,6 @@ impl GovernorCounters {
 
     pub(crate) fn record_transition(&self) {
         self.transitions.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_worker_death(&self) {
-        self.worker_deaths.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
     }
 
     pub(crate) fn record_worker_respawn(&self) {
@@ -1114,7 +1110,6 @@ impl GovernorCounters {
             // relaxed: point-in-time diagnostic snapshot; readers tolerate skew
             ticks: self.ticks.load(Ordering::Relaxed),
             transitions: self.transitions.load(Ordering::Relaxed),
-            worker_deaths: self.worker_deaths.load(Ordering::Relaxed),
             worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
             worker_adds: self.worker_adds.load(Ordering::Relaxed),
             worker_drains: self.worker_drains.load(Ordering::Relaxed),
@@ -1152,18 +1147,15 @@ impl MetricSet for GovernorCounters {
 /// worker-registry gauges the pool fills in at snapshot time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GovernorStats {
-    /// Governor control-loop ticks executed.
+    /// Brownout governor ticks executed (0 without a brownout policy: no
+    /// governor thread runs).
     pub ticks: u64,
     /// Brownout-ladder rung transitions (both directions).
     pub transitions: u64,
-    /// Worker threads found dead by the governor.
-    pub worker_deaths: u64,
-    /// Replacement workers spawned to heal a loss (by the governor or a
-    /// rolling restart) — operator-initiated growth counts as
-    /// `worker_adds` instead.
+    /// Replacement workers spawned by rolling restarts — scale-up growth
+    /// counts as `worker_adds` instead.
     pub worker_respawns: u64,
-    /// Fresh workers added by `resize()` scale-up (operator-initiated
-    /// growth, distinct from crash healing).
+    /// Fresh workers added by `resize()` scale-up.
     pub worker_adds: u64,
     /// Workers gracefully drained and joined by `resize()` /
     /// `rolling_restart()`.
@@ -1174,7 +1166,8 @@ pub struct GovernorStats {
     pub rolling_restarts: u64,
     /// Low-floor requests whose budget was clamped under brownout.
     pub clamped: u64,
-    /// Caller-closure panics absorbed by the `catch_unwind` fences.
+    /// Panics absorbed by the serve fences: one per caller-closure panic,
+    /// plus one per request a panicking serve path failed.
     pub closure_panics: u64,
     /// Current brownout rung as its numeric code
     /// ([`crate::governor::BrownoutState::as_u8`]).
@@ -1191,7 +1184,6 @@ impl MetricStats for GovernorStats {
     fn absorb(&mut self, other: &Self) {
         self.ticks += other.ticks;
         self.transitions += other.transitions;
-        self.worker_deaths += other.worker_deaths;
         self.worker_respawns += other.worker_respawns;
         self.worker_adds += other.worker_adds;
         self.worker_drains += other.worker_drains;
@@ -1224,7 +1216,6 @@ pub(crate) fn render_governor_stats(
     for (event, value) in [
         ("ticks", s.ticks),
         ("transitions", s.transitions),
-        ("worker_died", s.worker_deaths),
         ("worker_respawned", s.worker_respawns),
         ("worker_added", s.worker_adds),
         ("worker_drained", s.worker_drains),
@@ -1716,7 +1707,6 @@ mod tests {
         g.record_tick();
         g.record_tick();
         g.record_transition();
-        g.record_worker_death();
         g.record_worker_respawn();
         g.record_worker_add();
         g.record_worker_drain();
@@ -1727,7 +1717,6 @@ mod tests {
         let mut s = MetricSet::snapshot(&g);
         assert_eq!(s.ticks, 2);
         assert_eq!(s.transitions, 1);
-        assert_eq!(s.worker_deaths, 1);
         assert_eq!(s.worker_respawns, 1);
         assert_eq!(s.worker_adds, 1);
         assert!(!s.is_clean() && GovernorStats::default().is_clean());
@@ -1737,7 +1726,6 @@ mod tests {
         s.workers_target = 4;
         let mut out = String::new();
         render_governor_stats(&mut out, &s, &[]).unwrap();
-        assert!(out.contains("anytime_serve_governor_total{event=\"worker_died\"} 1"));
         assert!(out.contains("anytime_serve_governor_total{event=\"worker_added\"} 1"));
         assert!(out.contains("anytime_serve_governor_total{event=\"clamped\"} 1"));
         assert!(out.contains("anytime_serve_brownout_state 2"));

@@ -123,8 +123,10 @@ impl WaitSet {
         self.core.wake();
     }
 
-    /// This wait set as a [`WakeTarget`], for the owned-subscription path
-    /// ([`Watchers::subscribe_target`]) shared with task wakers.
+    /// Test-only: this wait set as a [`WakeTarget`], for the
+    /// owned-subscription path ([`Watchers::subscribe_target`]) shared
+    /// with task wakers — how unit tests poll a stage runner on a thread.
+    #[cfg(test)]
     pub(crate) fn as_wake_target(&self) -> Arc<dyn WakeTarget> {
         self.core.clone()
     }
@@ -174,12 +176,12 @@ impl Watchers {
         WatchGuard { watchers: self, id }
     }
 
-    /// Subscribes an owned [`WakeTarget`] (a task waker, or a wait-set
-    /// core obtained via [`WaitSet::as_wake_target`]) with no guard: the
-    /// entry lives until the `Arc` dies and the next wake sweeps the stale
-    /// `Weak` out. Idempotent per target, so pollable runners may call it
-    /// on every poll — resubscription after a restart swaps targets
-    /// correctly while repeat polls stay O(subscribers) under one lock.
+    /// Subscribes an owned [`WakeTarget`] (a task waker, or in unit tests
+    /// a wait-set core) with no guard: the entry lives until the `Arc`
+    /// dies and the next wake sweeps the stale `Weak` out. Idempotent per
+    /// target, so pollable runners may call it on every poll —
+    /// resubscription after a restart swaps targets correctly while
+    /// repeat polls stay O(subscribers) under one lock.
     pub(crate) fn subscribe_target(&self, target: &Arc<dyn WakeTarget>) {
         let ptr = Arc::as_ptr(target) as *const ();
         let mut list = lock_unpoisoned(&self.list);

@@ -137,17 +137,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Creates an empty pipeline builder whose stages record trace events
-    /// on `recorder`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `PipelineBuilder::new().with_recorder(recorder)` — one entry \
-                point, chainable configuration (see DESIGN.md §15)"
-    )]
-    pub fn traced(recorder: Recorder) -> Self {
-        Self::new().with_recorder(recorder)
-    }
-
     /// The recorder stages of this builder report to (disabled unless one
     /// was supplied via [`PipelineBuilder::with_recorder`]).
     pub fn recorder(&self) -> &Recorder {
@@ -330,33 +319,6 @@ impl Pipeline {
     /// list by hand.
     pub fn stage_names(&self) -> Vec<&str> {
         self.runners.iter().map(|r| r.name()).collect()
-    }
-
-    /// Makes the first permanently failed stage stop the whole automaton.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `PipelineBuilder::with_fail_fast()` before `build()` \
-                (see DESIGN.md §15)"
-    )]
-    pub fn fail_fast(mut self) -> Self {
-        self.fail_fast = true;
-        self
-    }
-
-    /// Arms the faults in `plan` on the matching stages (chaos testing).
-    #[cfg(feature = "fault-inject")]
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `PipelineBuilder::with_faults(plan)` before `build()` \
-                (see DESIGN.md §15)"
-    )]
-    pub fn inject_faults(mut self, plan: &crate::faultinject::FaultPlan) -> Self {
-        for runner in &mut self.runners {
-            if let Some(faults) = plan.get(runner.name()) {
-                runner.inject_faults(faults.clone());
-            }
-        }
-        self
     }
 
     /// Returns this pipeline retargeted onto `runtime`, replacing the

@@ -247,7 +247,7 @@ mod tests {
     use super::*;
     use anytime_permute::{Lfsr, Sequential};
 
-    fn drive_to_completion<B: AnytimeBody>(body: &mut B, input: &B::Input) -> (B::Output, u64) {
+    fn step_to_completion<B: AnytimeBody>(body: &mut B, input: &B::Input) -> (B::Output, u64) {
         let mut out = body.init(input);
         let mut step = 0;
         while body.step(input, &mut out, step) == StepOutcome::Continue {
@@ -265,7 +265,7 @@ mod tests {
         ] {
             let mut body =
                 SampledReduce::new(perm, |_| 0u64, |acc, i: &Vec<u64>, idx| *acc += i[idx]);
-            let (out, steps) = drive_to_completion(&mut body, &input);
+            let (out, steps) = step_to_completion(&mut body, &input);
             assert_eq!(out, 5050);
             assert_eq!(steps, 100);
         }
@@ -358,7 +358,7 @@ mod tests {
             |_| 0u64,
             |acc, i: &Vec<u64>, idx| *acc = (*acc).max(i[idx]),
         );
-        let (out, _) = drive_to_completion(&mut body, &input);
+        let (out, _) = step_to_completion(&mut body, &input);
         assert_eq!(out, 9);
     }
 

@@ -307,7 +307,8 @@ impl RtShared {
             )
         };
         waker.state.store(POLLING, Ordering::Release);
-        self.counters.polls.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics
+        // relaxed: diagnostics
+        self.counters.polls.fetch_add(1, Ordering::Relaxed);
         // The executor's task wrapper fences stage panics itself; this
         // outer fence only keeps a worker alive if bookkeeping code in a
         // wrapper panics (a bug, but one that must not drain the pool).
@@ -603,19 +604,43 @@ impl RuntimeStats {
                  anytime_runtime_{name} {v}\n"
             ));
         };
-        gauge("workers", "Worker threads in the pool.", self.workers as u64);
+        gauge(
+            "workers",
+            "Worker threads in the pool.",
+            self.workers as u64,
+        );
         gauge(
             "tasks_live",
             "Tasks currently live.",
             self.tasks_live as u64,
         );
-        gauge("tasks_spawned_total", "Tasks ever spawned.", self.tasks_spawned);
+        gauge(
+            "tasks_spawned_total",
+            "Tasks ever spawned.",
+            self.tasks_spawned,
+        );
         gauge("polls_total", "Task poll slices executed.", self.polls);
-        gauge("yields_total", "Cooperative publish-point yields.", self.yields);
-        gauge("steals_total", "Tasks stolen from peer deques.", self.steals);
+        gauge(
+            "yields_total",
+            "Cooperative publish-point yields.",
+            self.yields,
+        );
+        gauge(
+            "steals_total",
+            "Tasks stolen from peer deques.",
+            self.steals,
+        );
         gauge("parks_total", "Worker park events.", self.parks);
-        gauge("wakes_total", "Wakeups delivered to idle tasks.", self.wakes);
-        gauge("timer_fires_total", "Backoff timers fired.", self.timer_fires);
+        gauge(
+            "wakes_total",
+            "Wakeups delivered to idle tasks.",
+            self.wakes,
+        );
+        gauge(
+            "timer_fires_total",
+            "Backoff timers fired.",
+            self.timer_fires,
+        );
         out
     }
 }
@@ -808,14 +833,14 @@ mod tests {
 
         let rt = Runtime::new(3);
         let done = Arc::new(AtomicU32::new(0));
-        let waker_slots: Vec<Arc<Mutex<Option<Arc<dyn WakeTarget>>>>> =
-            (0..TASKS).map(|_| Arc::new(Mutex::new(None))).collect();
-        let counts: Vec<Arc<AtomicU32>> =
-            (0..TASKS).map(|_| Arc::new(AtomicU32::new(0))).collect();
+        /// Where a task publishes its current waker for the test to fire.
+        type WakerSlot = Arc<Mutex<Option<Arc<dyn WakeTarget>>>>;
+        let waker_slots: Vec<WakerSlot> = (0..TASKS).map(|_| Arc::new(Mutex::new(None))).collect();
+        let counts: Vec<Arc<AtomicU32>> = (0..TASKS).map(|_| Arc::new(AtomicU32::new(0))).collect();
 
         struct Publish {
             inner: CountTo,
-            slot: Arc<Mutex<Option<Arc<dyn WakeTarget>>>>,
+            slot: WakerSlot,
         }
         impl RtTask for Publish {
             fn name(&self) -> &str {

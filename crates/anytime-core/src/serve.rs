@@ -46,19 +46,22 @@
 //!   permanently K times in a row is quarantined (Open) for a cooldown,
 //!   then probes back with a single canary request (HalfOpen) before
 //!   resuming normal service (Closed).
-//! - **Self-healing lifecycle** ([`crate::governor`]) — every
-//!   caller-supplied closure (factory, batch factory, quality estimator)
-//!   runs behind a `catch_unwind` fence that converts panics into
-//!   structured [`CoreError::ReplicaPanicked`] run failures feeding the
-//!   breaker/retry machinery, and a standing governor thread respawns
-//!   worker threads that die anyway. [`ServePool::resize`] and
-//!   [`ServePool::rolling_restart`] reconfigure the worker set at runtime
-//!   with graceful drains that never drop an in-flight admitted request.
-//! - **Closed-loop brownout** — with a [`BrownoutPolicy`] installed the
-//!   governor walks the [`BrownoutState`] ladder under sustained
-//!   overload: hedging off first, then wider batch windows and clamped
-//!   budgets for low-floor requests, and finally tightened admission —
-//!   degrading quality before availability, least-significant first.
+//! - **Panic fences** — every caller-supplied closure (factory, batch
+//!   factory, quality estimator) runs behind a `catch_unwind` fence that
+//!   converts panics into structured [`CoreError::ReplicaPanicked`] run
+//!   failures feeding the breaker/retry machinery, and one more fence
+//!   around each dequeued request's whole serve path answers that request
+//!   with `ReplicaPanicked { context: "serve", .. }` if anything else
+//!   unwinds. A replica thread never dies, so nothing needs healing.
+//!   [`ServePool::resize`] and [`ServePool::rolling_restart`] reconfigure
+//!   the worker set at runtime with graceful drains that never drop an
+//!   in-flight admitted request.
+//! - **Closed-loop brownout** ([`crate::governor`]) — with a
+//!   [`BrownoutPolicy`] installed a governor thread walks the
+//!   [`BrownoutState`] ladder under sustained overload: hedging off
+//!   first, then wider batch windows and clamped budgets for low-floor
+//!   requests, and finally tightened admission — degrading quality
+//!   before availability, least-significant first.
 //!
 //! Every counter lands in [`ServeStats`] (see [`crate::metrics`]), and the
 //! pool aggregates the [`FaultStats`] of every pipeline run it performed,
@@ -70,9 +73,7 @@ use crate::error::{CoreError, Result};
 use crate::executor::panic_message;
 #[cfg(feature = "fault-inject")]
 use crate::faultinject::WorkerKillPlan;
-use crate::governor::{
-    BrownoutControl, BrownoutPolicy, BrownoutState, GovernorPolicy, SignalWindow,
-};
+use crate::governor::{BrownoutControl, BrownoutPolicy, BrownoutState, SignalWindow};
 use crate::metrics::{
     DeadlineHistogram, FaultStats, GovernorCounters, LatencyEwma, LatencyHistogram, RtaCounters,
     ServeCounters, ServeStats,
@@ -84,8 +85,6 @@ use crate::supervisor::{backoff_interruptible, retry_backoff};
 use crate::trace::{EventKind, Recorder, StageId, TraceLog};
 use crate::version::{Snapshot, Version};
 use crate::BufferReader;
-#[cfg(feature = "fault-inject")]
-use std::collections::HashSet;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -236,13 +235,11 @@ pub struct ServeOptions {
     /// [`CoreError::Infeasible`], and the hedge/retry/shed budgets derive
     /// from analytical slack. `None` keeps the EWMA heuristic throughout.
     pub rta: Option<RtaPolicy>,
-    /// Replica-lifecycle governor ([`crate::governor`]). The default
-    /// installs [`GovernorPolicy::default`] — a standing thread that
-    /// respawns dead worker threads (self-healing on by default) with no
-    /// brownout ladder; add a [`BrownoutPolicy`] via
-    /// [`ServeOptions::brownout`] for closed-loop quality degradation
-    /// under overload, or set `None` to run ungoverned.
-    pub governor: Option<GovernorPolicy>,
+    /// Closed-loop brownout controller ([`crate::governor`]). When set,
+    /// a governor thread ticks every [`BrownoutPolicy::tick`] and walks
+    /// the [`BrownoutState`] ladder under overload; `None` (the default)
+    /// runs no governor thread at all.
+    pub brownout: Option<BrownoutPolicy>,
     /// Task runtime the pool's pipelines run on. All replicas share it:
     /// with `None` (the default), launches land on the process-wide
     /// [`RuntimeHandle::global`] pool sized to the hardware, so total
@@ -258,10 +255,9 @@ pub struct ServeOptions {
     /// enabled recorder with the pipelines the factory builds to get one
     /// merged timeline.
     pub recorder: Recorder,
-    /// Deterministic worker-kill schedule for chaos tests: the worker
-    /// serving a targeted request id unwinds mid-run (one-shot per id),
-    /// exercising the busy-clear guards, in-flight requeue, and governor
-    /// respawn paths.
+    /// Deterministic worker-kill schedule for chaos tests: the serve path
+    /// of a targeted request id unwinds mid-run, exercising the
+    /// per-request panic fence and the busy-clear guard.
     #[cfg(feature = "fault-inject")]
     pub worker_kill: Option<WorkerKillPlan>,
 }
@@ -280,7 +276,7 @@ impl Default for ServeOptions {
             breaker: Some(BreakerPolicy::default()),
             levels: None,
             rta: None,
-            governor: Some(GovernorPolicy::default()),
+            brownout: None,
             runtime: None,
             seed: 0,
             recorder: Recorder::disabled(),
@@ -346,16 +342,9 @@ impl ServeOptions {
         self
     }
 
-    /// Sets (or disables, with `None`) the replica-lifecycle governor.
-    pub fn governor(mut self, governor: Option<GovernorPolicy>) -> Self {
-        self.governor = governor;
-        self
-    }
-
-    /// Installs a brownout controller on the governor (installing a
-    /// default governor first when none is configured).
+    /// Installs a brownout controller (and with it the governor thread).
     pub fn brownout(mut self, policy: BrownoutPolicy) -> Self {
-        self.governor = Some(self.governor.unwrap_or_default().brownout(policy));
+        self.brownout = Some(policy);
         self
     }
 
@@ -475,9 +464,9 @@ enum Breaker {
 }
 
 struct ReplicaState {
-    /// Stable replica index: survives respawns (the replacement worker
-    /// serves under the same identity), advances for workers added by
-    /// [`ServePool::resize`].
+    /// Stable replica index: survives rolling restarts (the replacement
+    /// worker serves under the same identity), advances for workers added
+    /// by [`ServePool::resize`].
     index: usize,
     ewma: LatencyEwma,
     breaker: Mutex<Breaker>,
@@ -629,11 +618,11 @@ struct Shared<I, T> {
     /// `queue` → `replicas` (each replica's `breaker`/`busy_until` are
     /// leaves).
     replicas: Mutex<Vec<Arc<ReplicaState>>>,
-    /// Worker threads, paired with the states they serve under. Owned by
-    /// the shared block (not the pool handle) so the governor thread can
-    /// detect deaths and swap in replacements.
+    /// Worker threads, paired with the states they serve under; mutated
+    /// by `resize`, `rolling_restart`, and shutdown.
     workers: Mutex<Vec<WorkerHandle>>,
-    /// The governor thread, when [`ServeOptions::governor`] installed one.
+    /// The governor thread, when [`ServeOptions::brownout`] installed a
+    /// policy.
     governor: Mutex<Option<JoinHandle<()>>>,
     /// Stops the governor's interruptible tick sleep at shutdown.
     governor_ctl: ControlToken,
@@ -655,10 +644,6 @@ struct Shared<I, T> {
     /// the pool's own runs; `None` keeps the EWMA-heuristic admission.
     gate: Option<AdmissionGate>,
     rta_counters: RtaCounters,
-    /// Request ids whose scheduled worker kill already fired (kills are
-    /// one-shot so a requeued request is not re-killed).
-    #[cfg(feature = "fault-inject")]
-    kills_fired: Mutex<HashSet<u64>>,
 }
 
 impl<I, T> Shared<I, T> {
@@ -677,12 +662,9 @@ impl<I, T> Shared<I, T> {
         BrownoutState::from_u8(self.brownout.load(Ordering::Relaxed))
     }
 
-    /// The brownout policy, when the governor has one installed.
+    /// The brownout policy, when one is installed.
     fn brownout_policy(&self) -> Option<&BrownoutPolicy> {
-        self.opts
-            .governor
-            .as_ref()
-            .and_then(|g| g.brownout.as_ref())
+        self.opts.brownout.as_ref()
     }
 
     /// The minimum-service floor admission's reachability checks use: the
@@ -914,8 +896,8 @@ where
                     }
                 })?;
         }
-        if let Some(governor) = &opts.governor {
-            governor.validate()?;
+        if let Some(brownout) = &opts.brownout {
+            brownout.validate()?;
         }
         let gate = opts.rta.map(AdmissionGate::new).transpose()?;
         let replicas: Vec<Arc<ReplicaState>> = (0..opts.replicas)
@@ -948,8 +930,6 @@ where
             next_id: AtomicU64::new(0),
             gate,
             rta_counters: RtaCounters::default(),
-            #[cfg(feature = "fault-inject")]
-            kills_fired: Mutex::new(HashSet::new()),
         });
         {
             let states: Vec<Arc<ReplicaState>> = lock(&shared.replicas).clone();
@@ -958,11 +938,11 @@ where
                 workers.push(spawn_worker(&shared, state)?);
             }
         }
-        if let Some(policy) = shared.opts.governor {
+        if let Some(policy) = shared.opts.brownout {
             let governed = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name("anytime-governor".into())
-                // lint: allow(l6-no-raw-spawn) -- the governor must keep respawning dead workers even when the runtime is saturated, so it cannot be a runtime task itself
+                // lint: allow(l6-no-raw-spawn) -- brownout must keep ticking while the runtime is saturated, since saturation is the overload it reacts to, so it cannot be a runtime task itself
                 .spawn(move || governor_loop(&governed, policy))
                 .map_err(|e| CoreError::InvalidConfig(format!("failed to spawn governor: {e}")))?;
             *lock(&shared.governor) = Some(handle);
@@ -1203,17 +1183,8 @@ where
                 });
                 primary
             };
-            if primary_evicted && job.slot.fill(Err(CoreError::Timeout)) {
-                shared.counters.record_failed();
-                shared.opts.recorder.request_end(
-                    EventKind::RequestFailed,
-                    job.id,
-                    None,
-                    job.accepted.elapsed(),
-                    None,
-                    false,
-                    false,
-                );
+            if primary_evicted {
+                fail_job(shared, job, None, CoreError::Timeout);
             }
             st = lock(&job.slot.state);
             while !st.filled {
@@ -1341,8 +1312,8 @@ where
         self.shared.brownout_state()
     }
 
-    /// Worker threads currently alive (excluding any that died and have
-    /// not yet been respawned by the governor).
+    /// Worker threads currently serving (workers already drained by
+    /// `resize`/`rolling_restart` are not counted).
     pub fn worker_count(&self) -> usize {
         lock(&self.shared.workers)
             .iter()
@@ -1397,8 +1368,8 @@ where
                 let state = Arc::new(ReplicaState::new(index, &shared.opts.recorder));
                 let handle = spawn_worker(shared, Arc::clone(&state))?;
                 lock(&shared.replicas).push(Arc::clone(&state));
-                // Operator-initiated growth, not crash healing: counted
-                // as `worker_added`, distinct from `worker_respawned`.
+                // Growth, not a replacement: counted as `worker_added`,
+                // distinct from a rolling restart's `worker_respawned`.
                 shared.governor_counters.record_worker_add();
                 shared
                     .opts
@@ -1425,19 +1396,25 @@ where
     }
 
     /// Restarts every worker, one replica at a time, while the pool keeps
-    /// answering: each worker drains gracefully (finishes its current run,
-    /// takes no new work, is joined), then a fresh worker is spawned under
-    /// the same replica index before the next one drains.
+    /// answering: a fresh worker is spawned under the same replica index,
+    /// then the old one drains gracefully (finishes its current run, takes
+    /// no new work, is joined) before the next replica restarts.
     ///
     /// # Errors
     ///
     /// [`CoreError::PoolShutdown`] when the pool shuts down mid-restart
-    /// (workers already restarted stay restarted).
+    /// (workers already restarted stay restarted), or the spawn error when
+    /// a replacement thread cannot be created (the old worker keeps
+    /// serving).
     pub fn rolling_restart(&self) -> Result<()> {
         let shared = &self.shared;
         let snapshot: Vec<Arc<ReplicaState>> = lock(&shared.replicas).clone();
         for old in snapshot {
-            let drained: Option<WorkerHandle> = {
+            // Same replica index: the replacement serves under the same
+            // trace identity (stage interning dedups by name), so the
+            // restart is invisible to per-replica dashboards.
+            let state = Arc::new(ReplicaState::new(old.index, &shared.opts.recorder));
+            let drained: WorkerHandle = {
                 let mut workers = lock(&shared.workers);
                 // Held while the drain flag is stored: an idle worker
                 // re-checks `draining` under this same mutex immediately
@@ -1447,61 +1424,36 @@ where
                 if q.closed {
                     return Err(CoreError::PoolShutdown);
                 }
-                workers
-                    .iter()
-                    .position(|w| Arc::ptr_eq(&w.state, &old))
-                    .map(|i| {
-                        let w = workers.swap_remove(i);
-                        w.state.draining.store(true, Ordering::Release);
-                        w
-                    })
+                // Already drained by a concurrent resize: nothing to restart.
+                let Some(i) = workers.iter().position(|w| Arc::ptr_eq(&w.state, &old)) else {
+                    continue;
+                };
+                // The replacement is spawned *before* the old worker is
+                // flagged: a failed spawn (resource exhaustion) returns
+                // with the old worker untouched and still serving, so a
+                // failed restart never leaves the pool below target.
+                let fresh = spawn_worker(shared, Arc::clone(&state))?;
+                let w = std::mem::replace(&mut workers[i], fresh);
+                w.state.draining.store(true, Ordering::Release);
+                w
             };
-            // Already drained by a concurrent resize: nothing to restart.
-            let Some(w) = drained else { continue };
             shared.queue_cv.notify_all();
-            // The replacement is spawned *before* the old worker is
-            // joined, so a failed spawn (resource exhaustion) never
-            // leaves the pool below target: the drained worker is
-            // un-flagged and re-registered instead. If its thread already
-            // exited on the drain flag, the governor's next respawn pass
-            // finds a finished, non-draining worker and heals it — the
-            // same path as any other worker death (and with the governor
-            // disabled, a failed restart degrades exactly like an
-            // ungoverned death: visibly, via `worker_count()`).
-            //
-            // Same replica index: the replacement serves under the same
-            // trace identity (stage interning dedups by name), so the
-            // restart is invisible to per-replica dashboards.
-            let state = Arc::new(ReplicaState::new(old.index, &shared.opts.recorder));
-            {
-                let mut workers = lock(&shared.workers);
-                if lock(&shared.queue).closed {
-                    return Err(CoreError::PoolShutdown);
-                }
-                match spawn_worker(shared, Arc::clone(&state)) {
-                    Ok(handle) => workers.push(handle),
-                    Err(e) => {
-                        w.state.draining.store(false, Ordering::Release);
-                        workers.push(w);
-                        return Err(e);
-                    }
-                }
-            }
-            let _ = w.handle.join();
+            let _ = drained.handle.join();
             // The registry swap happens after the join so the old and new
             // replica never coexist under one index (duplicate Prometheus
             // labels); until then the replacement serves unregistered —
             // admission briefly under-counts its occupancy, nothing more.
+            if let Some(r) = lock(&shared.replicas)
+                .iter_mut()
+                .find(|r| Arc::ptr_eq(r, &drained.state))
             {
-                let mut replicas = lock(&shared.replicas);
-                replicas.retain(|r| !Arc::ptr_eq(r, &w.state));
-                replicas.push(Arc::clone(&state));
+                *r = Arc::clone(&state);
             }
             shared.governor_counters.record_worker_drain();
             shared
                 .opts
                 .recorder
-                .stage_event(EventKind::WorkerDrained, w.state.trace_id);
+                .stage_event(EventKind::WorkerDrained, drained.state.trace_id);
             shared.governor_counters.record_worker_respawn();
             shared
                 .opts
@@ -1533,9 +1485,9 @@ where
 
 /// The single shutdown path, shared by [`ServePool::shutdown`] and `Drop`.
 ///
-/// Order matters: the governor stops *first* so it cannot respawn workers
-/// that the join loop below is draining; then the queue closes and queued
-/// requests fail; then workers are taken out of the registry and joined.
+/// Order matters: the governor (if any) stops *first*, then the queue
+/// closes and queued requests fail, then workers are taken out of the
+/// registry and joined.
 /// Every step is take-based (`Option::take`, `Vec::drain`,
 /// `std::mem::take`), so a second concurrent or sequential call observes
 /// empty state and does nothing — no drained request is double-counted.
@@ -1550,19 +1502,8 @@ fn shutdown_inner<I, T>(shared: &Arc<Shared<I, T>>) {
         q.jobs.drain(..).collect()
     };
     shared.queue_cv.notify_all();
-    for item in drained {
-        if !item.is_hedge && item.job.slot.fill(Err(CoreError::PoolShutdown)) {
-            shared.counters.record_failed();
-            shared.opts.recorder.request_end(
-                EventKind::RequestFailed,
-                item.job.id,
-                None,
-                item.job.accepted.elapsed(),
-                None,
-                false,
-                false,
-            );
-        }
+    for item in drained.iter().filter(|item| !item.is_hedge) {
+        fail_job(shared, &item.job, None, CoreError::PoolShutdown);
     }
     for w in std::mem::take(&mut *lock(&shared.workers)) {
         let _ = w.handle.join();
@@ -1588,8 +1529,8 @@ enum Attempt<T> {
     Died(BestSeen<T>, Option<CoreError>),
 }
 
-/// Spawns a worker thread serving under `state`. Used at construction, by
-/// the governor's respawn pass, and by `resize`/`rolling_restart`.
+/// Spawns a worker thread serving under `state`. Used at construction and
+/// by `resize`/`rolling_restart`.
 fn spawn_worker<I, T>(shared: &Arc<Shared<I, T>>, state: Arc<ReplicaState>) -> Result<WorkerHandle>
 where
     I: Send + Sync + 'static,
@@ -1630,9 +1571,10 @@ fn fence_closure<R>(
 }
 
 /// Clears a replica's advertised occupancy on drop — on *every* exit path
-/// out of a serve run, panics included. Without this, a worker killed
-/// mid-run leaves `busy_until` stuck at its last projection and admission
-/// keeps charging waiters for a run that no longer exists.
+/// out of a serve run, panics included. Without this, a serve path that
+/// unwinds into the worker's fence leaves `busy_until` stuck at its last
+/// projection and admission keeps charging waiters for a run that no
+/// longer exists.
 struct BusyClear<'a>(&'a ReplicaState);
 
 impl Drop for BusyClear<'_> {
@@ -1641,74 +1583,20 @@ impl Drop for BusyClear<'_> {
     }
 }
 
-/// Holds the queue item a worker popped until its serve path completes.
-/// If the worker dies (panics) mid-serve, the drop handler requeues the
-/// item — or fails it when the queue has closed — so an admitted request
-/// is never silently dropped by a worker death.
-struct InFlight<'a, I, T> {
-    shared: &'a Arc<Shared<I, T>>,
-    item: Option<QueueItem<I, T>>,
-}
-
-impl<I, T> Drop for InFlight<'_, I, T> {
-    fn drop(&mut self) {
-        let Some(item) = self.item.take() else { return };
-        if item.job.slot.is_filled() {
-            return;
-        }
-        let requeued = {
-            let mut q = lock(&self.shared.queue);
-            if q.closed {
-                false
-            } else {
-                // Deliberately unchecked against `queue_capacity`: the
-                // job was already admitted, and admitted work is never
-                // dropped. The queue may transiently exceed its bound by
-                // one item per concurrent worker death; admission sees
-                // the true depth and rejects accordingly.
-                q.jobs.push_front(QueueItem {
-                    job: Arc::clone(&item.job),
-                    is_hedge: item.is_hedge,
-                });
-                true
-            }
-        };
-        if requeued {
-            self.shared.counters.record_retried();
-            self.shared
-                .opts
-                .recorder
-                .serve_event(EventKind::Retry, item.job.id);
-            lock(&item.job.slot.state).retries += 1;
-            self.shared.queue_cv.notify_all();
-        } else if !item.is_hedge && item.job.slot.fill(Err(CoreError::PoolShutdown)) {
-            self.shared.counters.record_failed();
-            self.shared.opts.recorder.request_end(
-                EventKind::RequestFailed,
-                item.job.id,
-                None,
-                item.job.accepted.elapsed(),
-                None,
-                false,
-                false,
-            );
-        }
-    }
-}
-
-/// Fault injection: kill this worker thread (an unfenced panic) if the
-/// configured [`WorkerKillPlan`] targets this request. One-shot per
-/// request id, so the requeued request is not re-killed on retry.
+/// Fault injection: unwind this serve path (a panic outside every closure
+/// fence) if the configured [`WorkerKillPlan`] targets this request. The
+/// worker's per-request fence answers the request, so it is never served
+/// again and each kill fires once.
 #[cfg(feature = "fault-inject")]
 fn maybe_kill_worker<I, T>(shared: &Arc<Shared<I, T>>, req: u64) {
     let Some(plan) = &shared.opts.worker_kill else {
         return;
     };
-    if !plan.targets(req) || !lock(&shared.kills_fired).insert(req) {
+    if !plan.targets(req) {
         return;
     }
     // resume_unwind skips the panic hook: an injected kill is silent in
-    // test output, exactly like a real async thread death.
+    // test output.
     std::panic::resume_unwind(Box::new("fault-inject: worker kill"));
 }
 
@@ -1771,103 +1659,74 @@ where
                 q = shared.queue_cv.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
-        // From pop to response the item is guarded: a worker death between
-        // these points requeues (or fails) it instead of dropping it.
-        let mut inflight = InFlight {
-            shared,
-            item: Some(item),
-        };
-        {
-            let item = inflight.item.as_ref().expect("armed above");
-            match drain_batch(shared, item) {
-                Some(batch) => serve_batch(shared, state, batch),
-                None => serve_job(shared, state, item, None),
+        // One fence per dequeued item: if its serve path unwinds, every
+        // request it popped that is still unanswered fails with a
+        // structured error, and this thread takes the next item. A batch
+        // lists its head again; the slot answers it once.
+        let mut batch_jobs: Vec<Arc<Job<I, T>>> = Vec::new();
+        let served =
+            std::panic::catch_unwind(AssertUnwindSafe(|| match drain_batch(shared, &item) {
+                Some(batch) => {
+                    batch_jobs.extend(batch.iter().map(|it| Arc::clone(&it.job)));
+                    serve_batch(shared, state, batch);
+                }
+                None => serve_job(shared, state, &item, None),
+            }));
+        let Err(payload) = served else { continue };
+        // A hedge copy's request stays with its primary, which is still
+        // running and answers it.
+        if item.is_hedge {
+            continue;
+        }
+        let message = panic_message(payload.as_ref());
+        for job in std::iter::once(&item.job).chain(&batch_jobs) {
+            let failure = CoreError::ReplicaPanicked {
+                replica: state.index,
+                context: "serve",
+                message: message.clone(),
+            };
+            if fail_job(shared, job, Some(state.trace_id), failure) {
+                shared.governor_counters.record_closure_panic();
             }
         }
-        inflight.item = None;
     }
 }
 
-/// One governor pass over the worker registry: respawn any worker whose
-/// thread is finished but which was never asked to drain — it died (an
-/// unfenced panic or an injected kill). The replacement serves under the
-/// *same* replica state, so the breaker history, EWMA, and trace identity
-/// survive the thread.
-fn respawn_dead_workers<I, T>(shared: &Arc<Shared<I, T>>)
+/// The governor thread, spawned only with a [`BrownoutPolicy`]: every
+/// tick it feeds windowed overload signals to the hysteresis controller,
+/// publishing any rung change for the data plane to act on.
+fn governor_loop<I, T>(shared: &Arc<Shared<I, T>>, policy: BrownoutPolicy)
 where
     I: Send + Sync + 'static,
     T: Send + Sync + 'static,
 {
-    let mut workers = lock(&shared.workers);
-    if lock(&shared.queue).closed {
-        return;
-    }
-    for w in workers.iter_mut() {
-        if !w.handle.is_finished() || w.state.draining.load(Ordering::Acquire) {
-            continue;
-        }
-        shared.governor_counters.record_worker_death();
-        shared
-            .opts
-            .recorder
-            .stage_event(EventKind::WorkerDied, w.state.trace_id);
-        // Belt and braces: `BusyClear` already cleared the dead run's
-        // occupancy on unwind, but a stale projection must never outlive
-        // the thread either way.
-        *lock(&w.state.busy_until) = None;
-        let Ok(new_w) = spawn_worker(shared, Arc::clone(&w.state)) else {
-            // Spawn failed (resource exhaustion); retry next tick.
-            continue;
-        };
-        let old = std::mem::replace(w, new_w);
-        // The dead thread is already finished; this join is instant.
-        let _ = old.handle.join();
-        shared.governor_counters.record_worker_respawn();
-        shared
-            .opts
-            .recorder
-            .stage_event(EventKind::WorkerRespawned, w.state.trace_id);
-    }
-}
-
-/// The standing governor thread: every tick it heals dead workers and —
-/// when a [`BrownoutPolicy`] is installed — feeds windowed overload
-/// signals to the hysteresis controller, publishing any rung change for
-/// the data plane to act on.
-fn governor_loop<I, T>(shared: &Arc<Shared<I, T>>, policy: GovernorPolicy)
-where
-    I: Send + Sync + 'static,
-    T: Send + Sync + 'static,
-{
-    let mut control = policy.brownout.map(BrownoutControl::new);
+    let mut control = BrownoutControl::new(policy);
     let mut window = SignalWindow::new();
     loop {
         if !backoff_interruptible(&shared.governor_ctl, policy.tick) {
             return;
         }
-        if lock(&shared.queue).closed {
-            return;
-        }
-        shared.governor_counters.record_tick();
-        if policy.respawn {
-            respawn_dead_workers(shared);
-        }
-        if let Some(control) = control.as_mut() {
-            let depth = lock(&shared.queue).jobs.len();
-            let queue_delay = shared.projected_wait(depth);
-            let signals = window.tick(
-                &shared.deadline_hist.snapshot(),
-                shared.counters.snapshot().shed,
-                shared.rta_counters.snapshot().bound_violations,
-                depth,
-                queue_delay,
-            );
-            if let Some((_, to)) = control.observe(signals) {
-                // relaxed: advisory ladder; a one-tick-stale read only delays mitigation
-                shared.brownout.store(to.as_u8(), Ordering::Relaxed);
-                shared.governor_counters.record_transition();
-                shared.opts.recorder.governor_state(u64::from(to.as_u8()));
+        let depth = {
+            let q = lock(&shared.queue);
+            if q.closed {
+                return;
             }
+            q.jobs.len()
+        };
+        shared.governor_counters.record_tick();
+        let queue_delay = shared.projected_wait(depth);
+        let signals = window.tick(
+            &shared.deadline_hist.snapshot(),
+            shared.counters.snapshot().shed,
+            shared.rta_counters.snapshot().bound_violations,
+            depth,
+            queue_delay,
+        );
+        if let Some((_, to)) = control.observe(signals) {
+            // relaxed: advisory ladder; a one-tick-stale read only delays mitigation
+            shared.brownout.store(to.as_u8(), Ordering::Relaxed);
+            shared.governor_counters.record_transition();
+            shared.opts.recorder.governor_state(u64::from(to.as_u8()));
         }
     }
 }
@@ -2051,92 +1910,95 @@ fn respond<I, T>(
     I: Send + Sync + 'static,
     T: Send + Sync + 'static,
 {
+    // Every attempt died before publishing anything.
+    let Some((quality, snapshot)) = best else {
+        let failure = failure.unwrap_or(CoreError::Timeout);
+        fail_job(shared, job, Some(state.trace_id), failure);
+        return;
+    };
     let (hedged, retries) = {
         let st = lock(&job.slot.state);
         (st.hedged, st.retries)
     };
-    let result = match best {
-        Some((quality, snapshot)) => {
-            // A shed request that fell short of terminal output is
-            // flagged too: its quality was deliberately sacrificed
-            // to keep the pool available.
-            let status = if snapshot.is_final() && quality >= job.floor {
-                ServeStatus::Final
-            } else if snapshot.is_degraded()
-                || quality < job.floor
-                || (job.shed && !snapshot.is_terminal())
-            {
-                ServeStatus::Degraded
-            } else {
-                ServeStatus::AtDeadline
-            };
-            Ok(ServeResponse {
-                snapshot,
-                quality,
-                status,
-                shed: job.shed,
-                hedged,
-                batched,
-                retries,
-                replica: state.index,
-                elapsed: job.accepted.elapsed(),
-            })
-        }
-        // Every attempt died before publishing anything.
-        None => Err(failure.unwrap_or(CoreError::Timeout)),
+    // A shed request that fell short of terminal output is flagged too:
+    // its quality was deliberately sacrificed to keep the pool available.
+    let status = if snapshot.is_final() && quality >= job.floor {
+        ServeStatus::Final
+    } else if snapshot.is_degraded() || quality < job.floor || (job.shed && !snapshot.is_terminal())
+    {
+        ServeStatus::Degraded
+    } else {
+        ServeStatus::AtDeadline
     };
-    match &result {
-        Ok(resp) => {
-            let status = resp.status;
-            let elapsed = resp.elapsed;
-            let quality = resp.quality;
-            let terminal = resp.snapshot.is_terminal();
-            if job.slot.fill(result) {
-                shared.counters.record_completed();
-                if status == ServeStatus::Degraded {
-                    shared.counters.record_degraded_response();
-                }
-                shared.opts.recorder.request_end(
-                    EventKind::RequestDone,
-                    job.id,
-                    Some(state.trace_id),
-                    elapsed,
-                    Some(quality),
-                    terminal,
-                    status == ServeStatus::Degraded,
-                );
-                let budget = job.deadline - job.accepted;
-                shared.deadline_hist.record(elapsed, budget);
-                if let Some(a) = job.analysis {
-                    // Falsifiability: every analytically-admitted response
-                    // scores the calibrated worst case against reality —
-                    // exported as the bound-error gauge.
-                    shared.rta_counters.record_bound_sample(a.upper, elapsed);
-                }
-                // The EWMA and P95 track *service* time (pop to
-                // response), not queue wait — admission multiplies
-                // them by queue depth itself.
-                let service = service_start.elapsed();
-                state.ewma.record(service);
-                shared.service_hist.record(service);
-                record_breaker_success(shared, state);
-            }
-        }
-        Err(_) => {
-            if job.slot.fill(result) {
-                shared.counters.record_failed();
-                shared.opts.recorder.request_end(
-                    EventKind::RequestFailed,
-                    job.id,
-                    Some(state.trace_id),
-                    job.accepted.elapsed(),
-                    None,
-                    false,
-                    false,
-                );
-            }
-        }
+    let elapsed = job.accepted.elapsed();
+    let terminal = snapshot.is_terminal();
+    let response = ServeResponse {
+        snapshot,
+        quality,
+        status,
+        shed: job.shed,
+        hedged,
+        batched,
+        retries,
+        replica: state.index,
+        elapsed,
+    };
+    if !job.slot.fill(Ok(response)) {
+        return;
     }
+    shared.counters.record_completed();
+    if status == ServeStatus::Degraded {
+        shared.counters.record_degraded_response();
+    }
+    shared.opts.recorder.request_end(
+        EventKind::RequestDone,
+        job.id,
+        Some(state.trace_id),
+        elapsed,
+        Some(quality),
+        terminal,
+        status == ServeStatus::Degraded,
+    );
+    let budget = job.deadline - job.accepted;
+    shared.deadline_hist.record(elapsed, budget);
+    if let Some(a) = job.analysis {
+        // Falsifiability: every analytically-admitted response scores the
+        // calibrated worst case against reality — exported as the
+        // bound-error gauge.
+        shared.rta_counters.record_bound_sample(a.upper, elapsed);
+    }
+    // The EWMA and P95 track *service* time (pop to response), not queue
+    // wait — admission multiplies them by queue depth itself.
+    let service = service_start.elapsed();
+    state.ewma.record(service);
+    shared.service_hist.record(service);
+    record_breaker_success(shared, state);
+}
+
+/// Fails a job with `err` unless another dispatch already answered it,
+/// counting and tracing the failure (`replica` is the answering replica's
+/// trace id, `None` when the pool itself failed the job). Returns `false`
+/// when the job had already been answered.
+fn fail_job<I, T>(
+    shared: &Shared<I, T>,
+    job: &Job<I, T>,
+    replica: Option<StageId>,
+    err: CoreError,
+) -> bool {
+    if !job.slot.fill(Err(err)) {
+        return false;
+    }
+    shared.counters.record_failed();
+    shared.opts.recorder.request_end(
+        EventKind::RequestFailed,
+        job.id,
+        replica,
+        job.accepted.elapsed(),
+        None,
+        false,
+        false,
+    );
+    true
 }
 
 /// How one batch member's wait against the shared batch run ended.
@@ -2428,15 +2290,15 @@ where
         Ok(auto) => auto,
         Err(_) => return Attempt::Died(best.take(), None),
     };
-    shared.live_runs.fetch_add(1, Ordering::Relaxed); // relaxed: count-up precedes any attempt work; completion ordering comes from the Release decrement
-                                                      // Hedge trigger, in preference order: the fixed configured
-                                                      // trigger; the admission analysis' worst-case service bound (a
-                                                      // healthy run that outlives it is analytically late — hedge now);
-                                                      // the P95 latency guess. Primary dispatch only — hedges do not
-                                                      // hedge.
-                                                      // Hedging needs a second worker to be anything but queue pressure,
-                                                      // and is the first mitigation the brownout ladder turns off.
-                                                      // relaxed: gauge read; a hedge decision one resize stale is harmless
+    // relaxed: count-up precedes any attempt work; completion ordering comes from the Release decrement
+    shared.live_runs.fetch_add(1, Ordering::Relaxed);
+    // Hedge trigger, in preference order: the fixed configured trigger;
+    // the admission analysis' worst-case service bound (a healthy run that
+    // outlives it is analytically late — hedge now); the P95 latency
+    // guess. Primary dispatch only — hedges do not hedge. Hedging needs a
+    // second worker to be anything but queue pressure, and is the first
+    // mitigation the brownout ladder turns off.
+    // relaxed: gauge read; a hedge decision one resize stale is harmless
     let hedge_capacity = shared.target_replicas.load(Ordering::Relaxed) > 1;
     let mut hedge_at: Option<Instant> = match (&shared.opts.hedge, item.is_hedge) {
         (Some(policy), false)
@@ -3407,10 +3269,9 @@ mod tests {
         }
         let resp = pool.submit(0, Duration::from_secs(5), 0.0).unwrap();
         assert_eq!(resp.status, ServeStatus::Final);
+        assert_eq!(pool.worker_count(), 1, "the fence kept the thread alive");
         let stats = pool.shutdown();
         assert!(stats.governor.closure_panics >= 1, "{:?}", stats.governor);
-        // The fence kept the thread alive: no death, no respawn.
-        assert_eq!(stats.governor.worker_deaths, 0);
         assert_eq!(stats.live_runs, 0);
     }
 
@@ -3599,10 +3460,8 @@ mod tests {
                     min_service: Duration::from_micros(1),
                     ..ServeOptions::default()
                 }
-                .governor(Some(
-                    GovernorPolicy::default().tick(Duration::from_micros(500)),
-                ))
                 .brownout(BrownoutPolicy {
+                    tick: Duration::from_micros(500),
                     enter_queue: 1,
                     up_ticks: 1,
                     down_ticks: 2,
@@ -3672,45 +3531,36 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
-    fn worker_kill_requeues_and_respawns() {
-        let plan = WorkerKillPlan::new().kill_request(0);
-        let pool = ServePool::new(
-            ServeOptions {
-                replicas: 1,
-                min_service: Duration::from_micros(1),
-                retry: RetryPolicy {
-                    max_attempts: 3,
-                    base_backoff: Duration::from_micros(100),
-                    max_backoff: Duration::from_millis(1),
-                },
-                breaker: None,
-                ..ServeOptions::default()
+    fn governor_thread_runs_only_with_brownout() {
+        let pool = |opts: ServeOptions| {
+            let pool = ServePool::new(
+                opts.replicas(1),
+                counting_factory(3, Duration::from_micros(100)),
+                fraction_quality(3),
+            )
+            .unwrap();
+            for _ in 0..3 {
+                let resp = pool.submit(0, Duration::from_secs(5), 0.0).unwrap();
+                assert_eq!(resp.status, ServeStatus::Final);
             }
-            .governor(Some(
-                GovernorPolicy::default().tick(Duration::from_millis(2)),
-            ))
-            .worker_kill(plan),
-            counting_factory(3, Duration::from_micros(100)),
-            fraction_quality(3),
-        )
-        .unwrap();
-        // Request 0: its worker is killed mid-serve. The in-flight guard
-        // requeues it, the governor respawns the worker (kills are
-        // one-shot per request id), and the replacement serves it.
-        let resp = pool.submit(0, Duration::from_secs(5), 0.0).unwrap();
-        assert_eq!(resp.status, ServeStatus::Final);
-        assert!(resp.retries >= 1, "the killed dispatch requeued as a retry");
-        assert_eq!(pool.worker_count(), 1, "the pool healed to its target");
-        // The healed worker answers a tight follow-up: no stale occupancy
-        // or dead thread lingers from the kill.
-        let follow_up = pool.submit(0, Duration::from_millis(400), 0.0).unwrap();
-        assert_eq!(follow_up.status, ServeStatus::Final);
-        let stats = pool.shutdown();
-        assert_eq!(stats.governor.worker_deaths, 1, "{:?}", stats.governor);
-        assert_eq!(stats.governor.worker_respawns, 1);
-        assert_eq!(stats.completed, stats.admitted);
-        assert_eq!(stats.live_runs, 0);
+            pool
+        };
+        let plain = pool(ServeOptions::default()).shutdown();
+        assert_eq!(plain.completed, 3);
+        assert_eq!(plain.governor.ticks, 0, "a default pool runs no governor");
+        let governed = pool(ServeOptions::default().brownout(BrownoutPolicy {
+            tick: Duration::from_millis(1),
+            ..BrownoutPolicy::default()
+        }));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while governed.stats().governor.ticks == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the brownout governor never ticked"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(governed.shutdown().completed, 3);
     }
 }

@@ -1,7 +1,7 @@
 use crate::buffer::{BufferControl, BufferWriter};
 use crate::control::{ControlPoll, ControlToken};
 use crate::error::{CoreError, Result};
-use crate::notify::{WaitSet, WakeTarget};
+use crate::notify::WakeTarget;
 use crate::supervisor::{FailurePolicy, StallAction, Supervision};
 use crate::version::Version;
 use std::fmt;
@@ -227,7 +227,7 @@ pub(crate) enum InputFeed<I> {
 
 /// What a stage driver reports after one poll slice.
 pub(crate) enum StagePoll {
-    /// The stage is done; this is the value `drive` would have returned.
+    /// The stage is done, with how it ended.
     Ready(Result<StageEnd>),
     /// The slice hit its publish budget with more work immediately
     /// available: reschedule without waiting for an event.
@@ -243,18 +243,17 @@ pub(crate) struct PollCx<'a> {
     /// The automaton's control token.
     pub(crate) ctl: &'a ControlToken,
     /// Wake target to subscribe to every event source the driver may wait
-    /// on (the task's waker on the runtime; a wait set under blocking
-    /// [`StageRunner::drive`]). Subscription is idempotent — resubscribe
-    /// at the top of every poll, *before* checking any predicate.
+    /// on (the task's waker on the runtime). Subscription is idempotent —
+    /// resubscribe at the top of every poll, *before* checking any
+    /// predicate.
     pub(crate) wake: &'a Arc<dyn WakeTarget>,
     /// Publications allowed in this slice before yielding (scheduler
-    /// credits; `u64::MAX` under blocking drive).
+    /// credits).
     pub(crate) budget: u64,
 }
 
 /// Type-erased driver for one stage, scheduled as a task on the shared
-/// runtime (or driven to completion on a dedicated thread via
-/// [`StageRunner::drive`]).
+/// runtime.
 ///
 /// A driver may be re-polled after a panic when its stage is supervised
 /// with [`FailurePolicy::Restart`]; implementations must keep enough
@@ -266,28 +265,6 @@ pub(crate) trait StageRunner: Send {
 
     /// Runs one bounded, non-blocking slice of the stage.
     fn poll(&mut self, cx: &mut PollCx<'_>) -> StagePoll;
-
-    /// Drives the stage to completion, blocking on a private wait set
-    /// between polls. Kept for direct (thread-per-stage) execution in
-    /// unit tests; the executor schedules [`StageRunner::poll`] instead.
-    #[allow(dead_code)] // exercised only by cfg(test) drivers
-    fn drive(&mut self, ctl: &ControlToken) -> Result<StageEnd> {
-        let ws = WaitSet::new();
-        let wake = ws.as_wake_target();
-        loop {
-            let seen = ws.epoch();
-            let mut cx = PollCx {
-                ctl,
-                wake: &wake,
-                budget: u64::MAX,
-            };
-            match self.poll(&mut cx) {
-                StagePoll::Ready(result) => return result,
-                StagePoll::Yielded => continue,
-                StagePoll::Pending => ws.wait(seen),
-            }
-        }
-    }
 
     /// This stage's failure policy and watchdog configuration.
     fn supervision(&self) -> Supervision {
@@ -594,6 +571,27 @@ impl<B: AnytimeBody> fmt::Debug for StageNode<B> {
 mod tests {
     use super::*;
     use crate::buffer;
+    use crate::notify::WaitSet;
+
+    /// The unit tests' poll harness: polls `runner` until it is ready,
+    /// parking on a private wait set whenever it reports `Pending`.
+    fn poll_to_end(runner: &mut impl StageRunner, ctl: &ControlToken) -> Result<StageEnd> {
+        let ws = WaitSet::new();
+        let wake = ws.as_wake_target();
+        loop {
+            let seen = ws.epoch();
+            let mut cx = PollCx {
+                ctl,
+                wake: &wake,
+                budget: u64::MAX,
+            };
+            match runner.poll(&mut cx) {
+                StagePoll::Ready(result) => return result,
+                StagePoll::Yielded => continue,
+                StagePoll::Pending => ws.wait(seen),
+            }
+        }
+    }
 
     /// A body that counts to `n` by ones, diffusively.
     struct Counter {
@@ -643,7 +641,7 @@ mod tests {
     fn source_runs_to_final() {
         let (mut node, r) = node(5, 1);
         let ctl = ControlToken::new();
-        assert_eq!(node.drive(&ctl).unwrap(), StageEnd::Final);
+        assert_eq!(poll_to_end(&mut node, &ctl).unwrap(), StageEnd::Final);
         let hist = r.history().unwrap();
         assert_eq!(hist.len(), 5);
         let values: Vec<u64> = hist.iter().map(|s| *s.value()).collect();
@@ -655,7 +653,7 @@ mod tests {
     fn publish_granularity_reduces_versions() {
         let (mut node, r) = node(10, 4);
         let ctl = ControlToken::new();
-        node.drive(&ctl).unwrap();
+        poll_to_end(&mut node, &ctl).unwrap();
         let hist = r.history().unwrap();
         // Published at steps 4, 8 and the final step 10.
         let steps: Vec<u64> = hist.iter().map(|s| s.steps()).collect();
@@ -664,11 +662,11 @@ mod tests {
     }
 
     #[test]
-    fn stop_before_drive_publishes_nothing() {
+    fn stop_before_first_poll_publishes_nothing() {
         let (mut node, r) = node(5, 1);
         let ctl = ControlToken::new();
         ctl.stop();
-        assert_eq!(node.drive(&ctl).unwrap(), StageEnd::Stopped);
+        assert_eq!(poll_to_end(&mut node, &ctl).unwrap(), StageEnd::Stopped);
         assert!(r.latest().is_none());
     }
 
@@ -698,7 +696,7 @@ mod tests {
             StageOptions::default(),
         );
         let ctl = ControlToken::new();
-        let h = std::thread::spawn(move || g.drive(&ctl));
+        let h = std::thread::spawn(move || poll_to_end(&mut g, &ctl));
         fw.publish(10, 1);
         // Event-driven: wait until `g` has consumed and republished the
         // intermediate version before the final one lands.
@@ -736,7 +734,10 @@ mod tests {
             StageOptions::default(),
         );
         let ctl = ControlToken::new();
-        assert!(matches!(g.drive(&ctl), Err(CoreError::SourceClosed { .. })));
+        assert!(matches!(
+            poll_to_end(&mut g, &ctl),
+            Err(CoreError::SourceClosed { .. })
+        ));
     }
 
     #[test]
@@ -779,7 +780,7 @@ mod tests {
         );
         let ctl = ControlToken::new();
         let ctl2 = ctl.clone();
-        let h = std::thread::spawn(move || node.drive(&ctl2));
+        let h = std::thread::spawn(move || poll_to_end(&mut node, &ctl2));
         // Event-driven: stop only once at least one step has completed,
         // instead of sleeping a guessed quantum.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
@@ -843,7 +844,7 @@ mod tests {
         fw.publish(7, 1);
         fw.seal_degraded();
         let ctl = ControlToken::new();
-        assert_eq!(g.drive(&ctl).unwrap(), StageEnd::Degraded);
+        assert_eq!(poll_to_end(&mut g, &ctl).unwrap(), StageEnd::Degraded);
         let snap = gr.latest().unwrap();
         assert!(snap.is_degraded());
         assert!(!snap.is_final());
@@ -854,11 +855,11 @@ mod tests {
     fn restarted_driver_with_terminal_output_is_noop() {
         let (mut node, r) = node(3, 1);
         let ctl = ControlToken::new();
-        assert_eq!(node.drive(&ctl).unwrap(), StageEnd::Final);
+        assert_eq!(poll_to_end(&mut node, &ctl).unwrap(), StageEnd::Final);
         let versions = r.history().unwrap().len();
-        // Re-driving (as the Restart policy does after a panic) must not
+        // Re-polling (as the Restart policy does after a panic) must not
         // publish anything further.
-        assert_eq!(node.drive(&ctl).unwrap(), StageEnd::Final);
+        assert_eq!(poll_to_end(&mut node, &ctl).unwrap(), StageEnd::Final);
         assert_eq!(r.history().unwrap().len(), versions);
     }
 
@@ -908,12 +909,14 @@ mod tests {
             StageOptions::default(),
         );
         let ctl = ControlToken::new();
-        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| node.drive(&ctl)));
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            poll_to_end(&mut node, &ctl)
+        }));
         assert!(died.is_err());
         assert_eq!(node.steps_completed(), 3);
-        // Second drive (the restart) resumes at step 3 — the counter keeps
+        // Second run (the restart) resumes at step 3 — the counter keeps
         // the 3 published steps and still reaches the precise output.
-        assert_eq!(node.drive(&ctl).unwrap(), StageEnd::Final);
+        assert_eq!(poll_to_end(&mut node, &ctl).unwrap(), StageEnd::Final);
         assert_eq!(node.body.resumed_at, Some(3));
         let snap = r.latest().unwrap();
         assert!(snap.is_final());

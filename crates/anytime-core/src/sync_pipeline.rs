@@ -246,7 +246,8 @@ where
                         self.out = Some((self.init)());
                     }
                     let out = self.out.as_ref().expect("fold state just initialized");
-                    self.db.publish_final_from(&mut self.writer, out, self.steps);
+                    self.db
+                        .publish_final_from(&mut self.writer, out, self.steps);
                     break StagePoll::Ready(Ok(StageEnd::Final));
                 }
                 Ok(None) => break StagePoll::Pending,

@@ -107,13 +107,10 @@ pub enum EventKind {
     RequestDone,
     /// An admitted serve request failed with no snapshot.
     RequestFailed,
-    /// A serve worker thread was found dead by the governor (its fenced
-    /// run unwound or the thread was killed).
-    WorkerDied,
-    /// The governor (or a rolling restart) spawned a replacement worker.
+    /// A rolling restart spawned a replacement worker.
     WorkerRespawned,
-    /// `resize()` scale-up added a fresh worker (operator-initiated
-    /// growth, distinct from crash healing).
+    /// `resize()` scale-up added a fresh worker (growth, distinct from a
+    /// rolling restart's replacement).
     WorkerAdded,
     /// A worker was gracefully drained (finished its run, took no new
     /// work) and joined during `resize()`/`rolling_restart()`.
@@ -148,7 +145,6 @@ impl EventKind {
             Self::BreakerClose => "breaker_close",
             Self::RequestDone => "request_done",
             Self::RequestFailed => "request_failed",
-            Self::WorkerDied => "worker_died",
             Self::WorkerRespawned => "worker_respawned",
             Self::WorkerAdded => "worker_added",
             Self::WorkerDrained => "worker_drained",

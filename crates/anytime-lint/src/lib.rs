@@ -741,8 +741,7 @@ pub fn lint_paths(root: &Path, rels: &[String]) -> Result<(Vec<Diagnostic>, usiz
     let mut units = Vec::with_capacity(rels.len());
     for rel in rels {
         let path = root.join(rel);
-        let src =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let src = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
         units.push(SourceUnit {
             ctx: FileCtx::from_rel_path(rel),
             src,

@@ -234,9 +234,10 @@ impl Model {
         // callers until fixpoint.
         let mut yields: HashSet<usize> = HashSet::new();
         for (idx, f) in fns.iter().enumerate() {
-            let direct = f.events.iter().any(
-                |ev| matches!(ev, Event::Call { name, .. } if crate::is_boundary_call(name)),
-            );
+            let direct = f
+                .events
+                .iter()
+                .any(|ev| matches!(ev, Event::Call { name, .. } if crate::is_boundary_call(name)));
             if direct {
                 yields.insert(idx);
             }

@@ -33,8 +33,7 @@ pub fn check(model: &Model, out: &mut Vec<Diagnostic>) {
             else {
                 continue;
             };
-            let blocking =
-                is_blocking_name(name) || (name == "join" && *method && *zero_args);
+            let blocking = is_blocking_name(name) || (name == "join" && *method && *zero_args);
             if !blocking {
                 continue;
             }
