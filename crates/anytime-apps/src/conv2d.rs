@@ -19,7 +19,7 @@ use crate::error::Result;
 use anytime_approx::quantize_u8;
 use anytime_core::{BufferReader, Pipeline, PipelineBuilder, SampledMap, StageOptions};
 use anytime_img::{convolve, ImageBuf, Kernel};
-use anytime_permute::{DynPermutation, Permutation, Tree2d};
+use anytime_permute::DynPermutation;
 use anytime_sim::ReadInjector;
 
 /// Pixels filtered per anytime step: amortizes the runtime's per-step
@@ -50,12 +50,26 @@ pub const CHUNK: usize = 64;
 pub struct Conv2d {
     image: ImageBuf<u8>,
     kernel: Kernel,
+    perm: DynPermutation,
 }
 
 impl Conv2d {
     /// Creates the benchmark over an input image and kernel.
+    ///
+    /// The image's tree permutation is built here, once: every automaton
+    /// built from this value or its clones shares its sample order, which
+    /// the first build materializes.
+    ///
+    /// # Panics
+    ///
+    /// Never for an image [`ImageBuf`] accepts: the tree permutation
+    /// fails only on an empty image.
     pub fn new(image: ImageBuf<u8>, kernel: Kernel) -> Self {
-        Self { image, kernel }
+        Self {
+            perm: crate::tree_permutation(&image),
+            image,
+            kernel,
+        }
     }
 
     /// The input image.
@@ -73,14 +87,6 @@ impl Conv2d {
         convolve(&self.image, &self.kernel)
     }
 
-    /// The tree permutation over the image's pixels.
-    pub fn permutation(&self) -> Result<DynPermutation> {
-        Ok(DynPermutation::new(Tree2d::new(
-            self.image.height(),
-            self.image.width(),
-        )?))
-    }
-
     /// Builds the single-stage anytime automaton.
     ///
     /// `publish_every` controls output granularity in *pixels* filtered
@@ -88,7 +94,12 @@ impl Conv2d {
     ///
     /// # Errors
     ///
-    /// Propagates permutation-construction failures.
+    /// Does not fail: the permutation is built once, by [`Conv2d::new`].
+    ///
+    /// # Panics
+    ///
+    /// The first build materializes the sample order, which panics for an
+    /// image of 2³² pixels or more (indices are narrowed to `u32`).
     pub fn automaton(&self, publish_every: u64) -> Result<(Pipeline, BufferReader<ImageBuf<u8>>)> {
         self.automaton_traced(publish_every, &anytime_core::Recorder::disabled())
     }
@@ -99,20 +110,23 @@ impl Conv2d {
     ///
     /// # Errors
     ///
-    /// Propagates permutation-construction failures.
+    /// As [`Conv2d::automaton`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Conv2d::automaton`].
     pub fn automaton_traced(
         &self,
         publish_every: u64,
         recorder: &anytime_core::Recorder,
     ) -> Result<(Pipeline, BufferReader<ImageBuf<u8>>)> {
-        let perm = self.permutation()?;
         let kernel = self.kernel.clone();
         let mut pb = PipelineBuilder::new().with_recorder(recorder.clone());
         let out = pb.source(
             "2dconv",
             self.image.clone(),
             SampledMap::new(
-                perm,
+                self.perm.clone(),
                 |input: &ImageBuf<u8>| {
                     ImageBuf::new(input.width(), input.height(), input.channels())
                         .expect("input image has valid dimensions")
@@ -146,19 +160,22 @@ impl Conv2d {
     ///
     /// # Errors
     ///
-    /// Propagates permutation-construction failures.
+    /// As [`Conv2d::automaton`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers == 0`.
     pub fn automaton_parallel(
         &self,
         publish_every: u64,
         workers: usize,
     ) -> Result<(Pipeline, BufferReader<ImageBuf<u8>>)> {
-        let perm = self.permutation()?;
         let kernel = self.kernel.clone();
         let mut pb = PipelineBuilder::new();
         let out = anytime_core::ParallelSampledMap::new(
             "2dconv-par",
             self.image.clone(),
-            perm,
+            self.perm.clone(),
             workers,
             CHUNK,
             |input: &ImageBuf<u8>| {
@@ -189,8 +206,7 @@ impl Conv2d {
         sample_sizes: &[usize],
         mut read: impl FnMut(&mut ImageBuf<u8>, usize, usize) -> f64,
     ) -> Result<Vec<(usize, ImageBuf<u8>)>> {
-        let perm = self.permutation()?;
-        let order = perm.materialize();
+        let order = self.perm.order();
         let total = order.len();
         let mut working = self.image.clone(); // cells holding the input
         let mut out = ImageBuf::<u8>::new(
@@ -206,6 +222,7 @@ impl Conv2d {
         let channels = self.image.channels();
         let mut next_size = 0usize;
         for (done, &idx) in order.iter().enumerate() {
+            let idx = idx as usize;
             let (x, y) = (idx % self.image.width(), idx / self.image.width());
             let mut acc = vec![0.0f64; channels];
             for dy in -r..=r {
@@ -240,7 +257,7 @@ impl Conv2d {
     ///
     /// # Errors
     ///
-    /// Propagates permutation failures.
+    /// Does not fail: the permutation is built once, by [`Conv2d::new`].
     ///
     /// # Panics
     ///
@@ -274,7 +291,7 @@ impl Conv2d {
     ///
     /// # Errors
     ///
-    /// Propagates permutation failures.
+    /// Does not fail: the permutation is built once, by [`Conv2d::new`].
     pub fn sample_accuracy_with_storage(
         &self,
         upset_probability: f64,
@@ -317,6 +334,24 @@ mod tests {
         assert_eq!(snap.value(), &precise);
         assert!(snap.is_final());
         auto.join().unwrap();
+    }
+
+    #[test]
+    fn automata_from_one_app_share_its_order() {
+        let app = app();
+        let precise = app.precise();
+        let clone = app.clone();
+        for source in [&app, &clone] {
+            let (pipeline, out) = source.automaton(256).unwrap();
+            let auto = pipeline.launch().unwrap();
+            let snap = out.wait_final_timeout(Duration::from_secs(60)).unwrap();
+            assert_eq!(snap.value(), &precise);
+            auto.join().unwrap();
+        }
+        assert!(std::sync::Arc::ptr_eq(
+            &app.perm.order(),
+            &clone.perm.order()
+        ));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::error::Result;
 use anytime_core::{BufferReader, Pipeline, PipelineBuilder, SampledMap, StageOptions};
 use anytime_img::ImageBuf;
-use anytime_permute::{DynPermutation, Tree2d};
+use anytime_permute::DynPermutation;
 
 /// Pixels demosaiced per anytime step (see [`crate::conv2d::CHUNK`]).
 pub const CHUNK: usize = 64;
@@ -133,17 +133,26 @@ pub fn demosaic(mosaic: &ImageBuf<u8>) -> ImageBuf<u8> {
 #[derive(Debug, Clone)]
 pub struct Debayer {
     mosaic: ImageBuf<u8>,
+    perm: DynPermutation,
 }
 
 impl Debayer {
     /// Creates the benchmark from a mosaic image.
     ///
+    /// The mosaic's tree permutation is built here, once: every automaton
+    /// built from this value or its clones shares its sample order, which
+    /// the first build materializes.
+    ///
     /// # Panics
     ///
-    /// Panics if `mosaic` is not single-channel.
+    /// Panics if `mosaic` is not single-channel. The tree permutation
+    /// fails only on an empty image, which [`ImageBuf`] rejects.
     pub fn new(mosaic: ImageBuf<u8>) -> Self {
         assert_eq!(mosaic.channels(), 1, "mosaic must be single-channel");
-        Self { mosaic }
+        Self {
+            perm: crate::tree_permutation(&mosaic),
+            mosaic,
+        }
     }
 
     /// Creates the benchmark by mosaicing an RGB scene.
@@ -167,15 +176,19 @@ impl Debayer {
     ///
     /// # Errors
     ///
-    /// Propagates permutation-construction failures.
+    /// Does not fail: the permutation is built once, by [`Debayer::new`].
+    ///
+    /// # Panics
+    ///
+    /// The first build materializes the sample order, which panics for a
+    /// mosaic of 2³² pixels or more (indices are narrowed to `u32`).
     pub fn automaton(&self, publish_every: u64) -> Result<(Pipeline, BufferReader<ImageBuf<u8>>)> {
-        let perm = DynPermutation::new(Tree2d::new(self.mosaic.height(), self.mosaic.width())?);
         let mut pb = PipelineBuilder::new();
         let out = pb.source(
             "debayer",
             self.mosaic.clone(),
             SampledMap::new(
-                perm,
+                self.perm.clone(),
                 |input: &ImageBuf<u8>| {
                     ImageBuf::new(input.width(), input.height(), 3)
                         .expect("input image has valid dimensions")
@@ -196,6 +209,7 @@ impl Debayer {
 mod tests {
     use super::*;
     use anytime_img::{metrics, synth};
+    use anytime_permute::Tree2d;
     use std::time::Duration;
 
     fn scene() -> ImageBuf<u8> {

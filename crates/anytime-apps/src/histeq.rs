@@ -22,7 +22,7 @@ use anytime_core::{
     BufferReader, Pipeline, PipelineBuilder, Precise, SampledMap, SampledReduce, StageOptions,
 };
 use anytime_img::ImageBuf;
-use anytime_permute::{DynPermutation, Lfsr, Tree2d};
+use anytime_permute::{DynPermutation, Lfsr};
 
 /// Number of intensity bins (8-bit images).
 pub const BINS: usize = 256;
@@ -86,23 +86,39 @@ pub fn apply_lut(img: &ImageBuf<u8>, lut: &[u8]) -> ImageBuf<u8> {
 #[derive(Debug, Clone)]
 pub struct Histeq {
     image: ImageBuf<u8>,
-    seed: u32,
+    /// LFSR input-sampling order of the histogram stage.
+    hist_perm: DynPermutation,
+    /// Tree output-sampling order of the equalize stage.
+    map_perm: DynPermutation,
 }
 
 impl Histeq {
-    /// Creates the benchmark.
+    /// Creates the benchmark, with LFSR seed 1.
+    ///
+    /// Both sampling permutations are built here, once: every automaton
+    /// built from this value or its clones shares their sample orders,
+    /// which the first build materializes.
     ///
     /// # Panics
     ///
-    /// Panics if `image` is not single-channel.
+    /// Panics if `image` is not single-channel, or if it has 2³² pixels or
+    /// more (the LFSR's widest register). The tree permutation fails only
+    /// on an empty image, which [`ImageBuf`] rejects.
     pub fn new(image: ImageBuf<u8>) -> Self {
         assert_eq!(image.channels(), 1, "histeq expects grayscale");
-        Self { image, seed: 1 }
+        Self {
+            hist_perm: lfsr(&image, 1),
+            map_perm: crate::tree_permutation(&image),
+            image,
+        }
     }
 
     /// Sets the LFSR seed for the input-sampling permutation.
+    ///
+    /// Builds a new permutation: clones made before this call keep the
+    /// previous seed's order.
     pub fn with_seed(mut self, seed: u32) -> Self {
-        self.seed = seed;
+        self.hist_perm = lfsr(&self.image, seed);
         self
     }
 
@@ -127,23 +143,21 @@ impl Histeq {
     ///
     /// # Errors
     ///
-    /// Propagates permutation-construction failures.
+    /// Does not fail: the permutations are built once, by [`Histeq::new`]
+    /// and [`Histeq::with_seed`], which panic where their construction
+    /// fails.
     pub fn automaton(
         &self,
         hist_publish_every: u64,
         map_publish_every: u64,
     ) -> Result<(Pipeline, BufferReader<ImageBuf<u8>>)> {
-        let n = self.image.pixel_count();
-        let hist_perm = DynPermutation::new(Lfsr::with_seed(n, self.seed)?);
-        let map_perm = DynPermutation::new(Tree2d::new(self.image.height(), self.image.width())?);
-
         let mut pb = PipelineBuilder::new();
         // Stage 1: anytime histogram via pseudo-random input sampling.
         let hist = pb.source(
             "hist",
             self.image.clone(),
             SampledReduce::new(
-                hist_perm,
+                self.hist_perm.clone(),
                 |_: &ImageBuf<u8>| vec![0u64; BINS],
                 |acc: &mut Vec<u64>, img: &ImageBuf<u8>, idx| {
                     acc[img.as_slice()[idx] as usize] += 1;
@@ -174,7 +188,7 @@ impl Histeq {
             "equalize",
             &lut,
             SampledMap::new(
-                map_perm,
+                self.map_perm.clone(),
                 {
                     let image = image.clone();
                     move |_lut: &Vec<u8>| {
@@ -196,6 +210,11 @@ impl Histeq {
         );
         Ok((pb.build(), out))
     }
+}
+
+/// The LFSR input-sampling permutation over `image`'s pixels.
+fn lfsr(image: &ImageBuf<u8>, seed: u32) -> DynPermutation {
+    DynPermutation::new(Lfsr::with_seed(image.pixel_count(), seed).expect("fewer than 2^32 pixels"))
 }
 
 #[cfg(test)]
@@ -262,6 +281,33 @@ mod tests {
         let auto = pipeline.launch().unwrap();
         let snap = out.wait_final_timeout(Duration::from_secs(120)).unwrap();
         assert_eq!(snap.value(), &precise);
+        auto.join().unwrap();
+    }
+
+    #[test]
+    fn with_seed_replaces_the_cached_order() {
+        let app = app();
+        let n = app.image().pixel_count();
+        let narrow = |seed| -> Vec<u32> {
+            use anytime_permute::Permutation;
+            let order = Lfsr::with_seed(n, seed).unwrap().materialize();
+            order.into_iter().map(|i| i as u32).collect()
+        };
+        // A build materializes and caches the seed-1 order first.
+        let _ = app.automaton(128, 128).unwrap();
+        let reseeded = app.clone().with_seed(7);
+        assert_eq!(&*reseeded.hist_perm.order(), narrow(7).as_slice());
+        assert_ne!(narrow(7), narrow(1));
+        assert_eq!(&*app.hist_perm.order(), narrow(1).as_slice());
+        // The output map's tree order is untouched by the seed.
+        assert!(std::sync::Arc::ptr_eq(
+            &reseeded.map_perm.order(),
+            &app.map_perm.order()
+        ));
+        let (pipeline, out) = reseeded.automaton(128, 128).unwrap();
+        let auto = pipeline.launch().unwrap();
+        let snap = out.wait_final_timeout(Duration::from_secs(120)).unwrap();
+        assert_eq!(snap.value(), &app.precise());
         auto.join().unwrap();
     }
 

@@ -22,7 +22,7 @@
 use crate::error::Result;
 use anytime_core::{BufferReader, Pipeline, PipelineBuilder, Precise, SampledMap, StageOptions};
 use anytime_img::ImageBuf;
-use anytime_permute::{DynPermutation, Tree2d};
+use anytime_permute::DynPermutation;
 
 /// Sentinel for "pixel not yet sampled".
 const UNASSIGNED: u8 = u8::MAX;
@@ -105,18 +105,29 @@ pub struct ClusteredFrame {
 pub struct Kmeans {
     image: ImageBuf<u8>,
     k: usize,
+    perm: DynPermutation,
 }
 
 impl Kmeans {
     /// Creates the benchmark with `k` clusters.
     ///
+    /// The image's tree permutation is built here, once: every automaton
+    /// built from this value or its clones shares its sample order, which
+    /// the first build materializes.
+    ///
     /// # Panics
     ///
-    /// Panics unless `image` is RGB and `2 <= k <= 254`.
+    /// Panics unless `image` is RGB and `2 <= k <= 254`. The tree
+    /// permutation fails only on an empty image, which [`ImageBuf`]
+    /// rejects.
     pub fn new(image: ImageBuf<u8>, k: usize) -> Self {
         assert_eq!(image.channels(), 3, "kmeans expects an RGB image");
         assert!((2..=254).contains(&k), "k must be in 2..=254");
-        Self { image, k }
+        Self {
+            perm: crate::tree_permutation(&image),
+            image,
+            k,
+        }
     }
 
     /// The input image.
@@ -189,12 +200,16 @@ impl Kmeans {
     ///
     /// # Errors
     ///
-    /// Propagates permutation-construction failures.
+    /// Does not fail: the permutation is built once, by [`Kmeans::new`].
+    ///
+    /// # Panics
+    ///
+    /// The first build materializes the sample order, which panics for an
+    /// image of 2³² pixels or more (indices are narrowed to `u32`).
     pub fn automaton(
         &self,
         publish_every: u64,
     ) -> Result<(Pipeline, BufferReader<ClusteredFrame>)> {
-        let perm = DynPermutation::new(Tree2d::new(self.image.height(), self.image.width())?);
         let seeds = self.seed_centroids();
         let k = self.k;
         let mut pb = PipelineBuilder::new();
@@ -203,7 +218,7 @@ impl Kmeans {
             "assign",
             self.image.clone(),
             SampledMap::new(
-                perm,
+                self.perm.clone(),
                 move |img: &ImageBuf<u8>| PartialClusters::empty(img.pixel_count(), k),
                 move |img: &ImageBuf<u8>, out: &mut PartialClusters, idx| {
                     let px = img.pixel_at(idx);

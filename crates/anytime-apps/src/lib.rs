@@ -36,3 +36,15 @@ pub use error::{AppError, Result};
 pub use histeq::Histeq;
 pub use kmeans::{ClusteredFrame, Kmeans};
 pub use profile::{profile, time_baseline, RuntimeAccuracyCurve, RuntimeAccuracyPoint};
+
+use anytime_img::ImageBuf;
+use anytime_permute::{DynPermutation, Tree2d};
+
+/// The tree permutation over `image`'s pixels. Each app builds it once,
+/// in `new`, and every automaton it builds shares its sample order.
+fn tree_permutation(image: &ImageBuf<u8>) -> DynPermutation {
+    DynPermutation::new(
+        Tree2d::new(image.height(), image.width())
+            .expect("Tree2d fails only on an empty grid, which ImageBuf rejects"),
+    )
+}

@@ -2,9 +2,11 @@
 //!
 //! Runs the same full 2-D convolution map under sequential, Morton, tree,
 //! and LFSR sample orders. All orders do identical arithmetic; runtime
-//! differences are purely cache locality — the overhead the paper
-//! attributes to non-sequential sampling (and proposes deterministic
-//! prefetching to recover).
+//! differences are cache locality — the overhead the paper attributes to
+//! non-sequential sampling (and proposes deterministic prefetching to
+//! recover) — plus the cost of materializing each order. Every iteration
+//! builds a fresh permutation: clones of one share a materialized order,
+//! so they would time that cost only once.
 
 use anytime_core::{AnytimeBody, SampledMap, StepOutcome};
 use anytime_img::{synth, ImageBuf, Kernel};
@@ -34,30 +36,28 @@ fn run_full_map(input: &ImageBuf<u8>, kernel: &Kernel, perm: DynPermutation) -> 
     out
 }
 
+/// A fresh permutation of the named kind over a `side` × `side` grid.
+fn permutation(name: &str, side: usize) -> DynPermutation {
+    match name {
+        "sequential" => DynPermutation::new(Sequential::new(side * side)),
+        "morton" => DynPermutation::new(Morton2d::new(side, side).unwrap()),
+        "tree" => DynPermutation::new(Tree2d::new(side, side).unwrap()),
+        "lfsr" => DynPermutation::new(Lfsr::with_len(side * side).unwrap()),
+        _ => unreachable!("no permutation named {name}"),
+    }
+}
+
 fn bench(c: &mut Criterion) {
     let side = 128usize;
     let input = synth::value_noise(side, side, 5);
     let kernel = Kernel::gaussian(5, 1.2);
-    let n = side * side;
     let mut group = c.benchmark_group("ablation_permutations");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
-    let perms: Vec<(&str, DynPermutation)> = vec![
-        ("sequential", DynPermutation::new(Sequential::new(n))),
-        (
-            "morton",
-            DynPermutation::new(Morton2d::new(side, side).unwrap()),
-        ),
-        (
-            "tree",
-            DynPermutation::new(Tree2d::new(side, side).unwrap()),
-        ),
-        ("lfsr", DynPermutation::new(Lfsr::with_len(n).unwrap())),
-    ];
-    for (name, perm) in perms {
+    for name in ["sequential", "morton", "tree", "lfsr"] {
         group.bench_function(name, |b| {
-            b.iter(|| black_box(run_full_map(&input, &kernel, perm.clone())))
+            b.iter(|| black_box(run_full_map(&input, &kernel, permutation(name, side))))
         });
     }
     group.finish();

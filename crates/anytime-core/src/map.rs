@@ -1,5 +1,6 @@
 use crate::stage::{AnytimeBody, StepOutcome};
-use anytime_permute::{DynPermutation, Permutation};
+use anytime_permute::DynPermutation;
+use std::sync::Arc;
 
 /// An output-sampled map: the paper's anytime recipe for map computations
 /// (§III-B2).
@@ -14,7 +15,9 @@ use anytime_permute::{DynPermutation, Permutation};
 /// (zeros, a coarse interpolation, a previous frame…).
 ///
 /// The permutation runs over *output element indices*; its length is the
-/// number of output elements.
+/// number of output elements. Its sample order is taken
+/// ([`DynPermutation::order`]) when the map is constructed, so maps built
+/// from clones of one permutation share one materialized order.
 ///
 /// # Examples
 ///
@@ -36,11 +39,7 @@ use anytime_permute::{DynPermutation, Permutation};
 /// assert_eq!(out, vec![0, 0, 0, 0, 16, 0, 0, 0]); // indices 0 and 4 done
 /// ```
 pub struct SampledMap<I, O> {
-    perm: DynPermutation,
-    /// Materialized sample order, stored narrow to halve the streaming
-    /// footprint of the hot loop (indices always fit u32 for practical
-    /// data sets).
-    order: Vec<u32>,
+    order: Arc<[u32]>,
     chunk: usize,
     init: InitFn<I, O>,
     apply: ApplyFn<I, O>,
@@ -57,6 +56,11 @@ impl<I, O> SampledMap<I, O> {
     /// `init` builds the initial output (every element will eventually be
     /// overwritten); `apply(input, out, idx)` computes output element `idx`
     /// precisely and stores it in `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the permutation's order must be materialized and holds an
+    /// index that does not fit `u32` (see [`DynPermutation::order`]).
     pub fn new(
         perm: impl Into<DynPermutation>,
         init: impl FnMut(&I) -> O + Send + 'static,
@@ -76,14 +80,17 @@ impl<I, O> SampledMap<I, O> {
     /// [`anytime_permute::Tree2d::block`] a tree sample owns, so every
     /// intermediate output is a complete image at the current resolution
     /// (paper Figures 5 and 16).
+    ///
+    /// # Panics
+    ///
+    /// As [`SampledMap::new`].
     pub fn with_positions(
         perm: impl Into<DynPermutation>,
         init: impl FnMut(&I) -> O + Send + 'static,
         apply: impl FnMut(&I, &mut O, usize, usize) + Send + 'static,
     ) -> Self {
         Self {
-            perm: perm.into(),
-            order: Vec::new(),
+            order: perm.into().order(),
             chunk: 1,
             init: Box::new(init),
             apply: Box::new(apply),
@@ -108,7 +115,7 @@ impl<I, O> SampledMap<I, O> {
 
     /// The number of output elements the permutation covers.
     pub fn items(&self) -> usize {
-        self.perm.len()
+        self.order.len()
     }
 
     /// Elements processed per step.
@@ -126,14 +133,6 @@ where
     type Output = O;
 
     fn init(&mut self, input: &I) -> O {
-        if self.order.is_empty() {
-            self.order = self
-                .perm
-                .materialize()
-                .into_iter()
-                .map(|idx| u32::try_from(idx).expect("index fits u32"))
-                .collect();
-        }
         (self.init)(input)
     }
 
@@ -151,18 +150,18 @@ where
     }
 
     fn total_steps(&self, _input: &I) -> Option<u64> {
-        Some((self.perm.len() as u64).div_ceil(self.chunk as u64))
+        Some((self.order.len() as u64).div_ceil(self.chunk as u64))
     }
 
     fn progress(&self, steps_done: u64, _input: &I) -> u64 {
-        (steps_done * self.chunk as u64).min(self.perm.len() as u64)
+        (steps_done * self.chunk as u64).min(self.order.len() as u64)
     }
 }
 
 impl<I, O> std::fmt::Debug for SampledMap<I, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SampledMap")
-            .field("items", &self.perm.len())
+            .field("items", &self.order.len())
             .finish_non_exhaustive()
     }
 }
@@ -170,7 +169,7 @@ impl<I, O> std::fmt::Debug for SampledMap<I, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anytime_permute::{Lfsr, Sequential, Tree1d};
+    use anytime_permute::{Lfsr, Permutation, Sequential, Tree1d};
 
     #[test]
     fn full_map_is_precise_in_any_order() {

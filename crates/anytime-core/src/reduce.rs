@@ -1,5 +1,6 @@
 use crate::stage::{AnytimeBody, StepOutcome};
-use anytime_permute::{DynPermutation, Permutation};
+use anytime_permute::DynPermutation;
+use std::sync::Arc;
 
 /// An input-sampled reduction: the paper's anytime recipe for commutative
 /// reductions (§III-B2, Figure 3).
@@ -18,8 +19,14 @@ use anytime_permute::{DynPermutation, Permutation};
 ///   `O'_i = O_i × n / i` instead. Idempotent operators (`min`, `max`,
 ///   bitwise or, set union) need no normalization.
 ///
-/// The permutation length must equal the number of input items; this is
-/// checked when the body starts.
+/// The caller must make the permutation's length equal the number of
+/// input items: the body cannot check it, since it cannot see how many
+/// items a generic input holds. A shorter order leaves items out of the
+/// "precise" output, and a longer one makes `fold` index past the input.
+///
+/// The sample order is taken ([`DynPermutation::order`]) when the
+/// reduction is constructed, so reductions built from clones of one
+/// permutation share one materialized order.
 ///
 /// # Examples
 ///
@@ -49,11 +56,7 @@ use anytime_permute::{DynPermutation, Permutation};
 /// assert!((approx - 4950.0).abs() / 4950.0 < 0.3);
 /// ```
 pub struct SampledReduce<I, A> {
-    perm: DynPermutation,
-    /// Materialized sample order, stored narrow to halve the streaming
-    /// footprint of the hot loop (indices always fit u32 for practical
-    /// data sets).
-    order: Vec<u32>,
+    order: Arc<[u32]>,
     chunk: usize,
     init: InitFn<I, A>,
     fold: FoldFn<I, A>,
@@ -76,14 +79,18 @@ impl<I, A> SampledReduce<I, A> {
     /// combines input element `idx` into the accumulator. The fold operator
     /// must be commutative for sampling to be unbiased and for the final
     /// output to be precise regardless of order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the permutation's order must be materialized and holds an
+    /// index that does not fit `u32` (see [`DynPermutation::order`]).
     pub fn new(
         perm: impl Into<DynPermutation>,
         init: impl FnMut(&I) -> A + Send + 'static,
         fold: impl FnMut(&mut A, &I, usize) + Send + 'static,
     ) -> Self {
         Self {
-            perm: perm.into(),
-            order: Vec::new(),
+            order: perm.into().order(),
             chunk: 1,
             init: Box::new(init),
             fold: Box::new(fold),
@@ -119,7 +126,7 @@ impl<I, A> SampledReduce<I, A> {
 
     /// The number of items the permutation covers.
     pub fn items(&self) -> usize {
-        self.perm.len()
+        self.order.len()
     }
 }
 
@@ -187,14 +194,6 @@ where
     type Output = A;
 
     fn init(&mut self, input: &I) -> A {
-        if self.order.is_empty() {
-            self.order = self
-                .perm
-                .materialize()
-                .into_iter()
-                .map(|idx| u32::try_from(idx).expect("index fits u32"))
-                .collect();
-        }
         (self.init)(input)
     }
 
@@ -212,11 +211,11 @@ where
     }
 
     fn total_steps(&self, _input: &I) -> Option<u64> {
-        Some((self.perm.len() as u64).div_ceil(self.chunk as u64))
+        Some((self.order.len() as u64).div_ceil(self.chunk as u64))
     }
 
     fn progress(&self, steps_done: u64, _input: &I) -> u64 {
-        (steps_done * self.chunk as u64).min(self.perm.len() as u64)
+        (steps_done * self.chunk as u64).min(self.order.len() as u64)
     }
 
     fn render(&self, out: &A, input: &I, steps_done: u64) -> A {
@@ -224,7 +223,7 @@ where
             // The render hook works in *elements* (sample sizes), not
             // runner steps, so weighting stays correct under chunking.
             Some(f) => {
-                let total = self.perm.len() as u64;
+                let total = self.order.len() as u64;
                 let done = (steps_done * self.chunk as u64).min(total);
                 f(out, input, done, total)
             }
@@ -236,7 +235,7 @@ where
 impl<I, A> std::fmt::Debug for SampledReduce<I, A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SampledReduce")
-            .field("items", &self.perm.len())
+            .field("items", &self.order.len())
             .field("weighted", &self.render.is_some())
             .finish_non_exhaustive()
     }

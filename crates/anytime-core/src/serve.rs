@@ -631,6 +631,10 @@ struct Shared<I, T> {
     brownout: AtomicU8,
     /// The configured worker-count target (updated by `resize`).
     target_replicas: AtomicUsize,
+    /// Workers `resize`/`rolling_restart` flagged to drain and have not
+    /// joined yet: counted where the flag is stored, uncounted after the
+    /// join. They are already out of the `workers` registry.
+    draining_workers: AtomicUsize,
     /// Allocator for replica indices of workers added by `resize`.
     next_replica: AtomicUsize,
     counters: ServeCounters,
@@ -921,6 +925,7 @@ where
             governor_counters: GovernorCounters::default(),
             brownout: AtomicU8::new(BrownoutState::Normal.as_u8()),
             target_replicas: AtomicUsize::new(target),
+            draining_workers: AtomicUsize::new(0),
             next_replica: AtomicUsize::new(target),
             counters: ServeCounters::default(),
             service_hist: LatencyHistogram::default(),
@@ -1225,16 +1230,9 @@ where
         stats.governor.state = shared.brownout_state().as_u8();
         // relaxed: observability gauge; one stale resize is acceptable
         stats.governor.workers_target = shared.target_replicas.load(Ordering::Relaxed) as u64;
-        {
-            let workers = lock(&shared.workers);
-            for w in workers.iter() {
-                if w.state.draining.load(Ordering::Acquire) {
-                    stats.governor.workers_draining += 1;
-                } else if !w.handle.is_finished() {
-                    stats.governor.workers_live += 1;
-                }
-            }
-        }
+        // relaxed: observability gauge; a drain in progress may be seen late
+        stats.governor.workers_draining = shared.draining_workers.load(Ordering::Relaxed) as u64;
+        stats.governor.workers_live = self.worker_count() as u64;
         stats
     }
 
@@ -1359,6 +1357,8 @@ where
                 while workers.len() > n {
                     let w = workers.pop().expect("len > n >= 1");
                     w.state.draining.store(true, Ordering::Release);
+                    // relaxed: observability gauge, as in `stats`
+                    shared.draining_workers.fetch_add(1, Ordering::Relaxed);
                     drained.push(w);
                 }
             }
@@ -1384,6 +1384,8 @@ where
         shared.queue_cv.notify_all();
         for w in to_drain {
             let _ = w.handle.join();
+            // relaxed: observability gauge, as in `stats`
+            shared.draining_workers.fetch_sub(1, Ordering::Relaxed);
             lock(&shared.replicas).retain(|r| !Arc::ptr_eq(r, &w.state));
             shared.governor_counters.record_worker_drain();
             shared
@@ -1435,10 +1437,14 @@ where
                 let fresh = spawn_worker(shared, Arc::clone(&state))?;
                 let w = std::mem::replace(&mut workers[i], fresh);
                 w.state.draining.store(true, Ordering::Release);
+                // relaxed: observability gauge, as in `stats`
+                shared.draining_workers.fetch_add(1, Ordering::Relaxed);
                 w
             };
             shared.queue_cv.notify_all();
             let _ = drained.handle.join();
+            // relaxed: observability gauge, as in `stats`
+            shared.draining_workers.fetch_sub(1, Ordering::Relaxed);
             // The registry swap happens after the join so the old and new
             // replica never coexist under one index (duplicate Prometheus
             // labels); until then the replacement serves unregistered —
@@ -3401,6 +3407,61 @@ mod tests {
             pool.rolling_restart(),
             Err(CoreError::PoolShutdown)
         ));
+    }
+
+    #[test]
+    fn draining_gauge_counts_a_worker_until_it_joins() {
+        // `resize` takes a worker out of the registry before flagging it,
+        // so the gauge must count the drain itself, from flag to join.
+        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        let build = counting_factory(1, Duration::ZERO);
+        let pool = ServePool::new(
+            ServeOptions::default().replicas(2),
+            move |input: &u64| {
+                started_tx.send(()).unwrap();
+                release_rx.lock().unwrap().recv().unwrap();
+                build(input)
+            },
+            fraction_quality(1),
+        )
+        .unwrap();
+        let draining = || pool.stats().governor.workers_draining;
+        std::thread::scope(|s| {
+            let requests: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| pool.submit(0, Duration::from_secs(60), 0.0)))
+                .collect();
+            // Both replicas are now inside the factory, mid-request. Nothing
+            // may panic until the factories are released: the scope and the
+            // pool's drop would wait for them for good.
+            let started: Vec<_> = (0..2)
+                .map(|_| started_rx.recv_timeout(Duration::from_secs(30)))
+                .collect();
+            let resize = s.spawn(|| pool.resize(1));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while draining() != 1 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            let (counted, live) = (draining(), pool.stats().governor.workers_live);
+            // Release both factories, then hang up, so that no factory
+            // call, however late, can block.
+            for _ in 0..2 {
+                let _ = release_tx.send(());
+            }
+            drop(release_tx);
+            assert!(started.iter().all(|r| r.is_ok()), "a replica never started");
+            resize.join().unwrap().unwrap();
+            assert_eq!(counted, 1, "the drain in progress is not counted");
+            assert_eq!(live, 1);
+            assert_eq!(draining(), 0);
+            for r in requests {
+                assert_eq!(r.join().unwrap().unwrap().status, ServeStatus::Final);
+            }
+        });
+        let stats = pool.shutdown();
+        assert_eq!(stats.governor.workers_draining, 0);
+        assert_eq!(stats.governor.worker_drains, 1);
     }
 
     #[test]

@@ -241,8 +241,8 @@ impl Permutation for Lfsr {
     }
 
     fn materialize(&self) -> Vec<usize> {
-        // Tight register loop instead of the boxed iterator: stage-startup
-        // hot path.
+        // Tight register loop instead of the boxed iterator: this is the
+        // set-up cost of an app's first automaton build.
         let mut order = Vec::with_capacity(self.len);
         let mut reg = LfsrReg::new(self.bits, self.seed).expect("validated width");
         let period = reg.period();
