@@ -229,12 +229,12 @@ fn record_serve_throughput(report: &mut Report) -> Result<(), CoreError> {
         },
         |snap| if snap.is_final() { 1.0 } else { 0.0 },
     )?;
-    let (elapsed, served) = run_scenario(&unbatched);
+    let elapsed = run_scenario(&unbatched);
     report.push(
         "serve/unbatched_request",
         false,
-        elapsed.as_nanos() as f64 / served as f64,
-        served as u64,
+        elapsed.as_nanos() as f64 / SERVE_REQUESTS as f64,
+        SERVE_REQUESTS as u64,
     );
     unbatched.shutdown();
 
@@ -255,12 +255,12 @@ fn record_serve_throughput(report: &mut Report) -> Result<(), CoreError> {
         },
         |snap| if snap.is_final() { 1.0 } else { 0.0 },
     )?;
-    let (elapsed, served) = run_scenario(&batched);
+    let elapsed = run_scenario(&batched);
     report.push(
         "serve/batched_request",
         false,
-        elapsed.as_nanos() as f64 / served as f64,
-        served as u64,
+        elapsed.as_nanos() as f64 / SERVE_REQUESTS as f64,
+        SERVE_REQUESTS as u64,
     );
     batched.shutdown();
     Ok(())
@@ -323,7 +323,7 @@ fn record_admission_decision(report: &mut Report, opts: &MeasureOptions) -> Resu
         "admission gate failed to calibrate for the bench"
     );
     report.record("serve/admission_decision", true, opts, || {
-        let r = pool.submit(black_box(()), Duration::from_micros(100), 1.0);
+        let r = pool.submit((), black_box(Duration::from_micros(100)), 1.0);
         debug_assert!(matches!(r, Err(CoreError::Infeasible { .. })));
         black_box(r.is_err());
     });
@@ -446,38 +446,19 @@ fn record_lint_scan(report: &mut Report, opts: &MeasureOptions) {
     );
 }
 
-/// Runs one scenario round, retrying a couple of times on a transient
-/// shortfall (a rare replica hiccup under host contention) so the CI gate
-/// doesn't flake; a persistent shortfall still fails loudly.
-fn run_scenario(pool: &ServePool<(), anytime_img::ImageBuf<u8>>) -> (Duration, usize) {
-    const ATTEMPTS: usize = 3;
-    for attempt in 1..=ATTEMPTS {
-        let served = std::sync::atomic::AtomicUsize::new(0);
-        let t0 = Instant::now();
-        thread::scope(|scope| {
-            for _ in 0..SERVE_REQUESTS {
-                let (pool, served) = (pool, &served);
-                // lint: allow(l6-no-raw-spawn) -- bench harness: concurrent open-loop request generators
-                scope.spawn(
-                    move || match pool.submit((), Duration::from_secs(120), 0.0) {
-                        Ok(_) => {
-                            // relaxed: result counter; joined before being read
-                            served.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                        Err(e) => eprintln!("serve scenario request failed: {e}"),
-                    },
-                );
-            }
-        });
-        let elapsed = t0.elapsed();
-        let served = served.into_inner();
-        if served == SERVE_REQUESTS {
-            return (elapsed, served);
+/// Runs one scenario round: `SERVE_REQUESTS` concurrent generous-deadline
+/// requests. Every request must be answered; a dropped one fails the
+/// recording.
+fn run_scenario(pool: &ServePool<(), anytime_img::ImageBuf<u8>>) -> Duration {
+    let t0 = Instant::now();
+    thread::scope(|scope| {
+        for _ in 0..SERVE_REQUESTS {
+            // lint: allow(l6-no-raw-spawn) -- bench harness: concurrent open-loop request generators
+            scope.spawn(move || {
+                pool.submit((), Duration::from_secs(120), 0.0)
+                    .expect("serve scenario dropped a request");
+            });
         }
-        eprintln!(
-            "serve scenario dropped requests ({served}/{SERVE_REQUESTS}), \
-             attempt {attempt}/{ATTEMPTS}"
-        );
-    }
-    panic!("serve scenario kept dropping requests after {ATTEMPTS} attempts");
+    });
+    t0.elapsed()
 }

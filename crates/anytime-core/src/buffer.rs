@@ -723,7 +723,7 @@ impl<T> BufferReader<T> {
             if woken {
                 // A wakeup delivered between the previous check and this
                 // one did not satisfy the wait.
-                self.shared.counters.record_spurious_wakeup();
+                self.shared.counters.spurious_wakeups.inc();
             }
             woken = match deadline {
                 Some(d) => ws.wait_deadline(seen, d),
@@ -733,7 +733,7 @@ impl<T> BufferReader<T> {
                 }
             };
             if woken {
-                self.shared.counters.record_wakeup();
+                self.shared.counters.wakeups.inc();
             }
         }
     }

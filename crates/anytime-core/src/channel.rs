@@ -130,11 +130,11 @@ impl<T> Sender<T> {
                 }
             }
             if woken {
-                self.shared.counters.record_spurious_wakeup();
+                self.shared.counters.spurious_wakeups.inc();
             }
             ws.wait(seen);
             woken = true;
-            self.shared.counters.record_wakeup();
+            self.shared.counters.wakeups.inc();
         }
     }
 
@@ -268,11 +268,11 @@ impl<T> Receiver<T> {
                 }
             }
             if woken {
-                self.shared.counters.record_spurious_wakeup();
+                self.shared.counters.spurious_wakeups.inc();
             }
             ws.wait(seen);
             woken = true;
-            self.shared.counters.record_wakeup();
+            self.shared.counters.wakeups.inc();
         }
     }
 

@@ -106,35 +106,6 @@ pub fn plan_strict(estimates: &[LevelEstimate], deadline: Duration) -> crate::Re
     plan_single_level(estimates, deadline)
 }
 
-/// Plans a contract execution like [`plan_strict`], but against a deadline
-/// already discounted by a queue-delay bound: the level must fit in
-/// `deadline − queue_delay`, and a rejection reports the *end-to-end*
-/// projection (`queue_delay` plus the cheapest level) against the full
-/// deadline — the number a caller can compare to other requests' budgets.
-///
-/// This is the bound-aware admission flavour the serving layer uses: the
-/// response-time analysis supplies `queue_delay` (its worst-case wait
-/// bound, see [`crate::rta`]), and the plan is then honest about what the
-/// request can still afford *after* queuing, not just in isolation.
-///
-/// # Errors
-///
-/// As [`plan_strict`], with the rejection's `projected` remapped to
-/// `queue_delay + cheapest` and `budget` to the undiscounted `deadline`.
-pub fn plan_strict_with_delay(
-    estimates: &[LevelEstimate],
-    deadline: Duration,
-    queue_delay: Duration,
-) -> crate::Result<ContractPlan> {
-    plan_strict(estimates, deadline.saturating_sub(queue_delay)).map_err(|e| match e {
-        CoreError::AdmissionRejected { projected, .. } => CoreError::AdmissionRejected {
-            projected: queue_delay + projected,
-            budget: deadline,
-        },
-        other => other,
-    })
-}
-
 /// Plans a contract execution with interruption insurance: picks the best
 /// final level that fits, then prepends the cheapest earlier levels that
 /// still leave the final level affordable. If the run is cut short after
@@ -337,38 +308,6 @@ mod tests {
             Err(CoreError::AdmissionRejected { projected, budget }) => {
                 assert_eq!(projected, Duration::from_millis(10));
                 assert_eq!(budget, Duration::from_millis(1));
-            }
-            other => panic!("expected AdmissionRejected, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn delayed_plan_discounts_the_budget_and_reports_end_to_end() {
-        // 70ms total with 10ms of queue delay leaves 60ms: level 2 fits
-        // exactly, same as an undelayed 60ms plan.
-        let plan = plan_strict_with_delay(
-            &estimates(),
-            Duration::from_millis(70),
-            Duration::from_millis(10),
-        )
-        .unwrap();
-        assert_eq!(plan.levels, vec![2]);
-        // Zero delay degenerates to plan_strict.
-        assert_eq!(
-            plan_strict_with_delay(&estimates(), Duration::from_millis(70), Duration::ZERO)
-                .unwrap(),
-            plan_strict(&estimates(), Duration::from_millis(70)).unwrap()
-        );
-        // When nothing fits the discounted budget, the rejection projects
-        // queue delay + cheapest level against the full deadline.
-        match plan_strict_with_delay(
-            &estimates(),
-            Duration::from_millis(12),
-            Duration::from_millis(5),
-        ) {
-            Err(CoreError::AdmissionRejected { projected, budget }) => {
-                assert_eq!(projected, Duration::from_millis(15));
-                assert_eq!(budget, Duration::from_millis(12));
             }
             other => panic!("expected AdmissionRejected, got {other:?}"),
         }

@@ -171,8 +171,8 @@ impl ControlToken {
                         blocked_since = Some(Instant::now());
                         self.shared.counters.record_wait_entered();
                     } else {
-                        self.shared.counters.record_wakeup();
-                        self.shared.counters.record_spurious_wakeup();
+                        self.shared.counters.wakeups.inc();
+                        self.shared.counters.spurious_wakeups.inc();
                     }
                     st = self
                         .shared
@@ -186,7 +186,7 @@ impl ControlToken {
 
     fn finish_checkpoint_wait(&self, blocked_since: Option<Instant>) {
         if let Some(since) = blocked_since {
-            self.shared.counters.record_wakeup();
+            self.shared.counters.wakeups.inc();
             self.shared.counters.record_wait_finished(since.elapsed());
         }
     }

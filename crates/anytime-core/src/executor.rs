@@ -68,13 +68,13 @@ impl StageTask {
                         .as_ref()
                         .is_some_and(|c| c.latest_version().is_some());
                 if sealable {
-                    self.counters.record_degradation();
+                    self.counters.degradations.inc();
                     if let Some(c) = self.control.as_ref() {
                         c.seal_degraded();
                     }
                     Ok(StageEnd::Degraded)
                 } else {
-                    self.counters.record_permanent_failure();
+                    self.counters.permanent_failures.inc();
                     self.recorder
                         .stage_event(EventKind::PermanentFailure, self.stage);
                     if self.fail_fast {
@@ -134,7 +134,7 @@ impl RtTask for StageTask {
                 {
                     if self.restarts < max_attempts {
                         self.restarts += 1;
-                        self.counters.record_restart();
+                        self.counters.restarts.inc();
                         self.recorder.stage_event(EventKind::Restart, self.stage);
                         // The runner's dirty-run bookkeeping discards
                         // whatever the panic left half-mutated on the next
@@ -526,12 +526,12 @@ impl RunReport {
     }
 
     /// Renders the report's metrics — fault counters plus aggregate wait
-    /// statistics — in Prometheus text exposition format, sharing families
-    /// with the live [`crate::observe::Observe`] renderers.
+    /// statistics — in Prometheus text exposition format, with the same
+    /// families as [`crate::ServePool::prometheus`].
     pub fn prometheus(&self) -> String {
         let mut out = String::new();
-        let _ = metrics::render_fault_stats(&mut out, &self.faults, &[]);
-        let _ = metrics::render_wait_stats(&mut out, &self.total_waits(), &[]);
+        let _ = metrics::render_fault_stats(&mut out, &self.faults);
+        let _ = metrics::render_wait_stats(&mut out, &self.total_waits());
         out
     }
 }

@@ -1,33 +1,71 @@
-//! Output-accuracy metrics and monotonicity checking.
+//! Diagnostics counters, latency histograms, and the accuracy trace.
 //!
-//! The paper measures accuracy as the signal-to-noise ratio (SNR) of an
-//! approximate output relative to the baseline precise output, in decibels,
-//! with ∞ dB meaning bit-identical (§IV-A2). This module provides the slice
-//! metrics plus an [`AccuracyTrace`] helper used throughout the test suite
-//! to verify the model's headline guarantee: *accuracy increases over time
-//! and eventually reaches the precise output*.
+//! Every counter in this crate is a `Counter`. The sets here —
+//! [`WaitCounters`], [`FaultCounters`], [`ServeCounters`],
+//! [`RtaCounters`], [`GovernorCounters`], and the two histograms — group
+//! them per event source: call sites bump a field directly, `snapshot`
+//! copies the set into its plain `*Stats` view, and a `render_*` function
+//! writes that view in the Prometheus text format through
+//! [`crate::observe`]'s writers.
+//!
+//! The paper measures accuracy as the SNR of an approximate output against
+//! the precise one, in decibels (§IV-A2); the applications score their
+//! outputs with `anytime_img::metrics`. [`AccuracyTrace`] records such
+//! scores over time, the data behind the paper's runtime–accuracy figures,
+//! and checks the model's headline guarantee: *accuracy increases over
+//! time and eventually reaches the precise output*.
 
 use crate::notify::Watchers;
-use crate::observe::{write_sample, write_type, MetricSet, MetricStats, Observe};
+use crate::observe::{write_sample, write_type, MetricStats};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+/// A monotonically increasing diagnostics tally: the one way this crate
+/// declares a counter.
+///
+/// Every access is `Relaxed`. A tally orders no other memory (nothing is
+/// published through it), and its readers are point-in-time snapshots
+/// that tolerate skew between counters, so a stronger ordering would buy
+/// nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Counter(AtomicU64);
+
+impl Counter {
+    /// Adds one.
+    #[inline]
+    pub(crate) fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Adds `n`.
+    #[inline]
+    pub(crate) fn add(&self, n: u64) {
+        // relaxed: a tally orders no other memory (see the type doc)
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The current value.
+    #[inline]
+    pub(crate) fn get(&self) -> u64 {
+        // relaxed: as in `add`; snapshot readers tolerate skew
+        self.0.load(Ordering::Relaxed)
+    }
+}
 
 /// Cumulative counters for one event source's blocking waits.
 ///
 /// Every stage output buffer (and the control token) owns one of these;
 /// the event-driven wait paths update it so the cost of waiting — and the
 /// latency from publication to observation — is measurable per stage.
-/// Counters are updated with relaxed atomics: they are diagnostics, not
-/// synchronization.
 #[derive(Debug, Default)]
 pub struct WaitCounters {
-    waits: AtomicU64,
-    wakeups: AtomicU64,
-    spurious_wakeups: AtomicU64,
-    wait_ns: AtomicU64,
-    observations: AtomicU64,
-    publish_to_observe_ns: AtomicU64,
+    waits: Counter,
+    pub(crate) wakeups: Counter,
+    pub(crate) spurious_wakeups: Counter,
+    wait_ns: Counter,
+    observations: Counter,
+    publish_to_observe_ns: Counter,
     /// Woken whenever `waits` advances, so tests can block until another
     /// thread has *entered* a blocking wait instead of sleeping a guessed
     /// quantum (see [`Self::wait_for_waits`]). Empty outside tests — a
@@ -37,42 +75,29 @@ pub struct WaitCounters {
 
 impl WaitCounters {
     pub(crate) fn record_wait_entered(&self) {
-        self.waits.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
+        self.waits.inc();
         self.entered.wake_all();
     }
 
-    pub(crate) fn record_wakeup(&self) {
-        self.wakeups.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_spurious_wakeup(&self) {
-        self.spurious_wakeups.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
     pub(crate) fn record_wait_finished(&self, blocked: Duration) {
-        self.wait_ns
-            .fetch_add(blocked.as_nanos() as u64, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
+        self.wait_ns.add(blocked.as_nanos() as u64);
     }
 
     pub(crate) fn record_observation(&self, publish_to_observe: Duration) {
-        self.observations.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
+        self.observations.inc();
         self.publish_to_observe_ns
-            // relaxed: diagnostics counter, not synchronization
-            .fetch_add(publish_to_observe.as_nanos() as u64, Ordering::Relaxed);
+            .add(publish_to_observe.as_nanos() as u64);
     }
 
     /// A point-in-time copy of the counters.
     pub fn snapshot(&self) -> WaitStats {
         WaitStats {
-            // relaxed: point-in-time diagnostic snapshot; readers tolerate skew
-            waits: self.waits.load(Ordering::Relaxed),
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-            spurious_wakeups: self.spurious_wakeups.load(Ordering::Relaxed),
-            total_wait: Duration::from_nanos(self.wait_ns.load(Ordering::Relaxed)),
-            observations: self.observations.load(Ordering::Relaxed),
-            total_publish_to_observe: Duration::from_nanos(
-                self.publish_to_observe_ns.load(Ordering::Relaxed), // relaxed: snapshot read; skew tolerated
-            ),
+            waits: self.waits.get(),
+            wakeups: self.wakeups.get(),
+            spurious_wakeups: self.spurious_wakeups.get(),
+            total_wait: Duration::from_nanos(self.wait_ns.get()),
+            observations: self.observations.get(),
+            total_publish_to_observe: Duration::from_nanos(self.publish_to_observe_ns.get()),
         }
     }
 
@@ -89,8 +114,8 @@ impl WaitCounters {
         let deadline = std::time::Instant::now() + timeout;
         loop {
             let seen = ws.epoch();
-            // relaxed: the WaitSet epoch mutex orders the bump before this read
-            if self.waits.load(Ordering::Relaxed) >= target {
+            // The WaitSet epoch mutex orders the bump before this read.
+            if self.waits.get() >= target {
                 return true;
             }
             if !ws.wait_deadline(seen, deadline) {
@@ -119,68 +144,29 @@ pub struct WaitStats {
     pub total_publish_to_observe: Duration,
 }
 
-impl Observe for WaitCounters {
-    fn name(&self) -> &str {
-        "wait"
+/// Writes one [`WaitStats`] in the Prometheus text format.
+pub(crate) fn render_wait_stats(out: &mut dyn fmt::Write, s: &WaitStats) -> fmt::Result {
+    for (family, value) in [
+        ("anytime_wait_waits_total", s.waits as f64),
+        ("anytime_wait_wakeups_total", s.wakeups as f64),
+        (
+            "anytime_wait_spurious_wakeups_total",
+            s.spurious_wakeups as f64,
+        ),
+        (
+            "anytime_wait_blocked_seconds_total",
+            s.total_wait.as_secs_f64(),
+        ),
+        ("anytime_wait_observations_total", s.observations as f64),
+        (
+            "anytime_wait_publish_to_observe_seconds_total",
+            s.total_publish_to_observe.as_secs_f64(),
+        ),
+    ] {
+        write_type(out, family, "counter")?;
+        write_sample(out, family, &[], value)?;
     }
-
-    fn render(&self, out: &mut dyn fmt::Write) -> fmt::Result {
-        render_wait_stats(out, &self.snapshot(), &[])
-    }
-}
-
-impl MetricSet for WaitCounters {
-    type Stats = WaitStats;
-
-    fn snapshot(&self) -> WaitStats {
-        WaitCounters::snapshot(self)
-    }
-}
-
-/// Writes one [`WaitStats`] in the Prometheus text format, optionally
-/// labeled (the per-stage renderings in [`crate::RunReport`] label by
-/// stage; a bare [`WaitCounters`] renders unlabeled).
-pub(crate) fn render_wait_stats(
-    out: &mut dyn fmt::Write,
-    s: &WaitStats,
-    labels: &[(&str, &str)],
-) -> fmt::Result {
-    write_type(out, "anytime_wait_waits_total", "counter")?;
-    write_sample(out, "anytime_wait_waits_total", labels, s.waits as f64)?;
-    write_type(out, "anytime_wait_wakeups_total", "counter")?;
-    write_sample(out, "anytime_wait_wakeups_total", labels, s.wakeups as f64)?;
-    write_type(out, "anytime_wait_spurious_wakeups_total", "counter")?;
-    write_sample(
-        out,
-        "anytime_wait_spurious_wakeups_total",
-        labels,
-        s.spurious_wakeups as f64,
-    )?;
-    write_type(out, "anytime_wait_blocked_seconds_total", "counter")?;
-    write_sample(
-        out,
-        "anytime_wait_blocked_seconds_total",
-        labels,
-        s.total_wait.as_secs_f64(),
-    )?;
-    write_type(out, "anytime_wait_observations_total", "counter")?;
-    write_sample(
-        out,
-        "anytime_wait_observations_total",
-        labels,
-        s.observations as f64,
-    )?;
-    write_type(
-        out,
-        "anytime_wait_publish_to_observe_seconds_total",
-        "counter",
-    )?;
-    write_sample(
-        out,
-        "anytime_wait_publish_to_observe_seconds_total",
-        labels,
-        s.total_publish_to_observe.as_secs_f64(),
-    )
+    Ok(())
 }
 
 impl MetricStats for WaitStats {
@@ -202,44 +188,26 @@ impl MetricStats for WaitStats {
 ///
 /// Updated by the executor's supervision loop and the watchdog thread as
 /// failures are handled; snapshot with [`FaultCounters::snapshot`] (the
-/// executor surfaces the snapshot in its end-state report). Relaxed
-/// atomics: diagnostics, not synchronization.
+/// executor surfaces the snapshot in its end-state report).
 #[derive(Debug, Default)]
 pub struct FaultCounters {
-    restarts: AtomicU64,
-    stalls: AtomicU64,
-    degradations: AtomicU64,
-    permanent_failures: AtomicU64,
+    pub(crate) restarts: Counter,
+    pub(crate) stalls: Counter,
+    pub(crate) degradations: Counter,
+    pub(crate) permanent_failures: Counter,
 }
 
 impl FaultCounters {
-    pub(crate) fn record_restart(&self) {
-        self.restarts.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_stall(&self) {
-        self.stalls.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_degradation(&self) {
-        self.degradations.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_permanent_failure(&self) {
-        self.permanent_failures.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
     /// A point-in-time copy of the counters.
     ///
     /// `dropped_publishes` is aggregated separately (per buffer) and starts
     /// at zero here; the executor fills it in when building its report.
     pub fn snapshot(&self) -> FaultStats {
         FaultStats {
-            // relaxed: point-in-time diagnostic snapshot; readers tolerate skew
-            restarts: self.restarts.load(Ordering::Relaxed),
-            stalls: self.stalls.load(Ordering::Relaxed),
-            degradations: self.degradations.load(Ordering::Relaxed),
-            permanent_failures: self.permanent_failures.load(Ordering::Relaxed),
+            restarts: self.restarts.get(),
+            stalls: self.stalls.get(),
+            degradations: self.degradations.get(),
+            permanent_failures: self.permanent_failures.get(),
             dropped_publishes: 0,
         }
     }
@@ -284,30 +252,8 @@ impl FaultStats {
     }
 }
 
-impl Observe for FaultCounters {
-    fn name(&self) -> &str {
-        "faults"
-    }
-
-    fn render(&self, out: &mut dyn fmt::Write) -> fmt::Result {
-        render_fault_stats(out, &self.snapshot(), &[])
-    }
-}
-
-impl MetricSet for FaultCounters {
-    type Stats = FaultStats;
-
-    fn snapshot(&self) -> FaultStats {
-        FaultCounters::snapshot(self)
-    }
-}
-
 /// Writes one [`FaultStats`] in the Prometheus text format.
-pub(crate) fn render_fault_stats(
-    out: &mut dyn fmt::Write,
-    s: &FaultStats,
-    labels: &[(&str, &str)],
-) -> fmt::Result {
+pub(crate) fn render_fault_stats(out: &mut dyn fmt::Write, s: &FaultStats) -> fmt::Result {
     write_type(out, "anytime_faults_total", "counter")?;
     for (kind, value) in [
         ("restarts", s.restarts),
@@ -316,9 +262,7 @@ pub(crate) fn render_fault_stats(
         ("permanent_failures", s.permanent_failures),
         ("dropped_publishes", s.dropped_publishes),
     ] {
-        let mut labeled: Vec<(&str, &str)> = labels.to_vec();
-        labeled.push(("kind", kind));
-        write_sample(out, "anytime_faults_total", &labeled, value as f64)?;
+        write_sample(out, "anytime_faults_total", &[("kind", kind)], value as f64)?;
     }
     Ok(())
 }
@@ -381,8 +325,8 @@ impl LatencyEwma {
 /// latencies as its hedging trigger.
 #[derive(Debug, Default)]
 pub struct LatencyHistogram {
-    buckets: [AtomicU64; Self::BUCKETS],
-    count: AtomicU64,
+    buckets: [Counter; Self::BUCKETS],
+    count: Counter,
 }
 
 impl LatencyHistogram {
@@ -392,24 +336,19 @@ impl LatencyHistogram {
     pub fn record(&self, sample: Duration) {
         let us = sample.as_micros().min(u64::MAX as u128) as u64;
         let idx = (63 - us.max(1).leading_zeros() as usize).min(Self::BUCKETS - 1);
-        // relaxed: diagnostics counters; count/bucket skew tolerated
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
+        self.buckets[idx].inc();
+        self.count.inc();
     }
 
     /// Samples recorded so far.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed) // relaxed: diagnostic count read; skew tolerated
+        self.count.get()
     }
 
     /// A point-in-time copy of the bucket counts.
     pub fn snapshot(&self) -> LatencyStats {
-        let mut buckets = [0u64; Self::BUCKETS];
-        for (out, b) in buckets.iter_mut().zip(&self.buckets) {
-            *out = b.load(Ordering::Relaxed); // relaxed: bucket snapshot; cross-bucket skew tolerated
-        }
         LatencyStats {
-            buckets,
+            buckets: std::array::from_fn(|i| self.buckets[i].get()),
             count: self.count(),
         }
     }
@@ -424,25 +363,6 @@ impl LatencyHistogram {
     /// inside the bucket, proportional to where the rank falls in it.
     pub fn quantile(&self, q: f64) -> Option<Duration> {
         self.snapshot().quantile(q)
-    }
-}
-
-impl Observe for LatencyHistogram {
-    fn name(&self) -> &str {
-        "latency"
-    }
-
-    fn render(&self, out: &mut dyn fmt::Write) -> fmt::Result {
-        self.snapshot()
-            .render_as(out, "anytime_latency_seconds", &[])
-    }
-}
-
-impl MetricSet for LatencyHistogram {
-    type Stats = LatencyStats;
-
-    fn snapshot(&self) -> LatencyStats {
-        LatencyHistogram::snapshot(self)
     }
 }
 
@@ -487,26 +407,17 @@ impl LatencyStats {
 
     /// Writes this histogram in the Prometheus text format under `family`
     /// (`_bucket` cumulative counts with `le` in seconds, plus `_count`).
-    pub(crate) fn render_as(
-        &self,
-        out: &mut dyn fmt::Write,
-        family: &str,
-        labels: &[(&str, &str)],
-    ) -> fmt::Result {
+    fn render_as(&self, out: &mut dyn fmt::Write, family: &str) -> fmt::Result {
         write_type(out, family, "histogram")?;
         let bucket = format!("{family}_bucket");
         let mut cumulative = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
             cumulative += n;
             let le = format!("{}", (1u64 << (i + 1)) as f64 * 1e-6);
-            let mut labeled: Vec<(&str, &str)> = labels.to_vec();
-            labeled.push(("le", le.as_str()));
-            write_sample(out, &bucket, &labeled, cumulative as f64)?;
+            write_sample(out, &bucket, &[("le", le.as_str())], cumulative as f64)?;
         }
-        let mut labeled: Vec<(&str, &str)> = labels.to_vec();
-        labeled.push(("le", "+Inf"));
-        write_sample(out, &bucket, &labeled, self.count as f64)?;
-        write_sample(out, &format!("{family}_count"), labels, self.count as f64)
+        write_sample(out, &bucket, &[("le", "+Inf")], self.count as f64)?;
+        write_sample(out, &format!("{family}_count"), &[], self.count as f64)
     }
 }
 
@@ -530,7 +441,7 @@ impl MetricStats for LatencyStats {
 /// glance, and `hit_rate` is the fraction that arrived by the deadline.
 #[derive(Debug, Default)]
 pub struct DeadlineHistogram {
-    buckets: [AtomicU64; DEADLINE_BUCKET_EDGES.len() + 1],
+    buckets: [Counter; DEADLINE_BUCKET_EDGES.len() + 1],
 }
 
 /// Upper edges of the deadline-ratio buckets; a final unbounded bucket
@@ -549,16 +460,14 @@ impl DeadlineHistogram {
             .iter()
             .position(|&edge| ratio < edge)
             .unwrap_or(DEADLINE_BUCKET_EDGES.len());
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
+        self.buckets[idx].inc();
     }
 
     /// A point-in-time copy of the bucket counts.
     pub fn snapshot(&self) -> DeadlineHistogramStats {
-        let mut buckets = [0u64; DEADLINE_BUCKET_EDGES.len() + 1];
-        for (out, b) in buckets.iter_mut().zip(&self.buckets) {
-            *out = b.load(Ordering::Relaxed); // relaxed: bucket snapshot; cross-bucket skew tolerated
+        DeadlineHistogramStats {
+            buckets: std::array::from_fn(|i| self.buckets[i].get()),
         }
-        DeadlineHistogramStats { buckets }
     }
 }
 
@@ -568,25 +477,6 @@ pub struct DeadlineHistogramStats {
     /// Response counts per deadline-ratio bucket: one bucket per edge in
     /// [`DEADLINE_BUCKET_EDGES`] plus a final unbounded overshoot bucket.
     pub buckets: [u64; DEADLINE_BUCKET_EDGES.len() + 1],
-}
-
-impl Observe for DeadlineHistogram {
-    fn name(&self) -> &str {
-        "deadline"
-    }
-
-    fn render(&self, out: &mut dyn fmt::Write) -> fmt::Result {
-        self.snapshot()
-            .render_as(out, "anytime_deadline_ratio", &[])
-    }
-}
-
-impl MetricSet for DeadlineHistogram {
-    type Stats = DeadlineHistogramStats;
-
-    fn snapshot(&self) -> DeadlineHistogramStats {
-        DeadlineHistogram::snapshot(self)
-    }
 }
 
 impl MetricStats for DeadlineHistogramStats {
@@ -610,12 +500,7 @@ impl DeadlineHistogramStats {
     /// Writes this histogram in the Prometheus text format under `family`
     /// (`_bucket` cumulative counts with `le` as deadline ratios, plus
     /// `_count`).
-    pub(crate) fn render_as(
-        &self,
-        out: &mut dyn fmt::Write,
-        family: &str,
-        labels: &[(&str, &str)],
-    ) -> fmt::Result {
+    fn render_as(&self, out: &mut dyn fmt::Write, family: &str) -> fmt::Result {
         write_type(out, family, "histogram")?;
         let bucket = format!("{family}_bucket");
         let mut cumulative = 0u64;
@@ -624,11 +509,9 @@ impl DeadlineHistogramStats {
             let le = DEADLINE_BUCKET_EDGES
                 .get(i)
                 .map_or("+Inf".to_owned(), |e| format!("{e}"));
-            let mut labeled: Vec<(&str, &str)> = labels.to_vec();
-            labeled.push(("le", le.as_str()));
-            write_sample(out, &bucket, &labeled, cumulative as f64)?;
+            write_sample(out, &bucket, &[("le", le.as_str())], cumulative as f64)?;
         }
-        write_sample(out, &format!("{family}_count"), labels, self.count() as f64)
+        write_sample(out, &format!("{family}_count"), &[], self.count() as f64)
     }
 
     /// Fraction of responses that arrived within 10% of their deadline
@@ -651,81 +534,43 @@ impl DeadlineHistogramStats {
 
 /// Cumulative counters for one [`crate::serve::ServePool`]'s robustness
 /// machinery: admission control, load shedding, hedging, retries, and the
-/// per-replica circuit breakers. Relaxed atomics: diagnostics, not
-/// synchronization.
+/// per-replica circuit breakers.
 #[derive(Debug, Default)]
 pub struct ServeCounters {
-    admitted: AtomicU64,
-    rejected: AtomicU64,
-    shed: AtomicU64,
-    hedged: AtomicU64,
-    batches: AtomicU64,
-    batched_requests: AtomicU64,
-    retried: AtomicU64,
-    breaker_opens: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    degraded_responses: AtomicU64,
+    pub(crate) admitted: Counter,
+    pub(crate) rejected: Counter,
+    pub(crate) shed: Counter,
+    pub(crate) hedged: Counter,
+    batches: Counter,
+    batched_requests: Counter,
+    pub(crate) retried: Counter,
+    pub(crate) breaker_opens: Counter,
+    pub(crate) completed: Counter,
+    pub(crate) failed: Counter,
+    pub(crate) degraded_responses: Counter,
 }
 
 impl ServeCounters {
-    pub(crate) fn record_admitted(&self) {
-        self.admitted.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_hedged(&self) {
-        self.hedged.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
     pub(crate) fn record_batch(&self, size: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-        self.batched_requests.fetch_add(size, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_retried(&self) {
-        self.retried.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_breaker_open(&self) {
-        self.breaker_opens.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_completed(&self) {
-        self.completed.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_failed(&self) {
-        self.failed.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_degraded_response(&self) {
-        self.degraded_responses.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
+        self.batches.inc();
+        self.batched_requests.add(size);
     }
 
     /// A point-in-time copy of the counters (the non-counter fields of
     /// [`ServeStats`] start at their defaults; the pool fills them in).
     pub fn snapshot(&self) -> ServeStats {
         ServeStats {
-            // relaxed: point-in-time diagnostic snapshot; readers tolerate skew
-            admitted: self.admitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            hedged: self.hedged.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
-            retried: self.retried.load(Ordering::Relaxed),
-            breaker_opens: self.breaker_opens.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            degraded_responses: self.degraded_responses.load(Ordering::Relaxed),
+            admitted: self.admitted.get(),
+            rejected: self.rejected.get(),
+            shed: self.shed.get(),
+            hedged: self.hedged.get(),
+            batches: self.batches.get(),
+            batched_requests: self.batched_requests.get(),
+            retried: self.retried.get(),
+            breaker_opens: self.breaker_opens.get(),
+            completed: self.completed.get(),
+            failed: self.failed.get(),
+            degraded_responses: self.degraded_responses.get(),
             deadline: DeadlineHistogramStats::default(),
             faults: FaultStats::default(),
             live_runs: 0,
@@ -735,31 +580,9 @@ impl ServeCounters {
     }
 }
 
-impl Observe for ServeCounters {
-    fn name(&self) -> &str {
-        "serve"
-    }
-
-    fn render(&self, out: &mut dyn fmt::Write) -> fmt::Result {
-        render_serve_counters(out, &self.snapshot(), &[])
-    }
-}
-
-impl MetricSet for ServeCounters {
-    type Stats = ServeStats;
-
-    fn snapshot(&self) -> ServeStats {
-        ServeCounters::snapshot(self)
-    }
-}
-
 /// Writes the counter portion of one [`ServeStats`] in the Prometheus text
 /// format (the deadline histogram and fault aggregates render separately).
-pub(crate) fn render_serve_counters(
-    out: &mut dyn fmt::Write,
-    s: &ServeStats,
-    labels: &[(&str, &str)],
-) -> fmt::Result {
+fn render_serve_counters(out: &mut dyn fmt::Write, s: &ServeStats) -> fmt::Result {
     write_type(out, "anytime_serve_requests_total", "counter")?;
     for (event, value) in [
         ("admitted", s.admitted),
@@ -773,14 +596,17 @@ pub(crate) fn render_serve_counters(
         ("failed", s.failed),
         ("degraded_responses", s.degraded_responses),
     ] {
-        let mut labeled: Vec<(&str, &str)> = labels.to_vec();
-        labeled.push(("event", event));
-        write_sample(out, "anytime_serve_requests_total", &labeled, value as f64)?;
+        write_sample(
+            out,
+            "anytime_serve_requests_total",
+            &[("event", event)],
+            value as f64,
+        )?;
     }
     write_type(out, "anytime_serve_batches_total", "counter")?;
-    write_sample(out, "anytime_serve_batches_total", labels, s.batches as f64)?;
+    write_sample(out, "anytime_serve_batches_total", &[], s.batches as f64)?;
     write_type(out, "anytime_serve_live_runs", "gauge")?;
-    write_sample(out, "anytime_serve_live_runs", labels, s.live_runs as f64)
+    write_sample(out, "anytime_serve_live_runs", &[], s.live_runs as f64)
 }
 
 impl MetricStats for ServeStats {
@@ -859,31 +685,18 @@ pub struct ServeStats {
 
 /// Cumulative counters for a serve pool's analytical admission gate
 /// ([`crate::rta`]): decision verdicts plus the predicted-vs-actual
-/// bound-error samples behind the exported gauge. Relaxed atomics:
-/// diagnostics, not synchronization.
+/// bound-error samples behind the exported gauge.
 #[derive(Debug, Default)]
 pub struct RtaCounters {
-    feasible: AtomicU64,
-    infeasible: AtomicU64,
-    fallback: AtomicU64,
-    bound_samples: AtomicU64,
-    bound_violations: AtomicU64,
-    ratio_milli_sum: AtomicU64,
+    pub(crate) feasible: Counter,
+    pub(crate) infeasible: Counter,
+    pub(crate) fallback: Counter,
+    bound_samples: Counter,
+    bound_violations: Counter,
+    ratio_milli_sum: Counter,
 }
 
 impl RtaCounters {
-    pub(crate) fn record_feasible(&self) {
-        self.feasible.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_infeasible(&self) {
-        self.infeasible.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_fallback(&self) {
-        self.fallback.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
     /// Records one predicted-vs-actual sample: the worst-case bound the
     /// gate promised at admission against the response time the request
     /// actually saw. The ratio is accumulated in milli-units so the mean
@@ -891,12 +704,11 @@ impl RtaCounters {
     pub(crate) fn record_bound_sample(&self, predicted: Duration, actual: Duration) {
         let p = predicted.as_nanos().max(1) as f64;
         let ratio = actual.as_nanos() as f64 / p;
-        self.bound_samples.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
+        self.bound_samples.inc();
         if actual > predicted {
-            self.bound_violations.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
+            self.bound_violations.inc();
         }
-        self.ratio_milli_sum
-            .fetch_add((ratio * 1_000.0) as u64, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
+        self.ratio_milli_sum.add((ratio * 1_000.0) as u64);
     }
 
     /// A point-in-time copy of the counters (the calibration fields of
@@ -904,34 +716,15 @@ impl RtaCounters {
     /// its gate).
     pub fn snapshot(&self) -> RtaStats {
         RtaStats {
-            // relaxed: point-in-time diagnostic snapshot; readers tolerate skew
-            feasible: self.feasible.load(Ordering::Relaxed),
-            infeasible: self.infeasible.load(Ordering::Relaxed),
-            fallback: self.fallback.load(Ordering::Relaxed),
-            bound_samples: self.bound_samples.load(Ordering::Relaxed),
-            bound_violations: self.bound_violations.load(Ordering::Relaxed),
-            ratio_milli_sum: self.ratio_milli_sum.load(Ordering::Relaxed),
+            feasible: self.feasible.get(),
+            infeasible: self.infeasible.get(),
+            fallback: self.fallback.get(),
+            bound_samples: self.bound_samples.get(),
+            bound_violations: self.bound_violations.get(),
+            ratio_milli_sum: self.ratio_milli_sum.get(),
             calibration_runs: 0,
             calibrated: false,
         }
-    }
-}
-
-impl Observe for RtaCounters {
-    fn name(&self) -> &str {
-        "rta"
-    }
-
-    fn render(&self, out: &mut dyn fmt::Write) -> fmt::Result {
-        render_rta_stats(out, &self.snapshot(), &[])
-    }
-}
-
-impl MetricSet for RtaCounters {
-    type Stats = RtaStats;
-
-    fn snapshot(&self) -> RtaStats {
-        RtaCounters::snapshot(self)
     }
 }
 
@@ -1002,144 +795,85 @@ impl MetricStats for RtaStats {
 /// Writes one [`RtaStats`] in the Prometheus text format: decision
 /// counters, calibration progress, and the predicted-vs-actual bound-error
 /// gauge.
-pub(crate) fn render_rta_stats(
-    out: &mut dyn fmt::Write,
-    s: &RtaStats,
-    labels: &[(&str, &str)],
-) -> fmt::Result {
+fn render_rta_stats(out: &mut dyn fmt::Write, s: &RtaStats) -> fmt::Result {
     write_type(out, "anytime_rta_decisions_total", "counter")?;
     for (verdict, value) in [
         ("feasible", s.feasible),
         ("infeasible", s.infeasible),
         ("fallback", s.fallback),
     ] {
-        let mut labeled: Vec<(&str, &str)> = labels.to_vec();
-        labeled.push(("verdict", verdict));
-        write_sample(out, "anytime_rta_decisions_total", &labeled, value as f64)?;
+        write_sample(
+            out,
+            "anytime_rta_decisions_total",
+            &[("verdict", verdict)],
+            value as f64,
+        )?;
     }
-    write_type(out, "anytime_rta_calibration_runs_total", "counter")?;
-    write_sample(
-        out,
-        "anytime_rta_calibration_runs_total",
-        labels,
-        s.calibration_runs as f64,
-    )?;
-    write_type(out, "anytime_rta_calibrated", "gauge")?;
-    write_sample(
-        out,
-        "anytime_rta_calibrated",
-        labels,
-        f64::from(u8::from(s.calibrated)),
-    )?;
-    write_type(out, "anytime_rta_bound_error_ratio", "gauge")?;
-    write_sample(
-        out,
-        "anytime_rta_bound_error_ratio",
-        labels,
-        s.bound_error_ratio(),
-    )?;
-    write_type(out, "anytime_rta_bound_violations_total", "counter")?;
-    write_sample(
-        out,
-        "anytime_rta_bound_violations_total",
-        labels,
-        s.bound_violations as f64,
-    )
+    for (family, kind, value) in [
+        (
+            "anytime_rta_calibration_runs_total",
+            "counter",
+            s.calibration_runs as f64,
+        ),
+        (
+            "anytime_rta_calibrated",
+            "gauge",
+            f64::from(u8::from(s.calibrated)),
+        ),
+        (
+            "anytime_rta_bound_error_ratio",
+            "gauge",
+            s.bound_error_ratio(),
+        ),
+        (
+            "anytime_rta_bound_violations_total",
+            "counter",
+            s.bound_violations as f64,
+        ),
+    ] {
+        write_type(out, family, kind)?;
+        write_sample(out, family, &[], value)?;
+    }
+    Ok(())
 }
 
 /// Cumulative counters for a serve pool's governor
 /// ([`crate::governor`]): replica lifecycle churn (operator
 /// reconfiguration), panics absorbed by the serve fences, and
 /// brownout-controller activity.
-/// Relaxed atomics: diagnostics, not synchronization.
 #[derive(Debug, Default)]
 pub struct GovernorCounters {
-    ticks: AtomicU64,
-    transitions: AtomicU64,
-    worker_respawns: AtomicU64,
-    worker_adds: AtomicU64,
-    worker_drains: AtomicU64,
-    resizes: AtomicU64,
-    rolling_restarts: AtomicU64,
-    clamped: AtomicU64,
-    closure_panics: AtomicU64,
+    pub(crate) ticks: Counter,
+    pub(crate) transitions: Counter,
+    pub(crate) worker_respawns: Counter,
+    pub(crate) worker_adds: Counter,
+    pub(crate) worker_drains: Counter,
+    pub(crate) resizes: Counter,
+    pub(crate) rolling_restarts: Counter,
+    pub(crate) clamped: Counter,
+    pub(crate) closure_panics: Counter,
 }
 
 impl GovernorCounters {
-    pub(crate) fn record_tick(&self) {
-        self.ticks.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_transition(&self) {
-        self.transitions.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_worker_respawn(&self) {
-        self.worker_respawns.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_worker_add(&self) {
-        self.worker_adds.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_worker_drain(&self) {
-        self.worker_drains.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_resize(&self) {
-        self.resizes.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_rolling_restart(&self) {
-        self.rolling_restarts.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_clamped(&self) {
-        self.clamped.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
-    pub(crate) fn record_closure_panic(&self) {
-        self.closure_panics.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
-    }
-
     /// A point-in-time copy of the counters (the gauge fields of
     /// [`GovernorStats`] start at their defaults; the pool fills them in
     /// from its worker registry).
     pub fn snapshot(&self) -> GovernorStats {
         GovernorStats {
-            // relaxed: point-in-time diagnostic snapshot; readers tolerate skew
-            ticks: self.ticks.load(Ordering::Relaxed),
-            transitions: self.transitions.load(Ordering::Relaxed),
-            worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
-            worker_adds: self.worker_adds.load(Ordering::Relaxed),
-            worker_drains: self.worker_drains.load(Ordering::Relaxed),
-            resizes: self.resizes.load(Ordering::Relaxed),
-            rolling_restarts: self.rolling_restarts.load(Ordering::Relaxed),
-            clamped: self.clamped.load(Ordering::Relaxed),
-            closure_panics: self.closure_panics.load(Ordering::Relaxed),
+            ticks: self.ticks.get(),
+            transitions: self.transitions.get(),
+            worker_respawns: self.worker_respawns.get(),
+            worker_adds: self.worker_adds.get(),
+            worker_drains: self.worker_drains.get(),
+            resizes: self.resizes.get(),
+            rolling_restarts: self.rolling_restarts.get(),
+            clamped: self.clamped.get(),
+            closure_panics: self.closure_panics.get(),
             state: 0,
             workers_live: 0,
             workers_draining: 0,
             workers_target: 0,
         }
-    }
-}
-
-impl Observe for GovernorCounters {
-    fn name(&self) -> &str {
-        "governor"
-    }
-
-    fn render(&self, out: &mut dyn fmt::Write) -> fmt::Result {
-        render_governor_stats(out, &self.snapshot(), &[])
-    }
-}
-
-impl MetricSet for GovernorCounters {
-    type Stats = GovernorStats;
-
-    fn snapshot(&self) -> GovernorStats {
-        GovernorCounters::snapshot(self)
     }
 }
 
@@ -1207,11 +941,7 @@ impl MetricStats for GovernorStats {
 /// Writes one [`GovernorStats`] in the Prometheus text format: lifecycle
 /// and brownout counters, the brownout-rung gauge, and the worker-state
 /// gauges.
-pub(crate) fn render_governor_stats(
-    out: &mut dyn fmt::Write,
-    s: &GovernorStats,
-    labels: &[(&str, &str)],
-) -> fmt::Result {
+fn render_governor_stats(out: &mut dyn fmt::Write, s: &GovernorStats) -> fmt::Result {
     write_type(out, "anytime_serve_governor_total", "counter")?;
     for (event, value) in [
         ("ticks", s.ticks),
@@ -1224,37 +954,54 @@ pub(crate) fn render_governor_stats(
         ("clamped", s.clamped),
         ("closure_panics", s.closure_panics),
     ] {
-        let mut labeled: Vec<(&str, &str)> = labels.to_vec();
-        labeled.push(("event", event));
-        write_sample(out, "anytime_serve_governor_total", &labeled, value as f64)?;
+        write_sample(
+            out,
+            "anytime_serve_governor_total",
+            &[("event", event)],
+            value as f64,
+        )?;
     }
     write_type(out, "anytime_serve_brownout_state", "gauge")?;
-    write_sample(
-        out,
-        "anytime_serve_brownout_state",
-        labels,
-        f64::from(s.state),
-    )?;
+    write_sample(out, "anytime_serve_brownout_state", &[], f64::from(s.state))?;
     write_type(out, "anytime_serve_workers", "gauge")?;
     for (state, value) in [
         ("live", s.workers_live),
         ("draining", s.workers_draining),
         ("target", s.workers_target),
     ] {
-        let mut labeled: Vec<(&str, &str)> = labels.to_vec();
-        labeled.push(("state", state));
-        write_sample(out, "anytime_serve_workers", &labeled, value as f64)?;
+        write_sample(
+            out,
+            "anytime_serve_workers",
+            &[("state", state)],
+            value as f64,
+        )?;
     }
     Ok(())
+}
+
+/// Writes a serve pool's whole exposition ([`crate::ServePool::prometheus`]):
+/// serve counters, the deadline-ratio and service-latency histograms,
+/// aggregated run faults, the admission analysis, the governor, and the
+/// per-replica breaker gauge.
+pub(crate) fn render_serve_pool(
+    out: &mut dyn fmt::Write,
+    stats: &ServeStats,
+    service: &LatencyStats,
+    breakers: &[(String, f64)],
+) -> fmt::Result {
+    render_serve_counters(out, stats)?;
+    stats.deadline.render_as(out, "anytime_deadline_ratio")?;
+    render_fault_stats(out, &stats.faults)?;
+    service.render_as(out, "anytime_serve_service_seconds")?;
+    render_rta_stats(out, &stats.rta)?;
+    render_governor_stats(out, &stats.governor)?;
+    render_breaker_states(out, breakers)
 }
 
 /// Writes the per-replica circuit-breaker state gauge
 /// (`anytime_serve_breaker_state{replica="..."}`): 0 closed, 1 half-open,
 /// 2 open.
-pub(crate) fn render_breaker_states(
-    out: &mut dyn fmt::Write,
-    entries: &[(String, f64)],
-) -> fmt::Result {
+fn render_breaker_states(out: &mut dyn fmt::Write, entries: &[(String, f64)]) -> fmt::Result {
     if entries.is_empty() {
         return Ok(());
     }
@@ -1268,116 +1015,6 @@ pub(crate) fn render_breaker_states(
         )?;
     }
     Ok(())
-}
-
-/// Mean squared error between two equal-length slices.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn mse(approx: &[f64], reference: &[f64]) -> f64 {
-    assert_eq!(
-        approx.len(),
-        reference.len(),
-        "mse requires equal-length slices"
-    );
-    assert!(!reference.is_empty(), "mse of empty slices is undefined");
-    let sum: f64 = approx
-        .iter()
-        .zip(reference)
-        .map(|(a, r)| (a - r) * (a - r))
-        .sum();
-    sum / reference.len() as f64
-}
-
-/// Signal-to-noise ratio of `approx` relative to `reference`, in decibels.
-///
-/// `SNR = 10·log10(Σ r² / Σ (r − a)²)`. Returns [`f64::INFINITY`] when the
-/// outputs are identical (the paper's ∞ dB precise point).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn snr_db(approx: &[f64], reference: &[f64]) -> f64 {
-    assert_eq!(
-        approx.len(),
-        reference.len(),
-        "snr requires equal-length slices"
-    );
-    assert!(!reference.is_empty(), "snr of empty slices is undefined");
-    let signal: f64 = reference.iter().map(|r| r * r).sum();
-    let noise: f64 = approx
-        .iter()
-        .zip(reference)
-        .map(|(a, r)| (a - r) * (a - r))
-        .sum();
-    if noise == 0.0 {
-        f64::INFINITY
-    } else if signal == 0.0 {
-        f64::NEG_INFINITY
-    } else {
-        10.0 * (signal / noise).log10()
-    }
-}
-
-/// Peak signal-to-noise ratio in decibels, for signals with a known peak
-/// value (e.g. 255 for 8-bit images).
-///
-/// Returns [`f64::INFINITY`] when the outputs are identical.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length, are empty, or `peak <= 0`.
-pub fn psnr_db(approx: &[f64], reference: &[f64], peak: f64) -> f64 {
-    assert!(peak > 0.0, "peak must be positive");
-    let m = mse(approx, reference);
-    if m == 0.0 {
-        f64::INFINITY
-    } else {
-        10.0 * (peak * peak / m).log10()
-    }
-}
-
-/// A metric scoring an approximate value against a precise reference.
-///
-/// Higher scores mean better accuracy. Implemented for the slice metrics
-/// here; application crates implement it for their own output types
-/// (e.g. images).
-pub trait QualityMetric<T: ?Sized> {
-    /// Scores `approx` against `reference`; higher is more accurate.
-    fn score(&self, approx: &T, reference: &T) -> f64;
-}
-
-/// [`QualityMetric`] adapter for [`snr_db`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SnrDb;
-
-impl QualityMetric<[f64]> for SnrDb {
-    fn score(&self, approx: &[f64], reference: &[f64]) -> f64 {
-        snr_db(approx, reference)
-    }
-}
-
-impl QualityMetric<Vec<f64>> for SnrDb {
-    fn score(&self, approx: &Vec<f64>, reference: &Vec<f64>) -> f64 {
-        snr_db(approx, reference)
-    }
-}
-
-/// [`QualityMetric`] adapter for negated [`mse`] (higher is better).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NegMse;
-
-impl QualityMetric<[f64]> for NegMse {
-    fn score(&self, approx: &[f64], reference: &[f64]) -> f64 {
-        -mse(approx, reference)
-    }
-}
-
-impl QualityMetric<Vec<f64>> for NegMse {
-    fn score(&self, approx: &Vec<f64>, reference: &Vec<f64>) -> f64 {
-        -mse(approx, reference)
-    }
 }
 
 /// A recorded runtime–accuracy profile: the data behind the paper's
@@ -1449,71 +1086,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mse_basics() {
-        assert_eq!(mse(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
-        assert_eq!(mse(&[0.0, 0.0], &[3.0, 4.0]), 12.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal-length")]
-    fn mse_length_mismatch_panics() {
-        mse(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn mse_empty_panics() {
-        mse(&[], &[]);
-    }
-
-    #[test]
-    fn snr_identical_is_infinite() {
-        assert_eq!(snr_db(&[5.0, 5.0], &[5.0, 5.0]), f64::INFINITY);
-    }
-
-    #[test]
-    fn snr_known_value() {
-        // signal = 100, noise = 1 -> 20 dB.
-        let got = snr_db(&[9.0, 0.0], &[10.0, 0.0]);
-        assert!((got - 20.0).abs() < 1e-9, "got {got}");
-    }
-
-    #[test]
-    fn snr_zero_signal() {
-        assert_eq!(snr_db(&[1.0], &[0.0]), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn snr_improves_as_output_converges() {
-        let reference = [4.0, 8.0, 15.0, 16.0, 23.0, 42.0];
-        let mut approx = [0.0; 6];
-        let mut last = f64::NEG_INFINITY;
-        for i in 0..6 {
-            approx[i] = reference[i];
-            let s = snr_db(&approx, &reference);
-            assert!(s >= last);
-            last = s;
-        }
-        assert_eq!(last, f64::INFINITY);
-    }
-
-    #[test]
-    fn psnr_known_value() {
-        // MSE 1 with peak 255 -> 10*log10(65025) ≈ 48.13 dB.
-        let got = psnr_db(&[1.0, 2.0], &[2.0, 3.0], 255.0);
-        assert!((got - 48.1308).abs() < 1e-3, "got {got}");
-        assert_eq!(psnr_db(&[1.0], &[1.0], 255.0), f64::INFINITY);
-    }
-
-    #[test]
-    fn quality_metric_trait_objects() {
-        let snr: &dyn QualityMetric<[f64]> = &SnrDb;
-        assert_eq!(snr.score(&[1.0], &[1.0]), f64::INFINITY);
-        let neg: &dyn QualityMetric<[f64]> = &NegMse;
-        assert_eq!(neg.score(&[0.0], &[2.0]), -4.0);
-    }
-
-    #[test]
     fn trace_monotonicity() {
         let mut t = AccuracyTrace::new();
         assert!(t.is_empty());
@@ -1532,11 +1104,11 @@ mod tests {
     fn fault_counters_snapshot() {
         let c = FaultCounters::default();
         assert!(c.snapshot().is_clean());
-        c.record_restart();
-        c.record_restart();
-        c.record_stall();
-        c.record_degradation();
-        c.record_permanent_failure();
+        c.restarts.inc();
+        c.restarts.inc();
+        c.stalls.inc();
+        c.degradations.inc();
+        c.permanent_failures.inc();
         let s = c.snapshot();
         assert_eq!(s.restarts, 2);
         assert_eq!(s.stalls, 1);
@@ -1616,7 +1188,7 @@ mod tests {
 
         let h = LatencyHistogram::default();
         h.record(Duration::from_micros(100));
-        let l = MetricSet::snapshot(&h);
+        let l = h.snapshot();
         assert_eq!(fold(&l, &l).count, 2);
 
         let d = DeadlineHistogram::default();
@@ -1626,8 +1198,8 @@ mod tests {
         assert!(DeadlineHistogramStats::default().is_clean() && !ds.is_clean());
 
         let sc = ServeCounters::default();
-        sc.record_admitted();
-        sc.record_completed();
+        sc.admitted.inc();
+        sc.completed.inc();
         let ss = sc.snapshot();
         let ss2 = fold(&ss, &ss);
         assert_eq!((ss2.admitted, ss2.completed), (2, 2));
@@ -1635,46 +1207,16 @@ mod tests {
     }
 
     #[test]
-    fn six_metric_types_render_prometheus() {
-        use crate::observe::render_prometheus;
-        let wait = WaitCounters::default();
-        let faults = FaultCounters::default();
-        let latency = LatencyHistogram::default();
-        latency.record(Duration::from_micros(300));
-        let deadline = DeadlineHistogram::default();
-        deadline.record(Duration::from_millis(5), Duration::from_millis(10));
-        let serve = ServeCounters::default();
-        serve.record_admitted();
-        let rta = RtaCounters::default();
-        rta.record_feasible();
-        let text = render_prometheus(&[&wait, &faults, &latency, &deadline, &serve, &rta]);
-        for family in [
-            "anytime_wait_waits_total",
-            "anytime_faults_total",
-            "anytime_latency_seconds_bucket",
-            "anytime_deadline_ratio_bucket",
-            "anytime_serve_requests_total",
-            "anytime_rta_decisions_total",
-            "anytime_rta_bound_error_ratio",
-        ] {
-            assert!(text.contains(family), "missing {family}:\n{text}");
-        }
-        assert!(text.contains("le=\"+Inf\""));
-        assert!(text.contains("anytime_serve_requests_total{event=\"admitted\"} 1"));
-        assert!(text.contains("anytime_rta_decisions_total{verdict=\"feasible\"} 1"));
-    }
-
-    #[test]
     fn rta_counters_track_decisions_and_bound_error() {
         let rta = RtaCounters::default();
-        rta.record_feasible();
-        rta.record_feasible();
-        rta.record_infeasible();
-        rta.record_fallback();
+        rta.feasible.inc();
+        rta.feasible.inc();
+        rta.infeasible.inc();
+        rta.fallback.inc();
         // Actual half the bound (honest), then 1.5× the bound (violated).
         rta.record_bound_sample(Duration::from_millis(10), Duration::from_millis(5));
         rta.record_bound_sample(Duration::from_millis(10), Duration::from_millis(15));
-        let s = MetricSet::snapshot(&rta);
+        let s = rta.snapshot();
         assert_eq!((s.feasible, s.infeasible, s.fallback), (2, 1, 1));
         assert_eq!(s.bound_samples, 2);
         assert_eq!(s.bound_violations, 1);
@@ -1704,17 +1246,17 @@ mod tests {
     #[test]
     fn governor_counters_snapshot_and_render() {
         let g = GovernorCounters::default();
-        g.record_tick();
-        g.record_tick();
-        g.record_transition();
-        g.record_worker_respawn();
-        g.record_worker_add();
-        g.record_worker_drain();
-        g.record_resize();
-        g.record_rolling_restart();
-        g.record_clamped();
-        g.record_closure_panic();
-        let mut s = MetricSet::snapshot(&g);
+        g.ticks.inc();
+        g.ticks.inc();
+        g.transitions.inc();
+        g.worker_respawns.inc();
+        g.worker_adds.inc();
+        g.worker_drains.inc();
+        g.resizes.inc();
+        g.rolling_restarts.inc();
+        g.clamped.inc();
+        g.closure_panics.inc();
+        let mut s = g.snapshot();
         assert_eq!(s.ticks, 2);
         assert_eq!(s.transitions, 1);
         assert_eq!(s.worker_respawns, 1);
@@ -1725,7 +1267,7 @@ mod tests {
         s.workers_draining = 1;
         s.workers_target = 4;
         let mut out = String::new();
-        render_governor_stats(&mut out, &s, &[]).unwrap();
+        render_governor_stats(&mut out, &s).unwrap();
         assert!(out.contains("anytime_serve_governor_total{event=\"worker_added\"} 1"));
         assert!(out.contains("anytime_serve_governor_total{event=\"clamped\"} 1"));
         assert!(out.contains("anytime_serve_brownout_state 2"));
@@ -1744,6 +1286,120 @@ mod tests {
         assert_eq!(total.governor.ticks, 4);
         assert_eq!(total.governor.state, 2);
         assert_eq!(total.governor.workers_live, 6);
+    }
+
+    /// Pins every line [`crate::ServePool::prometheus`] and
+    /// [`crate::RunReport::prometheus`] emit: fixed stats, with a distinct
+    /// value in every field, rendered through the same functions and
+    /// compared with a golden exposition.
+    #[test]
+    fn exposition_matches_golden() {
+        use crate::executor::{RunReport, StageReport};
+        use crate::stage::StageEnd;
+
+        let serve = ServeStats {
+            admitted: 101,
+            rejected: 102,
+            shed: 103,
+            hedged: 104,
+            batches: 105,
+            batched_requests: 106,
+            retried: 107,
+            breaker_opens: 108,
+            completed: 109,
+            failed: 110,
+            degraded_responses: 111,
+            deadline: DeadlineHistogramStats {
+                buckets: [1, 2, 3, 4, 5, 6, 7],
+            },
+            faults: FaultStats {
+                restarts: 21,
+                stalls: 22,
+                degradations: 23,
+                permanent_failures: 24,
+                dropped_publishes: 25,
+            },
+            live_runs: 3,
+            rta: RtaStats {
+                feasible: 31,
+                infeasible: 32,
+                fallback: 33,
+                bound_samples: 4,
+                bound_violations: 1,
+                ratio_milli_sum: 3_000,
+                calibration_runs: 36,
+                calibrated: true,
+            },
+            governor: GovernorStats {
+                ticks: 41,
+                transitions: 42,
+                worker_respawns: 43,
+                worker_adds: 44,
+                worker_drains: 45,
+                resizes: 46,
+                rolling_restarts: 47,
+                clamped: 48,
+                closure_panics: 49,
+                state: 2,
+                workers_live: 3,
+                workers_draining: 1,
+                workers_target: 4,
+            },
+        };
+        let mut service = LatencyStats::default();
+        for (i, b) in service.buckets.iter_mut().enumerate() {
+            *b = (i % 4) as u64;
+        }
+        service.count = service.buckets.iter().sum();
+        let breakers = [
+            ("replica-0".to_string(), 0.0),
+            ("replica-1".to_string(), 2.0),
+        ];
+        let stage = |name: &str, waits: WaitStats| StageReport {
+            name: name.into(),
+            end: StageEnd::Final,
+            restarts: 0,
+            waits,
+        };
+        let report = RunReport {
+            elapsed: Duration::from_millis(7),
+            stages: vec![
+                stage(
+                    "f",
+                    WaitStats {
+                        waits: 5,
+                        wakeups: 4,
+                        spurious_wakeups: 1,
+                        total_wait: Duration::from_millis(1_500),
+                        observations: 3,
+                        total_publish_to_observe: Duration::from_micros(250),
+                    },
+                ),
+                stage(
+                    "g",
+                    WaitStats {
+                        waits: 2,
+                        wakeups: 2,
+                        spurious_wakeups: 0,
+                        total_wait: Duration::from_millis(250),
+                        observations: 2,
+                        total_publish_to_observe: Duration::from_micros(125),
+                    },
+                ),
+            ],
+            faults: FaultStats {
+                restarts: 1,
+                stalls: 2,
+                degradations: 3,
+                permanent_failures: 4,
+                dropped_publishes: 5,
+            },
+        };
+
+        let mut text = String::new();
+        render_serve_pool(&mut text, &serve, &service, &breakers).unwrap();
+        text.push_str(&report.prometheus());
+        assert_eq!(text, include_str!("../testdata/exposition.prom"));
     }
 
     #[test]

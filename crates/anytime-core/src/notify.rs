@@ -22,6 +22,7 @@
 //! ignored (a panicking peer must not hide state from waiters that are
 //! themselves shutting down).
 
+use crate::metrics::Counter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::Instant;
@@ -140,14 +141,14 @@ impl WaitSet {
 pub(crate) struct Watchers {
     list: Mutex<Vec<(u64, Weak<dyn WakeTarget>)>>,
     next_id: AtomicU64,
-    notifications: AtomicU64,
+    notifications: Counter,
 }
 
 impl std::fmt::Debug for Watchers {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Watchers")
             .field("subscribers", &lock_unpoisoned(&self.list).len())
-            .field("notifications", &self.notifications.load(Ordering::Relaxed)) // relaxed: diagnostics
+            .field("notifications", &self.notifications.get())
             .finish()
     }
 }
@@ -163,7 +164,7 @@ impl Watchers {
         Self {
             list: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(0),
-            notifications: AtomicU64::new(0),
+            notifications: Counter::default(),
         }
     }
 
@@ -209,13 +210,13 @@ impl Watchers {
         });
         drop(list);
         if delivered > 0 {
-            self.notifications.fetch_add(delivered, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
+            self.notifications.add(delivered);
         }
     }
 
     /// Total notifications delivered to waiters so far.
     pub(crate) fn notification_count(&self) -> u64 {
-        self.notifications.load(Ordering::Relaxed) // relaxed: diagnostic count read; skew tolerated
+        self.notifications.get()
     }
 
     fn unsubscribe(&self, id: u64) {

@@ -1,52 +1,15 @@
-//! Unified observability API: the [`Observe`] / [`MetricSet`] traits and
-//! the shared Prometheus-style text exposition.
+//! The Prometheus text exposition shared by every metric set: the
+//! [`write_type`] / [`write_sample`] writers, plus [`MetricStats`], the
+//! uniform `absorb` / `is_clean` operations on metric snapshots.
 //!
-//! Before this module the repo had five disjoint counter types
-//! ([`crate::metrics::WaitCounters`], [`crate::metrics::FaultCounters`],
-//! [`crate::metrics::LatencyHistogram`],
-//! [`crate::metrics::DeadlineHistogram`],
-//! [`crate::metrics::ServeCounters`]) with ad-hoc snapshot conventions and
-//! no common export path. They — plus the later
-//! [`crate::metrics::RtaCounters`] — now share one contract:
-//!
-//! - [`Observe`] — object-safe: a metric family [`Observe::name`] and a
-//!   [`Observe::render`] into the Prometheus text format;
-//! - [`MetricSet`] — adds the typed [`MetricSet::snapshot`], whose stats
-//!   type implements [`MetricStats`] (uniform `absorb` / `is_clean`);
-//! - [`render_prometheus`] — concatenates any mix of metric sets into one
-//!   exposition body.
-//!
-//! The event-stream half of observability (what happened *when*) lives in
-//! [`crate::trace`].
+//! Each counter set in [`crate::metrics`] renders its snapshot through
+//! these writers; [`crate::ServePool::prometheus`],
+//! [`crate::RunReport::prometheus`] and
+//! [`crate::RuntimeStats::prometheus`] assemble the sets into one
+//! exposition body. The event-stream half of observability (what happened
+//! *when*) lives in [`crate::trace`].
 
 use std::fmt;
-
-/// An object-safe view of a metric source: a family name and a Prometheus
-/// text rendering.
-///
-/// Metric names rendered by implementations are prefixed
-/// `anytime_<name()>_…`, so a set of sources renders into one coherent
-/// exposition via [`render_prometheus`].
-pub trait Observe {
-    /// The metric family name (e.g. `"wait"`, `"serve"`), without prefix.
-    fn name(&self) -> &str;
-
-    /// Writes this source's metrics in the Prometheus text format.
-    fn render(&self, out: &mut dyn fmt::Write) -> fmt::Result;
-}
-
-/// A metric source with a typed point-in-time snapshot.
-///
-/// All six counter types implement this; their stats types all
-/// implement [`MetricStats`], so aggregation code can be generic over
-/// "some counters I can snapshot and fold together".
-pub trait MetricSet: Observe {
-    /// The snapshot type.
-    type Stats: MetricStats;
-
-    /// A point-in-time copy of the counters.
-    fn snapshot(&self) -> Self::Stats;
-}
 
 /// Uniform operations on metric snapshots.
 pub trait MetricStats: Clone + Default {
@@ -55,16 +18,6 @@ pub trait MetricStats: Clone + Default {
 
     /// `true` if nothing was recorded (the snapshot equals its default).
     fn is_clean(&self) -> bool;
-}
-
-/// Renders any mix of metric sources into one Prometheus exposition body.
-pub fn render_prometheus(sets: &[&dyn Observe]) -> String {
-    let mut out = String::new();
-    for set in sets {
-        set.render(&mut out)
-            .expect("rendering to a String cannot fail");
-    }
-    out
 }
 
 /// Writes a `# TYPE` header for a metric family.
@@ -123,32 +76,13 @@ fn escape_label(v: &str) -> String {
 mod tests {
     use super::*;
 
-    struct Fake;
-
-    impl Observe for Fake {
-        fn name(&self) -> &str {
-            "fake"
-        }
-
-        fn render(&self, out: &mut dyn fmt::Write) -> fmt::Result {
-            write_type(out, "anytime_fake_total", "counter")?;
-            write_sample(out, "anytime_fake_total", &[("stage", "f\"g")], 3.0)
-        }
-    }
-
-    #[test]
-    fn render_prometheus_concatenates() {
-        let text = render_prometheus(&[&Fake, &Fake]);
-        assert_eq!(text.matches("# TYPE anytime_fake_total counter").count(), 2);
-        assert!(text.contains("anytime_fake_total{stage=\"f\\\"g\"} 3\n"));
-    }
-
     #[test]
     fn sample_formatting() {
         let mut s = String::new();
         write_sample(&mut s, "m", &[], 2.0).unwrap();
         write_sample(&mut s, "m", &[], 0.25).unwrap();
         write_sample(&mut s, "m", &[], f64::INFINITY).unwrap();
-        assert_eq!(s, "m 2\nm 0.25\nm +Inf\n");
+        write_sample(&mut s, "m", &[("stage", "f\"g"), ("le", "1")], 3.0).unwrap();
+        assert_eq!(s, "m 2\nm 0.25\nm +Inf\nm{stage=\"f\\\"g\",le=\"1\"} 3\n");
     }
 }

@@ -18,7 +18,7 @@ pub use crate::executor::{Automaton, RunReport};
 pub use crate::governor::{BrownoutPolicy, BrownoutState};
 pub use crate::iterative::Iterative;
 pub use crate::map::SampledMap;
-pub use crate::observe::{MetricSet, MetricStats, Observe};
+pub use crate::observe::MetricStats;
 pub use crate::pipeline::{Pipeline, PipelineBuilder};
 pub use crate::precise::Precise;
 pub use crate::reduce::SampledReduce;

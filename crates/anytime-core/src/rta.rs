@@ -41,9 +41,8 @@
 //! (`anytime_rta_bound_error_ratio`, see [`crate::metrics::RtaCounters`]).
 
 use crate::error::{CoreError, Result};
-use crate::metrics::WaitStats;
+use crate::metrics::{Counter, WaitStats};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -264,11 +263,11 @@ pub struct AdmissionGate {
     policy: RtaPolicy,
     curves: Mutex<Curves>,
     /// Completed calibration runs absorbed.
-    runs: AtomicU64,
+    runs: Counter,
     /// Summed publish→observe latency (nanos) from absorbed [`WaitStats`].
-    control_ns: AtomicU64,
+    control_ns: Counter,
     /// Observations behind `control_ns`.
-    control_obs: AtomicU64,
+    control_obs: Counter,
 }
 
 impl AdmissionGate {
@@ -285,9 +284,9 @@ impl AdmissionGate {
             curves: Mutex::new(Curves {
                 rings: vec![VecDeque::new(); BINS],
             }),
-            runs: AtomicU64::new(0),
-            control_ns: AtomicU64::new(0),
-            control_obs: AtomicU64::new(0),
+            runs: Counter::default(),
+            control_ns: Counter::default(),
+            control_obs: Counter::default(),
         })
     }
 
@@ -321,7 +320,7 @@ impl AdmissionGate {
                 }
             }
         }
-        self.runs.fetch_add(1, Ordering::Relaxed); // relaxed: calibration progress counter; readers tolerate skew
+        self.runs.inc();
     }
 
     /// Absorbs a source's control-plane wait statistics: the mean
@@ -336,14 +335,13 @@ impl AdmissionGate {
             .total_publish_to_observe
             .as_nanos()
             .min(u128::from(u64::MAX)) as u64;
-        self.control_ns.fetch_add(ns, Ordering::Relaxed); // relaxed: diagnostics accumulator, not synchronization
-        self.control_obs
-            .fetch_add(stats.observations, Ordering::Relaxed); // relaxed: diagnostics accumulator, not synchronization
+        self.control_ns.add(ns);
+        self.control_obs.add(stats.observations);
     }
 
     /// Completed calibration runs absorbed so far.
     pub fn runs(&self) -> u64 {
-        self.runs.load(Ordering::Relaxed) // relaxed: diagnostic read; skew tolerated
+        self.runs.get()
     }
 
     /// `true` once enough runs were absorbed for the gate to act
@@ -354,11 +352,11 @@ impl AdmissionGate {
 
     /// Mean control-plane wakeup overhead observed so far.
     fn control_overhead(&self) -> Duration {
-        let obs = self.control_obs.load(Ordering::Relaxed); // relaxed: diagnostic read; skew tolerated
+        let obs = self.control_obs.get();
         if obs == 0 {
             return Duration::ZERO;
         }
-        let ns = self.control_ns.load(Ordering::Relaxed); // relaxed: diagnostic read; skew tolerated
+        let ns = self.control_ns.get();
         Duration::from_nanos(ns / obs)
     }
 

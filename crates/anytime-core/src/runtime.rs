@@ -45,9 +45,11 @@
 //! plans map onto per-task *credits* (publish slices per poll) via
 //! [`crate::scheduler::credits_from_alloc`].
 
+use crate::metrics::Counter;
 use crate::notify::{lock_unpoisoned, WaitSet, WakeTarget};
+use crate::observe::{write_sample, write_type};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -110,7 +112,7 @@ impl TaskWaker {
                         .is_ok()
                     {
                         if let Some(rt) = self.rt.upgrade() {
-                            rt.counters.wakes.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics
+                            rt.counters.wakes.inc();
                             rt.inject(self.id);
                         }
                         return;
@@ -179,13 +181,13 @@ impl TaskTable {
 
 #[derive(Default)]
 struct RtCounters {
-    spawned: AtomicU64,
-    polls: AtomicU64,
-    yields: AtomicU64,
-    steals: AtomicU64,
-    parks: AtomicU64,
-    wakes: AtomicU64,
-    timer_fires: AtomicU64,
+    spawned: Counter,
+    polls: Counter,
+    yields: Counter,
+    steals: Counter,
+    parks: Counter,
+    wakes: Counter,
+    timer_fires: Counter,
 }
 
 struct RtShared {
@@ -249,7 +251,7 @@ impl RtShared {
                 continue;
             }
             if let Some(id) = lock_unpoisoned(&self.deques[victim]).pop_back() {
-                self.counters.steals.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics
+                self.counters.steals.inc();
                 return Some(id);
             }
         }
@@ -274,7 +276,7 @@ impl RtShared {
             });
         }
         for waker in due {
-            self.counters.timer_fires.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics
+            self.counters.timer_fires.inc();
             waker.wake();
         }
         next
@@ -307,8 +309,7 @@ impl RtShared {
             )
         };
         waker.state.store(POLLING, Ordering::Release);
-        // relaxed: diagnostics
-        self.counters.polls.fetch_add(1, Ordering::Relaxed);
+        self.counters.polls.inc();
         // The executor's task wrapper fences stage panics itself; this
         // outer fence only keeps a worker alive if bookkeeping code in a
         // wrapper panics (a bug, but one that must not drain the pool).
@@ -327,7 +328,7 @@ impl RtShared {
                 }
             }
             Ok(TaskPoll::Yielded) => {
-                self.counters.yields.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics
+                self.counters.yields.inc();
                 self.put_back(id, task);
                 waker.state.store(QUEUED, Ordering::Release);
                 self.push_local(worker, id);
@@ -388,7 +389,7 @@ fn worker_loop(rt: Arc<RtShared>, index: usize) {
         }
         let deadline = next_timer.unwrap_or_else(|| Instant::now() + Duration::from_millis(200));
         rt.parked.fetch_add(1, Ordering::Relaxed); // relaxed: advisory gauge read by push_local
-        rt.counters.parks.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics
+        rt.counters.parks.inc();
         rt.park.wait_deadline(seen, deadline);
         rt.parked.fetch_sub(1, Ordering::Relaxed); // relaxed: advisory gauge read by push_local
     }
@@ -513,13 +514,13 @@ impl RuntimeHandle {
         RuntimeStats {
             workers: self.inner.workers,
             tasks_live: self.inner.live.load(Ordering::Acquire),
-            tasks_spawned: c.spawned.load(Ordering::Relaxed), // relaxed: diagnostics
-            polls: c.polls.load(Ordering::Relaxed),           // relaxed: diagnostics
-            yields: c.yields.load(Ordering::Relaxed),         // relaxed: diagnostics
-            steals: c.steals.load(Ordering::Relaxed),         // relaxed: diagnostics
-            parks: c.parks.load(Ordering::Relaxed),           // relaxed: diagnostics
-            wakes: c.wakes.load(Ordering::Relaxed),           // relaxed: diagnostics
-            timer_fires: c.timer_fires.load(Ordering::Relaxed), // relaxed: diagnostics
+            tasks_spawned: c.spawned.get(),
+            polls: c.polls.get(),
+            yields: c.yields.get(),
+            steals: c.steals.get(),
+            parks: c.parks.get(),
+            wakes: c.wakes.get(),
+            timer_fires: c.timer_fires.get(),
         }
     }
 
@@ -539,7 +540,7 @@ impl RuntimeHandle {
             task.name()
         );
         rt.live.fetch_add(1, Ordering::AcqRel);
-        rt.counters.spawned.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics
+        rt.counters.spawned.inc();
         let id = {
             let mut table = lock_unpoisoned(&rt.tasks);
             let id = table.reserve();
@@ -597,50 +598,32 @@ impl RuntimeStats {
     /// Prometheus exposition rendering (`anytime_runtime_*` series).
     pub fn prometheus(&self) -> String {
         let mut out = String::new();
-        let mut gauge = |name: &str, help: &str, v: u64| {
-            out.push_str(&format!(
-                "# HELP anytime_runtime_{name} {help}\n\
-                 # TYPE anytime_runtime_{name} counter\n\
-                 anytime_runtime_{name} {v}\n"
-            ));
-        };
-        gauge(
-            "workers",
-            "Worker threads in the pool.",
-            self.workers as u64,
-        );
-        gauge(
-            "tasks_live",
-            "Tasks currently live.",
-            self.tasks_live as u64,
-        );
-        gauge(
-            "tasks_spawned_total",
-            "Tasks ever spawned.",
-            self.tasks_spawned,
-        );
-        gauge("polls_total", "Task poll slices executed.", self.polls);
-        gauge(
-            "yields_total",
-            "Cooperative publish-point yields.",
-            self.yields,
-        );
-        gauge(
-            "steals_total",
-            "Tasks stolen from peer deques.",
-            self.steals,
-        );
-        gauge("parks_total", "Worker park events.", self.parks);
-        gauge(
-            "wakes_total",
-            "Wakeups delivered to idle tasks.",
-            self.wakes,
-        );
-        gauge(
-            "timer_fires_total",
-            "Backoff timers fired.",
-            self.timer_fires,
-        );
+        for (family, kind, value) in [
+            ("anytime_runtime_workers", "gauge", self.workers as u64),
+            (
+                "anytime_runtime_tasks_live",
+                "gauge",
+                self.tasks_live as u64,
+            ),
+            (
+                "anytime_runtime_tasks_spawned_total",
+                "counter",
+                self.tasks_spawned,
+            ),
+            ("anytime_runtime_polls_total", "counter", self.polls),
+            ("anytime_runtime_yields_total", "counter", self.yields),
+            ("anytime_runtime_steals_total", "counter", self.steals),
+            ("anytime_runtime_parks_total", "counter", self.parks),
+            ("anytime_runtime_wakes_total", "counter", self.wakes),
+            (
+                "anytime_runtime_timer_fires_total",
+                "counter",
+                self.timer_fires,
+            ),
+        ] {
+            let _ = write_type(&mut out, family, kind);
+            let _ = write_sample(&mut out, family, &[], value as f64);
+        }
         out
     }
 }
@@ -918,6 +901,29 @@ mod tests {
             // Drop immediately: shutdown must still run the task to done.
         }
         assert_eq!(done.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn stats_render_through_the_shared_writers() {
+        let s = RuntimeStats {
+            workers: 2,
+            tasks_live: 1,
+            tasks_spawned: 3,
+            polls: 4,
+            yields: 5,
+            steals: 6,
+            parks: 7,
+            wakes: 8,
+            timer_fires: 9,
+        };
+        let text = s.prometheus();
+        assert!(text.contains("# TYPE anytime_runtime_workers gauge\nanytime_runtime_workers 2\n"));
+        assert!(text
+            .contains("# TYPE anytime_runtime_tasks_live gauge\nanytime_runtime_tasks_live 1\n"));
+        assert!(text.contains(
+            "# TYPE anytime_runtime_polls_total counter\nanytime_runtime_polls_total 4\n"
+        ));
+        assert_eq!(text.lines().count(), 18, "{text}");
     }
 
     #[test]

@@ -16,10 +16,7 @@
 //!   its deadline is rejected fast with
 //!   [`CoreError::AdmissionRejected`], before it can waste capacity other
 //!   requests could still use (a queue at capacity rejects with
-//!   [`CoreError::QueueFull`] instead). An optional [`LevelEstimate`]
-//!   profile adds a contract-planning check
-//!   ([`crate::contract::plan_strict_with_delay`]): reject when no
-//!   accuracy level fits the budget left after the projected queue delay.
+//!   [`CoreError::QueueFull`] instead).
 //! - **Analytical admission** — with an [`RtaPolicy`] installed
 //!   ([`ServeOptions::rta`]), the [`crate::rta`] response-time analysis
 //!   replaces the EWMA guess once calibrated (online, from the same
@@ -67,7 +64,6 @@
 //! pool aggregates the [`FaultStats`] of every pipeline run it performed,
 //! so a soak run's serve-level numbers reconcile with its per-run reports.
 
-use crate::contract::{plan_strict, plan_strict_with_delay, LevelEstimate};
 use crate::control::ControlToken;
 use crate::error::{CoreError, Result};
 use crate::executor::panic_message;
@@ -224,10 +220,6 @@ pub struct ServeOptions {
     pub batch: Option<BatchPolicy>,
     /// Per-replica circuit breaker, if enabled.
     pub breaker: Option<BreakerPolicy>,
-    /// Optional per-level cost/quality profile; when present, admission
-    /// additionally requires that some level fits the remaining budget
-    /// ([`plan_strict`]).
-    pub levels: Option<Vec<LevelEstimate>>,
     /// Response-time-analysis policy. When set, the pool calibrates a
     /// [`crate::rta::AdmissionGate`] online from its runs' quality
     /// observations; once calibrated, admission proves infeasible
@@ -274,7 +266,6 @@ impl Default for ServeOptions {
             shed: None,
             batch: None,
             breaker: Some(BreakerPolicy::default()),
-            levels: None,
             rta: None,
             brownout: None,
             runtime: None,
@@ -327,12 +318,6 @@ impl ServeOptions {
     /// Sets (or disables, with `None`) the circuit breaker.
     pub fn breaker(mut self, breaker: Option<BreakerPolicy>) -> Self {
         self.breaker = breaker;
-        self
-    }
-
-    /// Installs a level profile for contract-planning admission.
-    pub fn levels(mut self, levels: Vec<LevelEstimate>) -> Self {
-        self.levels = Some(levels);
         self
     }
 
@@ -821,7 +806,7 @@ where
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for a zero replica count, zero
-    /// queue capacity, an invalid level profile, or a batch policy
+    /// queue capacity, an invalid RTA or brownout policy, or a batch policy
     /// (batching needs the batch factory of [`ServePool::new_batched`]).
     pub fn new(
         opts: ServeOptions,
@@ -855,7 +840,8 @@ where
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for a zero replica count, zero
-    /// queue capacity, an invalid level profile, or a batch size below 2.
+    /// queue capacity, an invalid RTA or brownout policy, or a batch size
+    /// below 2.
     pub fn new_batched(
         mut opts: ServeOptions,
         batch_factory: impl Fn(&[Arc<I>]) -> Result<(Pipeline, Vec<BufferReader<T>>)>
@@ -887,18 +873,6 @@ where
             return Err(CoreError::InvalidConfig(
                 "serve pool needs a nonzero queue capacity".into(),
             ));
-        }
-        if let Some(levels) = &opts.levels {
-            // Surface a malformed profile at construction, not per-request.
-            plan_strict(levels, Duration::MAX)
-                .map(|_| ())
-                .or_else(|e| {
-                    if matches!(e, CoreError::AdmissionRejected { .. }) {
-                        Ok(())
-                    } else {
-                        Err(e)
-                    }
-                })?;
         }
         if let Some(brownout) = &opts.brownout {
             brownout.validate()?;
@@ -963,8 +937,7 @@ where
     /// # Errors
     ///
     /// - [`CoreError::AdmissionRejected`] — rejected fast: the projected
-    ///   wait plus minimum service (or the level profile) cannot make the
-    ///   deadline.
+    ///   wait plus minimum service cannot make the deadline.
     /// - [`CoreError::Infeasible`] — rejected fast with a *proof*: the
     ///   calibrated [`rta`](crate::rta) analysis certifies that even an
     ///   optimistically-fast run cannot reach `floor` within `deadline`
@@ -1014,7 +987,7 @@ where
             if !shed {
                 if depth >= shared.opts.queue_capacity {
                     drop(q);
-                    shared.counters.record_rejected();
+                    shared.counters.rejected.inc();
                     shared.opts.recorder.serve_event(EventKind::Reject, req_id);
                     return Err(CoreError::QueueFull {
                         depth,
@@ -1026,7 +999,7 @@ where
                     // floor even when the calibrated curves claim faster.
                     if !deadline_reachable(accepted, Duration::ZERO, min_service, deadline_at) {
                         drop(q);
-                        shared.counters.record_rejected();
+                        shared.counters.rejected.inc();
                         shared.opts.recorder.serve_event(EventKind::Reject, req_id);
                         return Err(CoreError::AdmissionRejected {
                             projected: min_service,
@@ -1037,8 +1010,8 @@ where
                         // Certified infeasibility: even the optimistic
                         // supply bound cannot cross the floor in budget.
                         drop(q);
-                        shared.counters.record_rejected();
-                        shared.rta_counters.record_infeasible();
+                        shared.counters.rejected.inc();
+                        shared.rta_counters.infeasible.inc();
                         shared.opts.recorder.serve_event(EventKind::Reject, req_id);
                         shared.opts.recorder.feasibility(
                             EventKind::Infeasible,
@@ -1052,42 +1025,26 @@ where
                             floor,
                         });
                     }
-                    shared.rta_counters.record_feasible();
+                    shared.rta_counters.feasible.inc();
                     shared
                         .opts
                         .recorder
                         .feasibility(EventKind::Feasible, req_id, a.upper, floor);
-                    if let Some(levels) = &shared.opts.levels {
-                        if let Err(e) = plan_strict_with_delay(levels, deadline, a.queue_delay) {
-                            drop(q);
-                            shared.counters.record_rejected();
-                            shared.opts.recorder.serve_event(EventKind::Reject, req_id);
-                            return Err(e);
-                        }
-                    }
                 } else {
                     // Heuristic path: either no gate is installed or the
                     // gate is not yet calibrated for this floor.
                     if shared.gate.is_some() {
-                        shared.rta_counters.record_fallback();
+                        shared.rta_counters.fallback.inc();
                     }
                     let projected_wait = shared.projected_wait(depth);
                     if !deadline_reachable(accepted, projected_wait, min_service, deadline_at) {
                         drop(q);
-                        shared.counters.record_rejected();
+                        shared.counters.rejected.inc();
                         shared.opts.recorder.serve_event(EventKind::Reject, req_id);
                         return Err(CoreError::AdmissionRejected {
                             projected: projected_wait + min_service,
                             budget: deadline,
                         });
-                    }
-                    if let Some(levels) = &shared.opts.levels {
-                        if let Err(e) = plan_strict_with_delay(levels, deadline, projected_wait) {
-                            drop(q);
-                            shared.counters.record_rejected();
-                            shared.opts.recorder.serve_event(EventKind::Reject, req_id);
-                            return Err(e);
-                        }
                     }
                 }
             }
@@ -1130,14 +1087,14 @@ where
             } else {
                 q.jobs.push_back(item);
             }
-            shared.counters.record_admitted();
+            shared.counters.admitted.inc();
             shared.opts.recorder.serve_event(EventKind::Admit, req_id);
             if shed {
-                shared.counters.record_shed();
+                shared.counters.shed.inc();
                 shared.opts.recorder.serve_event(EventKind::Shed, req_id);
             }
             if clamp {
-                shared.governor_counters.record_clamped();
+                shared.governor_counters.clamped.inc();
                 shared.opts.recorder.serve_event(EventKind::Clamp, req_id);
             }
             job
@@ -1246,11 +1203,6 @@ where
             .is_some_and(AdmissionGate::calibrated)
     }
 
-    /// The pool's observed P95 service latency, once enough samples exist.
-    pub fn p95_service(&self) -> Option<Duration> {
-        self.shared.service_hist.quantile(0.95)
-    }
-
     /// The pool's trace recorder (a no-op handle unless one was installed
     /// through [`ServeOptions::recorder`]).
     pub fn recorder(&self) -> &Recorder {
@@ -1270,19 +1222,6 @@ where
     /// bound-error gauge — in Prometheus text exposition format.
     pub fn prometheus(&self) -> String {
         let stats = self.stats();
-        let mut out = String::new();
-        let _ = crate::metrics::render_serve_counters(&mut out, &stats, &[]);
-        let _ = stats
-            .deadline
-            .render_as(&mut out, "anytime_deadline_ratio", &[]);
-        let _ = crate::metrics::render_fault_stats(&mut out, &stats.faults, &[]);
-        let _ = self.shared.service_hist.snapshot().render_as(
-            &mut out,
-            "anytime_serve_service_seconds",
-            &[],
-        );
-        let _ = crate::metrics::render_rta_stats(&mut out, &stats.rta, &[]);
-        let _ = crate::metrics::render_governor_stats(&mut out, &stats.governor, &[]);
         let breakers: Vec<(String, f64)> = {
             let now = Instant::now();
             lock(&self.shared.replicas)
@@ -1300,7 +1239,13 @@ where
                 })
                 .collect()
         };
-        let _ = crate::metrics::render_breaker_states(&mut out, &breakers);
+        let mut out = String::new();
+        let _ = crate::metrics::render_serve_pool(
+            &mut out,
+            &stats,
+            &self.shared.service_hist.snapshot(),
+            &breakers,
+        );
         out
     }
 
@@ -1370,7 +1315,7 @@ where
                 lock(&shared.replicas).push(Arc::clone(&state));
                 // Growth, not a replacement: counted as `worker_added`,
                 // distinct from a rolling restart's `worker_respawned`.
-                shared.governor_counters.record_worker_add();
+                shared.governor_counters.worker_adds.inc();
                 shared
                     .opts
                     .recorder
@@ -1387,13 +1332,13 @@ where
             // relaxed: observability gauge, as in `stats`
             shared.draining_workers.fetch_sub(1, Ordering::Relaxed);
             lock(&shared.replicas).retain(|r| !Arc::ptr_eq(r, &w.state));
-            shared.governor_counters.record_worker_drain();
+            shared.governor_counters.worker_drains.inc();
             shared
                 .opts
                 .recorder
                 .stage_event(EventKind::WorkerDrained, w.state.trace_id);
         }
-        shared.governor_counters.record_resize();
+        shared.governor_counters.resizes.inc();
         Ok(())
     }
 
@@ -1455,18 +1400,18 @@ where
             {
                 *r = Arc::clone(&state);
             }
-            shared.governor_counters.record_worker_drain();
+            shared.governor_counters.worker_drains.inc();
             shared
                 .opts
                 .recorder
                 .stage_event(EventKind::WorkerDrained, drained.state.trace_id);
-            shared.governor_counters.record_worker_respawn();
+            shared.governor_counters.worker_respawns.inc();
             shared
                 .opts
                 .recorder
                 .stage_event(EventKind::WorkerRespawned, state.trace_id);
         }
-        shared.governor_counters.record_rolling_restart();
+        shared.governor_counters.rolling_restarts.inc();
         Ok(())
     }
 
@@ -1566,7 +1511,7 @@ fn fence_closure<R>(
     match std::panic::catch_unwind(AssertUnwindSafe(f)) {
         Ok(r) => Ok(r),
         Err(payload) => {
-            counters.record_closure_panic();
+            counters.closure_panics.inc();
             Err(CoreError::ReplicaPanicked {
                 replica: state.index,
                 context,
@@ -1574,6 +1519,29 @@ fn fence_closure<R>(
             })
         }
     }
+}
+
+/// Advertises a replica's occupancy for admission while it serves a run:
+/// its service EWMA counted from `service_start`
+/// ([`ServeOptions::default_service_estimate`] before any sample), capped
+/// by `run_end`, the run's hard end. Single and batch runs share this one
+/// estimate: runs often end early at a terminal output, and the EWMA
+/// already holds the batch runs this replica served, so a batch's last
+/// deadline is only its cap.
+///
+/// The returned guard clears the occupancy when the run ends.
+fn occupy<'a, I, T>(
+    shared: &Shared<I, T>,
+    state: &'a ReplicaState,
+    service_start: Instant,
+    run_end: Instant,
+) -> BusyClear<'a> {
+    let est = state
+        .ewma
+        .get()
+        .unwrap_or(shared.opts.default_service_estimate);
+    *lock(&state.busy_until) = Some(run_end.min(service_start + est));
+    BusyClear(state)
 }
 
 /// Clears a replica's advertised occupancy on drop — on *every* exit path
@@ -1692,7 +1660,7 @@ where
                 message: message.clone(),
             };
             if fail_job(shared, job, Some(state.trace_id), failure) {
-                shared.governor_counters.record_closure_panic();
+                shared.governor_counters.closure_panics.inc();
             }
         }
     }
@@ -1719,7 +1687,7 @@ where
             }
             q.jobs.len()
         };
-        shared.governor_counters.record_tick();
+        shared.governor_counters.ticks.inc();
         let queue_delay = shared.projected_wait(depth);
         let signals = window.tick(
             &shared.deadline_hist.snapshot(),
@@ -1731,7 +1699,7 @@ where
         if let Some((_, to)) = control.observe(signals) {
             // relaxed: advisory ladder; a one-tick-stale read only delays mitigation
             shared.brownout.store(to.as_u8(), Ordering::Relaxed);
-            shared.governor_counters.record_transition();
+            shared.governor_counters.transitions.inc();
             shared.opts.recorder.governor_state(u64::from(to.as_u8()));
         }
     }
@@ -1812,24 +1780,14 @@ fn serve_job<I, T>(
 {
     let job = &item.job;
     let service_start = Instant::now();
-    // Advertise this replica's occupancy for admission: the observed
-    // service EWMA (runs often end early at a terminal output), capped by
-    // the job's (possibly shed-capped) deadline — the hard end of any run.
-    let occupied_until = {
-        let run_end = match job.budget_cap {
-            Some(cap) => job.deadline.min(service_start + cap),
-            None => job.deadline,
-        };
-        let est = state
-            .ewma
-            .get()
-            .unwrap_or(shared.opts.default_service_estimate);
-        run_end.min(service_start + est)
+    // The job's (possibly shed-capped) deadline is the hard end of its run.
+    let run_end = match job.budget_cap {
+        Some(cap) => job.deadline.min(service_start + cap),
+        None => job.deadline,
     };
-    *lock(&state.busy_until) = Some(occupied_until);
     // Guard, not a trailing statement: the occupancy clears on every exit
     // path out of this run — early returns and worker panics included.
-    let _busy = BusyClear(state);
+    let _busy = occupy(shared, state, service_start, run_end);
     #[cfg(feature = "fault-inject")]
     maybe_kill_worker(shared, job.id);
     let mut best = initial_best;
@@ -1879,7 +1837,7 @@ fn serve_job<I, T>(
                     break Attempt::Respond(best);
                 }
                 local_retries += 1;
-                shared.counters.record_retried();
+                shared.counters.retried.inc();
                 shared.opts.recorder.serve_event(EventKind::Retry, job.id);
                 {
                     let mut st = lock(&job.slot.state);
@@ -1952,9 +1910,9 @@ fn respond<I, T>(
     if !job.slot.fill(Ok(response)) {
         return;
     }
-    shared.counters.record_completed();
+    shared.counters.completed.inc();
     if status == ServeStatus::Degraded {
-        shared.counters.record_degraded_response();
+        shared.counters.degraded_responses.inc();
     }
     shared.opts.recorder.request_end(
         EventKind::RequestDone,
@@ -1994,7 +1952,7 @@ fn fail_job<I, T>(
     if !job.slot.fill(Err(err)) {
         return false;
     }
-    shared.counters.record_failed();
+    shared.counters.failed.inc();
     shared.opts.recorder.request_end(
         EventKind::RequestFailed,
         job.id,
@@ -2038,14 +1996,9 @@ fn serve_batch<I, T>(
     // Members are answered soonest-deadline first; the factory sees inputs
     // in the same order.
     batch.sort_by_key(|it| it.job.deadline);
+    // The last member's deadline is the hard end of the batch run.
     let Some(last) = batch.last() else { return };
-    // Advertise occupancy through the batch's LAST deadline: unlike a
-    // single run (whose EWMA captures typical early-terminal exits), a
-    // batch holds this worker until its final member is answered, and an
-    // optimistic estimate here admits tight requests that can only starve
-    // in the queue behind it.
-    *lock(&state.busy_until) = Some(last.job.deadline);
-    let _busy = BusyClear(state);
+    let _busy = occupy(shared, state, service_start, last.job.deadline);
     let inputs: Vec<Arc<I>> = batch.iter().map(|it| Arc::clone(&it.job.input)).collect();
     let built = match &shared.factory {
         Factory::Batch(factory) => {
@@ -2232,7 +2185,7 @@ fn fallback_single<I, T>(
     if item.job.slot.is_filled() {
         return;
     }
-    shared.counters.record_retried();
+    shared.counters.retried.inc();
     shared
         .opts
         .recorder
@@ -2464,7 +2417,7 @@ fn spawn_hedge<I, T>(shared: &Arc<Shared<I, T>>, item: &QueueItem<I, T>) {
         lock(&item.job.slot.state).hedged = false;
         return;
     }
-    shared.counters.record_hedged();
+    shared.counters.hedged.inc();
     shared
         .opts
         .recorder
@@ -2478,7 +2431,7 @@ fn record_breaker_failure<I, T>(shared: &Arc<Shared<I, T>>, state: &ReplicaState
     };
     let mut breaker = lock(&state.breaker);
     let open = |shared: &Shared<I, T>| {
-        shared.counters.record_breaker_open();
+        shared.counters.breaker_opens.inc();
         shared
             .opts
             .recorder
@@ -2622,33 +2575,6 @@ mod tests {
         let stats = pool.shutdown();
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.admitted, 0);
-    }
-
-    #[test]
-    fn level_profile_gates_admission() {
-        let levels = vec![LevelEstimate {
-            level: 0,
-            cost: Duration::from_millis(50),
-            quality: 1.0,
-        }];
-        let pool = ServePool::new(
-            ServeOptions {
-                min_service: Duration::from_micros(1),
-                ..ServeOptions::default()
-            }
-            .levels(levels),
-            counting_factory(10, Duration::from_micros(10)),
-            fraction_quality(10),
-        )
-        .unwrap();
-        // 10ms budget < the only level's 50ms cost: rejected by the plan.
-        assert!(matches!(
-            pool.submit(0, Duration::from_millis(10), 0.0),
-            Err(CoreError::AdmissionRejected { .. })
-        ));
-        // A budget the level fits passes.
-        assert!(pool.submit(0, Duration::from_millis(500), 0.0).is_ok());
-        pool.shutdown();
     }
 
     #[test]
@@ -2989,6 +2915,86 @@ mod tests {
             sizes.iter().any(|&s| s >= 2),
             "factory never saw a multi-request batch: {sizes:?}"
         );
+    }
+
+    /// A batch run advertises the same occupancy estimate as a single run,
+    /// capped by its last deadline: a request that arrives mid-batch with
+    /// a deadline no later than the batch head's is admitted, queued, and
+    /// answered once the batch is done. Each factory call announces its
+    /// batch size and then holds until the test releases it, so every
+    /// step is ordered by the test, not by timing.
+    #[test]
+    fn batch_occupancy_admits_same_deadline_arrivals() {
+        let sizes = Arc::new(Mutex::new(Vec::new()));
+        let build = shared_batch_factory(5, Duration::ZERO, Arc::clone(&sizes));
+        let (entered_tx, entered) = std::sync::mpsc::channel::<usize>();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        let pool = Arc::new(
+            ServePool::new_batched(
+                ServeOptions {
+                    replicas: 1,
+                    batch: Some(BatchPolicy {
+                        max_size: 4,
+                        window: Duration::from_secs(10),
+                    }),
+                    ..ServeOptions::default()
+                },
+                move |inputs: &[Arc<u64>]| {
+                    let _ = entered_tx.send(inputs.len());
+                    let _ = lock(&release_rx).recv();
+                    build(inputs)
+                },
+                fraction_quality(5),
+            )
+            .unwrap(),
+        );
+        // Declared after the pool, so unwinding drops it first: a failed
+        // assertion frees a held factory instead of hanging the pool's
+        // shutdown join.
+        let release = release_tx;
+        let submit = |deadline: Duration| {
+            let p = Arc::clone(&pool);
+            std::thread::spawn(move || p.submit(0, deadline, 0.0))
+        };
+        // Waits, without sleeping, until admission has decided `n`
+        // requests.
+        let decided = |n: u64| loop {
+            let s = pool.stats();
+            if s.admitted + s.rejected >= n {
+                break s;
+            }
+            std::thread::yield_now();
+        };
+
+        // A single run holds the replica while two followers queue up.
+        let first = submit(Duration::from_secs(60));
+        assert_eq!(entered.recv().unwrap(), 1);
+        let followers = [
+            submit(Duration::from_secs(120)),
+            submit(Duration::from_secs(120)),
+        ];
+        decided(3);
+        // The followers drain as one batch, whose factory now holds.
+        release.send(()).unwrap();
+        assert_eq!(entered.recv().unwrap(), 2);
+        // Its deadline is 60 s sooner than the batch head's.
+        let arrival = submit(Duration::from_secs(60));
+        let refused = decided(4).rejected;
+        // Release the batch and the arrival's own run.
+        release.send(()).unwrap();
+        release.send(()).unwrap();
+
+        assert!(first.join().unwrap().is_ok());
+        for f in followers {
+            assert!(f.join().unwrap().expect("batch member failed").batched);
+        }
+        let answer = arrival.join().unwrap();
+        assert_eq!(refused, 0, "arrival refused behind the batch: {answer:?}");
+        assert_eq!(answer.expect("arrival failed").status, ServeStatus::Final);
+        let stats = pool.shutdown();
+        assert_eq!((stats.admitted, stats.completed), (4, 4));
+        assert_eq!(*lock(&sizes), vec![1, 2, 1]);
     }
 
     #[test]

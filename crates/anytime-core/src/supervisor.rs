@@ -289,7 +289,7 @@ pub(crate) fn spawn_watchdog(
                     if now >= deadline {
                         if !st.stalled {
                             st.stalled = true;
-                            counters.record_stall();
+                            counters.stalls.inc();
                             recorder.stage_event(EventKind::Stall, st.stage.stage);
                             match st.stage.cfg.on_stall {
                                 StallAction::Log => {}
@@ -305,7 +305,7 @@ pub(crate) fn spawn_watchdog(
                                     // version was published (it is idempotent
                                     // past terminal), so gate on that.
                                     if st.stage.control.latest_version().is_some() {
-                                        counters.record_degradation();
+                                        counters.degradations.inc();
                                         st.stage.control.seal_degraded();
                                     }
                                     st.retired = true;

@@ -30,8 +30,8 @@
 //!   curves from real runs).
 //!
 //! Counter-style metrics are the other half of observability; see
-//! [`crate::observe`] for the [`crate::observe::Observe`] /
-//! [`crate::observe::MetricSet`] traits and the Prometheus text exposition.
+//! [`crate::metrics`] for the counter sets and [`crate::observe`] for the
+//! Prometheus text exposition they render through.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -39,6 +39,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::metrics::Counter;
 use crate::notify::lock_unpoisoned;
 use std::time::{Duration, Instant};
 
@@ -207,7 +208,7 @@ struct Ring {
     events: Mutex<VecDeque<TraceEvent>>,
     /// Events lost on this ring: overflow (oldest evicted) plus pushes that
     /// found the collector holding the lock.
-    dropped: AtomicU64,
+    dropped: Counter,
 }
 
 impl Ring {
@@ -218,12 +219,12 @@ impl Ring {
             Ok(mut q) => {
                 if q.len() >= capacity {
                     q.pop_front();
-                    self.dropped.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
+                    self.dropped.inc();
                 }
                 q.push_back(ev);
             }
             Err(_) => {
-                self.dropped.fetch_add(1, Ordering::Relaxed); // relaxed: diagnostics counter, not synchronization
+                self.dropped.inc();
             }
         }
     }
@@ -481,7 +482,7 @@ impl Recorder {
             let mut q = lock_unpoisoned(&ring.events);
             events.extend(q.drain(..));
             drop(q);
-            dropped += ring.dropped.load(Ordering::Relaxed); // relaxed: diagnostic count read; skew tolerated
+            dropped += ring.dropped.get();
         }
         events.sort_by_key(|ev| ev.at);
         let stages = lock_unpoisoned(&inner.stages).clone();
@@ -499,7 +500,7 @@ impl Recorder {
             None => 0,
             Some(inner) => lock_unpoisoned(&inner.rings)
                 .iter()
-                .map(|r| r.dropped.load(Ordering::Relaxed)) // relaxed: diagnostic count read; skew tolerated
+                .map(|r| r.dropped.get())
                 .sum(),
         }
     }

@@ -140,7 +140,6 @@ fn build_pool(seed: u64) -> ServePool<u64, u64> {
             failures: 8,
             cooldown: Duration::from_millis(10),
         }),
-        levels: None,
         seed,
         ..ServeOptions::default()
     };
@@ -365,7 +364,6 @@ fn soak_rta_gate_floor_invariant() {
                     }),
                     shed: None,
                     breaker: None,
-                    levels: None,
                     seed,
                     ..ServeOptions::default()
                 }
@@ -478,7 +476,6 @@ fn soak_shedding_degrades_quality_not_availability() {
                 budget: Duration::from_millis(4),
             }),
             breaker: None,
-            levels: None,
             seed,
             ..ServeOptions::default()
         };
@@ -580,7 +577,6 @@ fn soak_brownout_burst_recovers_to_normal() {
                 hedge: None,
                 shed: None,
                 breaker: None,
-                levels: None,
                 seed,
                 ..ServeOptions::default()
             }
@@ -729,7 +725,6 @@ fn soak_brownout_sheds_less_than_ungoverned() {
                 budget: service / 2,
             }),
             breaker: None,
-            levels: None,
             seed,
             ..ServeOptions::default()
         };
@@ -855,7 +850,6 @@ fn soak_resize_rolling_never_drops_inflight() {
                 hedge: None,
                 shed: None,
                 breaker: None,
-                levels: None,
                 seed,
                 ..ServeOptions::default()
             },

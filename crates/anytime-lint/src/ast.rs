@@ -214,14 +214,9 @@ fn field_in_args(tokens: &[Token], mut j: usize) -> Option<String> {
         j += 1;
     }
     let mut last: Option<String> = None;
-    loop {
-        match ident_at(tokens, j) {
-            Some(s) => {
-                last = Some(s.to_string());
-                j += 1;
-            }
-            None => break,
-        }
+    while let Some(s) = ident_at(tokens, j) {
+        last = Some(s.to_string());
+        j += 1;
         if is_punct(tokens, j, b':') && is_punct(tokens, j + 1, b':') {
             j += 2;
             continue;
@@ -405,10 +400,8 @@ pub fn build_file_ast(lexed: &Lexed, in_test: &[bool], ctx: &FileCtx) -> FileAst
                 }
                 depth += 1;
             }
-            Tok::Open(_) => {
-                if pending_fn.is_some() {
-                    pend_delim += 1;
-                }
+            Tok::Open(_) if pending_fn.is_some() => {
+                pend_delim += 1;
             }
             Tok::Close(b'}') => {
                 depth = depth.saturating_sub(1);
@@ -421,10 +414,8 @@ pub fn build_file_ast(lexed: &Lexed, in_test: &[bool], ctx: &FileCtx) -> FileAst
                     f.def.events.push(Event::Close);
                 }
             }
-            Tok::Close(_) => {
-                if pending_fn.is_some() {
-                    pend_delim -= 1;
-                }
+            Tok::Close(_) if pending_fn.is_some() => {
+                pend_delim -= 1;
             }
             Tok::Punct(b';') => {
                 if pending_fn.is_some() && pend_delim == 0 {

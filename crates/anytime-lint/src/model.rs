@@ -408,10 +408,8 @@ pub fn replay_guards<F: FnMut(&[LiveGuard], &Event)>(events: &[Event], mut f: F)
         }
         match ev {
             Event::Open => frames.push(Vec::new()),
-            Event::Close => {
-                if frames.len() > 1 {
-                    frames.pop();
-                }
+            Event::Close if frames.len() > 1 => {
+                frames.pop();
             }
             Event::GuardBind { name, lock, line } => {
                 if let Some(frame) = frames.last_mut() {
@@ -449,7 +447,7 @@ pub fn lock_cycles(edges: &[LockEdge]) -> Vec<Vec<(String, String, u32)>> {
             .or_insert((&e.file, e.line));
     }
     let mut cycles = Vec::new();
-    for (&start, _) in &adj {
+    for &start in adj.keys() {
         // BFS back to `start` using only nodes ≥ start, so each cycle is
         // reported exactly once (at its minimal node).
         let mut parent: BTreeMap<&str, &str> = BTreeMap::new();
