@@ -42,13 +42,13 @@ pub struct SampledMap<I, O> {
     order: Arc<[u32]>,
     chunk: usize,
     init: InitFn<I, O>,
-    apply: ApplyFn<I, O>,
+    body: ChunkFn<I, O>,
 }
 
 /// Boxed initial-output constructor.
 type InitFn<I, O> = Box<dyn FnMut(&I) -> O + Send>;
-/// Boxed element writer: `(input, out, data_index, sample_position)`.
-type ApplyFn<I, O> = Box<dyn FnMut(&I, &mut O, usize, usize) + Send>;
+/// Boxed chunk writer: `(input, out, data_indices, first_sample_position)`.
+type ChunkFn<I, O> = Box<dyn FnMut(&I, &mut O, &[u32], usize) + Send>;
 
 impl<I, O> SampledMap<I, O> {
     /// Creates an output-sampled map.
@@ -87,13 +87,40 @@ impl<I, O> SampledMap<I, O> {
     pub fn with_positions(
         perm: impl Into<DynPermutation>,
         init: impl FnMut(&I) -> O + Send + 'static,
-        apply: impl FnMut(&I, &mut O, usize, usize) + Send + 'static,
+        mut apply: impl FnMut(&I, &mut O, usize, usize) + Send + 'static,
+    ) -> Self {
+        Self::chunked(perm, init, move |input, out, indices, first| {
+            for (pos, &idx) in (first..).zip(indices) {
+                apply(input, out, idx as usize, pos);
+            }
+        })
+    }
+
+    /// Creates an output-sampled map whose body computes a whole chunk of
+    /// the sample order per call.
+    ///
+    /// `body(input, out, indices, first)` computes the output elements
+    /// `indices` (a run of the sample order, as data indices) precisely,
+    /// where `indices[0]` is the `first`-th element sampled. Each anytime
+    /// step makes exactly one call, covering [`SampledMap::chunk`]
+    /// elements (fewer on the last step), so the body may compute them in
+    /// any order: nothing observes a chunk half done. This is the form
+    /// for kernels that work on several elements at once; [`SampledMap::new`]
+    /// and [`SampledMap::with_positions`] wrap a per-element closure in it.
+    ///
+    /// # Panics
+    ///
+    /// As [`SampledMap::new`].
+    pub fn chunked(
+        perm: impl Into<DynPermutation>,
+        init: impl FnMut(&I) -> O + Send + 'static,
+        body: impl FnMut(&I, &mut O, &[u32], usize) + Send + 'static,
     ) -> Self {
         Self {
             order: perm.into().order(),
             chunk: 1,
             init: Box::new(init),
-            apply: Box::new(apply),
+            body: Box::new(body),
         }
     }
 
@@ -101,8 +128,8 @@ impl<I, O> SampledMap<I, O> {
     ///
     /// One intermediate computation then covers a chunk of the sample
     /// order, amortizing the runtime's per-step costs (checkpointing,
-    /// dispatch) over many cheap elements. Interruption granularity
-    /// coarsens accordingly.
+    /// dispatch) and the body's boxed call over many cheap elements.
+    /// Interruption granularity coarsens accordingly.
     ///
     /// # Panics
     ///
@@ -139,9 +166,7 @@ where
     fn step(&mut self, input: &I, out: &mut O, step: u64) -> StepOutcome {
         let start = step as usize * self.chunk;
         let end = (start + self.chunk).min(self.order.len());
-        for (pos, &idx) in self.order[start..end].iter().enumerate() {
-            (self.apply)(input, out, idx as usize, start + pos);
-        }
+        (self.body)(input, out, &self.order[start..end], start);
         if end == self.order.len() {
             StepOutcome::Done
         } else {
@@ -307,6 +332,33 @@ mod tests {
         // And indices must match the permutation's order.
         let indices: Vec<usize> = out.iter().map(|&(_, i)| i).collect();
         assert_eq!(indices, Tree1d::new(16).unwrap().iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn chunked_body_gets_one_call_per_step() {
+        // Each step hands the body one run of the sample order and the
+        // position of its first element; the last chunk is short.
+        let input: Vec<u64> = (0..16).collect();
+        let mut body = SampledMap::chunked(
+            DynPermutation::new(Tree1d::new(16).unwrap()),
+            |_: &Vec<u64>| Vec::<(usize, Vec<u32>)>::new(),
+            |_, out: &mut Vec<(usize, Vec<u32>)>, indices: &[u32], first| {
+                out.push((first, indices.to_vec()));
+            },
+        )
+        .with_chunk(5);
+        let mut out = body.init(&input);
+        let mut step = 0;
+        while body.step(&input, &mut out, step) == StepOutcome::Continue {
+            step += 1;
+        }
+        let order: Vec<u32> = Tree1d::new(16).unwrap().iter().map(|i| i as u32).collect();
+        let expected: Vec<(usize, Vec<u32>)> = order
+            .chunks(5)
+            .enumerate()
+            .map(|(i, chunk)| (i * 5, chunk.to_vec()))
+            .collect();
+        assert_eq!(out, expected);
     }
 
     #[test]

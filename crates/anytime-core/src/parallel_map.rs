@@ -440,7 +440,11 @@ mod tests {
         );
         let reader = stage.register(&mut pb, StageOptions::with_publish_every(64));
         let auto = pb.build().launch().unwrap();
-        std::thread::sleep(Duration::from_millis(40));
+        // Stop only once a batch has merged: a fixed sleep could stop
+        // before the first publication on a loaded host.
+        reader
+            .wait_newer_timeout(None, Duration::from_secs(10))
+            .unwrap();
         let report = auto.stop_and_join().unwrap();
         assert_eq!(report.stages[0].end, StageEnd::Stopped);
         // Partial progress was published on stop.

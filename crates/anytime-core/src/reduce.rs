@@ -65,8 +65,8 @@ pub struct SampledReduce<I, A> {
 
 /// Boxed identity-accumulator constructor.
 type InitFn<I, A> = Box<dyn FnMut(&I) -> A + Send>;
-/// Boxed commutative fold: `(acc, input, data_index)`.
-type FoldFn<I, A> = Box<dyn FnMut(&mut A, &I, usize) + Send>;
+/// Boxed commutative fold over one chunk: `(acc, input, data_indices)`.
+type FoldFn<I, A> = Box<dyn FnMut(&mut A, &I, &[u32]) + Send>;
 /// Boxed publication renderer: `(acc, input, elements_done, total_elements)`.
 /// Both counts are in input *elements* (sample sizes), never runner steps —
 /// [`AnytimeBody::render`] converts before invoking the hook.
@@ -87,13 +87,18 @@ impl<I, A> SampledReduce<I, A> {
     pub fn new(
         perm: impl Into<DynPermutation>,
         init: impl FnMut(&I) -> A + Send + 'static,
-        fold: impl FnMut(&mut A, &I, usize) + Send + 'static,
+        mut fold: impl FnMut(&mut A, &I, usize) + Send + 'static,
     ) -> Self {
         Self {
             order: perm.into().order(),
             chunk: 1,
             init: Box::new(init),
-            fold: Box::new(fold),
+            // One boxed call per chunk: `fold` is inlined into the loop.
+            fold: Box::new(move |acc, input, indices| {
+                for &idx in indices {
+                    fold(acc, input, idx as usize);
+                }
+            }),
             render: None,
         }
     }
@@ -200,9 +205,7 @@ where
     fn step(&mut self, input: &I, out: &mut A, step: u64) -> StepOutcome {
         let start = step as usize * self.chunk;
         let end = (start + self.chunk).min(self.order.len());
-        for &idx in &self.order[start..end] {
-            (self.fold)(out, input, idx as usize);
-        }
+        (self.fold)(out, input, &self.order[start..end]);
         if end == self.order.len() {
             StepOutcome::Done
         } else {

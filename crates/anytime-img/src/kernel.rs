@@ -3,6 +3,7 @@
 //! products).
 
 use crate::image::ImageBuf;
+use crate::simd::LANES;
 
 /// A square convolution kernel with `f64` weights.
 ///
@@ -146,6 +147,73 @@ impl Kernel {
         acc.round().clamp(0.0, 255.0) as u8
     }
 
+    /// Convolves the pixels at `indices` (row-major pixel indices) of a
+    /// single-channel image, writing each result to `out[idx]` — the chunk
+    /// body of the `2dconv` sampled map.
+    ///
+    /// Bit-identical to [`Kernel::apply_at_gray`] on every pixel. Interior
+    /// pixels go [`LANES`] at a time, each with its own `f64` accumulator
+    /// that walks `apply_at_gray`'s taps in its order (`dy`-outer,
+    /// `dx`-inner, `acc += w * px`), so every output byte sees the same
+    /// operation sequence; the lanes only make the pixels' dependency
+    /// chains independent of each other. Border pixels, and interior ones
+    /// left over after the last full group, call `apply_at_gray` itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image is not single-channel, if `out` does not hold
+    /// one sample per pixel, or if an index is past the last pixel.
+    pub fn apply_gray_indices(&self, img: &ImageBuf<u8>, indices: &[u32], out: &mut [u8]) {
+        assert_eq!(img.channels(), 1, "single-channel images only");
+        assert_eq!(out.len(), img.pixel_count(), "one output sample per pixel");
+        let (w, h) = (img.width(), img.height());
+        let ru = self.radius().unsigned_abs();
+        // Interior pixels gathered for the next group of lanes.
+        let mut group = [0usize; LANES];
+        let mut pending = 0;
+        for &idx in indices {
+            let idx = idx as usize;
+            let (x, y) = (idx % w, idx / w);
+            if x >= ru && x + ru < w && y >= ru && y + ru < h {
+                group[pending] = idx;
+                pending += 1;
+                if pending == LANES {
+                    let origins = group.map(|p| p - ru * w - ru);
+                    let lanes = self.convolve_lanes(img.as_slice(), w, &origins);
+                    for (&p, v) in group.iter().zip(lanes) {
+                        out[p] = v;
+                    }
+                    pending = 0;
+                }
+            } else {
+                out[idx] = self.apply_at_gray(img, x, y);
+            }
+        }
+        for &p in &group[..pending] {
+            out[p] = self.apply_at_gray(img, p % w, p / w);
+        }
+    }
+
+    /// Convolves [`LANES`] interior pixels of a single-channel image whose
+    /// windows start (top-left tap) at `origins`, one accumulator per
+    /// pixel. Each lane reads a kernel row's taps through one slice of an
+    /// image row, cut once per kernel row, so no tap is clamped.
+    fn convolve_lanes(&self, data: &[u8], width: usize, origins: &[usize; LANES]) -> [u8; LANES] {
+        let mut acc = [0.0f64; LANES];
+        for (ky, wrow) in self.weights.chunks_exact(self.size).enumerate() {
+            let rows: [&[u8]; LANES] = std::array::from_fn(|lane| {
+                let start = origins[lane] + ky * width;
+                &data[start..start + wrow.len()]
+            });
+            for (kx, &wt) in wrow.iter().enumerate() {
+                for (a, row) in acc.iter_mut().zip(&rows) {
+                    *a += wt * f64::from(row[kx]);
+                }
+            }
+        }
+        acc.map(|a| a.round().clamp(0.0, 255.0) as u8)
+    }
+
     /// Accumulates the weighted window around `(x, y)` into `acc` (one
     /// slot per channel), without rounding. `acc` must be zeroed by the
     /// caller; taps run `dy`-outer / `dx`-inner — the tap order the SIMD
@@ -204,6 +272,7 @@ pub fn convolve(img: &ImageBuf<u8>, kernel: &Kernel) -> ImageBuf<u8> {
 mod tests {
     use super::*;
     use crate::synth;
+    use anytime_permute::{DynPermutation, Tree2d};
 
     #[test]
     fn box_blur_preserves_constant_images() {
@@ -281,6 +350,66 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn gather_kernel_matches_per_pixel_path_exactly() {
+        // Chunks of a tree order (and of its reverse) hit border and
+        // interior pixels, full groups of LANES and remainders; every
+        // pixel a chunk covers must get apply_at_gray's byte, and no other
+        // pixel may change.
+        for (w, h) in [(1usize, 1usize), (5, 3), (11, 9), (64, 12), (96, 80)] {
+            let img = synth::value_noise(w, h, 3);
+            let tree = DynPermutation::new(Tree2d::new(h, w).unwrap()).order();
+            let reversed: Vec<u32> = tree.iter().rev().copied().collect();
+            for kernel in [
+                Kernel::box_blur(1),
+                Kernel::box_blur(3),
+                Kernel::gaussian(5, 1.2),
+                Kernel::gaussian(9, 2.0),
+                Kernel::sharpen(),
+            ] {
+                let expected: Vec<u8> = (0..w * h)
+                    .map(|i| kernel.apply_at_gray(&img, i % w, i / w))
+                    .collect();
+                let untouched: Vec<u8> = expected.iter().map(|&v| !v).collect();
+                for order in [&tree[..], &reversed[..]] {
+                    let mut out = untouched.clone();
+                    kernel.apply_gray_indices(&img, &[], &mut out);
+                    assert_eq!(out, untouched, "empty chunk wrote in {w}x{h}");
+                    for len in [1usize, 7, 8, 9, 64] {
+                        let context = format!("k{} chunks of {len} in {w}x{h}", kernel.size());
+                        let mut out = untouched.clone();
+                        let chunks: Vec<&[u32]> = order.chunks(len).collect();
+                        let half = chunks.len() / 2;
+                        for chunk in &chunks[..half] {
+                            kernel.apply_gray_indices(&img, chunk, &mut out);
+                        }
+                        for (done, &idx) in order.iter().enumerate() {
+                            let idx = idx as usize;
+                            let want = if done < half * len {
+                                expected[idx]
+                            } else {
+                                untouched[idx]
+                            };
+                            assert_eq!(out[idx], want, "pixel {idx} after half, {context}");
+                        }
+                        for chunk in &chunks[half..] {
+                            kernel.apply_gray_indices(&img, chunk, &mut out);
+                        }
+                        assert_eq!(out, expected, "{context}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "single-channel")]
+    fn gather_kernel_rejects_multichannel() {
+        let img = ImageBuf::<u8>::new(8, 8, 3).unwrap();
+        let mut out = vec![0u8; 64];
+        Kernel::box_blur(3).apply_gray_indices(&img, &[0], &mut out);
     }
 
     #[test]
