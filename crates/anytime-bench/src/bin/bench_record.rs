@@ -214,7 +214,6 @@ fn record_serve_throughput(report: &mut Report) -> Result<(), CoreError> {
         replicas: 1,
         queue_capacity: SERVE_REQUESTS * 2,
         hedge: None,
-        shed: None,
         breaker: None,
         ..ServeOptions::default()
     };
@@ -280,7 +279,6 @@ fn record_admission_decision(report: &mut Report, opts: &MeasureOptions) -> Resu
             replicas: 1,
             min_service: Duration::from_nanos(1),
             hedge: None,
-            shed: None,
             breaker: None,
             ..ServeOptions::default()
         }

@@ -452,16 +452,10 @@ pub struct TraceSummary {
     pub failed: u64,
     /// `publish` events.
     pub publishes: u64,
-    /// `worker_respawned` events (a rolling restart replaced a worker).
-    pub worker_respawned: u64,
     /// `worker_added` events (resize scale-up grew the pool).
     pub worker_added: u64,
-    /// `worker_drained` events (resize / rolling restart retired a worker).
+    /// `worker_drained` events (resize scale-down retired a worker).
     pub worker_drained: u64,
-    /// `governor_state` events (one per brownout-ladder transition).
-    pub governor_transitions: u64,
-    /// `clamp` events (brownout clamped a request's floor/budget).
-    pub clamped: u64,
 }
 
 /// Counts the serving-plane events in a trace.
@@ -477,11 +471,8 @@ pub fn summarize(records: &[TraceRecord]) -> TraceSummary {
             "request_done" => s.completed += 1,
             "request_failed" => s.failed += 1,
             "publish" => s.publishes += 1,
-            "worker_respawned" => s.worker_respawned += 1,
             "worker_added" => s.worker_added += 1,
             "worker_drained" => s.worker_drained += 1,
-            "governor_state" => s.governor_transitions += 1,
-            "clamp" => s.clamped += 1,
             _ => {}
         }
     }
@@ -679,17 +670,12 @@ mod tests {
     }
 
     #[test]
-    fn summary_counts_governor_lifecycle_events() {
-        let text = "{\"at_us\":1,\"kind\":\"worker_respawned\",\"stage\":\"replica-0\"}\n\
-                    {\"at_us\":2,\"kind\":\"worker_drained\",\"stage\":\"replica-1\"}\n\
+    fn summary_counts_worker_lifecycle_events() {
+        let text = "{\"at_us\":2,\"kind\":\"worker_drained\",\"stage\":\"replica-1\"}\n\
                     {\"at_us\":3,\"kind\":\"worker_added\",\"stage\":\"replica-2\"}\n\
-                    {\"at_us\":4,\"kind\":\"governor_state\",\"version\":2}\n\
-                    {\"at_us\":5,\"kind\":\"clamp\",\"req\":7}\n";
+                    {\"at_us\":4,\"kind\":\"worker_added\",\"stage\":\"replica-3\"}\n";
         let s = summarize(&parse_jsonl(text).unwrap());
-        assert_eq!(s.worker_respawned, 1);
-        assert_eq!(s.worker_added, 1);
+        assert_eq!(s.worker_added, 2);
         assert_eq!(s.worker_drained, 1);
-        assert_eq!(s.governor_transitions, 1);
-        assert_eq!(s.clamped, 1);
     }
 }

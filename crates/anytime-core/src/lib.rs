@@ -32,11 +32,15 @@
 //!   it run longer.
 //! - The [`serve`] module turns single runs into a deadline-budgeted
 //!   service: a [`ServePool`] of replica pipelines with admission control,
-//!   retries, hedged execution, load shedding, and per-replica circuit
-//!   breakers. With an [`RtaPolicy`] installed, admission is backed by the
-//!   [`rta`] response-time analysis: provably-infeasible requests are
-//!   rejected with a certified bound, and the hedge/retry/shed budgets
-//!   derive from analytical slack instead of latency-percentile guesses.
+//!   retries, hedged execution, and per-replica circuit breakers. With an
+//!   [`RtaPolicy`] installed, admission is backed by the [`rta`]
+//!   response-time analysis: provably-infeasible requests are rejected
+//!   with a certified bound, the hedge and retry budgets derive from the
+//!   worst-case service bound instead of latency-percentile guesses, and
+//!   under backlog a request whose worst case misses its deadline is shed:
+//!   it runs only as long as its quality floor's worst-case service bound.
+//!   Stopping early is the approximation, so overload costs quality, not
+//!   answers.
 //!
 //! ## Example
 //!
@@ -86,7 +90,6 @@ mod error;
 mod executor;
 #[cfg(feature = "fault-inject")]
 mod faultinject;
-pub mod governor;
 mod iterative;
 mod map;
 pub mod metrics;
@@ -121,7 +124,6 @@ pub use error::{CoreError, Result};
 pub use executor::{Automaton, RunReport, StageReport};
 #[cfg(feature = "fault-inject")]
 pub use faultinject::{FaultPlan, StageFaults, WorkerKillPlan};
-pub use governor::{BrownoutPolicy, BrownoutState};
 pub use iterative::Iterative;
 pub use map::SampledMap;
 pub use parallel_map::ParallelSampledMap;
@@ -132,7 +134,7 @@ pub use rta::RtaPolicy;
 pub use runtime::{Runtime, RuntimeHandle, RuntimeStats};
 pub use serve::{
     BatchPolicy, BreakerPolicy, HedgePolicy, RetryPolicy, ServeOptions, ServePool, ServeResponse,
-    ServeStatus, ShedPolicy,
+    ServeStatus,
 };
 pub use stage::{AnytimeBody, RestartPolicy, StageEnd, StageOptions, StepOutcome};
 pub use supervisor::{FailurePolicy, StallAction, Supervision};

@@ -643,8 +643,9 @@ pub struct ServeStats {
     /// Requests rejected fast at admission: projected wait or minimum
     /// service would already blow the deadline, or the queue was full.
     pub rejected: u64,
-    /// Requests served a cheaper approximation under saturation instead of
-    /// queuing at full budget (degrade quality, never availability).
+    /// Requests admission shed: queued with negative analytical slack, they
+    /// ran under their floor's worst-case service bound instead of their
+    /// whole deadline (degrade quality, never availability).
     pub shed: u64,
     /// Hedge dispatches: a second replica launched after the primary
     /// crossed the latency trigger.
@@ -678,8 +679,7 @@ pub struct ServeStats {
     /// Response-time-analysis admission activity, when the pool runs with
     /// an analytical gate (all-zero otherwise).
     pub rta: RtaStats,
-    /// Replica-lifecycle, serve-fence, and brownout-controller activity
-    /// (the brownout fields stay zero without a brownout policy).
+    /// Replica-lifecycle and serve-fence activity.
     pub governor: GovernorStats,
 }
 
@@ -837,20 +837,13 @@ fn render_rta_stats(out: &mut dyn fmt::Write, s: &RtaStats) -> fmt::Result {
     Ok(())
 }
 
-/// Cumulative counters for a serve pool's governor
-/// ([`crate::governor`]): replica lifecycle churn (operator
-/// reconfiguration), panics absorbed by the serve fences, and
-/// brownout-controller activity.
+/// Cumulative lifecycle counters of a serve pool: replica churn from
+/// [`crate::ServePool::resize`] and panics absorbed by the serve fences.
 #[derive(Debug, Default)]
 pub struct GovernorCounters {
-    pub(crate) ticks: Counter,
-    pub(crate) transitions: Counter,
-    pub(crate) worker_respawns: Counter,
     pub(crate) worker_adds: Counter,
     pub(crate) worker_drains: Counter,
     pub(crate) resizes: Counter,
-    pub(crate) rolling_restarts: Counter,
-    pub(crate) clamped: Counter,
     pub(crate) closure_panics: Counter,
 }
 
@@ -860,16 +853,10 @@ impl GovernorCounters {
     /// from its worker registry).
     pub fn snapshot(&self) -> GovernorStats {
         GovernorStats {
-            ticks: self.ticks.get(),
-            transitions: self.transitions.get(),
-            worker_respawns: self.worker_respawns.get(),
             worker_adds: self.worker_adds.get(),
             worker_drains: self.worker_drains.get(),
             resizes: self.resizes.get(),
-            rolling_restarts: self.rolling_restarts.get(),
-            clamped: self.clamped.get(),
             closure_panics: self.closure_panics.get(),
-            state: 0,
             workers_live: 0,
             workers_draining: 0,
             workers_target: 0,
@@ -881,31 +868,15 @@ impl GovernorCounters {
 /// worker-registry gauges the pool fills in at snapshot time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GovernorStats {
-    /// Brownout governor ticks executed (0 without a brownout policy: no
-    /// governor thread runs).
-    pub ticks: u64,
-    /// Brownout-ladder rung transitions (both directions).
-    pub transitions: u64,
-    /// Replacement workers spawned by rolling restarts — scale-up growth
-    /// counts as `worker_adds` instead.
-    pub worker_respawns: u64,
     /// Fresh workers added by `resize()` scale-up.
     pub worker_adds: u64,
-    /// Workers gracefully drained and joined by `resize()` /
-    /// `rolling_restart()`.
+    /// Workers gracefully drained and joined by `resize()` scale-down.
     pub worker_drains: u64,
     /// `resize()` calls that completed.
     pub resizes: u64,
-    /// `rolling_restart()` calls that completed.
-    pub rolling_restarts: u64,
-    /// Low-floor requests whose budget was clamped under brownout.
-    pub clamped: u64,
     /// Panics absorbed by the serve fences: one per caller-closure panic,
     /// plus one per request a panicking serve path failed.
     pub closure_panics: u64,
-    /// Current brownout rung as its numeric code
-    /// ([`crate::governor::BrownoutState::as_u8`]).
-    pub state: u8,
     /// Worker threads currently alive.
     pub workers_live: u64,
     /// Workers currently draining (finishing a run, taking no new work).
@@ -916,18 +887,12 @@ pub struct GovernorStats {
 
 impl MetricStats for GovernorStats {
     fn absorb(&mut self, other: &Self) {
-        self.ticks += other.ticks;
-        self.transitions += other.transitions;
-        self.worker_respawns += other.worker_respawns;
         self.worker_adds += other.worker_adds;
         self.worker_drains += other.worker_drains;
         self.resizes += other.resizes;
-        self.rolling_restarts += other.rolling_restarts;
-        self.clamped += other.clamped;
         self.closure_panics += other.closure_panics;
-        // Gauges: keep the most-degraded rung and sum the worker counts
-        // (absorbing two pools' views yields their combined fleet).
-        self.state = self.state.max(other.state);
+        // Gauges: sum the worker counts (absorbing two pools' views yields
+        // their combined fleet).
         self.workers_live += other.workers_live;
         self.workers_draining += other.workers_draining;
         self.workers_target += other.workers_target;
@@ -939,19 +904,13 @@ impl MetricStats for GovernorStats {
 }
 
 /// Writes one [`GovernorStats`] in the Prometheus text format: lifecycle
-/// and brownout counters, the brownout-rung gauge, and the worker-state
-/// gauges.
+/// counters and the worker-state gauges.
 fn render_governor_stats(out: &mut dyn fmt::Write, s: &GovernorStats) -> fmt::Result {
     write_type(out, "anytime_serve_governor_total", "counter")?;
     for (event, value) in [
-        ("ticks", s.ticks),
-        ("transitions", s.transitions),
-        ("worker_respawned", s.worker_respawns),
         ("worker_added", s.worker_adds),
         ("worker_drained", s.worker_drains),
         ("resizes", s.resizes),
-        ("rolling_restarts", s.rolling_restarts),
-        ("clamped", s.clamped),
         ("closure_panics", s.closure_panics),
     ] {
         write_sample(
@@ -961,8 +920,6 @@ fn render_governor_stats(out: &mut dyn fmt::Write, s: &GovernorStats) -> fmt::Re
             value as f64,
         )?;
     }
-    write_type(out, "anytime_serve_brownout_state", "gauge")?;
-    write_sample(out, "anytime_serve_brownout_state", &[], f64::from(s.state))?;
     write_type(out, "anytime_serve_workers", "gauge")?;
     for (state, value) in [
         ("live", s.workers_live),
@@ -981,8 +938,8 @@ fn render_governor_stats(out: &mut dyn fmt::Write, s: &GovernorStats) -> fmt::Re
 
 /// Writes a serve pool's whole exposition ([`crate::ServePool::prometheus`]):
 /// serve counters, the deadline-ratio and service-latency histograms,
-/// aggregated run faults, the admission analysis, the governor, and the
-/// per-replica breaker gauge.
+/// aggregated run faults, the admission analysis, the worker lifecycle,
+/// and the per-replica breaker gauge.
 pub(crate) fn render_serve_pool(
     out: &mut dyn fmt::Write,
     stats: &ServeStats,
@@ -1246,36 +1203,27 @@ mod tests {
     #[test]
     fn governor_counters_snapshot_and_render() {
         let g = GovernorCounters::default();
-        g.ticks.inc();
-        g.ticks.inc();
-        g.transitions.inc();
-        g.worker_respawns.inc();
+        g.worker_adds.inc();
         g.worker_adds.inc();
         g.worker_drains.inc();
         g.resizes.inc();
-        g.rolling_restarts.inc();
-        g.clamped.inc();
         g.closure_panics.inc();
         let mut s = g.snapshot();
-        assert_eq!(s.ticks, 2);
-        assert_eq!(s.transitions, 1);
-        assert_eq!(s.worker_respawns, 1);
-        assert_eq!(s.worker_adds, 1);
+        assert_eq!(s.worker_adds, 2);
+        assert_eq!(s.worker_drains, 1);
         assert!(!s.is_clean() && GovernorStats::default().is_clean());
-        s.state = 2;
         s.workers_live = 3;
         s.workers_draining = 1;
         s.workers_target = 4;
         let mut out = String::new();
         render_governor_stats(&mut out, &s).unwrap();
-        assert!(out.contains("anytime_serve_governor_total{event=\"worker_added\"} 1"));
-        assert!(out.contains("anytime_serve_governor_total{event=\"clamped\"} 1"));
-        assert!(out.contains("anytime_serve_brownout_state 2"));
+        assert!(out.contains("anytime_serve_governor_total{event=\"worker_added\"} 2"));
+        assert!(out.contains("anytime_serve_governor_total{event=\"closure_panics\"} 1"));
         assert!(out.contains("anytime_serve_workers{state=\"live\"} 3"));
         assert!(out.contains("anytime_serve_workers{state=\"target\"} 4"));
 
-        // Folding into ServeStats carries the governor block along, keeps
-        // the most-degraded rung, and sums the fleet gauges.
+        // Folding into ServeStats carries the governor block along and
+        // sums the fleet gauges.
         let mut total = ServeStats::default();
         let one = ServeStats {
             governor: s,
@@ -1283,8 +1231,7 @@ mod tests {
         };
         MetricStats::absorb(&mut total, &one);
         MetricStats::absorb(&mut total, &one);
-        assert_eq!(total.governor.ticks, 4);
-        assert_eq!(total.governor.state, 2);
+        assert_eq!(total.governor.worker_adds, 4);
         assert_eq!(total.governor.workers_live, 6);
     }
 
@@ -1331,16 +1278,10 @@ mod tests {
                 calibrated: true,
             },
             governor: GovernorStats {
-                ticks: 41,
-                transitions: 42,
-                worker_respawns: 43,
                 worker_adds: 44,
                 worker_drains: 45,
                 resizes: 46,
-                rolling_restarts: 47,
-                clamped: 48,
                 closure_panics: 49,
-                state: 2,
                 workers_live: 3,
                 workers_draining: 1,
                 workers_target: 4,

@@ -15,7 +15,6 @@ pub use crate::control::ControlToken;
 pub use crate::diffusive::Diffusive;
 pub use crate::error::{CoreError, Result};
 pub use crate::executor::{Automaton, RunReport};
-pub use crate::governor::{BrownoutPolicy, BrownoutState};
 pub use crate::iterative::Iterative;
 pub use crate::map::SampledMap;
 pub use crate::observe::MetricStats;

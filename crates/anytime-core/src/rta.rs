@@ -20,10 +20,12 @@
 //!   observed crossing inflated by [`RtaPolicy::margin`], plus the queued
 //!   demand ahead and the control-plane wakeup overhead. The difference
 //!   `deadline − upper` is the request's **slack**, and the serving
-//!   layer's derived budgets all come from it: the hedge trigger fires
-//!   when a run overstays its worst-case service bound, retry backoff is
-//!   capped so the final attempt still fits inside the bound, and under
-//!   overload the requests with the least slack are shed first.
+//!   layer's derived budgets all come from these bounds: the hedge
+//!   trigger fires when a run overstays its worst-case service bound,
+//!   retry backoff is capped so the final attempt still fits inside the
+//!   bound, and a request admitted behind a queue with negative slack is
+//!   shed: its run is capped at its floor's worst-case service bound
+//!   ([`Analysis::service_upper`]) once it has met its floor.
 //!
 //! Calibration is **online**: every replica run feeds its quality
 //! observations (the same publish events [`crate::trace::Recorder`]
@@ -225,8 +227,8 @@ pub struct Analysis {
 impl Analysis {
     /// The request's slack against `budget`: how much later than the
     /// worst-case bound its deadline sits. `None` when the worst-case
-    /// bound already misses the deadline (negative slack) — those are the
-    /// first requests shed under overload.
+    /// bound already misses the deadline (negative slack) — behind a
+    /// queue, such a request is shed to its floor's service bound.
     pub fn slack(&self, budget: Duration) -> Option<Duration> {
         budget.checked_sub(self.upper)
     }

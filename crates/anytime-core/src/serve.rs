@@ -1,6 +1,6 @@
 //! Deadline-budgeted serving: a pool of replica pipelines behind
-//! admission control, retries, hedging, load shedding, and per-replica
-//! circuit breakers.
+//! admission control, retries, hedging, budget-capped degradation, and
+//! per-replica circuit breakers.
 //!
 //! The automaton's headline property — stop it at any moment and still
 //! hold a valid whole-application output (paper §III) — is exactly the
@@ -22,10 +22,17 @@
 //!   replaces the EWMA guess once calibrated (online, from the same
 //!   quality observations the trace records): a request whose certified
 //!   lower bound exceeds its deadline is *proven* infeasible and rejected
-//!   with [`CoreError::Infeasible`] carrying the bound, the hedge trigger
-//!   and retry backoff are derived from the worst-case service bound
-//!   instead of P95 guesses, and under overload requests with negative
-//!   analytical slack are shed first (least slack first).
+//!   with [`CoreError::Infeasible`] carrying the bound, and the hedge
+//!   trigger and retry backoff are derived from the worst-case service
+//!   bound instead of P95 guesses.
+//! - **Degrade by budget** — the pool's one overload rule, decided at
+//!   admission from the same analysis: a request queued behind others
+//!   whose worst case misses its deadline (negative slack) keeps its FIFO
+//!   place but runs under its floor's worst-case service bound
+//!   ([`Analysis::service_upper`]) instead of its whole deadline. Stopping
+//!   early is the approximation (paper §III): the run ends once it has
+//!   met its floor and used that budget, never before the floor, so
+//!   quality degrades and the queue drains; availability does not.
 //! - **Retry with capped exponential backoff + deterministic jitter** —
 //!   when a replica dies permanently (every [`FailurePolicy`] exhausted),
 //!   the request is relaunched on a fresh pipeline, with delays drawn
@@ -35,10 +42,6 @@
 //!   service latency (or a fixed trigger), a second replica is dispatched
 //!   for the same request; the first usable snapshot wins and the loser is
 //!   stopped promptly through the event-driven [`ControlToken`].
-//! - **Load shedding** — under saturation, requests with a low enough
-//!   quality floor jump the queue and run with a reduced budget: they get
-//!   an earlier, cheaper approximation instead of queuing at full cost.
-//!   Quality degrades; availability does not.
 //! - **Per-replica circuit breaker** — a worker whose runs fail
 //!   permanently K times in a row is quarantined (Open) for a cooldown,
 //!   then probes back with a single canary request (HalfOpen) before
@@ -50,15 +53,8 @@
 //!   around each dequeued request's whole serve path answers that request
 //!   with `ReplicaPanicked { context: "serve", .. }` if anything else
 //!   unwinds. A replica thread never dies, so nothing needs healing.
-//!   [`ServePool::resize`] and [`ServePool::rolling_restart`] reconfigure
-//!   the worker set at runtime with graceful drains that never drop an
-//!   in-flight admitted request.
-//! - **Closed-loop brownout** ([`crate::governor`]) — with a
-//!   [`BrownoutPolicy`] installed a governor thread walks the
-//!   [`BrownoutState`] ladder under sustained overload: hedging off
-//!   first, then wider batch windows and clamped budgets for low-floor
-//!   requests, and finally tightened admission — degrading quality
-//!   before availability, least-significant first.
+//!   [`ServePool::resize`] grows or shrinks the worker set at runtime
+//!   with graceful drains that never drop an in-flight admitted request.
 //!
 //! Every counter lands in [`ServeStats`] (see [`crate::metrics`]), and the
 //! pool aggregates the [`FaultStats`] of every pipeline run it performed,
@@ -69,7 +65,6 @@ use crate::error::{CoreError, Result};
 use crate::executor::panic_message;
 #[cfg(feature = "fault-inject")]
 use crate::faultinject::WorkerKillPlan;
-use crate::governor::{BrownoutControl, BrownoutPolicy, BrownoutState, SignalWindow};
 use crate::metrics::{
     DeadlineHistogram, FaultStats, GovernorCounters, LatencyEwma, LatencyHistogram, RtaCounters,
     ServeCounters, ServeStats,
@@ -77,13 +72,13 @@ use crate::metrics::{
 use crate::pipeline::Pipeline;
 use crate::rta::{self, AdmissionGate, Analysis, Backlog, RtaPolicy};
 use crate::runtime::RuntimeHandle;
-use crate::supervisor::{backoff_interruptible, retry_backoff};
+use crate::supervisor::retry_backoff;
 use crate::trace::{EventKind, Recorder, StageId, TraceLog};
 use crate::version::{Snapshot, Version};
 use crate::BufferReader;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 // lint: allow(l1-condvar) -- serve-pool rendezvous re-checks predicates under the same mutex (Slot / queue protocol)
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -136,18 +131,6 @@ impl Default for HedgePolicy {
     }
 }
 
-/// Load-shedding policy: under saturation, trade quality for queue time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShedPolicy {
-    /// Shedding engages when the queue is at least this deep.
-    pub queue_threshold: usize,
-    /// Only requests with a quality floor at or below this are shed;
-    /// higher-floor requests keep their full budget.
-    pub max_floor: f64,
-    /// The reduced run budget a shed request executes under.
-    pub budget: Duration,
-}
-
 /// Batched-execution policy: one replica drains several queued compatible
 /// requests and serves them all from a single pipeline run, amortizing
 /// build/launch/join overhead across the batch.
@@ -156,8 +139,8 @@ pub struct ShedPolicy {
 /// factory sees every input in the batch at once and decides how to share
 /// work (identical inputs can share one stage chain outright; distinct
 /// inputs can share a pipeline's launch and supervision). Only plain
-/// primaries batch: shed requests keep their cheap fast path and hedge
-/// copies their urgency, both serving singly.
+/// primaries batch: shed requests keep their budget cap and hedge copies
+/// their urgency, both serving singly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Maximum requests served by one batch run (≥ 2; a lone head request
@@ -213,8 +196,6 @@ pub struct ServeOptions {
     pub retry: RetryPolicy,
     /// Hedged execution, if enabled.
     pub hedge: Option<HedgePolicy>,
-    /// Load shedding, if enabled.
-    pub shed: Option<ShedPolicy>,
     /// Batched execution, if enabled (requires
     /// [`ServePool::new_batched`]; [`ServePool::new`] rejects it).
     pub batch: Option<BatchPolicy>,
@@ -224,14 +205,11 @@ pub struct ServeOptions {
     /// [`crate::rta::AdmissionGate`] online from its runs' quality
     /// observations; once calibrated, admission proves infeasible
     /// (deadline, floor) pairs and rejects them with
-    /// [`CoreError::Infeasible`], and the hedge/retry/shed budgets derive
-    /// from analytical slack. `None` keeps the EWMA heuristic throughout.
+    /// [`CoreError::Infeasible`], the hedge and retry budgets derive from
+    /// the worst-case service bound, and requests with negative slack
+    /// behind a queue are shed (see [`ServePool::submit`]). `None` keeps
+    /// the EWMA heuristic throughout and never sheds.
     pub rta: Option<RtaPolicy>,
-    /// Closed-loop brownout controller ([`crate::governor`]). When set,
-    /// a governor thread ticks every [`BrownoutPolicy::tick`] and walks
-    /// the [`BrownoutState`] ladder under overload; `None` (the default)
-    /// runs no governor thread at all.
-    pub brownout: Option<BrownoutPolicy>,
     /// Task runtime the pool's pipelines run on. All replicas share it:
     /// with `None` (the default), launches land on the process-wide
     /// [`RuntimeHandle::global`] pool sized to the hardware, so total
@@ -263,11 +241,9 @@ impl Default for ServeOptions {
             default_service_estimate: Duration::from_millis(10),
             retry: RetryPolicy::default(),
             hedge: None,
-            shed: None,
             batch: None,
             breaker: Some(BreakerPolicy::default()),
             rta: None,
-            brownout: None,
             runtime: None,
             seed: 0,
             recorder: Recorder::disabled(),
@@ -302,12 +278,6 @@ impl ServeOptions {
         self
     }
 
-    /// Enables load shedding.
-    pub fn shed(mut self, shed: ShedPolicy) -> Self {
-        self.shed = Some(shed);
-        self
-    }
-
     /// Enables batched execution (only valid with
     /// [`ServePool::new_batched`]).
     pub fn batch(mut self, batch: BatchPolicy) -> Self {
@@ -324,12 +294,6 @@ impl ServeOptions {
     /// Enables analytical admission control ([`crate::rta`]).
     pub fn rta(mut self, policy: RtaPolicy) -> Self {
         self.rta = Some(policy);
-        self
-    }
-
-    /// Installs a brownout controller (and with it the governor thread).
-    pub fn brownout(mut self, policy: BrownoutPolicy) -> Self {
-        self.brownout = Some(policy);
         self
     }
 
@@ -383,7 +347,9 @@ pub struct ServeResponse<T> {
     pub quality: f64,
     /// Final / at-deadline / degraded.
     pub status: ServeStatus,
-    /// `true` if the request was load-shed to a reduced budget.
+    /// `true` if admission shed the request: it was queued with negative
+    /// analytical slack and ran under its floor's worst-case service
+    /// bound instead of its whole deadline (see [`ServePool::submit`]).
     pub shed: bool,
     /// `true` if a hedge replica was dispatched for this request.
     pub hedged: bool,
@@ -449,9 +415,8 @@ enum Breaker {
 }
 
 struct ReplicaState {
-    /// Stable replica index: survives rolling restarts (the replacement
-    /// worker serves under the same identity), advances for workers added
-    /// by [`ServePool::resize`].
+    /// Stable replica index; workers added by [`ServePool::resize`] take
+    /// fresh ones.
     index: usize,
     ewma: LatencyEwma,
     breaker: Mutex<Breaker>,
@@ -459,18 +424,16 @@ struct ReplicaState {
     /// (`None` when idle). Admission adds the soonest of these when no
     /// healthy replica is free — an empty queue does not mean zero wait.
     busy_until: Mutex<Option<Instant>>,
-    /// Set by `resize`/`rolling_restart`: finish the current run, take no
-    /// new work, exit. Release/Acquire so the worker that observes the
-    /// flag also observes everything the drainer did before setting it.
+    /// Set by `resize`: finish the current run, take no new work, exit.
+    /// Release/Acquire so the worker that observes the flag also observes
+    /// everything the drainer did before setting it.
     draining: AtomicBool,
     /// Interned trace id (`replica-N`) for breaker and quality events.
     trace_id: StageId,
 }
 
 impl ReplicaState {
-    /// Fresh state (EWMA, breaker, occupancy all reset) for `index`. The
-    /// recorder interns by name, so a replacement replica re-acquires the
-    /// same `replica-N` trace id its predecessor used.
+    /// Fresh state (EWMA, breaker, occupancy all reset) for `index`.
     fn new(index: usize, recorder: &Recorder) -> Self {
         ReplicaState {
             index,
@@ -496,9 +459,9 @@ struct Job<I, T> {
     accepted: Instant,
     deadline: Instant,
     floor: f64,
-    /// Reduced run budget when the request was shed.
+    /// The run budget of a shed request: its floor's worst-case service
+    /// bound. `Some` exactly when admission shed the request.
     budget_cap: Option<Duration>,
-    shed: bool,
     /// The admission-time response-time analysis, when the gate was
     /// calibrated: the hedge trigger and retry backoff derive their
     /// budgets from its service bounds, and the response records the
@@ -599,26 +562,19 @@ struct Shared<I, T> {
     // lint: allow(l1-condvar) -- workers re-check the job queue under `queue` around every wait
     queue_cv: Condvar,
     /// The live replica registry. Admission scans it for occupancy;
-    /// `resize`/`rolling_restart` mutate it. Lock order: `workers` →
+    /// `resize` mutates it. Lock order: `workers` →
     /// `queue` → `replicas` (each replica's `breaker`/`busy_until` are
     /// leaves).
     replicas: Mutex<Vec<Arc<ReplicaState>>>,
     /// Worker threads, paired with the states they serve under; mutated
-    /// by `resize`, `rolling_restart`, and shutdown.
+    /// by `resize` and shutdown.
     workers: Mutex<Vec<WorkerHandle>>,
-    /// The governor thread, when [`ServeOptions::brownout`] installed a
-    /// policy.
-    governor: Mutex<Option<JoinHandle<()>>>,
-    /// Stops the governor's interruptible tick sleep at shutdown.
-    governor_ctl: ControlToken,
     governor_counters: GovernorCounters,
-    /// Current [`BrownoutState`] as its numeric code.
-    brownout: AtomicU8,
     /// The configured worker-count target (updated by `resize`).
     target_replicas: AtomicUsize,
-    /// Workers `resize`/`rolling_restart` flagged to drain and have not
-    /// joined yet: counted where the flag is stored, uncounted after the
-    /// join. They are already out of the `workers` registry.
+    /// Workers `resize` flagged to drain and have not joined yet: counted
+    /// where the flag is stored, uncounted after the join. They are
+    /// already out of the `workers` registry.
     draining_workers: AtomicUsize,
     /// Allocator for replica indices of workers added by `resize`.
     next_replica: AtomicUsize,
@@ -645,34 +601,9 @@ impl<I, T> Shared<I, T> {
         }
     }
 
-    /// The brownout rung the governor last stored.
-    fn brownout_state(&self) -> BrownoutState {
-        // relaxed: advisory ladder; a one-tick-stale read only delays a mitigation
-        BrownoutState::from_u8(self.brownout.load(Ordering::Relaxed))
-    }
-
-    /// The brownout policy, when one is installed.
-    fn brownout_policy(&self) -> Option<&BrownoutPolicy> {
-        self.opts.brownout.as_ref()
-    }
-
-    /// The minimum-service floor admission's reachability checks use: the
-    /// configured floor, inflated by the brownout policy's
-    /// `admission_tighten` while the ladder sits at `Shed` — the last
-    /// rung refuses marginal work earlier instead of queueing it.
-    fn effective_min_service(&self) -> Duration {
-        match self.brownout_policy() {
-            Some(b) if self.brownout_state() >= BrownoutState::Shed => {
-                self.opts.min_service.mul_f64(b.admission_tighten)
-            }
-            _ => self.opts.min_service,
-        }
-    }
-
     /// The EWMA-heuristic wait projection admission compares against a
-    /// request's deadline (and the governor samples as its queue-delay
-    /// signal): queue depth amortized over healthy replicas, plus the
-    /// soonest-free occupancy when nobody is idle.
+    /// request's deadline: queue depth amortized over healthy replicas,
+    /// plus the soonest-free occupancy when nobody is idle.
     fn projected_wait(&self, depth: usize) -> Duration {
         let occ = self.occupancy();
         let est = occ.est.unwrap_or(self.opts.default_service_estimate);
@@ -806,8 +737,8 @@ where
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for a zero replica count, zero
-    /// queue capacity, an invalid RTA or brownout policy, or a batch policy
-    /// (batching needs the batch factory of [`ServePool::new_batched`]).
+    /// queue capacity, an invalid RTA policy, or a batch policy (batching
+    /// needs the batch factory of [`ServePool::new_batched`]).
     pub fn new(
         opts: ServeOptions,
         factory: impl Fn(&I) -> Result<(Pipeline, BufferReader<T>)> + Send + Sync + 'static,
@@ -840,8 +771,7 @@ where
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for a zero replica count, zero
-    /// queue capacity, an invalid RTA or brownout policy, or a batch size
-    /// below 2.
+    /// queue capacity, an invalid RTA policy, or a batch size below 2.
     pub fn new_batched(
         mut opts: ServeOptions,
         batch_factory: impl Fn(&[Arc<I>]) -> Result<(Pipeline, Vec<BufferReader<T>>)>
@@ -874,9 +804,6 @@ where
                 "serve pool needs a nonzero queue capacity".into(),
             ));
         }
-        if let Some(brownout) = &opts.brownout {
-            brownout.validate()?;
-        }
         let gate = opts.rta.map(AdmissionGate::new).transpose()?;
         let replicas: Vec<Arc<ReplicaState>> = (0..opts.replicas)
             .map(|i| Arc::new(ReplicaState::new(i, &opts.recorder)))
@@ -894,10 +821,7 @@ where
             queue_cv: Condvar::new(),
             replicas: Mutex::new(replicas),
             workers: Mutex::new(Vec::new()),
-            governor: Mutex::new(None),
-            governor_ctl: ControlToken::new(),
             governor_counters: GovernorCounters::default(),
-            brownout: AtomicU8::new(BrownoutState::Normal.as_u8()),
             target_replicas: AtomicUsize::new(target),
             draining_workers: AtomicUsize::new(0),
             next_replica: AtomicUsize::new(target),
@@ -917,15 +841,6 @@ where
                 workers.push(spawn_worker(&shared, state)?);
             }
         }
-        if let Some(policy) = shared.opts.brownout {
-            let governed = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name("anytime-governor".into())
-                // lint: allow(l6-no-raw-spawn) -- brownout must keep ticking while the runtime is saturated, since saturation is the overload it reacts to, so it cannot be a runtime task itself
-                .spawn(move || governor_loop(&governed, policy))
-                .map_err(|e| CoreError::InvalidConfig(format!("failed to spawn governor: {e}")))?;
-            *lock(&shared.governor) = Some(handle);
-        }
         Ok(Self { shared })
     }
 
@@ -933,6 +848,18 @@ where
     /// available within `deadline`, tagged with quality and status.
     ///
     /// Safe to call from many threads concurrently.
+    ///
+    /// # Shedding
+    ///
+    /// With a calibrated [`rta`](crate::rta) gate, admission applies one
+    /// degradation rule. A request that finds at least one request
+    /// already queued, and whose worst-case bound misses its deadline
+    /// ([`Analysis::slack`] is `None`), is *shed*: it keeps its FIFO place
+    /// and its deadline, but its run ends at its floor's worst-case
+    /// service bound ([`Analysis::service_upper`]) once its best snapshot
+    /// meets `floor` — never before. The response is flagged
+    /// [`ServeResponse::shed`]. Without a calibrated gate, with an empty
+    /// queue, or with nonnegative slack, the request runs to its deadline.
     ///
     /// # Errors
     ///
@@ -954,148 +881,104 @@ where
         let deadline_at = accepted + deadline;
         let shared = &self.shared;
         let req_id = shared.next_id.fetch_add(1, Ordering::Relaxed); // relaxed: id allocator; uniqueness only, no ordering
+        let min_service = shared.opts.min_service;
         let job = {
             let mut q = lock(&shared.queue);
             if q.closed {
                 return Err(CoreError::PoolShutdown);
             }
             let depth = q.jobs.len();
+            if depth >= shared.opts.queue_capacity {
+                drop(q);
+                shared.counters.rejected.inc();
+                shared.opts.recorder.serve_event(EventKind::Reject, req_id);
+                return Err(CoreError::QueueFull {
+                    depth,
+                    capacity: shared.opts.queue_capacity,
+                });
+            }
             // Analyze the backlog while the queue is still locked so the
             // proof (or its absence) describes the depth we admit against.
             let analysis = shared
                 .gate
                 .as_ref()
                 .and_then(|g| g.analyze(floor, &shared.backlog(depth)));
-            // Shedding skips the queue-wait projection (shed jobs jump the
-            // queue), but a budget below the minimum service time is
-            // hopeless either way and still rejects below. With a
-            // calibrated gate, only requests with *no analytical slack*
-            // shed — least slack first; a request the analysis can answer
-            // in full keeps its full budget even under queue pressure.
-            let shed = shared.opts.shed.as_ref().is_some_and(|s| {
-                depth >= s.queue_threshold
-                    && analysis.is_none_or(|a| a.slack(deadline).is_none())
-                    && floor <= s.max_floor
-                    && depth < shared.opts.queue_capacity
-                    && deadline >= shared.opts.min_service
-            });
-            // Under `Shed` the reachability floor is inflated: marginal
-            // requests that would only congeal the queue are refused at
-            // the door. Never applied to the shed-eligibility check
-            // above, so tightening cannot convert sheds into rejections.
-            let min_service = shared.effective_min_service();
-            if !shed {
-                if depth >= shared.opts.queue_capacity {
+            if let Some(a) = analysis {
+                // The configured minimum service time stays a hard
+                // floor even when the calibrated curves claim faster.
+                if !deadline_reachable(accepted, Duration::ZERO, min_service, deadline_at) {
                     drop(q);
                     shared.counters.rejected.inc();
                     shared.opts.recorder.serve_event(EventKind::Reject, req_id);
-                    return Err(CoreError::QueueFull {
-                        depth,
-                        capacity: shared.opts.queue_capacity,
+                    return Err(CoreError::AdmissionRejected {
+                        projected: min_service,
+                        budget: deadline,
                     });
                 }
-                if let Some(a) = analysis {
-                    // The configured minimum service time stays a hard
-                    // floor even when the calibrated curves claim faster.
-                    if !deadline_reachable(accepted, Duration::ZERO, min_service, deadline_at) {
-                        drop(q);
-                        shared.counters.rejected.inc();
-                        shared.opts.recorder.serve_event(EventKind::Reject, req_id);
-                        return Err(CoreError::AdmissionRejected {
-                            projected: min_service,
-                            budget: deadline,
-                        });
-                    }
-                    if a.lower > deadline {
-                        // Certified infeasibility: even the optimistic
-                        // supply bound cannot cross the floor in budget.
-                        drop(q);
-                        shared.counters.rejected.inc();
-                        shared.rta_counters.infeasible.inc();
-                        shared.opts.recorder.serve_event(EventKind::Reject, req_id);
-                        shared.opts.recorder.feasibility(
-                            EventKind::Infeasible,
-                            req_id,
-                            a.lower,
-                            floor,
-                        );
-                        return Err(CoreError::Infeasible {
-                            bound: a.lower,
-                            budget: deadline,
-                            floor,
-                        });
-                    }
-                    shared.rta_counters.feasible.inc();
+                if a.lower > deadline {
+                    // Certified infeasibility: even the optimistic
+                    // supply bound cannot cross the floor in budget.
+                    drop(q);
+                    shared.counters.rejected.inc();
+                    shared.rta_counters.infeasible.inc();
+                    shared.opts.recorder.serve_event(EventKind::Reject, req_id);
                     shared
                         .opts
                         .recorder
-                        .feasibility(EventKind::Feasible, req_id, a.upper, floor);
-                } else {
-                    // Heuristic path: either no gate is installed or the
-                    // gate is not yet calibrated for this floor.
-                    if shared.gate.is_some() {
-                        shared.rta_counters.fallback.inc();
-                    }
-                    let projected_wait = shared.projected_wait(depth);
-                    if !deadline_reachable(accepted, projected_wait, min_service, deadline_at) {
-                        drop(q);
-                        shared.counters.rejected.inc();
-                        shared.opts.recorder.serve_event(EventKind::Reject, req_id);
-                        return Err(CoreError::AdmissionRejected {
-                            projected: projected_wait + min_service,
-                            budget: deadline,
-                        });
-                    }
+                        .feasibility(EventKind::Infeasible, req_id, a.lower, floor);
+                    return Err(CoreError::Infeasible {
+                        bound: a.lower,
+                        budget: deadline,
+                        floor,
+                    });
+                }
+                shared.rta_counters.feasible.inc();
+                shared
+                    .opts
+                    .recorder
+                    .feasibility(EventKind::Feasible, req_id, a.upper, floor);
+            } else {
+                // Heuristic path: either no gate is installed or the
+                // gate is not yet calibrated for this floor.
+                if shared.gate.is_some() {
+                    shared.rta_counters.fallback.inc();
+                }
+                let projected_wait = shared.projected_wait(depth);
+                if !deadline_reachable(accepted, projected_wait, min_service, deadline_at) {
+                    drop(q);
+                    shared.counters.rejected.inc();
+                    shared.opts.recorder.serve_event(EventKind::Reject, req_id);
+                    return Err(CoreError::AdmissionRejected {
+                        projected: projected_wait + min_service,
+                        budget: deadline,
+                    });
                 }
             }
-            // Brownout clamp: at `Brownout` and above, low-floor requests
-            // keep their deadline but run under the policy's reduced
-            // compute budget — the controller degrades the least
-            // significant work first, before admission ever tightens.
-            let clamp = !shed
-                && shared.brownout_state() >= BrownoutState::Brownout
-                && shared
-                    .brownout_policy()
-                    .is_some_and(|b| floor <= b.clamp_floor && deadline > b.clamp_budget);
+            // The one degradation rule (see "Shedding" above): behind a
+            // queue, a request whose worst case misses its deadline runs
+            // only as long as its floor's worst-case service bound.
+            let budget_cap = analysis
+                .filter(|a| depth >= 1 && a.slack(deadline).is_none())
+                .map(|a| a.service_upper);
             let job = Arc::new(Job {
                 id: req_id,
                 input: Arc::new(input),
                 accepted,
                 deadline: deadline_at,
                 floor,
-                budget_cap: if shed {
-                    shared.opts.shed.as_ref().map(|s| s.budget.min(deadline))
-                } else if clamp {
-                    shared.brownout_policy().map(|b| b.clamp_budget)
-                } else {
-                    None
-                },
-                shed,
-                // Shed and clamped requests run under a reduced budget the
-                // analysis did not model; their bounds would only mislead
-                // the hedge/retry budgets downstream.
-                analysis: if shed || clamp { None } else { analysis },
+                budget_cap,
+                analysis,
                 slot: Arc::new(Slot::new()),
             });
-            let item = QueueItem {
+            q.jobs.push_back(QueueItem {
                 job: Arc::clone(&job),
                 is_hedge: false,
-            };
-            if shed {
-                // Shed requests jump the queue: served earlier, cheaper.
-                q.jobs.push_front(item);
-            } else {
-                q.jobs.push_back(item);
-            }
+            });
             shared.counters.admitted.inc();
             shared.opts.recorder.serve_event(EventKind::Admit, req_id);
-            if shed {
+            if budget_cap.is_some() {
                 shared.counters.shed.inc();
                 shared.opts.recorder.serve_event(EventKind::Shed, req_id);
-            }
-            if clamp {
-                shared.governor_counters.clamped.inc();
-                shared.opts.recorder.serve_event(EventKind::Clamp, req_id);
             }
             job
         };
@@ -1167,7 +1050,7 @@ where
     }
 
     /// A point-in-time view of the pool's counters, deadline histogram,
-    /// aggregated run faults, live run count, and governor lifecycle
+    /// aggregated run faults, live run count, and worker lifecycle
     /// gauges.
     pub fn stats(&self) -> ServeStats {
         let shared = &self.shared;
@@ -1184,7 +1067,6 @@ where
             stats.rta.calibrated = gate.calibrated();
         }
         stats.governor = shared.governor_counters.snapshot();
-        stats.governor.state = shared.brownout_state().as_u8();
         // relaxed: observability gauge; one stale resize is acceptable
         stats.governor.workers_target = shared.target_replicas.load(Ordering::Relaxed) as u64;
         // relaxed: observability gauge; a drain in progress may be seen late
@@ -1249,14 +1131,8 @@ where
         out
     }
 
-    /// The brownout rung the governor currently holds the pool at
-    /// ([`BrownoutState::Normal`] when no brownout policy is installed).
-    pub fn brownout_state(&self) -> BrownoutState {
-        self.shared.brownout_state()
-    }
-
     /// Worker threads currently serving (workers already drained by
-    /// `resize`/`rolling_restart` are not counted).
+    /// `resize` are not counted).
     pub fn worker_count(&self) -> usize {
         lock(&self.shared.workers)
             .iter()
@@ -1297,7 +1173,7 @@ where
                 if q.closed {
                     return Err(CoreError::PoolShutdown);
                 }
-                // relaxed: stats/governor gauge; readers tolerate one stale resize
+                // relaxed: stats gauge; readers tolerate one stale resize
                 shared.target_replicas.store(n, Ordering::Relaxed);
                 while workers.len() > n {
                     let w = workers.pop().expect("len > n >= 1");
@@ -1313,8 +1189,6 @@ where
                 let state = Arc::new(ReplicaState::new(index, &shared.opts.recorder));
                 let handle = spawn_worker(shared, Arc::clone(&state))?;
                 lock(&shared.replicas).push(Arc::clone(&state));
-                // Growth, not a replacement: counted as `worker_added`,
-                // distinct from a rolling restart's `worker_respawned`.
                 shared.governor_counters.worker_adds.inc();
                 shared
                     .opts
@@ -1325,7 +1199,7 @@ where
             drained
         };
         // Joins happen outside the workers lock: a draining worker may be
-        // mid-run and must not deadlock against the governor or stats.
+        // mid-run and must not deadlock against admission or stats.
         shared.queue_cv.notify_all();
         for w in to_drain {
             let _ = w.handle.join();
@@ -1342,83 +1216,9 @@ where
         Ok(())
     }
 
-    /// Restarts every worker, one replica at a time, while the pool keeps
-    /// answering: a fresh worker is spawned under the same replica index,
-    /// then the old one drains gracefully (finishes its current run, takes
-    /// no new work, is joined) before the next replica restarts.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::PoolShutdown`] when the pool shuts down mid-restart
-    /// (workers already restarted stay restarted), or the spawn error when
-    /// a replacement thread cannot be created (the old worker keeps
-    /// serving).
-    pub fn rolling_restart(&self) -> Result<()> {
-        let shared = &self.shared;
-        let snapshot: Vec<Arc<ReplicaState>> = lock(&shared.replicas).clone();
-        for old in snapshot {
-            // Same replica index: the replacement serves under the same
-            // trace identity (stage interning dedups by name), so the
-            // restart is invisible to per-replica dashboards.
-            let state = Arc::new(ReplicaState::new(old.index, &shared.opts.recorder));
-            let drained: WorkerHandle = {
-                let mut workers = lock(&shared.workers);
-                // Held while the drain flag is stored: an idle worker
-                // re-checks `draining` under this same mutex immediately
-                // before parking on `queue_cv`, so the notify_all below
-                // is never lost, even on a quiescent pool.
-                let q = lock(&shared.queue);
-                if q.closed {
-                    return Err(CoreError::PoolShutdown);
-                }
-                // Already drained by a concurrent resize: nothing to restart.
-                let Some(i) = workers.iter().position(|w| Arc::ptr_eq(&w.state, &old)) else {
-                    continue;
-                };
-                // The replacement is spawned *before* the old worker is
-                // flagged: a failed spawn (resource exhaustion) returns
-                // with the old worker untouched and still serving, so a
-                // failed restart never leaves the pool below target.
-                let fresh = spawn_worker(shared, Arc::clone(&state))?;
-                let w = std::mem::replace(&mut workers[i], fresh);
-                w.state.draining.store(true, Ordering::Release);
-                // relaxed: observability gauge, as in `stats`
-                shared.draining_workers.fetch_add(1, Ordering::Relaxed);
-                w
-            };
-            shared.queue_cv.notify_all();
-            let _ = drained.handle.join();
-            // relaxed: observability gauge, as in `stats`
-            shared.draining_workers.fetch_sub(1, Ordering::Relaxed);
-            // The registry swap happens after the join so the old and new
-            // replica never coexist under one index (duplicate Prometheus
-            // labels); until then the replacement serves unregistered —
-            // admission briefly under-counts its occupancy, nothing more.
-            if let Some(r) = lock(&shared.replicas)
-                .iter_mut()
-                .find(|r| Arc::ptr_eq(r, &drained.state))
-            {
-                *r = Arc::clone(&state);
-            }
-            shared.governor_counters.worker_drains.inc();
-            shared
-                .opts
-                .recorder
-                .stage_event(EventKind::WorkerDrained, drained.state.trace_id);
-            shared.governor_counters.worker_respawns.inc();
-            shared
-                .opts
-                .recorder
-                .stage_event(EventKind::WorkerRespawned, state.trace_id);
-        }
-        shared.governor_counters.rolling_restarts.inc();
-        Ok(())
-    }
-
     /// Shuts the pool down: rejects new submissions, fails queued (not yet
     /// started) requests with [`CoreError::PoolShutdown`], lets in-flight
-    /// runs respond, joins the governor and every worker, and returns the
-    /// final stats.
+    /// runs respond, joins every worker, and returns the final stats.
     ///
     /// Idempotent, and safe to race with `Drop`: a second call (or the
     /// implicit one in `Drop`) finds the queue already closed and the
@@ -1436,17 +1236,12 @@ where
 
 /// The single shutdown path, shared by [`ServePool::shutdown`] and `Drop`.
 ///
-/// Order matters: the governor (if any) stops *first*, then the queue
-/// closes and queued requests fail, then workers are taken out of the
-/// registry and joined.
-/// Every step is take-based (`Option::take`, `Vec::drain`,
-/// `std::mem::take`), so a second concurrent or sequential call observes
-/// empty state and does nothing — no drained request is double-counted.
+/// Order matters: the queue closes and queued requests fail first, then
+/// workers are taken out of the registry and joined. Every step is
+/// take-based (`Vec::drain`, `std::mem::take`), so a second concurrent or
+/// sequential call observes empty state and does nothing — no drained
+/// request is double-counted.
 fn shutdown_inner<I, T>(shared: &Arc<Shared<I, T>>) {
-    shared.governor_ctl.stop();
-    if let Some(g) = lock(&shared.governor).take() {
-        let _ = g.join();
-    }
     let drained: Vec<QueueItem<I, T>> = {
         let mut q = lock(&shared.queue);
         q.closed = true;
@@ -1481,7 +1276,7 @@ enum Attempt<T> {
 }
 
 /// Spawns a worker thread serving under `state`. Used at construction and
-/// by `resize`/`rolling_restart`.
+/// by `resize`.
 fn spawn_worker<I, T>(shared: &Arc<Shared<I, T>>, state: Arc<ReplicaState>) -> Result<WorkerHandle>
 where
     I: Send + Sync + 'static,
@@ -1666,47 +1461,9 @@ where
     }
 }
 
-/// The governor thread, spawned only with a [`BrownoutPolicy`]: every
-/// tick it feeds windowed overload signals to the hysteresis controller,
-/// publishing any rung change for the data plane to act on.
-fn governor_loop<I, T>(shared: &Arc<Shared<I, T>>, policy: BrownoutPolicy)
-where
-    I: Send + Sync + 'static,
-    T: Send + Sync + 'static,
-{
-    let mut control = BrownoutControl::new(policy);
-    let mut window = SignalWindow::new();
-    loop {
-        if !backoff_interruptible(&shared.governor_ctl, policy.tick) {
-            return;
-        }
-        let depth = {
-            let q = lock(&shared.queue);
-            if q.closed {
-                return;
-            }
-            q.jobs.len()
-        };
-        shared.governor_counters.ticks.inc();
-        let queue_delay = shared.projected_wait(depth);
-        let signals = window.tick(
-            &shared.deadline_hist.snapshot(),
-            shared.counters.snapshot().shed,
-            shared.rta_counters.snapshot().bound_violations,
-            depth,
-            queue_delay,
-        );
-        if let Some((_, to)) = control.observe(signals) {
-            // relaxed: advisory ladder; a one-tick-stale read only delays mitigation
-            shared.brownout.store(to.as_u8(), Ordering::Relaxed);
-            shared.governor_counters.transitions.inc();
-            shared.opts.recorder.governor_state(u64::from(to.as_u8()));
-        }
-    }
-}
-
 /// Drains queued requests batch-compatible with `head` (deadlines within
-/// the policy window; plain primaries only). Returns the batch — a clone
+/// the policy window; plain primaries only, since a batch run ignores shed
+/// requests' budget caps). Returns the batch — a clone
 /// of `head` plus the drained followers — or `None` when the pool is not
 /// batched or no follower qualifies (the head then serves singly).
 fn drain_batch<I, T>(
@@ -1717,18 +1474,9 @@ fn drain_batch<I, T>(
         return None;
     }
     let policy = shared.opts.batch?;
-    if head.is_hedge || head.job.shed || head.job.slot.is_filled() {
+    if head.is_hedge || head.job.budget_cap.is_some() || head.job.slot.is_filled() {
         return None;
     }
-    // Under brownout the compatibility window widens: fuller batches
-    // amortize more build/launch overhead per request, trading per-member
-    // deadline affinity for drain throughput while the pool is hot.
-    let window = match shared.brownout_policy() {
-        Some(b) if shared.brownout_state() >= BrownoutState::Brownout => {
-            policy.window.mul_f64(b.batch_widen)
-        }
-        _ => policy.window,
-    };
     let mut batch = vec![QueueItem {
         job: Arc::clone(&head.job),
         is_hedge: false,
@@ -1752,7 +1500,7 @@ fn drain_batch<I, T>(
                 shared.opts.min_service,
                 it.job.deadline,
             );
-            if !it.is_hedge && !it.job.shed && reachable && gap <= window {
+            if !it.is_hedge && it.job.budget_cap.is_none() && reachable && gap <= policy.window {
                 if let Some(it) = q.jobs.remove(i) {
                     batch.push(it);
                 }
@@ -1780,7 +1528,8 @@ fn serve_job<I, T>(
 {
     let job = &item.job;
     let service_start = Instant::now();
-    // The job's (possibly shed-capped) deadline is the hard end of its run.
+    // The occupancy estimate ends at a shed job's cap (it may run on past
+    // it only until its floor lands) and otherwise at the deadline.
     let run_end = match job.budget_cap {
         Some(cap) => job.deadline.min(service_start + cap),
         None => job.deadline,
@@ -1884,12 +1633,9 @@ fn respond<I, T>(
         let st = lock(&job.slot.state);
         (st.hedged, st.retries)
     };
-    // A shed request that fell short of terminal output is flagged too:
-    // its quality was deliberately sacrificed to keep the pool available.
     let status = if snapshot.is_final() && quality >= job.floor {
         ServeStatus::Final
-    } else if snapshot.is_degraded() || quality < job.floor || (job.shed && !snapshot.is_terminal())
-    {
+    } else if snapshot.is_degraded() || quality < job.floor {
         ServeStatus::Degraded
     } else {
         ServeStatus::AtDeadline
@@ -1900,7 +1646,7 @@ fn respond<I, T>(
         snapshot,
         quality,
         status,
-        shed: job.shed,
+        shed: job.budget_cap.is_some(),
         hedged,
         batched,
         retries,
@@ -2225,12 +1971,6 @@ where
 {
     let job = &item.job;
     let started = Instant::now();
-    // A shed request runs under its reduced budget (never past the real
-    // deadline).
-    let run_deadline = match job.budget_cap {
-        Some(cap) => job.deadline.min(started + cap),
-        None => job.deadline,
-    };
     let built = fence_closure(&shared.governor_counters, state, "pipeline factory", || {
         shared.factory.build_one(&job.input)
     });
@@ -2255,14 +1995,11 @@ where
     // the admission analysis' worst-case service bound (a healthy run that
     // outlives it is analytically late — hedge now); the P95 latency
     // guess. Primary dispatch only — hedges do not hedge. Hedging needs a
-    // second worker to be anything but queue pressure, and is the first
-    // mitigation the brownout ladder turns off.
+    // second worker to be anything but queue pressure.
     // relaxed: gauge read; a hedge decision one resize stale is harmless
     let hedge_capacity = shared.target_replicas.load(Ordering::Relaxed) > 1;
     let mut hedge_at: Option<Instant> = match (&shared.opts.hedge, item.is_hedge) {
-        (Some(policy), false)
-            if hedge_capacity && shared.brownout_state() == BrownoutState::Normal =>
-        {
+        (Some(policy), false) if hedge_capacity => {
             let after = policy
                 .after
                 .or_else(|| job.analysis.map(|a| a.service_upper))
@@ -2289,16 +2026,14 @@ where
             break Attempt::Lost;
         }
         let now = Instant::now();
-        // A budget-capped (clamped or shed) run keeps its real deadline:
-        // the brownout contract is degraded quality, never a dropped
-        // answer. Until the first snapshot lands, wait against the full
-        // deadline — the reduced budget only bounds the run once there is
-        // an answer to give. Matters when stage tasks queue behind a
-        // saturated worker pool and the first publication outwaits the cap.
-        let attempt_end = if best.is_some() {
-            run_deadline
-        } else {
-            job.deadline
+        // A shed run ends at `started + cap` only once its best snapshot
+        // meets the floor; until then it keeps its real deadline, so the
+        // cap degrades quality down to the floor and never below it.
+        let attempt_end = match job.budget_cap {
+            Some(cap) if best.as_ref().is_some_and(|(q, _)| *q >= job.floor) => {
+                job.deadline.min(started + cap)
+            }
+            _ => job.deadline,
         };
         if now >= attempt_end {
             break Attempt::Respond(best.take());
@@ -2672,35 +2407,204 @@ mod tests {
         assert_eq!(stats.live_runs, 0);
     }
 
-    #[test]
-    fn saturation_sheds_low_floor_requests() {
-        let pool = ServePool::new(
-            ServeOptions {
-                replicas: 1,
-                shed: Some(ShedPolicy {
-                    queue_threshold: 0,
-                    max_floor: 0.5,
-                    budget: Duration::from_millis(10),
-                }),
-                ..ServeOptions::default()
+    /// A request of the shed-rule tests: `steps` counting steps of `step`
+    /// each, quality the fraction of [`RULE_STEPS`]; `gate` holds the
+    /// factory until the test releases it.
+    #[derive(Debug, Clone, Copy)]
+    struct Req {
+        steps: u64,
+        step: Duration,
+        gate: bool,
+    }
+
+    /// Steps of a full run in the shed-rule tests.
+    const RULE_STEPS: u64 = 20;
+
+    /// Submits `probe` to a calibrated one-replica `rta` pool while a gated
+    /// request holds the replica and one more waits in the queue, so the
+    /// probe is admitted at depth 1: the shape in which the shed rule
+    /// engages. Warm-up runs count 20 steps of 2 ms, so the one request
+    /// ahead alone adds a worst case of about 80 ms (margin 2). Returns the
+    /// probe's answer and the pool's final stats.
+    ///
+    /// The pool runs on a runtime of its own, so that other tests' stage
+    /// tasks cannot stall the warm-up runs that calibrate the probe's cap.
+    fn submit_behind_queue(
+        probe: Req,
+        deadline: Duration,
+        floor: f64,
+    ) -> (Result<ServeResponse<u64>>, ServeStats) {
+        let (entered_tx, entered) = std::sync::mpsc::channel::<()>();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        let runtime = crate::Runtime::new(1);
+        let pool = Arc::new(
+            ServePool::new(
+                ServeOptions::default()
+                    .replicas(1)
+                    .runtime(runtime.handle())
+                    .rta(RtaPolicy {
+                        min_runs: 2,
+                        ..RtaPolicy::default()
+                    }),
+                move |r: &Req| {
+                    if r.gate {
+                        let _ = entered_tx.send(());
+                        let _ = lock(&release_rx).recv();
+                    }
+                    counting_factory(r.steps, r.step)(&0)
+                },
+                fraction_quality(RULE_STEPS),
+            )
+            .unwrap(),
+        );
+        // Declared after the pool, so unwinding drops it first and frees a
+        // held factory instead of hanging the pool's shutdown join.
+        let release = release_tx;
+        let full = Req {
+            steps: RULE_STEPS,
+            step: Duration::from_millis(2),
+            gate: false,
+        };
+        for _ in 0..3 {
+            let resp = pool.submit(full, Duration::from_secs(10), 0.0).unwrap();
+            assert_eq!(resp.status, ServeStatus::Final);
+        }
+        assert!(pool.rta_calibrated());
+        let submit = |r: Req, deadline: Duration, floor: f64| {
+            let p = Arc::clone(&pool);
+            std::thread::spawn(move || p.submit(r, deadline, floor))
+        };
+        // Waits, without sleeping, until admission has decided `n`
+        // requests.
+        let decided = |n: u64| loop {
+            let s = pool.stats();
+            if s.admitted + s.rejected >= n {
+                break;
+            }
+            std::thread::yield_now();
+        };
+        let quick = Req {
+            steps: 1,
+            step: Duration::from_millis(2),
+            gate: false,
+        };
+        let blocker = submit(
+            Req {
+                gate: true,
+                ..quick
             },
-            counting_factory(1_000_000, Duration::from_millis(1)),
-            fraction_quality(1_000_000),
+            Duration::from_secs(10),
+            0.0,
+        );
+        entered.recv().unwrap();
+        let ahead = submit(quick, Duration::from_secs(10), 0.0);
+        decided(5);
+        let probe = submit(probe, deadline, floor);
+        decided(6);
+        release.send(()).unwrap();
+        assert!(blocker.join().unwrap().is_ok());
+        assert!(!ahead.join().unwrap().expect("queued request failed").shed);
+        let answer = probe.join().unwrap();
+        (answer, pool.shutdown())
+    }
+
+    #[test]
+    fn queued_request_without_slack_is_shed_to_its_floor() {
+        // The one request ahead alone puts the worst case past 80 ms. The
+        // probe reaches floor 0.1 at its second 4 ms step, inside its cap
+        // (about 12 ms: three 2 ms warm-up steps to 0.15, at margin 2), and
+        // would need 80 ms to finish.
+        let deadline = Duration::from_millis(80);
+        let probe = Req {
+            steps: RULE_STEPS,
+            step: Duration::from_millis(4),
+            gate: false,
+        };
+        let (answer, stats) = submit_behind_queue(probe, deadline, 0.1);
+        let resp = answer.expect("shed request failed");
+        assert!(resp.shed, "{resp:?}");
+        assert!(resp.quality >= 0.1, "shed below its floor: {resp:?}");
+        assert_eq!(resp.status, ServeStatus::AtDeadline, "{resp:?}");
+        // Cut at its cap, well before the deadline.
+        assert!(!resp.snapshot.is_final(), "{resp:?}");
+        assert!(resp.elapsed < deadline, "{resp:?}");
+        assert_eq!(stats.shed, 1, "{stats:?}");
+        assert_eq!(stats.failed, 0, "{stats:?}");
+        // A shed request keeps its analysis and scores its bound.
+        assert_eq!(
+            stats.rta.bound_samples, stats.rta.feasible,
+            "{:?}",
+            stats.rta
+        );
+        assert_eq!(stats.live_runs, 0);
+    }
+
+    #[test]
+    fn shed_run_is_not_cut_before_its_floor() {
+        // The probe steps five times slower than the runs that calibrated
+        // its cap (about 25 ms for floor 0.25): its floor lands after
+        // 50 ms, long past the cap, yet well inside the deadline, which
+        // is itself below the 105 ms the worst case cannot undercut.
+        let deadline = Duration::from_millis(100);
+        let probe = Req {
+            steps: RULE_STEPS,
+            step: Duration::from_millis(10),
+            gate: false,
+        };
+        let (answer, stats) = submit_behind_queue(probe, deadline, 0.25);
+        let resp = answer.expect("shed request failed");
+        assert!(resp.shed, "{resp:?}");
+        assert!(resp.quality >= 0.25, "cut before its floor: {resp:?}");
+        assert_eq!(resp.status, ServeStatus::AtDeadline, "{resp:?}");
+        assert!(!resp.snapshot.is_final(), "{resp:?}");
+        assert!(resp.elapsed < deadline, "{resp:?}");
+        assert_eq!(stats.shed, 1, "{stats:?}");
+        assert_eq!(stats.live_runs, 0);
+    }
+
+    #[test]
+    fn one_client_closed_loop_never_sheds() {
+        // One closed-loop client finds the queue empty at every
+        // admission, so the rule never engages even though every request
+        // has negative slack: the deadline is one measured full run, while
+        // floor 0.6 is crossed at 13 of 20 steps, which margin 2 turns into
+        // a worst case of 1.3 runs. The certified lower bound, 0.3 runs,
+        // still admits it.
+        let runtime = crate::Runtime::new(1);
+        let pool = ServePool::new(
+            ServeOptions::default()
+                .replicas(1)
+                .runtime(runtime.handle())
+                .rta(RtaPolicy {
+                    min_runs: 2,
+                    ..RtaPolicy::default()
+                }),
+            counting_factory(RULE_STEPS, Duration::from_micros(500)),
+            fraction_quality(RULE_STEPS),
         )
         .unwrap();
-        // Floor below max_floor ⇒ shed to the 10ms budget despite the
-        // 5s deadline.
-        let resp = pool.submit(0, Duration::from_secs(5), 0.0).unwrap();
-        assert!(resp.shed);
-        assert_eq!(resp.status, ServeStatus::Degraded);
-        assert!(
-            resp.elapsed < Duration::from_secs(1),
-            "shed request ran {:?}, not its reduced budget",
-            resp.elapsed
-        );
+        let mut warm: Vec<Duration> = (0..3)
+            .map(|_| {
+                pool.submit(0, Duration::from_secs(10), 0.0)
+                    .unwrap()
+                    .elapsed
+            })
+            .collect();
+        assert!(pool.rta_calibrated());
+        warm.sort();
+        let deadline = warm[1];
+        let mut served = 0u64;
+        for _ in 0..30 {
+            if let Ok(resp) = pool.submit(0, deadline, 0.6) {
+                assert!(!resp.shed, "{resp:?}");
+                served += 1;
+            }
+        }
         let stats = pool.shutdown();
-        assert_eq!(stats.shed, 1);
-        assert!(stats.degraded_responses >= 1);
+        assert!(served >= 1, "{stats:?}");
+        assert!(stats.rta.feasible >= 1, "{:?}", stats.rta);
+        assert_eq!(stats.shed, 0, "{stats:?}");
     }
 
     #[test]
@@ -3363,7 +3267,7 @@ mod tests {
     }
 
     #[test]
-    fn resize_and_rolling_restart_under_live_traffic() {
+    fn resize_under_live_traffic() {
         let pool = Arc::new(
             ServePool::new(
                 ServeOptions {
@@ -3391,7 +3295,6 @@ mod tests {
             })
             .collect();
         pool.resize(4).unwrap();
-        pool.rolling_restart().unwrap();
         pool.resize(1).unwrap();
         let ok: u64 = submitters.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(ok, 48, "no admitted request may be dropped mid-resize");
@@ -3401,18 +3304,11 @@ mod tests {
         assert_eq!(stats.failed, 0);
         assert_eq!(stats.live_runs, 0);
         assert_eq!(stats.governor.resizes, 2);
-        assert_eq!(stats.governor.rolling_restarts, 1);
-        // resize(4) grew by 2 (adds, not respawns); rolling_restart
-        // respawned 4; resize(1) drained 3; the restart drained 4.
+        // resize(4) grew by 2; resize(1) drained 3.
         assert_eq!(stats.governor.worker_adds, 2);
-        assert_eq!(stats.governor.worker_respawns, 4);
-        assert_eq!(stats.governor.worker_drains, 7);
+        assert_eq!(stats.governor.worker_drains, 3);
         assert!(pool.resize(0).is_err(), "zero replicas is invalid");
         assert!(matches!(pool.resize(2), Err(CoreError::PoolShutdown)));
-        assert!(matches!(
-            pool.rolling_restart(),
-            Err(CoreError::PoolShutdown)
-        ));
     }
 
     #[test]
@@ -3471,13 +3367,13 @@ mod tests {
     }
 
     #[test]
-    fn resize_and_rolling_restart_on_quiescent_pool() {
+    fn resize_on_quiescent_pool() {
         // Regression: the drain flag used to be stored without the queue
         // mutex, so a worker parked between its predicate check and its
         // wait could miss the notify — on an idle pool nothing else
-        // notifies, and the join in resize()/rolling_restart() hung
-        // forever. Cycle reconfigurations against parked workers under a
-        // watchdog so a reintroduced race fails instead of hanging.
+        // notifies, and the join in resize() hung forever. Cycle
+        // reconfigurations against parked workers under a watchdog so a
+        // reintroduced race fails instead of hanging.
         let pool = Arc::new(
             ServePool::new(
                 ServeOptions {
@@ -3495,90 +3391,23 @@ mod tests {
                 p.resize(1).unwrap();
                 p.resize(3).unwrap();
             }
-            p.rolling_restart().unwrap();
             p.worker_count()
         });
         let deadline = Instant::now() + Duration::from_secs(30);
         while !ops.is_finished() {
             assert!(
                 Instant::now() < deadline,
-                "resize/rolling_restart hung on a quiescent pool (lost wakeup)"
+                "resize hung on a quiescent pool (lost wakeup)"
             );
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(ops.join().unwrap(), 3);
         let stats = pool.shutdown();
         assert_eq!(stats.governor.resizes, 50);
-        assert_eq!(stats.governor.rolling_restarts, 1);
-        // Every cycle drains 2 and adds 2; the restart respawns 3.
+        // Every cycle drains 2 and adds 2.
         assert_eq!(stats.governor.worker_adds, 50);
-        assert_eq!(stats.governor.worker_respawns, 3);
-        assert_eq!(stats.governor.worker_drains, 53);
+        assert_eq!(stats.governor.worker_drains, 50);
         assert_eq!(stats.live_runs, 0);
-    }
-
-    #[test]
-    fn brownout_escalates_under_pressure_and_recovers() {
-        let pool = Arc::new(
-            ServePool::new(
-                ServeOptions {
-                    replicas: 1,
-                    queue_capacity: 256,
-                    min_service: Duration::from_micros(1),
-                    ..ServeOptions::default()
-                }
-                .brownout(BrownoutPolicy {
-                    tick: Duration::from_micros(500),
-                    enter_queue: 1,
-                    up_ticks: 1,
-                    down_ticks: 2,
-                    // A long window keeps the miss-rate signal out of the
-                    // way: this test drives the ladder via queue depth.
-                    min_window: 1_000_000,
-                    max_queue_delay: Duration::from_secs(10),
-                    ..BrownoutPolicy::default()
-                }),
-                counting_factory(40, Duration::from_millis(1)),
-                fraction_quality(40),
-            )
-            .unwrap(),
-        );
-        // Saturate the single replica so the queue holds depth >= 1.
-        let submitters: Vec<_> = (0..3)
-            .map(|_| {
-                let p = Arc::clone(&pool);
-                std::thread::spawn(move || {
-                    for _ in 0..3 {
-                        let _ = p.submit(0, Duration::from_secs(5), 0.0);
-                    }
-                })
-            })
-            .collect();
-        let mut escalated = false;
-        for _ in 0..2_000 {
-            if pool.brownout_state() != BrownoutState::Normal {
-                escalated = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        assert!(escalated, "queue pressure never escalated the ladder");
-        for s in submitters {
-            s.join().unwrap();
-        }
-        // Load gone: the controller must walk the ladder back down.
-        let mut recovered = false;
-        for _ in 0..2_000 {
-            if pool.brownout_state() == BrownoutState::Normal {
-                recovered = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(recovered, "ladder stuck at {:?}", pool.brownout_state());
-        let stats = pool.shutdown();
-        assert!(stats.governor.transitions >= 2, "{:?}", stats.governor);
-        assert!(stats.governor.ticks >= 1);
     }
 
     #[test]
@@ -3596,38 +3425,5 @@ mod tests {
             lock(&state.busy_until).is_none(),
             "stale busy_until survived the unwind"
         );
-    }
-
-    #[test]
-    fn governor_thread_runs_only_with_brownout() {
-        let pool = |opts: ServeOptions| {
-            let pool = ServePool::new(
-                opts.replicas(1),
-                counting_factory(3, Duration::from_micros(100)),
-                fraction_quality(3),
-            )
-            .unwrap();
-            for _ in 0..3 {
-                let resp = pool.submit(0, Duration::from_secs(5), 0.0).unwrap();
-                assert_eq!(resp.status, ServeStatus::Final);
-            }
-            pool
-        };
-        let plain = pool(ServeOptions::default()).shutdown();
-        assert_eq!(plain.completed, 3);
-        assert_eq!(plain.governor.ticks, 0, "a default pool runs no governor");
-        let governed = pool(ServeOptions::default().brownout(BrownoutPolicy {
-            tick: Duration::from_millis(1),
-            ..BrownoutPolicy::default()
-        }));
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while governed.stats().governor.ticks == 0 {
-            assert!(
-                Instant::now() < deadline,
-                "the brownout governor never ticked"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(governed.shutdown().completed, 3);
     }
 }

@@ -151,30 +151,6 @@ impl Supervision {
     }
 }
 
-/// Sleeps for `backoff` between restart attempts, aborting early if the
-/// automaton stops. Returns `false` if the stop arrived first.
-///
-/// Also the serve governor's tick sleep ([`crate::serve::ServePool`]'s
-/// lifecycle thread): the same interruptible-wait protocol means pool
-/// shutdown never waits out a governor tick.
-pub(crate) fn backoff_interruptible(ctl: &ControlToken, backoff: Duration) -> bool {
-    if backoff.is_zero() {
-        return !ctl.is_stopped();
-    }
-    let ws = WaitSet::new();
-    let _watch = ctl.subscribe(&ws);
-    let deadline = Instant::now() + backoff;
-    loop {
-        let seen = ws.epoch();
-        if ctl.is_stopped() {
-            return false;
-        }
-        if !ws.wait_deadline(seen, deadline) {
-            return !ctl.is_stopped();
-        }
-    }
-}
-
 /// Computes the delay before retry `attempt` (0-based) of a failed
 /// request: capped exponential backoff with deterministic jitter.
 ///
@@ -361,44 +337,6 @@ mod tests {
         assert_eq!(wd.heartbeat, Duration::from_millis(50));
         assert_eq!(wd.on_stall, StallAction::Degrade);
         assert_eq!(Supervision::degrade().policy, FailurePolicy::Degrade);
-    }
-
-    #[test]
-    fn backoff_returns_true_when_undisturbed() {
-        let ctl = ControlToken::new();
-        let start = Instant::now();
-        assert!(backoff_interruptible(&ctl, Duration::from_millis(10)));
-        assert!(start.elapsed() >= Duration::from_millis(9));
-    }
-
-    #[test]
-    fn backoff_aborts_on_stop() {
-        let ctl = ControlToken::new();
-        let ctl2 = ctl.clone();
-        // Rendezvous instead of a sleep quantum: the stop may land either
-        // just before or just inside the backoff wait, and the epoch
-        // protocol makes both interleavings return promptly.
-        let gate = std::sync::Arc::new(std::sync::Barrier::new(2));
-        let gate2 = std::sync::Arc::clone(&gate);
-        let h = std::thread::spawn(move || {
-            gate2.wait();
-            let start = Instant::now();
-            let survived = backoff_interruptible(&ctl2, Duration::from_secs(30));
-            (survived, start.elapsed())
-        });
-        gate.wait();
-        ctl.stop();
-        let (survived, waited) = h.join().unwrap();
-        assert!(!survived);
-        assert!(waited < Duration::from_secs(5));
-    }
-
-    #[test]
-    fn zero_backoff_is_immediate() {
-        let ctl = ControlToken::new();
-        assert!(backoff_interruptible(&ctl, Duration::ZERO));
-        ctl.stop();
-        assert!(!backoff_interruptible(&ctl, Duration::ZERO));
     }
 
     #[test]

@@ -90,7 +90,8 @@ pub enum EventKind {
     /// rejected it (`dur` is the certified lower bound that exceeded the
     /// deadline).
     Infeasible,
-    /// A serve request was shed to a cheaper budget under saturation.
+    /// Admission shed a serve request: queued with negative analytical
+    /// slack, it runs under its floor's worst-case service bound.
     Shed,
     /// A hedge run was dispatched after the primary crossed the trigger.
     Hedge,
@@ -108,19 +109,11 @@ pub enum EventKind {
     RequestDone,
     /// An admitted serve request failed with no snapshot.
     RequestFailed,
-    /// A rolling restart spawned a replacement worker.
-    WorkerRespawned,
-    /// `resize()` scale-up added a fresh worker (growth, distinct from a
-    /// rolling restart's replacement).
+    /// `resize()` scale-up added a fresh worker.
     WorkerAdded,
     /// A worker was gracefully drained (finished its run, took no new
-    /// work) and joined during `resize()`/`rolling_restart()`.
+    /// work) and joined during `resize()`.
     WorkerDrained,
-    /// The brownout controller crossed a rung boundary (`version` holds
-    /// the new [`crate::governor::BrownoutState`] as its numeric code).
-    GovernorState,
-    /// A low-floor request had its budget clamped under brownout.
-    Clamp,
 }
 
 impl EventKind {
@@ -146,11 +139,8 @@ impl EventKind {
             Self::BreakerClose => "breaker_close",
             Self::RequestDone => "request_done",
             Self::RequestFailed => "request_failed",
-            Self::WorkerRespawned => "worker_respawned",
             Self::WorkerAdded => "worker_added",
             Self::WorkerDrained => "worker_drained",
-            Self::GovernorState => "governor_state",
-            Self::Clamp => "clamp",
         }
     }
 }
@@ -423,18 +413,6 @@ impl Recorder {
         self.emit_with(|at| {
             let mut ev = TraceEvent::new(at, kind);
             ev.stage = Some(replica);
-            ev
-        });
-    }
-
-    /// Records a brownout-ladder transition; `state` is the new
-    /// [`crate::governor::BrownoutState`]'s numeric code, carried in
-    /// `version` so exporters need no new field.
-    #[inline]
-    pub fn governor_state(&self, state: u64) {
-        self.emit_with(|at| {
-            let mut ev = TraceEvent::new(at, EventKind::GovernorState);
-            ev.version = Some(state);
             ev
         });
     }

@@ -479,7 +479,6 @@ mod batched {
             replicas: 1,
             min_service: Duration::from_micros(100),
             hedge: None,
-            shed: None,
             breaker: None,
             ..ServeOptions::default()
         }
@@ -763,11 +762,11 @@ mod serve_chaos {
         assert!(count(EventKind::BreakerClose) >= 1, "breaker never healed");
     }
 
-    /// Seeded worker kills across a 3-replica default pool (no brownout
-    /// policy, so no governor thread): the per-request serve fence answers
-    /// each killed request with a structured `ReplicaPanicked`, every other
-    /// request still reaches `Final`, and the pool never loses a worker.
-    /// Runs three consecutive seeds starting at `CHAOS_SEED`.
+    /// Seeded worker kills across a 3-replica default pool: the
+    /// per-request serve fence answers each killed request with a
+    /// structured `ReplicaPanicked`, every other request still reaches
+    /// `Final`, and the pool never loses a worker. Runs three consecutive
+    /// seeds starting at `CHAOS_SEED`.
     #[test]
     fn seeded_worker_kills_fail_fast_and_keep_capacity() {
         const REQUESTS: u64 = 24;
@@ -823,13 +822,15 @@ mod serve_chaos {
             }
             assert_eq!(panicked, kills, "seed {seed}: one failure per kill");
             assert_eq!(pool.worker_count(), 3, "seed {seed}: capacity dropped");
-            let trace = pool.trace();
+            // Drained after the shutdown joins the workers: a worker records
+            // `request_failed` just after filling the slot that wakes its
+            // submitter, so an earlier drain can miss the last event.
             let stats = pool.shutdown();
+            let trace = pool.trace();
             assert_eq!(stats.admitted, REQUESTS, "seed {seed}: {stats:?}");
             assert_eq!(stats.completed, REQUESTS - kills, "seed {seed}: {stats:?}");
             assert_eq!(stats.failed, kills, "seed {seed}: {stats:?}");
             assert_eq!(stats.governor.closure_panics, kills, "seed {seed}");
-            assert_eq!(stats.governor.ticks, 0, "seed {seed}: a governor ran");
             assert_eq!(stats.live_runs, 0, "seed {seed}");
             let failed: Vec<u64> = trace
                 .events()

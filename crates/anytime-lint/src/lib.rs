@@ -22,7 +22,7 @@
 //! | `l3-relaxed` | `Ordering::Relaxed` without an adjacent `// relaxed:` justification comment (same line, the line above, or a contiguous run of justified `Relaxed` lines). |
 //! | `l4-guard-across-publish` | a named `MutexGuard` binding (`let g = ….lock()` / `lock_unpoisoned(…)` / `lock(…)`) still live at a call to `publish*` / `emit*` / `seal_degraded` / `callback`. Publication must happen after the state lock is dropped, or readers can block on a publisher. |
 //! | `l5-forbid-unsafe` | workspace crate roots (`src/lib.rs`, `src/main.rs`) missing `#![forbid(unsafe_code)]`. |
-//! | `l6-no-raw-spawn` | raw OS-thread creation (`thread::spawn`, `Builder…spawn(…)`, `scope.spawn(…)`) outside `#[cfg(test)]` scopes and `tests/`/`benches/`/`examples/` trees. Stage work runs as tasks on the shared work-stealing runtime; every standing thread (runtime workers, supervisor watchdog, governor, replica workers) is an audited suppression. |
+//! | `l6-no-raw-spawn` | raw OS-thread creation (`thread::spawn`, `Builder…spawn(…)`, `scope.spawn(…)`) outside `#[cfg(test)]` scopes and `tests/`/`benches/`/`examples/` trees. Stage work runs as tasks on the shared work-stealing runtime; every standing thread (runtime workers, supervisor watchdog, replica workers) is an audited suppression. |
 //! | `l7-guard-across-yield` | *(cross-file)* a named guard live at a call whose callee transitively reaches a publish/yield boundary, inside any function reachable from an `RtTask`/`StageRunner` poll body. Closes L4's interprocedural gap. |
 //! | `l8-lock-order` | *(cross-file)* a cycle in the workspace lock-acquisition-order graph (lock B taken — directly or via a call — while a guard of A is held, and elsewhere A under B). The diagnostic prints the witness cycle with file:line per edge. |
 //! | `l9-atomic-pairing` | *(cross-file)* an explicit `Release` write on an atomic field with no `Acquire`/`AcqRel`/`SeqCst` load anywhere in the workspace, and vice versa. `SeqCst` and test-code accesses satisfy pairing but are never flagged. |
@@ -517,9 +517,9 @@ fn rule_l5_forbid(tokens: &[Token], ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
 /// call `….spawn(…)` (thread `Builder` chains, scoped-thread handles).
 /// Stage work belongs on the shared task runtime; the few standing
 /// control-plane threads the crate keeps (runtime workers, supervisor
-/// watchdog, governor, serve replica workers, parallel-map compute
-/// workers) each carry an audited suppression naming why a thread is the
-/// right tool there.
+/// watchdog, serve replica workers, parallel-map compute workers) each
+/// carry an audited suppression naming why a thread is the right tool
+/// there.
 fn rule_l6_spawn(tokens: &[Token], in_test: &[bool], ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
     if ctx.sleep_exempt {
         return;

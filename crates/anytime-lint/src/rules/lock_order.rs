@@ -4,8 +4,8 @@
 //! a named guard of `A` is live — directly, or by calling a function
 //! whose transitive acquire set contains `B`. Any directed cycle in that
 //! graph is a deadlock an unlucky interleaving can realize across
-//! `runtime.rs`/`serve.rs`/`governor.rs`/`buffer.rs`, even though each
-//! file looks locally consistent. The diagnostic prints the full witness
+//! `runtime.rs`/`serve.rs`/`buffer.rs`, even though each file looks
+//! locally consistent. The diagnostic prints the full witness
 //! cycle with the file:line of every edge so the order inversion can be
 //! read off directly.
 

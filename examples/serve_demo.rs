@@ -10,12 +10,12 @@
 //! deadline budgets and quality floors. The pool answers *every admitted
 //! request by its deadline* with the best snapshot available: generous
 //! budgets get the precise convolution, tight ones a valid approximation,
-//! and overload is absorbed by shedding low-floor requests to cheaper
-//! approximations instead of failing them. The run ends with the pool's
-//! own accounting: admission, shed, hedge, and deadline-hit rates.
+//! and compatible queued requests share one batch run. The run ends with
+//! the pool's own accounting: admission, hedge, batch, and deadline-hit
+//! rates.
 //!
 //! With `--trace out.json`, the run records a structured trace — buffer
-//! publications, admissions, sheds, hedges, per-request quality
+//! publications, admissions, hedges, batches, per-request quality
 //! observations — and writes three artifacts: `out.json` (Chrome
 //! `trace_event` timeline for `chrome://tracing` / Perfetto), `out.jsonl`
 //! (the event log `anytime-bench`'s `trace_check` turns back into
@@ -25,7 +25,7 @@
 use anytime::apps::conv2d::CHUNK;
 use anytime::apps::{time_baseline, Conv2d};
 use anytime::core::{
-    BatchPolicy, CoreError, HedgePolicy, Recorder, ServeOptions, ServePool, ServeStatus, ShedPolicy,
+    BatchPolicy, CoreError, HedgePolicy, Recorder, ServeOptions, ServePool, ServeStatus,
 };
 use anytime::img::{metrics, synth, Kernel};
 use std::path::PathBuf;
@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Arrivals per precise-baseline interval: 2 replicas at rate 4 is a
-/// sustained 2× overload, so queueing — and shedding — actually happens.
+/// sustained 2× overload, so queueing — and batching — actually happens.
 const ARRIVALS_PER_BASELINE: f64 = 4.0;
 const REQUESTS: usize = 48;
 
@@ -111,11 +111,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 after: None,
                 min_remaining: Duration::from_secs_f64(baseline.as_secs_f64() * 0.05),
             }),
-            shed: Some(ShedPolicy {
-                queue_threshold: 2,
-                max_floor: 0.4,
-                budget: Duration::from_secs_f64(baseline.as_secs_f64() * 0.1),
-            }),
             // A narrow window batches only like-deadlined requests: a
             // tight request stapled to a leisurely batch would wait out
             // the whole batch and starve.
@@ -138,7 +133,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     // Deadline budgets as fractions of the precise baseline, crossed with
-    // quality floors; low floors are the shed candidates under overload.
+    // quality floors.
     let fractions = [1.5, 0.6, 0.25, 0.1];
     let floors = [0.0, 0.3, 0.8];
     let interarrival = Duration::from_secs_f64(baseline.as_secs_f64() / ARRIVALS_PER_BASELINE);
