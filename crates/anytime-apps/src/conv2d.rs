@@ -152,13 +152,16 @@ impl Conv2d {
     }
 
     /// Builds the automaton with the sampling work spread over `workers`
-    /// threads (paper §IV-C1): the tree permutation is divided cyclically,
-    /// so all workers cooperate on the coarsest unfinished resolution and
+    /// shares (paper §IV-C1): the tree permutation is divided cyclically,
+    /// so all shares cooperate on the coarsest unfinished resolution and
     /// low-resolution completeness arrives as early as the machine allows.
+    /// Each share is a task on the runtime the pipeline launches on, so
+    /// the runtime's worker count bounds the parallelism.
     ///
     /// `publish_every` is in pixels. Functionally identical to
-    /// [`Conv2d::automaton`]; on multicore hosts the sampling throughput
-    /// scales with `workers`.
+    /// [`Conv2d::automaton`], but a share convolves one pixel at a time
+    /// (one `Vec<u8>` each) where the serial stage convolves a chunk at
+    /// once, so one share is slower than the serial stage.
     ///
     /// # Errors
     ///

@@ -1,10 +1,13 @@
 //! Ablation: intra-stage worker count (paper §IV-C1).
 //!
 //! The same 2dconv automaton with its tree sample order divided cyclically
-//! over 1, 2, and 4 workers. On a multicore host time-to-precise scales
-//! with the worker count; on a single core the variants expose the
-//! coordination overhead of the worker channel instead — both are the
-//! quantities a deployment would tune against.
+//! into 1, 2, and 4 shares ("workers"), each share a task on the shared
+//! runtime's workers. Time-to-precise scales with the share count up to
+//! the runtime's worker count; past it, or on a single core, the variants
+//! expose the coordination overhead of the merge channel instead — both
+//! are the quantities a deployment would tune against. A share convolves
+//! pixel by pixel, while `serial_stage` convolves a chunk at a time, so
+//! the serial stage stays faster than one share.
 
 use anytime_bench::workloads::{self, Scale};
 use criterion::{criterion_group, criterion_main, Criterion};

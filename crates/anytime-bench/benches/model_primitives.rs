@@ -1,5 +1,5 @@
 //! Microbenchmarks of the model's primitives: buffer publication, snapshot
-//! reads, control-token checkpoints, permutation generation, and the
+//! reads, control-token stop checks, permutation generation, and the
 //! bit-serial dot product. These set the floor for how fine-grained a
 //! stage's steps can be before runtime overhead dominates.
 
@@ -35,9 +35,9 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(r.latest().map(|s| s.version())))
     });
 
-    group.bench_function("control_checkpoint", |b| {
+    group.bench_function("control_is_stopped", |b| {
         let ctl = ControlToken::new();
-        b.iter(|| black_box(ctl.checkpoint().is_ok()))
+        b.iter(|| black_box(ctl.is_stopped()))
     });
 
     group.bench_function("tree2d_materialize_64k", |b| {

@@ -739,9 +739,9 @@ impl<T> BufferReader<T> {
     }
 }
 
-/// A two-slot publication recycler for producers that rebuild their whole
-/// output every publication (the drive loops behind `SampledMap`,
-/// distributive and parallel runners).
+/// A two-slot publication recycler for producers that publish a working
+/// output they keep mutating: the synchronous pipeline's distributive
+/// stage and the parallel map's merge.
 ///
 /// Publishing through the double buffer alternates between two `Arc`
 /// slots. When it is a slot's turn again, the buffer's `latest` has moved

@@ -1,26 +1,25 @@
-//! Control-aware bounded channel for synchronous update streams.
+//! Control-aware bounded channel between runtime tasks.
 //!
 //! The synchronous pipeline (§III-C2) and the parallel sampled map need a
 //! bounded producer/consumer queue whose operations participate in the
-//! event-driven control plane: a backpressured `send` must *block* — no
-//! polling quantum — yet wake immediately when space appears, when the
-//! peer disappears, or when the automaton is stopped or paused. Runtime
-//! tasks use the never-blocking `poll_send`/`poll_recv` instead and
-//! subscribe their waker for the same events. The stdlib and crossbeam
-//! channels cannot observe a [`ControlToken`], so a stop would only be
-//! noticed by sleeping in slices; this channel subscribes its waiters to
-//! both the channel's own [`Watchers`] and the control token's.
+//! event-driven control plane. Both ends are runtime tasks, so the channel
+//! is poll-only: [`Sender::poll_send`] hands a value back when the queue
+//! is full and [`Receiver::poll_recv`] reports an empty queue, and neither
+//! ever blocks. A task that gets either answer returns `Pending` after
+//! subscribing its waker to the channel and to the [`ControlToken`]; the
+//! channel wakes its subscribers when space or data appears and when a
+//! peer exits, and the token wakes them on stop, pause and resume. The
+//! stdlib and crossbeam channels cannot observe a [`ControlToken`], so a
+//! stop would not reach a task waiting on them.
 //!
-//! Pause semantics follow checkpoints: a paused automaton blocks producers
-//! and consumers inside [`ControlToken::checkpoint`] until resumed.
+//! Pause is the caller's to observe: a pollable task checks
+//! [`ControlToken::poll_checkpoint`] before it sends or receives.
 
 use crate::control::ControlToken;
 use crate::error::{CoreError, Result};
-use crate::metrics::WaitCounters;
-use crate::notify::{lock_unpoisoned, WaitSet, WakeTarget, Watchers};
+use crate::notify::{lock_unpoisoned, WakeTarget, Watchers};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 struct State<T> {
     queue: VecDeque<T>,
@@ -32,11 +31,9 @@ struct Shared<T> {
     capacity: usize,
     state: Mutex<State<T>>,
     watchers: Watchers,
-    counters: WaitCounters,
 }
 
-/// Creates a bounded channel whose blocking endpoints observe a
-/// [`ControlToken`].
+/// Creates a bounded channel whose endpoints observe a [`ControlToken`].
 ///
 /// # Panics
 ///
@@ -51,7 +48,6 @@ pub(crate) fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
             receiver_alive: true,
         }),
         watchers: Watchers::new(),
-        counters: WaitCounters::default(),
     });
     (
         Sender {
@@ -61,7 +57,8 @@ pub(crate) fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     )
 }
 
-/// Producer endpoint. Cloneable for multi-producer use (worker threads).
+/// Producer endpoint. Cloneable for multi-producer use (the parallel
+/// map's share tasks).
 pub(crate) struct Sender<T> {
     shared: Arc<Shared<T>>,
 }
@@ -89,67 +86,17 @@ impl<T> Drop for Sender<T> {
 }
 
 impl<T> Sender<T> {
-    /// Sends `value`, blocking while the queue is full or the automaton is
-    /// paused, waking immediately on space, receiver exit, or stop.
+    /// One send attempt that never blocks, not even on pause (the caller
+    /// observes pause through [`ControlToken::poll_checkpoint`] first):
+    /// `Ok(None)` when sent, `Ok(Some(v))` when the queue is full (the
+    /// value is handed back).
     ///
     /// # Errors
     ///
     /// - [`CoreError::Stopped`] if the automaton is stopped (also when the
     ///   receiver vanished *because* of the stop).
-    /// - [`CoreError::ChannelClosed`] if the receiver was dropped while
-    ///   still running.
-    pub(crate) fn send(&self, value: T, ctl: &ControlToken) -> Result<()> {
-        let mut value = value;
-        // Fast path: space available, nothing to wait for.
-        match self.try_push(value, ctl)? {
-            None => return Ok(()),
-            Some(v) => value = v,
-        }
-        // Slow path: wait for space, a receiver exit, or a stop.
-        let ws = WaitSet::new();
-        let _chan_watch = self.shared.watchers.subscribe(&ws);
-        let _ctl_watch = ctl.subscribe(&ws);
-        self.shared.counters.record_wait_entered();
-        let blocked_since = Instant::now();
-        let mut woken = false;
-        loop {
-            let seen = ws.epoch();
-            match self.try_push(value, ctl) {
-                Ok(None) => {
-                    self.shared
-                        .counters
-                        .record_wait_finished(blocked_since.elapsed());
-                    return Ok(());
-                }
-                Ok(Some(v)) => value = v,
-                Err(e) => {
-                    self.shared
-                        .counters
-                        .record_wait_finished(blocked_since.elapsed());
-                    return Err(e);
-                }
-            }
-            if woken {
-                self.shared.counters.spurious_wakeups.inc();
-            }
-            ws.wait(seen);
-            woken = true;
-            self.shared.counters.wakeups.inc();
-        }
-    }
-
-    /// One non-blocking send attempt: `Ok(None)` on success, `Ok(Some(v))`
-    /// when the queue is full (value handed back), `Err` when the stream
-    /// cannot accept the value anymore. Honors pause via `checkpoint`.
-    fn try_push(&self, value: T, ctl: &ControlToken) -> Result<Option<T>> {
-        ctl.checkpoint()?;
-        self.poll_send(value, ctl)
-    }
-
-    /// The task-poll counterpart of `try_push`: never blocks, not even on
-    /// pause (the pollable caller observes pause through
-    /// [`ControlToken::poll_checkpoint`] before calling). Same contract
-    /// otherwise: `Ok(None)` sent, `Ok(Some(v))` full, `Err` dead stream.
+    /// - [`CoreError::ChannelClosed`] if the receiver was dropped or
+    ///   closed while still running.
     pub(crate) fn poll_send(&self, value: T, ctl: &ControlToken) -> Result<Option<T>> {
         if ctl.is_stopped() {
             return Err(CoreError::Stopped);
@@ -171,7 +118,7 @@ impl<T> Sender<T> {
         st.queue.push_back(value);
         drop(st);
         if was_empty {
-            // The receiver only blocks on an empty queue.
+            // The receiver only waits on an empty queue.
             self.shared.watchers.wake_all();
         }
         Ok(None)
@@ -182,14 +129,6 @@ impl<T> Sender<T> {
     /// producers call it at the top of every poll slice.
     pub(crate) fn subscribe_target(&self, target: &Arc<dyn WakeTarget>) {
         self.shared.watchers.subscribe_target(target);
-    }
-
-    /// Test-only: blocks until `target` blocking waits (either endpoint)
-    /// have been entered on this channel. See
-    /// [`crate::metrics::WaitCounters::wait_for_waits`].
-    #[cfg(test)]
-    pub(crate) fn wait_for_waits(&self, target: u64, timeout: std::time::Duration) -> bool {
-        self.shared.counters.wait_for_waits(target, timeout)
     }
 }
 
@@ -209,11 +148,7 @@ pub(crate) struct Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let mut st = lock_unpoisoned(&self.shared.state);
-        st.receiver_alive = false;
-        drop(st);
-        // Backpressured senders must learn the consumer is gone.
-        self.shared.watchers.wake_all();
+        self.poll_close();
     }
 }
 
@@ -223,10 +158,10 @@ impl<T> Receiver<T> {
         lock_unpoisoned(&self.shared.state).queue.len()
     }
 
-    /// Test-only: receives the next message, blocking while the queue is
-    /// empty or the automaton is paused, waking immediately on
-    /// publication, producer exit, or stop. Production consumers are
-    /// runtime tasks and use [`Receiver::poll_recv`].
+    /// One receive attempt that never blocks, not even on pause (the
+    /// caller observes pause through [`ControlToken::poll_checkpoint`]
+    /// first): `Ok(Some(v))` on data, `Ok(None)` when the queue is empty
+    /// but senders remain.
     ///
     /// Like crossbeam, a closed channel still drains: queued messages are
     /// delivered before [`CoreError::ChannelClosed`].
@@ -237,56 +172,6 @@ impl<T> Receiver<T> {
     ///   the queue, so a stop is honored promptly even with a full queue).
     /// - [`CoreError::ChannelClosed`] once all senders are gone and the
     ///   queue is drained.
-    #[cfg(test)]
-    pub(crate) fn recv(&self, ctl: &ControlToken) -> Result<T> {
-        // Fast path.
-        if let Some(v) = self.try_pop(ctl)? {
-            return Ok(v);
-        }
-        // Slow path: wait for data, the last sender's exit, or a stop.
-        let ws = WaitSet::new();
-        let _chan_watch = self.shared.watchers.subscribe(&ws);
-        let _ctl_watch = ctl.subscribe(&ws);
-        self.shared.counters.record_wait_entered();
-        let blocked_since = Instant::now();
-        let mut woken = false;
-        loop {
-            let seen = ws.epoch();
-            match self.try_pop(ctl) {
-                Ok(Some(v)) => {
-                    self.shared
-                        .counters
-                        .record_wait_finished(blocked_since.elapsed());
-                    return Ok(v);
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    self.shared
-                        .counters
-                        .record_wait_finished(blocked_since.elapsed());
-                    return Err(e);
-                }
-            }
-            if woken {
-                self.shared.counters.spurious_wakeups.inc();
-            }
-            ws.wait(seen);
-            woken = true;
-            self.shared.counters.wakeups.inc();
-        }
-    }
-
-    /// One non-blocking receive attempt: `Ok(Some(v))` on data, `Ok(None)`
-    /// when empty but still open, `Err` on stop or a drained closed stream.
-    #[cfg(test)]
-    fn try_pop(&self, ctl: &ControlToken) -> Result<Option<T>> {
-        ctl.checkpoint()?;
-        self.poll_recv(ctl)
-    }
-
-    /// The task-poll counterpart of `try_pop`: never blocks, not even on
-    /// pause (the pollable caller observes pause through
-    /// [`ControlToken::poll_checkpoint`] before calling).
     pub(crate) fn poll_recv(&self, ctl: &ControlToken) -> Result<Option<T>> {
         if ctl.is_stopped() {
             return Err(CoreError::Stopped);
@@ -296,7 +181,7 @@ impl<T> Receiver<T> {
             let was_full = st.queue.len() + 1 == self.shared.capacity;
             drop(st);
             if was_full {
-                // Senders only block on a full queue.
+                // Senders only wait on a full queue.
                 self.shared.watchers.wake_all();
             }
             return Ok(Some(v));
@@ -307,25 +192,29 @@ impl<T> Receiver<T> {
         Ok(None)
     }
 
+    /// Closes the stream from the consumer side and reports whether every
+    /// sender is gone. Senders fail at their next [`Sender::poll_send`];
+    /// the last one to drop wakes this channel's subscribers. Idempotent:
+    /// a consumer that must not outlive its producers polls it until it
+    /// returns `true`.
+    pub(crate) fn poll_close(&self) -> bool {
+        let mut st = lock_unpoisoned(&self.shared.state);
+        let was_open = std::mem::replace(&mut st.receiver_alive, false);
+        let senders_gone = st.senders == 0;
+        drop(st);
+        if was_open {
+            // Senders waiting on a full queue must learn the consumer is
+            // gone.
+            self.shared.watchers.wake_all();
+        }
+        senders_gone
+    }
+
     /// Registers an owned wake target (a runtime task waker) for wakeups
     /// on every queue transition or peer exit. Idempotent; pollable
     /// consumers call it at the top of every poll slice.
     pub(crate) fn subscribe_target(&self, target: &Arc<dyn WakeTarget>) {
         self.shared.watchers.subscribe_target(target);
-    }
-
-    /// Counters for blocking waits on this channel (both endpoints).
-    #[cfg(test)]
-    pub(crate) fn wait_stats(&self) -> crate::metrics::WaitStats {
-        self.shared.counters.snapshot()
-    }
-
-    /// Test-only: blocks until `target` blocking waits (either endpoint)
-    /// have been entered on this channel. See
-    /// [`crate::metrics::WaitCounters::wait_for_waits`].
-    #[cfg(test)]
-    pub(crate) fn wait_for_waits(&self, target: u64, timeout: std::time::Duration) -> bool {
-        self.shared.counters.wait_for_waits(target, timeout)
     }
 }
 
@@ -340,178 +229,179 @@ impl<T> std::fmt::Debug for Receiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
-    use std::time::Duration;
+    use crate::notify::WaitSet;
+
+    /// A wake target whose epoch counts the wakeups delivered to it.
+    fn counting_target() -> (WaitSet, Arc<dyn WakeTarget>) {
+        let ws = WaitSet::new();
+        let target = ws.as_wake_target();
+        (ws, target)
+    }
 
     #[test]
-    fn send_recv_in_order() {
+    fn poll_send_recv_in_order() {
         let (tx, rx) = bounded::<u32>(4);
         let ctl = ControlToken::new();
         for i in 0..4 {
-            tx.send(i, &ctl).unwrap();
+            assert!(tx.poll_send(i, &ctl).unwrap().is_none());
         }
         for i in 0..4 {
-            assert_eq!(rx.recv(&ctl).unwrap(), i);
+            assert_eq!(rx.poll_recv(&ctl).unwrap(), Some(i));
         }
+        assert_eq!(rx.poll_recv(&ctl).unwrap(), None, "empty but open");
     }
 
     #[test]
-    fn full_queue_blocks_until_recv() {
+    fn full_queue_hands_the_value_back() {
         let (tx, rx) = bounded::<u32>(1);
         let ctl = ControlToken::new();
-        tx.send(0, &ctl).unwrap();
-        let ctl2 = ctl.clone();
-        let h = thread::spawn(move || tx.send(1, &ctl2));
-        // Event-driven: block until the sender has entered its wait, then
-        // make room. No sleep quantum, no timing assumption.
-        assert!(
-            rx.wait_for_waits(1, Duration::from_secs(10)),
-            "sender never blocked"
-        );
-        assert_eq!(rx.recv(&ctl).unwrap(), 0);
-        h.join().unwrap().unwrap();
-        assert_eq!(rx.recv(&ctl).unwrap(), 1);
-        assert!(rx.wait_stats().waits >= 1);
+        assert!(tx.poll_send(0, &ctl).unwrap().is_none());
+        assert_eq!(tx.poll_send(1, &ctl).unwrap(), Some(1));
+        assert_eq!(rx.len(), 1);
+        assert_eq!(rx.poll_recv(&ctl).unwrap(), Some(0));
+        assert!(tx.poll_send(1, &ctl).unwrap().is_none());
+        assert_eq!(rx.poll_recv(&ctl).unwrap(), Some(1));
     }
 
     #[test]
-    fn empty_queue_blocks_until_send() {
-        let (tx, rx) = bounded::<u32>(4);
+    fn space_wakes_the_sender() {
+        let (tx, rx) = bounded::<u32>(2);
         let ctl = ControlToken::new();
-        let ctl2 = ctl.clone();
-        let h = thread::spawn(move || rx.recv(&ctl2));
-        assert!(
-            tx.wait_for_waits(1, Duration::from_secs(10)),
-            "receiver never blocked"
-        );
-        tx.send(7, &ctl).unwrap();
-        assert_eq!(h.join().unwrap().unwrap(), 7);
+        let (wakes, target) = counting_target();
+        tx.poll_send(0, &ctl).unwrap();
+        tx.poll_send(1, &ctl).unwrap();
+        tx.subscribe_target(&target);
+        assert_eq!(tx.poll_send(2, &ctl).unwrap(), Some(2));
+        assert_eq!(wakes.epoch(), 0);
+        rx.poll_recv(&ctl).unwrap();
+        assert_eq!(wakes.epoch(), 1, "a pop from a full queue wakes the sender");
+        rx.poll_recv(&ctl).unwrap();
+        assert_eq!(wakes.epoch(), 1, "only the full → not-full edge wakes");
     }
 
     #[test]
-    fn stop_interrupts_blocked_send_promptly() {
+    fn data_wakes_the_receiver() {
+        let (tx, rx) = bounded::<u32>(2);
+        let ctl = ControlToken::new();
+        let (wakes, target) = counting_target();
+        rx.subscribe_target(&target);
+        assert_eq!(rx.poll_recv(&ctl).unwrap(), None);
+        tx.poll_send(7, &ctl).unwrap();
+        assert_eq!(wakes.epoch(), 1, "a push onto an empty queue wakes");
+        tx.poll_send(8, &ctl).unwrap();
+        assert_eq!(wakes.epoch(), 1, "only the empty → not-empty edge wakes");
+        assert_eq!(rx.poll_recv(&ctl).unwrap(), Some(7));
+    }
+
+    #[test]
+    fn receiver_exit_wakes_and_fails_the_sender() {
         let (tx, rx) = bounded::<u32>(1);
         let ctl = ControlToken::new();
-        tx.send(0, &ctl).unwrap();
-        let ctl2 = ctl.clone();
-        let h = thread::spawn(move || {
-            let start = Instant::now();
-            (tx.send(1, &ctl2), start.elapsed())
-        });
-        assert!(
-            rx.wait_for_waits(1, Duration::from_secs(10)),
-            "sender never blocked"
-        );
+        let (wakes, target) = counting_target();
+        tx.poll_send(0, &ctl).unwrap();
+        tx.subscribe_target(&target);
+        drop(rx);
+        assert_eq!(wakes.epoch(), 1);
+        assert!(matches!(
+            tx.poll_send(1, &ctl),
+            Err(CoreError::ChannelClosed)
+        ));
+    }
+
+    #[test]
+    fn last_sender_exit_wakes_the_receiver() {
+        let (tx, rx) = bounded::<u32>(1);
+        let ctl = ControlToken::new();
+        let (wakes, target) = counting_target();
+        rx.subscribe_target(&target);
+        let tx2 = tx.clone();
+        drop(tx);
+        assert_eq!(wakes.epoch(), 0, "a sender remains");
+        assert_eq!(rx.poll_recv(&ctl).unwrap(), None);
+        drop(tx2);
+        assert_eq!(wakes.epoch(), 1);
+        assert!(matches!(rx.poll_recv(&ctl), Err(CoreError::ChannelClosed)));
+    }
+
+    #[test]
+    fn close_fails_senders_and_reports_when_they_are_gone() {
+        let (tx, rx) = bounded::<u32>(1);
+        let ctl = ControlToken::new();
+        let (wakes, target) = counting_target();
+        tx.subscribe_target(&target);
+        assert!(!rx.poll_close(), "a sender is still alive");
+        assert_eq!(wakes.epoch(), 1, "closing wakes the senders");
+        assert!(matches!(
+            tx.poll_send(0, &ctl),
+            Err(CoreError::ChannelClosed)
+        ));
+        assert!(!rx.poll_close());
+        assert_eq!(wakes.epoch(), 1, "a second close wakes no one");
+        drop(tx);
+        assert!(rx.poll_close());
+    }
+
+    #[test]
+    fn stop_fails_both_ends() {
+        let (tx, rx) = bounded::<u32>(2);
+        let ctl = ControlToken::new();
+        tx.poll_send(0, &ctl).unwrap();
         ctl.stop();
-        let (result, waited) = h.join().unwrap();
-        assert!(matches!(result, Err(CoreError::Stopped)));
-        assert!(waited < Duration::from_secs(5), "stop took {waited:?}");
-    }
-
-    #[test]
-    fn stop_interrupts_blocked_recv_promptly() {
-        let (tx, rx) = bounded::<u32>(1);
-        let ctl = ControlToken::new();
-        let ctl2 = ctl.clone();
-        let h = thread::spawn(move || rx.recv(&ctl2));
+        assert!(matches!(tx.poll_send(1, &ctl), Err(CoreError::Stopped)));
         assert!(
-            tx.wait_for_waits(1, Duration::from_secs(10)),
-            "receiver never blocked"
+            matches!(rx.poll_recv(&ctl), Err(CoreError::Stopped)),
+            "a stop is reported before queued data"
         );
-        ctl.stop();
-        assert!(matches!(h.join().unwrap(), Err(CoreError::Stopped)));
+        drop(rx);
+        assert!(
+            matches!(tx.poll_send(1, &ctl), Err(CoreError::Stopped)),
+            "a receiver gone because of the stop reports the stop"
+        );
     }
 
     #[test]
     fn closed_channel_drains_then_errors() {
         let (tx, rx) = bounded::<u32>(4);
         let ctl = ControlToken::new();
-        tx.send(1, &ctl).unwrap();
-        tx.send(2, &ctl).unwrap();
+        tx.poll_send(1, &ctl).unwrap();
+        tx.poll_send(2, &ctl).unwrap();
         drop(tx);
-        assert_eq!(rx.recv(&ctl).unwrap(), 1);
-        assert_eq!(rx.recv(&ctl).unwrap(), 2);
-        assert!(matches!(rx.recv(&ctl), Err(CoreError::ChannelClosed)));
+        assert_eq!(rx.poll_recv(&ctl).unwrap(), Some(1));
+        assert_eq!(rx.poll_recv(&ctl).unwrap(), Some(2));
+        assert!(matches!(rx.poll_recv(&ctl), Err(CoreError::ChannelClosed)));
     }
 
     #[test]
-    fn dropped_receiver_fails_send() {
-        let (tx, rx) = bounded::<u32>(1);
+    fn several_senders_feed_one_receiver() {
+        let (tx, rx) = bounded::<u32>(3);
         let ctl = ControlToken::new();
-        drop(rx);
-        assert!(matches!(tx.send(0, &ctl), Err(CoreError::ChannelClosed)));
-    }
-
-    #[test]
-    fn dropped_receiver_after_stop_reports_stop() {
-        let (tx, rx) = bounded::<u32>(1);
-        let ctl = ControlToken::new();
-        ctl.stop();
-        drop(rx);
-        assert!(matches!(tx.send(0, &ctl), Err(CoreError::Stopped)));
-    }
-
-    #[test]
-    fn dropped_receiver_unblocks_backpressured_sender() {
-        let (tx, rx) = bounded::<u32>(1);
-        let ctl = ControlToken::new();
-        tx.send(0, &ctl).unwrap();
-        let ctl2 = ctl.clone();
-        let h = thread::spawn(move || tx.send(1, &ctl2));
-        assert!(
-            rx.wait_for_waits(1, Duration::from_secs(10)),
-            "sender never blocked"
-        );
-        drop(rx);
-        assert!(matches!(h.join().unwrap(), Err(CoreError::ChannelClosed)));
-    }
-
-    #[test]
-    fn cloned_senders_all_feed_one_receiver() {
-        let (tx, rx) = bounded::<u32>(8);
-        let ctl = ControlToken::new();
-        let mut handles = Vec::new();
-        for w in 0..4u32 {
-            let tx = tx.clone();
-            let ctl = ctl.clone();
-            handles.push(thread::spawn(move || {
-                for i in 0..25 {
-                    tx.send(w * 100 + i, &ctl).unwrap();
-                }
-            }));
-        }
+        let senders: Vec<Sender<u32>> = (0..4).map(|_| tx.clone()).collect();
         drop(tx);
         let mut got = Vec::new();
-        while let Ok(v) = rx.recv(&ctl) {
-            got.push(v);
+        for i in 0..25u32 {
+            for (w, s) in (0u32..).zip(&senders) {
+                let mut v = w * 100 + i;
+                while let Some(back) = s.poll_send(v, &ctl).unwrap() {
+                    got.push(rx.poll_recv(&ctl).unwrap().expect("full queue"));
+                    v = back;
+                }
+            }
         }
-        for h in handles {
-            h.join().unwrap();
+        drop(senders);
+        loop {
+            match rx.poll_recv(&ctl) {
+                Ok(Some(v)) => got.push(v),
+                Ok(None) => panic!("every sender is gone"),
+                Err(e) => {
+                    assert!(matches!(e, CoreError::ChannelClosed));
+                    break;
+                }
+            }
         }
         got.sort_unstable();
         let expected: Vec<u32> = (0..4u32)
             .flat_map(|w| (0..25).map(move |i| w * 100 + i))
             .collect();
         assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn pause_blocks_producer_until_resume() {
-        let (tx, rx) = bounded::<u32>(4);
-        let ctl = ControlToken::new();
-        ctl.pause();
-        let ctl2 = ctl.clone();
-        let h = thread::spawn(move || tx.send(1, &ctl2));
-        // A paused sender blocks inside the control token's checkpoint
-        // (before ever touching the queue), so the entry signal comes from
-        // the token's pause-wait counters, not the channel's.
-        assert!(
-            ctl.wait_for_checkpoint_waits(1, Duration::from_secs(10)),
-            "sender never hit the pause checkpoint"
-        );
-        assert_eq!(rx.len(), 0, "send went through while paused");
-        ctl.resume();
-        h.join().unwrap().unwrap();
-        assert_eq!(rx.recv(&ctl).unwrap(), 1);
     }
 }

@@ -1,12 +1,19 @@
-use crate::error::{CoreError, Result};
-use crate::metrics::{WaitCounters, WaitStats};
-use crate::notify::{lock_unpoisoned, WaitSet, WakeTarget, WatchGuard, Watchers};
-use std::fmt;
-use std::sync::Arc;
-use std::time::Instant;
+//! The control token: stop, pause and resume for a whole automaton.
+//!
+//! Every stage of an automaton shares one [`ControlToken`]. Stage tasks
+//! observe it without blocking through [`ControlToken::poll_checkpoint`]
+//! between intermediate computations, and subscribe their wakers to it,
+//! so a transition re-polls every waiting task instead of being found by
+//! polling. Blocking waits outside the runtime (buffer waits, join
+//! multiplexing) subscribe a wait set the same way. User code reads the
+//! state with [`ControlToken::is_stopped`] and [`ControlToken::is_paused`].
 
-/// Non-blocking observation of the control state, for pollable stage
-/// tasks that must never park a runtime worker.
+use crate::notify::{WaitSet, WakeTarget, WatchGuard, Watchers};
+use std::fmt;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Arc;
+
+/// The control state, as a stage task observes it at a checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ControlPoll {
     Running,
@@ -14,58 +21,36 @@ pub(crate) enum ControlPoll {
     Stopped,
 }
 
-/// Execution state shared by every stage of an automaton.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunState {
-    Running,
-    Paused,
-    Stopped,
-}
+const RUNNING: u8 = 0;
+const PAUSED: u8 = 1;
+const STOPPED: u8 = 2;
 
 struct Shared {
-    state: std::sync::Mutex<RunState>,
-    /// Mirror of `state` for the lock-free checkpoint fast path
-    /// (0 = running, 1 = paused, 2 = stopped).
-    state_hint: std::sync::atomic::AtomicU8,
-    // lint: allow(l1-condvar) -- checkpoint() re-checks RunState under the same mutex; zero-alloc fast path
-    cond: std::sync::Condvar,
-    /// Wait sets of blocked waiters (buffer waits, channel waits, join
+    /// `RUNNING`, `PAUSED` or `STOPPED`. Every transition stores it before
+    /// it wakes the watchers.
+    state: AtomicU8,
+    /// Stage task wakers and blocked waiters (buffer waits, join
     /// multiplexers) to notify on every state transition.
     watchers: Watchers,
-    /// Pause-blocking checkpoint counters.
-    counters: WaitCounters,
-}
-
-impl Shared {
-    fn set_state(&self, st: &mut RunState, new: RunState) {
-        *st = new;
-        let hint = match new {
-            RunState::Running => 0,
-            RunState::Paused => 1,
-            RunState::Stopped => 2,
-        };
-        self.state_hint
-            .store(hint, std::sync::atomic::Ordering::Release);
-    }
 }
 
 /// The interruptibility switch of an automaton.
 ///
 /// Anytime algorithms are *interruptible*: they can be stopped (or paused) at
 /// any moment while still delivering a valid output (paper §II-B, §III). The
-/// control token implements this: stage drivers call
-/// [`ControlToken::checkpoint`] between intermediate computations, pausing or
-/// exiting as requested. Because every published output version is a valid
+/// control token implements this: stage tasks check it between
+/// intermediate computations, returning `Pending` while paused and ending
+/// once stopped. Because every published output version is a valid
 /// approximation, stopping never corrupts the output — the latest snapshot in
 /// each buffer remains readable.
 ///
-/// Control transitions are **event-driven**: every blocking wait in the
-/// runtime registers with the token, so `stop()`/`pause()`/`resume()`
-/// *notify* waiters instead of being discovered by polling. A stop
-/// interrupts a buffer wait or a backpressured channel in wakeup time
+/// Control transitions are **event-driven**: every waiting task and every
+/// blocking wait registers with the token, so `stop()`/`pause()`/`resume()`
+/// *notify* them instead of being discovered by polling. A stop reaches a
+/// buffer wait or a backpressured stage task in wakeup time
 /// (microseconds), not at the next polling quantum.
 ///
-/// Tokens are cheap to clone and shared across all stage threads.
+/// Tokens are cheap to clone and shared across all stage tasks.
 #[derive(Clone)]
 pub struct ControlToken {
     shared: Arc<Shared>,
@@ -76,12 +61,8 @@ impl ControlToken {
     pub fn new() -> Self {
         Self {
             shared: Arc::new(Shared {
-                state: std::sync::Mutex::new(RunState::Running),
-                state_hint: std::sync::atomic::AtomicU8::new(0),
-                // lint: allow(l1-condvar) -- same predicate-under-mutex protocol as the field above
-                cond: std::sync::Condvar::new(),
+                state: AtomicU8::new(RUNNING),
                 watchers: Watchers::new(),
-                counters: WaitCounters::default(),
             }),
         }
     }
@@ -92,10 +73,7 @@ impl ControlToken {
     /// latest published output of every stage remains available. Every
     /// registered waiter is woken immediately.
     pub fn stop(&self) {
-        let mut st = lock_unpoisoned(&self.shared.state);
-        self.shared.set_state(&mut st, RunState::Stopped);
-        drop(st);
-        self.shared.cond.notify_all();
+        self.shared.state.store(STOPPED, Ordering::Release);
         self.shared.watchers.wake_all();
     }
 
@@ -103,109 +81,35 @@ impl ControlToken {
     ///
     /// A pause is a no-op if the automaton is already stopped.
     pub fn pause(&self) {
-        let mut st = lock_unpoisoned(&self.shared.state);
-        if *st == RunState::Running {
-            self.shared.set_state(&mut st, RunState::Paused);
-            drop(st);
-            self.shared.cond.notify_all();
-            self.shared.watchers.wake_all();
-        }
+        self.transition(RUNNING, PAUSED);
     }
 
     /// Resumes a paused automaton.
     pub fn resume(&self) {
-        let mut st = lock_unpoisoned(&self.shared.state);
-        if *st == RunState::Paused {
-            self.shared.set_state(&mut st, RunState::Running);
-            drop(st);
-            self.shared.cond.notify_all();
+        self.transition(PAUSED, RUNNING);
+    }
+
+    /// Moves the state from `from` to `to`, waking every watcher, if the
+    /// token is in `from`; otherwise does nothing.
+    fn transition(&self, from: u8, to: u8) {
+        if self
+            .shared
+            .state
+            .compare_exchange(from, to, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+        {
             self.shared.watchers.wake_all();
         }
     }
 
     /// `true` once [`ControlToken::stop`] has been called.
     pub fn is_stopped(&self) -> bool {
-        self.shared
-            .state_hint
-            .load(std::sync::atomic::Ordering::Acquire)
-            == 2
+        self.poll_checkpoint() == ControlPoll::Stopped
     }
 
     /// `true` while the automaton is paused.
     pub fn is_paused(&self) -> bool {
-        *lock_unpoisoned(&self.shared.state) == RunState::Paused
-    }
-
-    /// Called by stage drivers between intermediate computations.
-    ///
-    /// Blocks while paused and returns once running again.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Stopped`] if the automaton has been stopped.
-    pub fn checkpoint(&self) -> Result<()> {
-        // Fast path: stage drivers call this between every intermediate
-        // computation, so the running case must not touch the mutex.
-        if self
-            .shared
-            .state_hint
-            .load(std::sync::atomic::Ordering::Acquire)
-            == 0
-        {
-            return Ok(());
-        }
-        let mut st = lock_unpoisoned(&self.shared.state);
-        let mut blocked_since: Option<Instant> = None;
-        loop {
-            match *st {
-                RunState::Running => {
-                    self.finish_checkpoint_wait(blocked_since);
-                    return Ok(());
-                }
-                RunState::Stopped => {
-                    self.finish_checkpoint_wait(blocked_since);
-                    return Err(CoreError::Stopped);
-                }
-                RunState::Paused => {
-                    if blocked_since.is_none() {
-                        blocked_since = Some(Instant::now());
-                        self.shared.counters.record_wait_entered();
-                    } else {
-                        self.shared.counters.wakeups.inc();
-                        self.shared.counters.spurious_wakeups.inc();
-                    }
-                    st = self
-                        .shared
-                        .cond
-                        .wait(st)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-            }
-        }
-    }
-
-    fn finish_checkpoint_wait(&self, blocked_since: Option<Instant>) {
-        if let Some(since) = blocked_since {
-            self.shared.counters.wakeups.inc();
-            self.shared.counters.record_wait_finished(since.elapsed());
-        }
-    }
-
-    /// Counters for checkpoint pause-blocking on this token.
-    pub fn wait_stats(&self) -> WaitStats {
-        self.shared.counters.snapshot()
-    }
-
-    /// Test-only: blocks until `target` checkpoint pause-waits have been
-    /// entered on this token. See
-    /// [`crate::metrics::WaitCounters::wait_for_waits`].
-    #[cfg(test)]
-    pub(crate) fn wait_for_checkpoint_waits(
-        &self,
-        target: u64,
-        timeout: std::time::Duration,
-    ) -> bool {
-        self.shared.counters.wait_for_waits(target, timeout)
+        self.poll_checkpoint() == ControlPoll::Paused
     }
 
     /// Total wakeup notifications this token has delivered to registered
@@ -216,7 +120,7 @@ impl ControlToken {
 
     /// Registers `ws` to be woken on every state transition until the
     /// guard drops. Used by every blocking wait that must abort promptly
-    /// on stop (buffer waits, channel sends/receives, join multiplexing).
+    /// on stop (buffer waits, join multiplexing).
     pub(crate) fn subscribe(&self, ws: &WaitSet) -> WatchGuard<'_> {
         self.shared.watchers.subscribe(ws)
     }
@@ -227,23 +131,18 @@ impl ControlToken {
         self.shared.watchers.subscribe_target(target);
     }
 
-    /// The non-blocking counterpart of [`ControlToken::checkpoint`]:
-    /// reports the current state instead of parking while paused. Stage
-    /// tasks scheduled on the shared runtime use this — a paused task
-    /// returns `Pending` to its worker (the resume transition wakes it via
-    /// the watcher registry) rather than pinning the worker in a condvar.
+    /// The checkpoint stage tasks call between intermediate computations:
+    /// reports the current state without blocking. A paused task returns
+    /// `Pending` to its worker, and the resume transition wakes it through
+    /// the watcher registry.
     ///
-    /// The hint load is `Acquire` paired with the `Release` store in
-    /// `set_state`, and every transition wakes watchers *after* the store,
-    /// so a task woken by a transition always observes the new state.
+    /// The load is `Acquire`, paired with the `Release` store or `AcqRel`
+    /// exchange of every transition, and every transition wakes watchers
+    /// *after* it, so a task woken by a transition observes the new state.
     pub(crate) fn poll_checkpoint(&self) -> ControlPoll {
-        match self
-            .shared
-            .state_hint
-            .load(std::sync::atomic::Ordering::Acquire)
-        {
-            0 => ControlPoll::Running,
-            1 => ControlPoll::Paused,
+        match self.shared.state.load(Ordering::Acquire) {
+            RUNNING => ControlPoll::Running,
+            PAUSED => ControlPoll::Paused,
             _ => ControlPoll::Stopped,
         }
     }
@@ -258,7 +157,7 @@ impl Default for ControlToken {
 impl fmt::Debug for ControlToken {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ControlToken")
-            .field("state", &*lock_unpoisoned(&self.shared.state))
+            .field("state", &self.poll_checkpoint())
             .finish()
     }
 }
@@ -267,58 +166,36 @@ impl fmt::Debug for ControlToken {
 mod tests {
     use super::*;
     use std::thread;
-    use std::time::Duration;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     #[test]
-    fn running_checkpoint_is_ok() {
+    fn poll_checkpoint_follows_every_transition() {
         let t = ControlToken::new();
-        assert!(t.checkpoint().is_ok());
+        assert_eq!(t.poll_checkpoint(), ControlPoll::Running);
         assert!(!t.is_stopped());
         assert!(!t.is_paused());
-    }
-
-    #[test]
-    fn stop_makes_checkpoint_fail() {
-        let t = ControlToken::new();
-        t.stop();
-        assert!(matches!(t.checkpoint(), Err(CoreError::Stopped)));
-        assert!(t.is_stopped());
-    }
-
-    #[test]
-    fn pause_blocks_until_resume() {
-        let t = ControlToken::new();
+        t.resume();
+        assert_eq!(
+            t.poll_checkpoint(),
+            ControlPoll::Running,
+            "resume without pause is a no-op"
+        );
         t.pause();
         assert!(t.is_paused());
-        let t2 = t.clone();
-        let start = Instant::now();
-        let h = thread::spawn(move || t2.checkpoint());
-        thread::sleep(Duration::from_millis(50));
+        assert_eq!(t.poll_checkpoint(), ControlPoll::Paused);
         t.resume();
-        assert!(h.join().unwrap().is_ok());
-        assert!(start.elapsed() >= Duration::from_millis(45));
-        let stats = t.wait_stats();
-        assert_eq!(stats.waits, 1);
-        assert!(stats.total_wait >= Duration::from_millis(40));
-    }
-
-    #[test]
-    fn pause_then_stop_unblocks_with_error() {
-        let t = ControlToken::new();
+        assert_eq!(t.poll_checkpoint(), ControlPoll::Running);
         t.pause();
-        let t2 = t.clone();
-        let h = thread::spawn(move || t2.checkpoint());
-        thread::sleep(Duration::from_millis(20));
         t.stop();
-        assert!(matches!(h.join().unwrap(), Err(CoreError::Stopped)));
-    }
-
-    #[test]
-    fn resume_without_pause_is_noop() {
-        let t = ControlToken::new();
+        assert_eq!(
+            t.poll_checkpoint(),
+            ControlPoll::Stopped,
+            "a stop ends a pause"
+        );
+        assert!(t.is_stopped());
+        assert!(!t.is_paused());
         t.resume();
-        assert!(t.checkpoint().is_ok());
+        assert_eq!(t.poll_checkpoint(), ControlPoll::Stopped, "stop is final");
     }
 
     #[test]

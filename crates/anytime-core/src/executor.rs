@@ -48,6 +48,8 @@ struct StageTask {
     slot: StageSlot,
     finished: Arc<AtomicUsize>,
     done_ws: WaitSet,
+    /// The runtime this task is scheduled on, handed to every poll.
+    runtime: RuntimeHandle,
 }
 
 impl StageTask {
@@ -108,6 +110,7 @@ impl RtTask for StageTask {
             ctl: &self.ctl,
             wake,
             budget: credits,
+            rt: &self.runtime,
         };
         match catch_unwind(AssertUnwindSafe(|| runner.poll(&mut cx))) {
             Ok(StagePoll::Yielded) => TaskPoll::Yielded,
@@ -242,6 +245,7 @@ impl Automaton {
                 slot: Arc::clone(&slot),
                 finished: Arc::clone(&finished),
                 done_ws: done_ws.clone(),
+                runtime: runtime.clone(),
             };
             let credit = credits
                 .as_ref()

@@ -15,7 +15,6 @@
 //! and checks the model's headline guarantee: *accuracy increases over
 //! time and eventually reaches the precise output*.
 
-use crate::notify::Watchers;
 use crate::observe::{write_sample, write_type, MetricStats};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,9 +54,9 @@ impl Counter {
 
 /// Cumulative counters for one event source's blocking waits.
 ///
-/// Every stage output buffer (and the control token) owns one of these;
-/// the event-driven wait paths update it so the cost of waiting — and the
-/// latency from publication to observation — is measurable per stage.
+/// Every stage output buffer owns one of these; its event-driven wait
+/// paths update it so the cost of waiting — and the latency from
+/// publication to observation — is measurable per stage.
 #[derive(Debug, Default)]
 pub struct WaitCounters {
     waits: Counter,
@@ -66,17 +65,11 @@ pub struct WaitCounters {
     wait_ns: Counter,
     observations: Counter,
     publish_to_observe_ns: Counter,
-    /// Woken whenever `waits` advances, so tests can block until another
-    /// thread has *entered* a blocking wait instead of sleeping a guessed
-    /// quantum (see [`Self::wait_for_waits`]). Empty outside tests — a
-    /// wake of an empty registry is one uncontended lock.
-    entered: Watchers,
 }
 
 impl WaitCounters {
     pub(crate) fn record_wait_entered(&self) {
         self.waits.inc();
-        self.entered.wake_all();
     }
 
     pub(crate) fn record_wait_finished(&self, blocked: Duration) {
@@ -98,29 +91,6 @@ impl WaitCounters {
             total_wait: Duration::from_nanos(self.wait_ns.get()),
             observations: self.observations.get(),
             total_publish_to_observe: Duration::from_nanos(self.publish_to_observe_ns.get()),
-        }
-    }
-
-    /// Test-only synchronization: blocks until at least `target` blocking
-    /// waits have been entered on this source, or `timeout` passes.
-    /// Returns `true` once the target is reached. Event-driven (epoch
-    /// protocol against the `entered` watchers) — the replacement for
-    /// `thread::sleep`-and-hope in tests that need a peer thread to reach
-    /// its blocking wait first.
-    #[cfg(test)]
-    pub(crate) fn wait_for_waits(&self, target: u64, timeout: Duration) -> bool {
-        let ws = crate::notify::WaitSet::new();
-        let _watch = self.entered.subscribe(&ws);
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let seen = ws.epoch();
-            // The WaitSet epoch mutex orders the bump before this read.
-            if self.waits.get() >= target {
-                return true;
-            }
-            if !ws.wait_deadline(seen, deadline) {
-                return false;
-            }
         }
     }
 }

@@ -310,9 +310,11 @@ impl RtShared {
         };
         waker.state.store(POLLING, Ordering::Release);
         self.counters.polls.inc();
-        // The executor's task wrapper fences stage panics itself; this
-        // outer fence only keeps a worker alive if bookkeeping code in a
-        // wrapper panics (a bug, but one that must not drain the pool).
+        // The executor's task wrapper fences stage panics itself. This
+        // outer fence ends any other task that panics — a parallel-map
+        // share whose element computation panicked, or a bug in wrapper
+        // bookkeeping — as if it returned `Ready`, so it cannot drain the
+        // pool.
         let poll = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             task.poll(&wake_target, credits)
         }));
@@ -533,12 +535,21 @@ impl RuntimeHandle {
     /// runtime is a caller bug, and panicking here turns a silent hang
     /// into an immediate diagnosis.
     pub(crate) fn spawn_task(&self, task: Box<dyn RtTask>, credits: u64) {
-        let rt = &self.inner;
         assert!(
-            !rt.shutdown.load(Ordering::Acquire),
+            !self.inner.shutdown.load(Ordering::Acquire),
             "spawn_task on a shut-down runtime (stage `{}`)",
             task.name()
         );
+        self.spawn_from_task(task, credits);
+    }
+
+    /// Schedules a task from inside a live task's poll on this runtime
+    /// (the parallel map spawning its sampling shares). Unlike
+    /// [`Self::spawn_task`] this succeeds while the runtime shuts down:
+    /// the spawning task is still live, so no worker has exited yet, and
+    /// workers finish every live task before they exit.
+    pub(crate) fn spawn_from_task(&self, task: Box<dyn RtTask>, credits: u64) {
+        let rt = &self.inner;
         rt.live.fetch_add(1, Ordering::AcqRel);
         rt.counters.spawned.inc();
         let id = {

@@ -2,6 +2,7 @@ use crate::buffer::{BufferControl, BufferWriter};
 use crate::control::{ControlPoll, ControlToken};
 use crate::error::{CoreError, Result};
 use crate::notify::WakeTarget;
+use crate::runtime::RuntimeHandle;
 use crate::supervisor::{FailurePolicy, StallAction, Supervision};
 use crate::version::Version;
 use std::fmt;
@@ -250,6 +251,11 @@ pub(crate) struct PollCx<'a> {
     /// Publications allowed in this slice before yielding (scheduler
     /// credits).
     pub(crate) budget: u64,
+    /// The runtime this stage task runs on, for stages that fan their
+    /// work out as tasks of their own (the parallel map's shares). Read
+    /// at poll time, not at registration, because
+    /// [`crate::Pipeline::on_runtime`] can retarget a built pipeline.
+    pub(crate) rt: &'a RuntimeHandle,
 }
 
 /// Type-erased driver for one stage, scheduled as a task on the shared
@@ -578,12 +584,14 @@ mod tests {
     fn poll_to_end(runner: &mut impl StageRunner, ctl: &ControlToken) -> Result<StageEnd> {
         let ws = WaitSet::new();
         let wake = ws.as_wake_target();
+        let rt = RuntimeHandle::global();
         loop {
             let seen = ws.epoch();
             let mut cx = PollCx {
                 ctl,
                 wake: &wake,
                 budget: u64::MAX,
+                rt: &rt,
             };
             match runner.poll(&mut cx) {
                 StagePoll::Ready(result) => return result,

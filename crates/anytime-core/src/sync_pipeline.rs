@@ -11,9 +11,11 @@
 //!
 //! Unlike the asynchronous pipeline, updates must not be dropped: `f` may
 //! not overwrite `X_i` before `g` consumes it. A bounded channel provides
-//! exactly that backpressure. The channel is control-aware: a
-//! backpressured producer or an idle consumer blocks without polling and
-//! is woken immediately by new data, new space, a peer exit, or a stop.
+//! exactly that backpressure. Both stages are runtime tasks and the
+//! channel is poll-only: a backpressured producer keeps its update and
+//! returns `Pending`, an idle consumer returns `Pending`, and either is
+//! re-polled as soon as new data, new space, a peer exit, or a control
+//! transition wakes it.
 //!
 //! # Examples
 //!
@@ -282,7 +284,7 @@ impl PipelineBuilder {
     ///
     /// `next(input, step)` returns update `X_{step+1}`, or `None` once all
     /// updates have been emitted. `capacity` bounds the in-flight updates;
-    /// the source blocks when the child falls behind (the paper's
+    /// the source waits when the child falls behind (the paper's
     /// "f must not overwrite `X_i` before `g(X_i)` begins executing").
     ///
     /// # Panics

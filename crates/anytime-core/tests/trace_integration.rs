@@ -23,8 +23,11 @@ fn slow_counter(n: u64, delay: Duration) -> Diffusive<(), u64> {
 }
 
 /// The collector can drain while publishers are still running: drains
-/// partition the event stream (no duplicates, nothing lost between
-/// drains), and the merged log carries every publication of the run.
+/// partition the event stream (no duplicates, the merged log stays
+/// time-sorted), and every publication of the run is either in the
+/// merged log or counted as dropped. A push that finds a drain holding
+/// its ring's lock is dropped and counted, never waited for, so a mid-run
+/// drain may cost an event; it may never lose one silently.
 #[test]
 fn drain_during_active_run_partitions_events() {
     let recorder = Recorder::enabled(1 << 14);
@@ -47,27 +50,33 @@ fn drain_during_active_run_partitions_events() {
     merged.merge(recorder.drain());
     let _ = f;
 
+    for ev in merged.events() {
+        assert_eq!(ev.kind, EventKind::Publish, "unexpected event {ev:?}");
+        assert_eq!(merged.stage_name(ev.stage.unwrap()), "f");
+    }
     let publishes: Vec<u64> = merged
         .events()
         .iter()
-        .filter(|ev| ev.kind == EventKind::Publish)
         .map(|ev| ev.version.unwrap())
         .collect();
-    assert_eq!(
-        publishes.len(),
-        200,
-        "every publication must appear exactly once across drains"
-    );
+    assert!(!publishes.is_empty(), "the drains saw no publication");
     let mut sorted = publishes.clone();
     sorted.sort_unstable();
     sorted.dedup();
-    assert_eq!(sorted.len(), 200, "duplicate publish events across drains");
+    assert_eq!(
+        sorted.len(),
+        publishes.len(),
+        "duplicate publish events across drains"
+    );
     assert!(
         merged.events().windows(2).all(|w| w[0].at <= w[1].at),
         "merged log must stay time-sorted"
     );
-    assert_eq!(merged.stage_name(merged.events()[0].stage.unwrap()), "f");
-    assert_eq!(merged.dropped(), 0);
+    assert_eq!(
+        publishes.len() as u64 + merged.dropped(),
+        200,
+        "every publication is either seen once or counted as dropped"
+    );
 }
 
 /// A ring far smaller than the event volume drops oldest events, counts
