@@ -5,7 +5,10 @@
 //! single **diffusive** stage using output sampling with a 2-D tree
 //! permutation (paper §IV-A2): pixels are filtered at progressively
 //! increasing resolution, and at 100 % sample size the output is exactly
-//! the precise convolution.
+//! the precise convolution. The stage samples on every worker of the
+//! runtime it runs on (paper §IV-C1, [`anytime_core::ParallelSampledMap`])
+//! and merges in sample order, so its versions do not depend on how many
+//! workers that is.
 //!
 //! Two technique variants reproduce the paper's sensitivity studies:
 //!
@@ -17,7 +20,7 @@
 
 use crate::error::Result;
 use anytime_approx::quantize_u8;
-use anytime_core::{BufferReader, Pipeline, PipelineBuilder, SampledMap, StageOptions};
+use anytime_core::{BufferReader, ParallelSampledMap, Pipeline, PipelineBuilder, StageOptions};
 use anytime_img::{convolve, ImageBuf, Kernel};
 use anytime_permute::DynPermutation;
 use anytime_sim::ReadInjector;
@@ -90,7 +93,11 @@ impl Conv2d {
     /// Builds the single-stage anytime automaton.
     ///
     /// `publish_every` controls output granularity in *pixels* filtered
-    /// between publications (rounded to whole [`CHUNK`]s).
+    /// between publications (rounded to whole [`CHUNK`]s). The stage is a
+    /// [`ParallelSampledMap`]: every worker of the runtime the pipeline
+    /// launches on filters chunks of the tree order (paper §IV-C1), and
+    /// the stage task merges them in sample order, so each version is the
+    /// same as a one-thread run's at the same sample count.
     ///
     /// # Errors
     ///
@@ -120,83 +127,59 @@ impl Conv2d {
         publish_every: u64,
         recorder: &anytime_core::Recorder,
     ) -> Result<(Pipeline, BufferReader<ImageBuf<u8>>)> {
-        let kernel = self.kernel.clone();
-        let mut pb = PipelineBuilder::new().with_recorder(recorder.clone());
-        let out = pb.source(
-            "2dconv",
-            self.image.clone(),
-            SampledMap::chunked(
-                self.perm.clone(),
-                |input: &ImageBuf<u8>| {
-                    ImageBuf::new(input.width(), input.height(), input.channels())
-                        .expect("input image has valid dimensions")
-                },
-                move |input: &ImageBuf<u8>, out: &mut ImageBuf<u8>, indices: &[u32], _| {
-                    if input.channels() == 1 {
-                        // Allocation-free hot path, eight pixels at a time:
-                        // gray inputs dominate the paper's workloads and the
-                        // serving demo.
-                        kernel.apply_gray_indices(input, indices, out.as_mut_slice());
-                    } else {
-                        for &idx in indices {
-                            let (x, y) = input.pixel_coords(idx as usize);
-                            out.set_pixel(x, y, &kernel.apply_at(input, x, y));
-                        }
-                    }
-                },
-            )
-            .with_chunk(CHUNK),
-            StageOptions::with_publish_every(publish_every.div_ceil(CHUNK as u64)),
-        );
-        Ok((pb.build(), out))
+        let opts = StageOptions::with_publish_every(publish_every.div_ceil(CHUNK as u64));
+        Ok(self.pipeline(opts, recorder))
     }
 
-    /// Builds the automaton with the sampling work spread over `workers`
-    /// shares (paper §IV-C1): the tree permutation is divided cyclically,
-    /// so all shares cooperate on the coarsest unfinished resolution and
-    /// low-resolution completeness arrives as early as the machine allows.
-    /// Each share is a task on the runtime the pipeline launches on, so
-    /// the runtime's worker count bounds the parallelism.
-    ///
-    /// `publish_every` is in pixels. Functionally identical to
-    /// [`Conv2d::automaton`], but a share convolves one pixel at a time
-    /// (one `Vec<u8>` each) where the serial stage convolves a chunk at
-    /// once, so one share is slower than the serial stage.
-    ///
-    /// # Errors
-    ///
-    /// As [`Conv2d::automaton`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn automaton_parallel(
+    /// The automaton's pipeline, with its stage's options spelled out.
+    fn pipeline(
         &self,
-        publish_every: u64,
-        workers: usize,
-    ) -> Result<(Pipeline, BufferReader<ImageBuf<u8>>)> {
+        opts: StageOptions,
+        recorder: &anytime_core::Recorder,
+    ) -> (Pipeline, BufferReader<ImageBuf<u8>>) {
         let kernel = self.kernel.clone();
-        let mut pb = PipelineBuilder::new();
-        let out = anytime_core::ParallelSampledMap::new(
-            "2dconv-par",
+        let mut pb = PipelineBuilder::new().with_recorder(recorder.clone());
+        let out = ParallelSampledMap::new(
+            "2dconv",
             self.image.clone(),
             self.perm.clone(),
-            workers,
             CHUNK,
             |input: &ImageBuf<u8>| {
                 ImageBuf::new(input.width(), input.height(), input.channels())
                     .expect("input image has valid dimensions")
             },
-            move |input: &ImageBuf<u8>, idx| {
-                let (x, y) = input.pixel_coords(idx);
-                kernel.apply_at(input, x, y)
+            move |input: &ImageBuf<u8>, indices: &[u32], values: &mut Vec<u8>| {
+                let channels = input.channels();
+                values.resize(indices.len() * channels, 0);
+                if channels == 1 {
+                    // Eight pixels at a time: gray inputs dominate the
+                    // paper's workloads and the serving demo.
+                    kernel.apply_gray_indices(input, indices, values);
+                } else {
+                    for (&idx, px) in indices.iter().zip(values.chunks_exact_mut(channels)) {
+                        let (x, y) = input.pixel_coords(idx as usize);
+                        kernel.apply_at_into(input, x, y, px);
+                    }
+                }
             },
-            |out: &mut ImageBuf<u8>, idx, px: Vec<u8>| {
-                out.set_pixel_at(idx, &px);
+            |out: &mut ImageBuf<u8>, indices: &[u32], values: &[u8]| {
+                let channels = out.channels();
+                let samples = out.as_mut_slice();
+                if channels == 1 {
+                    // One byte a pixel: a store, not a `memcpy` call.
+                    for (&idx, &v) in indices.iter().zip(values) {
+                        samples[idx as usize] = v;
+                    }
+                    return;
+                }
+                for (&idx, px) in indices.iter().zip(values.chunks_exact(channels)) {
+                    let at = idx as usize * channels;
+                    samples[at..at + channels].copy_from_slice(px);
+                }
             },
         )
-        .register(&mut pb, StageOptions::with_publish_every(publish_every));
-        Ok((pb.build(), out))
+        .register(&mut pb, opts);
+        (pb.build(), out)
     }
 
     /// Drives the sampled map synchronously, recording the output after
@@ -322,7 +305,10 @@ impl Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anytime_core::{Precise, Runtime};
     use anytime_img::{metrics, synth};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
     use std::time::Duration;
 
     fn app() -> Conv2d {
@@ -376,58 +362,95 @@ mod tests {
     #[test]
     fn automaton_versions_match_the_sample_sweep() {
         // 96×80 pads its tree order to 128×128, and a 9×9 kernel puts
-        // about one pixel in five on the clamped border. Every version the
-        // automaton publishes must be, bit for bit, the sweep's output at
-        // the same sample size; the sweep keeps its own per-pixel loop.
+        // about one pixel in five on the clamped border. On every worker
+        // count, every version of a whole run and every version of a run
+        // stopped after its first must be, bit for bit, the sweep's output
+        // at the same sample size; the sweep keeps its own per-pixel loop.
+        let history = || StageOptions::with_publish_every(4).keep_history();
+        let off = anytime_core::Recorder::disabled();
         for image in [synth::value_noise(96, 80, 11), synth::rgb_scene(96, 80, 11)] {
             let channels = image.channels();
             let app = Conv2d::new(image, Kernel::gaussian(9, 2.0));
-            let (pipeline, out) = app.automaton(4 * CHUNK as u64).unwrap();
-            let auto = pipeline.launch().unwrap();
-            let mut versions = Vec::new();
-            let mut last = None;
-            loop {
-                let snap = out
-                    .wait_newer_timeout(last, Duration::from_secs(60))
-                    .unwrap();
-                last = Some(snap.version());
-                versions.push(snap.clone());
-                if snap.is_final() {
-                    break;
-                }
-            }
-            auto.join().unwrap();
-            let sizes: Vec<usize> = versions.iter().map(|v| v.steps() as usize).collect();
+            // Versions fall on whole chunks: one sweep serves every run.
+            let pixels = app.image().pixel_count();
+            let sizes: Vec<usize> = (CHUNK..pixels + CHUNK).step_by(CHUNK).collect();
             let sweep = app
                 .sample_sweep(&sizes, |img, base, c| f64::from(img.as_slice()[base + c]))
                 .unwrap();
-            for snap in &versions {
-                let (_, expected) = sweep
-                    .iter()
-                    .find(|(n, _)| *n as u64 == snap.steps())
+            for workers in [1usize, 2, 4] {
+                let rt = Runtime::new(workers);
+                let (pipeline, whole) = app.pipeline(history(), &off);
+                pipeline
+                    .on_runtime(rt.handle())
+                    .launch()
+                    .unwrap()
+                    .join()
                     .unwrap();
+                let (pipeline, cut) = app.pipeline(history(), &off);
+                let auto = pipeline.on_runtime(rt.handle()).launch().unwrap();
+                cut.wait_newer_timeout(None, Duration::from_secs(60))
+                    .unwrap();
+                auto.stop_and_join().unwrap();
+                let whole = whole.history().unwrap();
+                for snap in whole.iter().chain(&cut.history().unwrap()) {
+                    let (_, expected) = sweep
+                        .iter()
+                        .find(|(n, _)| *n as u64 == snap.steps())
+                        .unwrap();
+                    assert_eq!(
+                        snap.value(),
+                        expected,
+                        "{channels} channel(s), {workers} worker(s), at {} samples",
+                        snap.steps()
+                    );
+                }
                 assert_eq!(
-                    snap.value(),
-                    expected,
-                    "{channels} channel(s) at {} samples",
-                    snap.steps()
+                    whole.len(),
+                    30,
+                    "{channels} channel(s), {workers} worker(s)"
                 );
+                let last = whole.last().unwrap();
+                assert!(last.is_final());
+                assert_eq!(last.value(), &app.precise());
             }
-            assert_eq!(versions.last().unwrap().value(), &app.precise());
         }
     }
 
     #[test]
-    fn parallel_automaton_matches_serial() {
-        let app = app();
-        let precise = app.precise();
-        for workers in [1usize, 3] {
-            let (pipeline, out) = app.automaton_parallel(256, workers).unwrap();
-            let auto = pipeline.launch().unwrap();
-            let snap = out.wait_final_timeout(Duration::from_secs(120)).unwrap();
-            assert_eq!(snap.value(), &precise, "workers={workers}");
-            auto.join().unwrap();
+    fn stage_task_alone_finishes_when_the_other_worker_is_busy() {
+        // A stage that holds one worker of a 2-worker runtime until
+        // released: the conv2d stage task runs on the other worker, and
+        // its helper waits behind the hog for the whole run.
+        let rt = Runtime::new(2);
+        let started = Arc::new(AtomicBool::new(false));
+        let release = Arc::new(AtomicBool::new(false));
+        let (s, r) = (Arc::clone(&started), Arc::clone(&release));
+        let mut pb = PipelineBuilder::new().with_runtime(rt.handle());
+        pb.source(
+            "hog",
+            (),
+            Precise::new(move |_: &()| {
+                s.store(true, Ordering::SeqCst);
+                while !r.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }),
+            StageOptions::default(),
+        );
+        let hog = pb.build().launch().unwrap();
+        while !started.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
         }
+        let app = app();
+        let (pipeline, out) = app.automaton(256).unwrap();
+        let auto = pipeline.on_runtime(rt.handle()).launch().unwrap();
+        let snap = out.wait_final_timeout(Duration::from_secs(60)).unwrap();
+        assert_eq!(snap.value(), &app.precise());
+        // The hog, the conv2d stage task and its helper.
+        assert_eq!(rt.stats().tasks_spawned, 3);
+        release.store(true, Ordering::SeqCst);
+        auto.join().unwrap();
+        hog.join().unwrap();
     }
 
     #[test]

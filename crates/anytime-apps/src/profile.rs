@@ -191,13 +191,33 @@ mod tests {
 
     #[test]
     fn profile_2dconv_trends_upward() {
-        let app = Conv2d::new(synth::value_noise(96, 96, 3), Kernel::gaussian(7, 1.5));
-        let (reference, baseline) = time_baseline(3, || app.precise());
+        // The halts below are fractions of the precise baseline, so the
+        // input must make that baseline long against the host's timed-wait
+        // latency (≈1 ms on a 2-vCPU VM): an optimized build filters 96²
+        // in under a millisecond, so its 0.1× halt would land after the
+        // run has finished. Double the side until the baseline reaches
+        // 20 ms, and publish about 18 versions whatever the side.
+        let mut side = 96;
+        let (app, reference, baseline) = loop {
+            let app = Conv2d::new(synth::value_noise(side, side, 3), Kernel::gaussian(7, 1.5));
+            let (reference, baseline) = time_baseline(3, || app.precise());
+            if baseline >= Duration::from_millis(20) || side >= 1536 {
+                break (app, reference, baseline);
+            }
+            side *= 2;
+        };
+        // A runtime of its own: on the shared one, the stage tasks and
+        // helpers of this binary's other tests take turns with these runs
+        // and can starve the 0.9× halt below the 0.1× one.
+        let rt = anytime_core::Runtime::new(2);
         let curve = profile(
             &reference,
             baseline,
             &[0.1, 0.3, 0.6, 0.9],
-            || app.automaton(512),
+            || {
+                app.automaton(app.image().pixel_count() as u64 / 18)
+                    .map(|(pipeline, out)| (pipeline.on_runtime(rt.handle()), out))
+            },
             |snap| snap.value().clone(),
         )
         .unwrap();

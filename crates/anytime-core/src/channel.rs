@@ -1,8 +1,7 @@
 //! Control-aware bounded channel between runtime tasks.
 //!
-//! The synchronous pipeline (§III-C2) and the parallel sampled map need a
-//! bounded producer/consumer queue whose operations participate in the
-//! event-driven control plane. Both ends are runtime tasks, so the channel
+//! The synchronous pipeline (§III-C2) needs a bounded producer/consumer
+//! queue whose operations participate in the event-driven control plane. Both ends are runtime tasks, so the channel
 //! is poll-only: [`Sender::poll_send`] hands a value back when the queue
 //! is full and [`Receiver::poll_recv`] reports an empty queue, and neither
 //! ever blocks. A task that gets either answer returns `Pending` after
@@ -23,7 +22,7 @@ use std::sync::{Arc, Mutex};
 
 struct State<T> {
     queue: VecDeque<T>,
-    senders: usize,
+    sender_alive: bool,
     receiver_alive: bool,
 }
 
@@ -44,7 +43,7 @@ pub(crate) fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
         capacity,
         state: Mutex::new(State {
             queue: VecDeque::with_capacity(capacity),
-            senders: 1,
+            sender_alive: true,
             receiver_alive: true,
         }),
         watchers: Watchers::new(),
@@ -57,31 +56,17 @@ pub(crate) fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     )
 }
 
-/// Producer endpoint. Cloneable for multi-producer use (the parallel
-/// map's share tasks).
+/// Producer endpoint. Deliberately not [`Clone`] either: the synchronous
+/// pipeline has one producer.
 pub(crate) struct Sender<T> {
     shared: Arc<Shared<T>>,
 }
 
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        lock_unpoisoned(&self.shared.state).senders += 1;
-        Self {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let mut st = lock_unpoisoned(&self.shared.state);
-        st.senders -= 1;
-        let last = st.senders == 0;
-        drop(st);
-        if last {
-            // The receiver must learn the stream is over.
-            self.shared.watchers.wake_all();
-        }
+        lock_unpoisoned(&self.shared.state).sender_alive = false;
+        // The receiver must learn the stream is over.
+        self.shared.watchers.wake_all();
     }
 }
 
@@ -148,7 +133,9 @@ pub(crate) struct Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        self.poll_close();
+        lock_unpoisoned(&self.shared.state).receiver_alive = false;
+        // A sender waiting on a full queue must learn the consumer is gone.
+        self.shared.watchers.wake_all();
     }
 }
 
@@ -161,7 +148,7 @@ impl<T> Receiver<T> {
     /// One receive attempt that never blocks, not even on pause (the
     /// caller observes pause through [`ControlToken::poll_checkpoint`]
     /// first): `Ok(Some(v))` on data, `Ok(None)` when the queue is empty
-    /// but senders remain.
+    /// but the sender remains.
     ///
     /// Like crossbeam, a closed channel still drains: queued messages are
     /// delivered before [`CoreError::ChannelClosed`].
@@ -170,7 +157,7 @@ impl<T> Receiver<T> {
     ///
     /// - [`CoreError::Stopped`] if the automaton is stopped (checked before
     ///   the queue, so a stop is honored promptly even with a full queue).
-    /// - [`CoreError::ChannelClosed`] once all senders are gone and the
+    /// - [`CoreError::ChannelClosed`] once the sender is gone and the
     ///   queue is drained.
     pub(crate) fn poll_recv(&self, ctl: &ControlToken) -> Result<Option<T>> {
         if ctl.is_stopped() {
@@ -186,28 +173,10 @@ impl<T> Receiver<T> {
             }
             return Ok(Some(v));
         }
-        if st.senders == 0 {
+        if !st.sender_alive {
             return Err(CoreError::ChannelClosed);
         }
         Ok(None)
-    }
-
-    /// Closes the stream from the consumer side and reports whether every
-    /// sender is gone. Senders fail at their next [`Sender::poll_send`];
-    /// the last one to drop wakes this channel's subscribers. Idempotent:
-    /// a consumer that must not outlive its producers polls it until it
-    /// returns `true`.
-    pub(crate) fn poll_close(&self) -> bool {
-        let mut st = lock_unpoisoned(&self.shared.state);
-        let was_open = std::mem::replace(&mut st.receiver_alive, false);
-        let senders_gone = st.senders == 0;
-        drop(st);
-        if was_open {
-            // Senders waiting on a full queue must learn the consumer is
-            // gone.
-            self.shared.watchers.wake_all();
-        }
-        senders_gone
     }
 
     /// Registers an owned wake target (a runtime task waker) for wakeups
@@ -309,36 +278,15 @@ mod tests {
     }
 
     #[test]
-    fn last_sender_exit_wakes_the_receiver() {
+    fn sender_exit_wakes_the_receiver() {
         let (tx, rx) = bounded::<u32>(1);
         let ctl = ControlToken::new();
         let (wakes, target) = counting_target();
         rx.subscribe_target(&target);
-        let tx2 = tx.clone();
-        drop(tx);
-        assert_eq!(wakes.epoch(), 0, "a sender remains");
         assert_eq!(rx.poll_recv(&ctl).unwrap(), None);
-        drop(tx2);
+        drop(tx);
         assert_eq!(wakes.epoch(), 1);
         assert!(matches!(rx.poll_recv(&ctl), Err(CoreError::ChannelClosed)));
-    }
-
-    #[test]
-    fn close_fails_senders_and_reports_when_they_are_gone() {
-        let (tx, rx) = bounded::<u32>(1);
-        let ctl = ControlToken::new();
-        let (wakes, target) = counting_target();
-        tx.subscribe_target(&target);
-        assert!(!rx.poll_close(), "a sender is still alive");
-        assert_eq!(wakes.epoch(), 1, "closing wakes the senders");
-        assert!(matches!(
-            tx.poll_send(0, &ctl),
-            Err(CoreError::ChannelClosed)
-        ));
-        assert!(!rx.poll_close());
-        assert_eq!(wakes.epoch(), 1, "a second close wakes no one");
-        drop(tx);
-        assert!(rx.poll_close());
     }
 
     #[test]
@@ -369,39 +317,5 @@ mod tests {
         assert_eq!(rx.poll_recv(&ctl).unwrap(), Some(1));
         assert_eq!(rx.poll_recv(&ctl).unwrap(), Some(2));
         assert!(matches!(rx.poll_recv(&ctl), Err(CoreError::ChannelClosed)));
-    }
-
-    #[test]
-    fn several_senders_feed_one_receiver() {
-        let (tx, rx) = bounded::<u32>(3);
-        let ctl = ControlToken::new();
-        let senders: Vec<Sender<u32>> = (0..4).map(|_| tx.clone()).collect();
-        drop(tx);
-        let mut got = Vec::new();
-        for i in 0..25u32 {
-            for (w, s) in (0u32..).zip(&senders) {
-                let mut v = w * 100 + i;
-                while let Some(back) = s.poll_send(v, &ctl).unwrap() {
-                    got.push(rx.poll_recv(&ctl).unwrap().expect("full queue"));
-                    v = back;
-                }
-            }
-        }
-        drop(senders);
-        loop {
-            match rx.poll_recv(&ctl) {
-                Ok(Some(v)) => got.push(v),
-                Ok(None) => panic!("every sender is gone"),
-                Err(e) => {
-                    assert!(matches!(e, CoreError::ChannelClosed));
-                    break;
-                }
-            }
-        }
-        got.sort_unstable();
-        let expected: Vec<u32> = (0..4u32)
-            .flat_map(|w| (0..25).map(move |i| w * 100 + i))
-            .collect();
-        assert_eq!(got, expected);
     }
 }

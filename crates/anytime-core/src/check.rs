@@ -19,7 +19,8 @@
 //! counter and latest snapshot are already serialized, so they observe
 //! the exact publication order. They are compiled to a no-op in release
 //! builds (`debug_assertions` off) — the tracker fields are a few words
-//! per buffer and stay resident, but no comparisons run.
+//! per buffer and stay resident, but no comparisons run. The unit tests
+//! call the checks directly, so they hold in both profiles.
 
 /// Per-buffer publication tracker. Lives inside the buffer's `State`
 /// mutex; [`Self::check_publish`] must be called with that lock held so
@@ -54,9 +55,13 @@ impl PublishInvariants {
     /// Property 2 (steps decreased within a run) or Property 3 (version
     /// not the single successor, or a publish after a terminal version).
     pub(crate) fn check_publish(&mut self, buffer: &str, version: u64, steps: u64, terminal: bool) {
-        if !cfg!(debug_assertions) {
-            return;
+        if cfg!(debug_assertions) {
+            self.check(buffer, version, steps, terminal);
         }
+    }
+
+    /// The checks behind [`Self::check_publish`], in every build profile.
+    fn check(&mut self, buffer: &str, version: u64, steps: u64, terminal: bool) {
         assert!(
             !self.terminal,
             "buffer `{buffer}`: publish of v{version} after a terminal version \
@@ -91,53 +96,53 @@ mod tests {
     #[test]
     fn accepts_monotone_single_swap_sequence() {
         let mut inv = PublishInvariants::default();
-        inv.check_publish("b", 1, 0, false);
-        inv.check_publish("b", 2, 5, false);
-        inv.check_publish("b", 3, 5, false); // equal steps: still monotone
-        inv.check_publish("b", 4, 9, true);
+        inv.check("b", 1, 0, false);
+        inv.check("b", 2, 5, false);
+        inv.check("b", 3, 5, false); // equal steps: still monotone
+        inv.check("b", 4, 9, true);
     }
 
     #[test]
     #[should_panic(expected = "Property 3")]
     fn rejects_version_gap() {
         let mut inv = PublishInvariants::default();
-        inv.check_publish("b", 1, 0, false);
-        inv.check_publish("b", 3, 1, false);
+        inv.check("b", 1, 0, false);
+        inv.check("b", 3, 1, false);
     }
 
     #[test]
     #[should_panic(expected = "Property 2")]
     fn rejects_steps_regression_within_a_run() {
         let mut inv = PublishInvariants::default();
-        inv.check_publish("b", 1, 10, false);
-        inv.check_publish("b", 2, 4, false);
+        inv.check("b", 1, 10, false);
+        inv.check("b", 2, 4, false);
     }
 
     #[test]
     fn new_run_resets_the_steps_floor_but_not_the_version_chain() {
         let mut inv = PublishInvariants::default();
-        inv.check_publish("b", 1, 10, false);
-        inv.check_publish("b", 2, 14, false);
+        inv.check("b", 1, 10, false);
+        inv.check("b", 2, 14, false);
         // Eager restart on newer input: steps restart, versions continue.
         inv.begin_run(0);
-        inv.check_publish("b", 3, 1, false);
-        inv.check_publish("b", 4, 7, true);
+        inv.check("b", 3, 1, false);
+        inv.check("b", 4, 7, true);
     }
 
     #[test]
     #[should_panic(expected = "Property 3")]
     fn new_run_does_not_excuse_a_version_gap() {
         let mut inv = PublishInvariants::default();
-        inv.check_publish("b", 1, 10, false);
+        inv.check("b", 1, 10, false);
         inv.begin_run(0);
-        inv.check_publish("b", 3, 1, false);
+        inv.check("b", 3, 1, false);
     }
 
     #[test]
     #[should_panic(expected = "after a terminal version")]
     fn rejects_publish_after_terminal() {
         let mut inv = PublishInvariants::default();
-        inv.check_publish("b", 1, 0, true);
-        inv.check_publish("b", 2, 1, false);
+        inv.check("b", 1, 0, true);
+        inv.check("b", 2, 1, false);
     }
 }

@@ -96,22 +96,14 @@ impl<I, O> SampledMap<I, O> {
         })
     }
 
-    /// Creates an output-sampled map whose body computes a whole chunk of
-    /// the sample order per call.
-    ///
-    /// `body(input, out, indices, first)` computes the output elements
-    /// `indices` (a run of the sample order, as data indices) precisely,
-    /// where `indices[0]` is the `first`-th element sampled. Each anytime
-    /// step makes exactly one call, covering [`SampledMap::chunk`]
-    /// elements (fewer on the last step), so the body may compute them in
-    /// any order: nothing observes a chunk half done. This is the form
-    /// for kernels that work on several elements at once; [`SampledMap::new`]
-    /// and [`SampledMap::with_positions`] wrap a per-element closure in it.
-    ///
-    /// # Panics
-    ///
-    /// As [`SampledMap::new`].
-    pub fn chunked(
+    /// An output-sampled map whose body computes a whole chunk of the
+    /// sample order per call: `body(input, out, indices, first)` computes
+    /// the output elements `indices` (a run of the sample order, as data
+    /// indices), where `indices[0]` is the `first`-th element sampled.
+    /// Each anytime step makes exactly one call, covering
+    /// [`SampledMap::chunk`] elements (fewer on the last step).
+    /// [`SampledMap::with_positions`] wraps its per-element closure in it.
+    fn chunked(
         perm: impl Into<DynPermutation>,
         init: impl FnMut(&I) -> O + Send + 'static,
         body: impl FnMut(&I, &mut O, &[u32], usize) + Send + 'static,

@@ -241,8 +241,9 @@ impl PipelineBuilder {
         self.runners.push(runner);
     }
 
-    /// Creates an output buffer for a stage, honoring history options.
-    fn make_buffer<T>(
+    /// Creates an output buffer for a stage, honoring history options and
+    /// reporting to this builder's recorder.
+    pub(crate) fn make_buffer<T>(
         &mut self,
         name: &str,
         opts: StageOptions,

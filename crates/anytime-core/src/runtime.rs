@@ -312,7 +312,7 @@ impl RtShared {
         self.counters.polls.inc();
         // The executor's task wrapper fences stage panics itself. This
         // outer fence ends any other task that panics — a parallel-map
-        // share whose element computation panicked, or a bug in wrapper
+        // helper whose chunk computation panicked, or a bug in wrapper
         // bookkeeping — as if it returned `Ready`, so it cannot drain the
         // pool.
         let poll = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -544,7 +544,7 @@ impl RuntimeHandle {
     }
 
     /// Schedules a task from inside a live task's poll on this runtime
-    /// (the parallel map spawning its sampling shares). Unlike
+    /// (the parallel map spawning its sampling helpers). Unlike
     /// [`Self::spawn_task`] this succeeds while the runtime shuts down:
     /// the spawning task is still live, so no worker has exited yet, and
     /// workers finish every live task before they exit.

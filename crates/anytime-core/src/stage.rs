@@ -252,7 +252,7 @@ pub(crate) struct PollCx<'a> {
     /// credits).
     pub(crate) budget: u64,
     /// The runtime this stage task runs on, for stages that fan their
-    /// work out as tasks of their own (the parallel map's shares). Read
+    /// work out as tasks of their own (the parallel map's helpers). Read
     /// at poll time, not at registration, because
     /// [`crate::Pipeline::on_runtime`] can retarget a built pipeline.
     pub(crate) rt: &'a RuntimeHandle,

@@ -45,7 +45,7 @@
 //! # Ok::<(), anytime_core::CoreError>(())
 //! ```
 
-use crate::buffer::{self, BufferOptions, BufferReader, BufferWriter, DoubleBuffer};
+use crate::buffer::{BufferReader, BufferWriter, DoubleBuffer};
 use crate::channel::{bounded, Receiver, Sender};
 use crate::control::ControlPoll;
 use crate::error::CoreError;
@@ -333,12 +333,7 @@ impl PipelineBuilder {
         G: Clone + Send + Sync + 'static,
     {
         let name = name.into();
-        let (writer, reader) = buffer::versioned_with(
-            &name,
-            BufferOptions {
-                keep_history: opts.keep_history,
-            },
-        );
+        let (writer, reader) = self.make_buffer(&name, opts);
         self.push_runner(Box::new(DistributiveRunner {
             name,
             rx: updates.rx,
@@ -468,6 +463,33 @@ mod tests {
         assert!(!report.all_final());
         // The interrupted child still published a valid partial fold.
         assert!(*out.latest().unwrap().value() > 0);
+    }
+
+    #[test]
+    fn sync_stage_publishes_to_the_pipeline_recorder() {
+        let rec = crate::Recorder::enabled(1024);
+        let mut pb = PipelineBuilder::new().with_recorder(rec.clone());
+        let updates = pb.sync_source("f", 6u64, 2, |n: &u64, step| {
+            (step < *n).then_some(step + 1)
+        });
+        let out = pb.sync_stage(
+            "g",
+            updates,
+            || 0u64,
+            |acc: &mut u64, x: u64| *acc += x,
+            StageOptions::default(),
+        );
+        let auto = pb.build().launch().unwrap();
+        let snap = out.wait_final_timeout(Duration::from_secs(10)).unwrap();
+        auto.join().unwrap();
+        let g = rec.stage("g");
+        let publishes = rec
+            .drain()
+            .events()
+            .iter()
+            .filter(|e| e.kind == crate::trace::EventKind::Publish && e.stage == Some(g))
+            .count() as u64;
+        assert_eq!(publishes, snap.version().get());
     }
 
     #[test]

@@ -282,10 +282,11 @@ const fn pmap_reduce_precise() -> u64 {
 }
 
 /// The paper's sampling patterns under fault injection: a
-/// [`ParallelSampledMap`] source (`pmap`, tripling `0..M` in LFSR order
-/// across 2 workers) feeding a [`SampledReduce`] stage (`reduce`, summing
-/// whatever `pmap` has published so far). Faults arm on the worker-merge
-/// boundary for `pmap` and on the sampling loop for `reduce`.
+/// [`ParallelSampledMap`] source (`pmap`, tripling `0..M` in LFSR order,
+/// one element a chunk, on every worker of the shared runtime) feeding a
+/// [`SampledReduce`] stage (`reduce`, summing whatever `pmap` has
+/// published so far). Faults arm on the chunk-merge boundary for `pmap`
+/// and on the sampling loop for `reduce`.
 #[allow(clippy::type_complexity)]
 fn pmap_reduce_pipeline(
     sup: Supervision,
@@ -300,11 +301,16 @@ fn pmap_reduce_pipeline(
         "pmap",
         input,
         DynPermutation::new(Lfsr::with_len(M).unwrap()),
-        2,
-        4,
+        1,
         |i: &Vec<u64>| vec![0u64; i.len()],
-        |i: &Vec<u64>, idx| i[idx] * 3,
-        |out: &mut Vec<u64>, idx, v| out[idx] = v,
+        |i: &Vec<u64>, indices: &[u32], values: &mut Vec<u64>| {
+            values.extend(indices.iter().map(|&idx| i[idx as usize] * 3));
+        },
+        |out: &mut Vec<u64>, indices: &[u32], values: &[u64]| {
+            for (&idx, &v) in indices.iter().zip(values) {
+                out[idx as usize] = v;
+            }
+        },
     )
     .register(&mut pb, opts);
     let sum = pb.stage(
@@ -400,7 +406,7 @@ fn sampled_patterns_under_seeded_restart_reach_the_precise_output() {
 
 #[test]
 fn parallel_map_merge_panic_under_degrade_flags_downstream() {
-    // A panic armed on `pmap`'s worker-merge boundary under Degrade: the
+    // A panic armed on `pmap`'s chunk-merge boundary under Degrade: the
     // partially-written map is sealed degraded and the reduction over it
     // still resolves to a valid, flagged approximation.
     let plan = FaultPlan::new().panic_at("pmap", 8);

@@ -102,11 +102,31 @@ impl Kernel {
     /// Convolves one pixel of `img` (with border clamping) and returns the
     /// filtered channel values.
     pub fn apply_at(&self, img: &ImageBuf<u8>, x: usize, y: usize) -> Vec<u8> {
-        let mut acc = vec![0.0f64; img.channels()];
-        self.accumulate_at(img, x, y, &mut acc);
-        acc.iter()
-            .map(|&a| a.round().clamp(0.0, 255.0) as u8)
-            .collect()
+        let mut px = vec![0; img.channels()];
+        self.apply_at_into(img, x, y, &mut px);
+        px
+    }
+
+    /// [`Kernel::apply_at`] into `px`, one value per channel, without
+    /// allocating. Each channel's accumulator walks the taps in
+    /// `apply_at`'s order, so the bytes are the same.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `px` does not hold one value per channel.
+    pub fn apply_at_into(&self, img: &ImageBuf<u8>, x: usize, y: usize, px: &mut [u8]) {
+        assert_eq!(px.len(), img.channels(), "one value per channel");
+        let r = self.radius();
+        for (c, out) in px.iter_mut().enumerate() {
+            let mut acc = 0.0f64;
+            for dy in -r..=r {
+                for dx in -r..=r {
+                    let w = self.weight(dx, dy);
+                    acc += w * f64::from(img.pixel_clamped(x as isize + dx, y as isize + dy)[c]);
+                }
+            }
+            *out = acc.round().clamp(0.0, 255.0) as u8;
+        }
     }
 
     /// [`Kernel::apply_at`] for single-channel images, allocation-free —
@@ -148,8 +168,8 @@ impl Kernel {
     }
 
     /// Convolves the pixels at `indices` (row-major pixel indices) of a
-    /// single-channel image, writing each result to `out[idx]` — the chunk
-    /// body of the `2dconv` sampled map.
+    /// single-channel image, writing the result for `indices[i]` to
+    /// `values[i]` — the chunk body of the `2dconv` sampled map.
     ///
     /// Bit-identical to [`Kernel::apply_at_gray`] on every pixel. Interior
     /// pixels go [`LANES`] at a time, each with its own `f64` accumulator
@@ -161,36 +181,38 @@ impl Kernel {
     ///
     /// # Panics
     ///
-    /// Panics if the image is not single-channel, if `out` does not hold
-    /// one sample per pixel, or if an index is past the last pixel.
-    pub fn apply_gray_indices(&self, img: &ImageBuf<u8>, indices: &[u32], out: &mut [u8]) {
+    /// Panics if the image is not single-channel, if `values` does not
+    /// hold one value per index, or if an index is past the last pixel.
+    pub fn apply_gray_indices(&self, img: &ImageBuf<u8>, indices: &[u32], values: &mut [u8]) {
         assert_eq!(img.channels(), 1, "single-channel images only");
-        assert_eq!(out.len(), img.pixel_count(), "one output sample per pixel");
+        assert_eq!(values.len(), indices.len(), "one value per index");
         let (w, h) = (img.width(), img.height());
         let ru = self.radius().unsigned_abs();
-        // Interior pixels gathered for the next group of lanes.
-        let mut group = [0usize; LANES];
+        // Interior pixels gathered for the next group of lanes, as
+        // (position in `values`, pixel index).
+        let mut group = [(0usize, 0usize); LANES];
         let mut pending = 0;
-        for &idx in indices {
+        for (at, &idx) in indices.iter().enumerate() {
             let idx = idx as usize;
             let (x, y) = (idx % w, idx / w);
             if x >= ru && x + ru < w && y >= ru && y + ru < h {
-                group[pending] = idx;
+                group[pending] = (at, idx);
                 pending += 1;
                 if pending == LANES {
-                    let origins = group.map(|p| p - ru * w - ru);
+                    let origins = group.map(|(_, p)| p - ru * w - ru);
                     let lanes = self.convolve_lanes(img.as_slice(), w, &origins);
-                    for (&p, v) in group.iter().zip(lanes) {
-                        out[p] = v;
+                    for (&(at, _), v) in group.iter().zip(lanes) {
+                        values[at] = v;
                     }
                     pending = 0;
                 }
             } else {
-                out[idx] = self.apply_at_gray(img, x, y);
+                assert!(y < h, "pixel index {idx} outside {w}x{h}");
+                values[at] = self.apply_at_gray(img, x, y);
             }
         }
-        for &p in &group[..pending] {
-            out[p] = self.apply_at_gray(img, p % w, p / w);
+        for &(at, p) in &group[..pending] {
+            values[at] = self.apply_at_gray(img, p % w, p / w);
         }
     }
 
@@ -355,9 +377,8 @@ mod tests {
     #[test]
     fn gather_kernel_matches_per_pixel_path_exactly() {
         // Chunks of a tree order (and of its reverse) hit border and
-        // interior pixels, full groups of LANES and remainders; every
-        // pixel a chunk covers must get apply_at_gray's byte, and no other
-        // pixel may change.
+        // interior pixels, full groups of LANES and remainders; each value
+        // must be apply_at_gray's byte for the pixel at its position.
         for (w, h) in [(1usize, 1usize), (5, 3), (11, 9), (64, 12), (96, 80)] {
             let img = synth::value_noise(w, h, 3);
             let tree = DynPermutation::new(Tree2d::new(h, w).unwrap()).order();
@@ -372,32 +393,23 @@ mod tests {
                 let expected: Vec<u8> = (0..w * h)
                     .map(|i| kernel.apply_at_gray(&img, i % w, i / w))
                     .collect();
-                let untouched: Vec<u8> = expected.iter().map(|&v| !v).collect();
                 for order in [&tree[..], &reversed[..]] {
-                    let mut out = untouched.clone();
-                    kernel.apply_gray_indices(&img, &[], &mut out);
-                    assert_eq!(out, untouched, "empty chunk wrote in {w}x{h}");
+                    kernel.apply_gray_indices(&img, &[], &mut []);
                     for len in [1usize, 7, 8, 9, 64] {
-                        let context = format!("k{} chunks of {len} in {w}x{h}", kernel.size());
-                        let mut out = untouched.clone();
-                        let chunks: Vec<&[u32]> = order.chunks(len).collect();
-                        let half = chunks.len() / 2;
-                        for chunk in &chunks[..half] {
-                            kernel.apply_gray_indices(&img, chunk, &mut out);
+                        for chunk in order.chunks(len) {
+                            // Poisoned, so an unwritten value shows.
+                            let mut values: Vec<u8> =
+                                chunk.iter().map(|&i| !expected[i as usize]).collect();
+                            kernel.apply_gray_indices(&img, chunk, &mut values);
+                            for (&idx, &v) in chunk.iter().zip(&values) {
+                                assert_eq!(
+                                    v,
+                                    expected[idx as usize],
+                                    "pixel {idx}, k{} chunks of {len} in {w}x{h}",
+                                    kernel.size()
+                                );
+                            }
                         }
-                        for (done, &idx) in order.iter().enumerate() {
-                            let idx = idx as usize;
-                            let want = if done < half * len {
-                                expected[idx]
-                            } else {
-                                untouched[idx]
-                            };
-                            assert_eq!(out[idx], want, "pixel {idx} after half, {context}");
-                        }
-                        for chunk in &chunks[half..] {
-                            kernel.apply_gray_indices(&img, chunk, &mut out);
-                        }
-                        assert_eq!(out, expected, "{context}");
                     }
                 }
             }
@@ -405,11 +417,42 @@ mod tests {
     }
 
     #[test]
+    fn apply_at_into_matches_apply_at() {
+        let img = synth::rgb_scene(13, 11, 5);
+        for kernel in [Kernel::box_blur(3), Kernel::gaussian(5, 1.2)] {
+            let mut px = [0u8; 3];
+            for y in 0..11 {
+                for x in 0..13 {
+                    kernel.apply_at_into(&img, x, y, &mut px);
+                    let mut acc = [0.0f64; 3];
+                    kernel.accumulate_at(&img, x, y, &mut acc);
+                    let want = acc.map(|a| a.round().clamp(0.0, 255.0) as u8);
+                    assert_eq!(px, want, "({x}, {y})");
+                    assert_eq!(kernel.apply_at(&img, x, y), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one value per index")]
+    fn gather_kernel_rejects_short_values() {
+        let img = ImageBuf::<u8>::new(8, 8, 1).unwrap();
+        Kernel::box_blur(3).apply_gray_indices(&img, &[0, 1], &mut [0u8; 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 8x8")]
+    fn gather_kernel_rejects_indices_past_the_image() {
+        let img = ImageBuf::<u8>::new(8, 8, 1).unwrap();
+        Kernel::box_blur(3).apply_gray_indices(&img, &[64], &mut [0u8; 1]);
+    }
+
+    #[test]
     #[should_panic(expected = "single-channel")]
     fn gather_kernel_rejects_multichannel() {
         let img = ImageBuf::<u8>::new(8, 8, 3).unwrap();
-        let mut out = vec![0u8; 64];
-        Kernel::box_blur(3).apply_gray_indices(&img, &[0], &mut out);
+        Kernel::box_blur(3).apply_gray_indices(&img, &[0], &mut [0u8; 1]);
     }
 
     #[test]

@@ -25,7 +25,8 @@
 use anytime::apps::conv2d::CHUNK;
 use anytime::apps::{time_baseline, Conv2d};
 use anytime::core::{
-    BatchPolicy, CoreError, HedgePolicy, Recorder, ServeOptions, ServePool, ServeStatus,
+    BatchPolicy, CoreError, HedgePolicy, Recorder, Runtime, RuntimeHandle, ServeOptions, ServePool,
+    ServeStatus,
 };
 use anytime::img::{metrics, synth, Kernel};
 use std::path::PathBuf;
@@ -35,6 +36,7 @@ use std::time::{Duration, Instant};
 /// Arrivals per precise-baseline interval: 2 replicas at rate 4 is a
 /// sustained 2× overload, so queueing — and batching — actually happens.
 const ARRIVALS_PER_BASELINE: f64 = 4.0;
+const REPLICAS: usize = 2;
 const REQUESTS: usize = 48;
 
 /// Per-response record: (quality, SNR dB, status, shed, hedged).
@@ -77,10 +79,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // row-convolved precise baseline is far cheaper than the permuted
     // per-pixel anytime path, so budgeting against it would leave every
     // sub-1× request hopeless rather than merely approximate.
+    // A run samples on every worker of its runtime, and under this load
+    // the replicas' runs share the shared runtime's workers: time one on
+    // a runtime holding one replica's share of them.
+    let share = Runtime::new((RuntimeHandle::global().workers() / REPLICAS).max(1));
     let baseline = {
         let (pipeline, reader) = app.automaton(32 * CHUNK as u64)?;
         let t0 = Instant::now();
-        let auto = pipeline.launch()?;
+        let auto = pipeline.on_runtime(share.handle()).launch()?;
         reader.wait_final_timeout(Duration::from_secs(120))?;
         let elapsed = t0.elapsed();
         auto.join()?;
@@ -99,7 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // compatible requests then cost one run instead of one run each.
     let pool = ServePool::new_batched(
         ServeOptions {
-            replicas: 2,
+            replicas: REPLICAS,
             recorder: recorder.clone(),
             // Honest admission floor: launching a pipeline and reaching its
             // first publication costs real time on a loaded host. Budgets
