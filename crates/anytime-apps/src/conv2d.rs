@@ -10,6 +10,13 @@
 //! and merges in sample order, so its versions do not depend on how many
 //! workers that is.
 //!
+//! A gray input is padded by the kernel's radius once, in [`Conv2d::new`]
+//! ([`PaddedGray`]). The automaton's chunk body and the precise baseline
+//! both read that plane, so every pixel, border pixels included, goes
+//! through an 8-lane kernel with no clamped tap; both stay bit-identical
+//! to [`Kernel::apply_at`]. RGB inputs take the per-pixel
+//! [`Kernel::apply_at_into`] path.
+//!
 //! Two technique variants reproduce the paper's sensitivity studies:
 //!
 //! - [`Conv2d::sample_accuracy_with_precision`] masks pixels to their top
@@ -21,9 +28,10 @@
 use crate::error::Result;
 use anytime_approx::quantize_u8;
 use anytime_core::{BufferReader, ParallelSampledMap, Pipeline, PipelineBuilder, StageOptions};
-use anytime_img::{convolve, ImageBuf, Kernel};
+use anytime_img::{convolve, convolve_padded, ImageBuf, Kernel, PaddedGray};
 use anytime_permute::DynPermutation;
 use anytime_sim::ReadInjector;
+use std::sync::Arc;
 
 /// Pixels filtered per anytime step: amortizes the runtime's per-step
 /// costs while keeping interruption granularity fine (~0.025 % of a
@@ -51,33 +59,44 @@ pub const CHUNK: usize = 64;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Conv2d {
-    image: ImageBuf<u8>,
+    input: Arc<Input>,
     kernel: Kernel,
     perm: DynPermutation,
+}
+
+/// What every clone and automaton of one [`Conv2d`] reads.
+#[derive(Debug)]
+struct Input {
+    image: ImageBuf<u8>,
+    /// A gray image padded by the kernel's radius; `None` for RGB.
+    plane: Option<PaddedGray>,
 }
 
 impl Conv2d {
     /// Creates the benchmark over an input image and kernel.
     ///
-    /// The image's tree permutation is built here, once: every automaton
-    /// built from this value or its clones shares its sample order, which
-    /// the first build materializes.
+    /// The image's tree permutation and, for a gray image, its padded
+    /// plane are built here, once: every automaton built from this value
+    /// or its clones shares them, and shares the sample order, which the
+    /// first build materializes.
     ///
     /// # Panics
     ///
     /// Never for an image [`ImageBuf`] accepts: the tree permutation
     /// fails only on an empty image.
     pub fn new(image: ImageBuf<u8>, kernel: Kernel) -> Self {
+        let plane = (image.channels() == 1)
+            .then(|| PaddedGray::new(&image, kernel.radius().unsigned_abs()));
         Self {
             perm: crate::tree_permutation(&image),
-            image,
+            input: Arc::new(Input { image, plane }),
             kernel,
         }
     }
 
     /// The input image.
     pub fn image(&self) -> &ImageBuf<u8> {
-        &self.image
+        &self.input.image
     }
 
     /// The convolution kernel.
@@ -87,7 +106,10 @@ impl Conv2d {
 
     /// The precise baseline output.
     pub fn precise(&self) -> ImageBuf<u8> {
-        convolve(&self.image, &self.kernel)
+        match &self.input.plane {
+            Some(plane) => convolve_padded(plane, &self.kernel),
+            None => convolve(&self.input.image, &self.kernel),
+        }
     }
 
     /// Builds the single-stage anytime automaton.
@@ -141,24 +163,27 @@ impl Conv2d {
         let mut pb = PipelineBuilder::new().with_recorder(recorder.clone());
         let out = ParallelSampledMap::new(
             "2dconv",
-            self.image.clone(),
+            Arc::clone(&self.input),
             self.perm.clone(),
             CHUNK,
-            |input: &ImageBuf<u8>| {
-                ImageBuf::new(input.width(), input.height(), input.channels())
+            |input: &Arc<Input>| {
+                let image = &input.image;
+                ImageBuf::new(image.width(), image.height(), image.channels())
                     .expect("input image has valid dimensions")
             },
-            move |input: &ImageBuf<u8>, indices: &[u32], values: &mut Vec<u8>| {
-                let channels = input.channels();
+            move |input: &Arc<Input>, indices: &[u32], values: &mut Vec<u8>| {
+                let image = &input.image;
+                let channels = image.channels();
                 values.resize(indices.len() * channels, 0);
-                if channels == 1 {
+                match &input.plane {
                     // Eight pixels at a time: gray inputs dominate the
                     // paper's workloads and the serving demo.
-                    kernel.apply_gray_indices(input, indices, values);
-                } else {
-                    for (&idx, px) in indices.iter().zip(values.chunks_exact_mut(channels)) {
-                        let (x, y) = input.pixel_coords(idx as usize);
-                        kernel.apply_at_into(input, x, y, px);
+                    Some(plane) => kernel.apply_gray_indices(plane, indices, values),
+                    None => {
+                        for (&idx, px) in indices.iter().zip(values.chunks_exact_mut(channels)) {
+                            let (x, y) = image.pixel_coords(idx as usize);
+                            kernel.apply_at_into(image, x, y, px);
+                        }
                     }
                 }
             },
@@ -196,28 +221,25 @@ impl Conv2d {
     ) -> Result<Vec<(usize, ImageBuf<u8>)>> {
         let order = self.perm.order();
         let total = order.len();
-        let mut working = self.image.clone(); // cells holding the input
-        let mut out = ImageBuf::<u8>::new(
-            self.image.width(),
-            self.image.height(),
-            self.image.channels(),
-        )?;
+        let image = self.image();
+        let mut working = image.clone(); // cells holding the input
+        let mut out = ImageBuf::<u8>::new(image.width(), image.height(), image.channels())?;
         let mut results = Vec::new();
         let mut sizes: Vec<usize> = sample_sizes.iter().map(|&s| s.min(total)).collect();
         sizes.sort_unstable();
         sizes.dedup();
         let r = self.kernel.radius();
-        let channels = self.image.channels();
+        let channels = image.channels();
         let mut next_size = 0usize;
         for (done, &idx) in order.iter().enumerate() {
             let idx = idx as usize;
-            let (x, y) = (idx % self.image.width(), idx / self.image.width());
+            let (x, y) = (idx % image.width(), idx / image.width());
             let mut acc = vec![0.0f64; channels];
             for dy in -r..=r {
                 for dx in -r..=r {
                     let w = self.kernel.weight(dx, dy);
-                    let cx = (x as isize + dx).clamp(0, self.image.width() as isize - 1) as usize;
-                    let cy = (y as isize + dy).clamp(0, self.image.height() as isize - 1) as usize;
+                    let cx = (x as isize + dx).clamp(0, image.width() as isize - 1) as usize;
+                    let cy = (y as isize + dy).clamp(0, image.height() as isize - 1) as usize;
                     let base = working.sample_index(cx, cy);
                     for (c, a) in acc.iter_mut().enumerate() {
                         *a += w * read(&mut working, base, c);
@@ -339,10 +361,8 @@ mod tests {
             assert_eq!(snap.value(), &precise);
             auto.join().unwrap();
         }
-        assert!(std::sync::Arc::ptr_eq(
-            &app.perm.order(),
-            &clone.perm.order()
-        ));
+        assert!(Arc::ptr_eq(&app.perm.order(), &clone.perm.order()));
+        assert!(Arc::ptr_eq(&app.input, &clone.input));
     }
 
     #[test]

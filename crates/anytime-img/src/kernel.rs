@@ -1,8 +1,16 @@
 //! Convolution kernels and a precise 2-D convolution, the substrate of the
 //! paper's `2dconv` benchmark (a blur filter applied via per-pixel dot
 //! products).
+//!
+//! [`Kernel::apply_at`] is the reference: one pixel, clamping each tap to
+//! the image. The gray kernels, the automaton's gather
+//! ([`Kernel::apply_gray_indices`]) and the precise baseline
+//! ([`convolve_padded`]), instead read a [`PaddedGray`] plane, whose
+//! padding repeats the border once: every pixel goes through an 8-lane
+//! group with no clamped tap and no border path, bit-identically.
 
 use crate::image::ImageBuf;
+use crate::padded::PaddedGray;
 use crate::simd::LANES;
 
 /// A square convolution kernel with `f64` weights.
@@ -129,102 +137,60 @@ impl Kernel {
         }
     }
 
-    /// [`Kernel::apply_at`] for single-channel images, allocation-free —
-    /// the hot per-pixel path of the `2dconv` sampled map.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the image is not single-channel.
-    pub fn apply_at_gray(&self, img: &ImageBuf<u8>, x: usize, y: usize) -> u8 {
-        assert_eq!(img.channels(), 1, "single-channel images only");
-        let r = self.radius();
-        let ru = r as usize;
-        let (w, h) = (img.width(), img.height());
-        // Interior fast path: no clamping needed, so each kernel row zips
-        // straight against a raw image row. The tap order (dy-outer,
-        // dx-inner) matches the clamped path exactly, so the f64
-        // accumulation sequence — and therefore the rounded result — is
-        // bit-identical.
-        if x >= ru && x + ru < w && y >= ru && y + ru < h {
-            let data = img.as_slice();
-            let mut acc = 0.0f64;
-            for (ky, wrow) in self.weights.chunks_exact(self.size).enumerate() {
-                let base = (y - ru + ky) * w + (x - ru);
-                for (&wt, &px) in wrow.iter().zip(&data[base..base + self.size]) {
-                    acc += wt * f64::from(px);
-                }
-            }
-            return acc.round().clamp(0.0, 255.0) as u8;
-        }
-        let mut acc = 0.0f64;
-        for dy in -r..=r {
-            for dx in -r..=r {
-                let w = self.weight(dx, dy);
-                let px = img.pixel_clamped(x as isize + dx, y as isize + dy);
-                acc += w * f64::from(px[0]);
-            }
-        }
-        acc.round().clamp(0.0, 255.0) as u8
-    }
-
     /// Convolves the pixels at `indices` (row-major pixel indices) of a
-    /// single-channel image, writing the result for `indices[i]` to
-    /// `values[i]` — the chunk body of the `2dconv` sampled map.
+    /// padded single-channel image, writing the result for `indices[i]`
+    /// to `values[i]` — the chunk body of the `2dconv` sampled map.
     ///
-    /// Bit-identical to [`Kernel::apply_at_gray`] on every pixel. Interior
-    /// pixels go [`LANES`] at a time, each with its own `f64` accumulator
-    /// that walks `apply_at_gray`'s taps in its order (`dy`-outer,
-    /// `dx`-inner, `acc += w * px`), so every output byte sees the same
-    /// operation sequence; the lanes only make the pixels' dependency
-    /// chains independent of each other. Border pixels, and interior ones
-    /// left over after the last full group, call `apply_at_gray` itself.
+    /// Bit-identical to [`Kernel::apply_at`] on every pixel. The pixels
+    /// go [`LANES`] at a time, each with its own `f64` accumulator that
+    /// walks `apply_at`'s taps in its order (`dy`-outer, `dx`-inner,
+    /// `acc += w * px`), so every output byte sees the same operation
+    /// sequence; the lanes only make the pixels' dependency chains
+    /// independent of each other. The plane puts every window inside it,
+    /// border pixels' too, so no tap is clamped, and a short last group
+    /// repeats its last pixel in its spare lanes and keeps only its own
+    /// values.
     ///
     /// # Panics
     ///
-    /// Panics if the image is not single-channel, if `values` does not
-    /// hold one value per index, or if an index is past the last pixel.
-    pub fn apply_gray_indices(&self, img: &ImageBuf<u8>, indices: &[u32], values: &mut [u8]) {
-        assert_eq!(img.channels(), 1, "single-channel images only");
+    /// Panics if the plane is not padded by the kernel's radius, if
+    /// `values` does not hold one value per index, or if an index is past
+    /// the last pixel.
+    pub fn apply_gray_indices(&self, plane: &PaddedGray, indices: &[u32], values: &mut [u8]) {
         assert_eq!(values.len(), indices.len(), "one value per index");
-        let (w, h) = (img.width(), img.height());
-        let ru = self.radius().unsigned_abs();
-        // Interior pixels gathered for the next group of lanes, as
-        // (position in `values`, pixel index).
-        let mut group = [(0usize, 0usize); LANES];
-        let mut pending = 0;
-        for (at, &idx) in indices.iter().enumerate() {
-            let idx = idx as usize;
-            let (x, y) = (idx % w, idx / w);
-            if x >= ru && x + ru < w && y >= ru && y + ru < h {
-                group[pending] = (at, idx);
-                pending += 1;
-                if pending == LANES {
-                    let origins = group.map(|(_, p)| p - ru * w - ru);
-                    let lanes = self.convolve_lanes(img.as_slice(), w, &origins);
-                    for (&(at, _), v) in group.iter().zip(lanes) {
-                        values[at] = v;
-                    }
-                    pending = 0;
-                }
-            } else {
-                assert!(y < h, "pixel index {idx} outside {w}x{h}");
-                values[at] = self.apply_at_gray(img, x, y);
-            }
-        }
-        for &(at, p) in &group[..pending] {
-            values[at] = self.apply_at_gray(img, p % w, p / w);
+        self.assert_padding(plane);
+        let (w, h) = (plane.width(), plane.height());
+        for (group, out) in indices.chunks(LANES).zip(values.chunks_mut(LANES)) {
+            let origins = std::array::from_fn(|lane| {
+                let idx = group[lane.min(group.len() - 1)] as usize;
+                assert!(idx < w * h, "pixel index {idx} outside {w}x{h}");
+                plane.window_origin(idx % w, idx / w)
+            });
+            let lanes = self.convolve_lanes(plane.samples(), plane.stride(), &origins);
+            out.copy_from_slice(&lanes[..out.len()]);
         }
     }
 
-    /// Convolves [`LANES`] interior pixels of a single-channel image whose
-    /// windows start (top-left tap) at `origins`, one accumulator per
-    /// pixel. Each lane reads a kernel row's taps through one slice of an
-    /// image row, cut once per kernel row, so no tap is clamped.
-    fn convolve_lanes(&self, data: &[u8], width: usize, origins: &[usize; LANES]) -> [u8; LANES] {
+    /// Checks that the plane is padded by this kernel's radius, so every
+    /// window lies inside it.
+    pub(crate) fn assert_padding(&self, plane: &PaddedGray) {
+        assert_eq!(
+            plane.pad(),
+            self.size / 2,
+            "the plane must be padded by the radius of a {0}x{0} kernel",
+            self.size
+        );
+    }
+
+    /// Convolves [`LANES`] pixels of a padded single-channel image whose
+    /// windows start (top-left tap) at `origins` in its samples, one
+    /// accumulator per pixel. Each lane reads a kernel row's taps through
+    /// one slice of a padded row, cut once per kernel row.
+    fn convolve_lanes(&self, data: &[u8], stride: usize, origins: &[usize; LANES]) -> [u8; LANES] {
         let mut acc = [0.0f64; LANES];
         for (ky, wrow) in self.weights.chunks_exact(self.size).enumerate() {
             let rows: [&[u8]; LANES] = std::array::from_fn(|lane| {
-                let start = origins[lane] + ky * width;
+                let start = origins[lane] + ky * stride;
                 &data[start..start + wrow.len()]
             });
             for (kx, &wt) in wrow.iter().enumerate() {
@@ -238,8 +204,7 @@ impl Kernel {
 
     /// Accumulates the weighted window around `(x, y)` into `acc` (one
     /// slot per channel), without rounding. `acc` must be zeroed by the
-    /// caller; taps run `dy`-outer / `dx`-inner — the tap order the SIMD
-    /// row kernel replicates lane-for-lane.
+    /// caller; taps run `dy`-outer / `dx`-inner, as in `apply_at`.
     fn accumulate_at(&self, img: &ImageBuf<u8>, x: usize, y: usize, acc: &mut [f64]) {
         let r = self.radius();
         for dy in -r..=r {
@@ -256,29 +221,20 @@ impl Kernel {
 
 /// Precise full-image convolution: the `2dconv` baseline.
 ///
-/// Single-channel images go through the row kernel
-/// ([`crate::simd::convolve_row_gray`]), which vectorizes across adjacent
-/// output pixels under `--features simd` and is bit-identical to the
-/// per-pixel path either way. Multi-channel images take the per-pixel
-/// path with a reused accumulator (no per-pixel allocation).
+/// Single-channel images are padded by the kernel's radius
+/// ([`PaddedGray`]) and go through [`convolve_padded`]. Multi-channel
+/// images take the per-pixel path with a reused accumulator (no
+/// per-pixel allocation). Either way every byte is [`Kernel::apply_at`]'s.
 pub fn convolve(img: &ImageBuf<u8>, kernel: &Kernel) -> ImageBuf<u8> {
-    let mut out = img.clone();
-    let w = img.width();
     if img.channels() == 1 {
-        for y in 0..img.height() {
-            crate::simd::convolve_row_gray(
-                img,
-                kernel,
-                y,
-                &mut out.as_mut_slice()[y * w..(y + 1) * w],
-            );
-        }
-        return out;
+        let plane = PaddedGray::new(img, kernel.radius().unsigned_abs());
+        return convolve_padded(&plane, kernel);
     }
+    let mut out = img.clone();
     let channels = img.channels();
     let mut acc = vec![0.0f64; channels];
     for y in 0..img.height() {
-        for x in 0..w {
+        for x in 0..img.width() {
             acc.fill(0.0);
             kernel.accumulate_at(img, x, y, &mut acc);
             let base = img.sample_index(x, y);
@@ -286,6 +242,23 @@ pub fn convolve(img: &ImageBuf<u8>, kernel: &Kernel) -> ImageBuf<u8> {
                 out.as_mut_slice()[base + c] = a.round().clamp(0.0, 255.0) as u8;
             }
         }
+    }
+    out
+}
+
+/// [`convolve`] of a padded single-channel image: every row through the
+/// row kernel ([`crate::simd::convolve_row_gray`]), which vectorizes
+/// across adjacent output pixels under `--features simd` and is
+/// bit-identical to [`Kernel::apply_at`] either way.
+///
+/// # Panics
+///
+/// Panics if the plane is not padded by the kernel's radius.
+pub fn convolve_padded(plane: &PaddedGray, kernel: &Kernel) -> ImageBuf<u8> {
+    let w = plane.width();
+    let mut out = ImageBuf::new(w, plane.height(), 1).expect("a plane pads a non-empty image");
+    for (y, row) in out.as_mut_slice().chunks_exact_mut(w).enumerate() {
+        crate::simd::convolve_row_gray(plane, kernel, y, row);
     }
     out
 }
@@ -350,35 +323,10 @@ mod tests {
     }
 
     #[test]
-    fn gray_fast_path_matches_clamped_path_exactly() {
-        // Interior pixels take the zip fast path, borders the clamped
-        // loop; both must agree bit-for-bit with the generic apply_at.
-        for (w, h) in [(11usize, 9usize), (16, 16), (7, 23)] {
-            let img = synth::value_noise(w, h, 3);
-            for k in [
-                Kernel::box_blur(3),
-                Kernel::gaussian(5, 1.2),
-                Kernel::sharpen(),
-            ] {
-                for y in 0..h {
-                    for x in 0..w {
-                        assert_eq!(
-                            k.apply_at_gray(&img, x, y),
-                            k.apply_at(&img, x, y)[0],
-                            "kernel {} at ({x}, {y}) in {w}x{h}",
-                            k.size()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn gather_kernel_matches_per_pixel_path_exactly() {
         // Chunks of a tree order (and of its reverse) hit border and
         // interior pixels, full groups of LANES and remainders; each value
-        // must be apply_at_gray's byte for the pixel at its position.
+        // must be apply_at's byte for the pixel at its position.
         for (w, h) in [(1usize, 1usize), (5, 3), (11, 9), (64, 12), (96, 80)] {
             let img = synth::value_noise(w, h, 3);
             let tree = DynPermutation::new(Tree2d::new(h, w).unwrap()).order();
@@ -390,17 +338,18 @@ mod tests {
                 Kernel::gaussian(9, 2.0),
                 Kernel::sharpen(),
             ] {
+                let plane = PaddedGray::new(&img, kernel.radius().unsigned_abs());
                 let expected: Vec<u8> = (0..w * h)
-                    .map(|i| kernel.apply_at_gray(&img, i % w, i / w))
+                    .map(|i| kernel.apply_at(&img, i % w, i / w)[0])
                     .collect();
                 for order in [&tree[..], &reversed[..]] {
-                    kernel.apply_gray_indices(&img, &[], &mut []);
+                    kernel.apply_gray_indices(&plane, &[], &mut []);
                     for len in [1usize, 7, 8, 9, 64] {
                         for chunk in order.chunks(len) {
                             // Poisoned, so an unwritten value shows.
                             let mut values: Vec<u8> =
                                 chunk.iter().map(|&i| !expected[i as usize]).collect();
-                            kernel.apply_gray_indices(&img, chunk, &mut values);
+                            kernel.apply_gray_indices(&plane, chunk, &mut values);
                             for (&idx, &v) in chunk.iter().zip(&values) {
                                 assert_eq!(
                                     v,
@@ -437,22 +386,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "one value per index")]
     fn gather_kernel_rejects_short_values() {
-        let img = ImageBuf::<u8>::new(8, 8, 1).unwrap();
-        Kernel::box_blur(3).apply_gray_indices(&img, &[0, 1], &mut [0u8; 1]);
+        let plane = PaddedGray::new(&ImageBuf::<u8>::new(8, 8, 1).unwrap(), 1);
+        Kernel::box_blur(3).apply_gray_indices(&plane, &[0, 1], &mut [0u8; 1]);
     }
 
     #[test]
     #[should_panic(expected = "outside 8x8")]
     fn gather_kernel_rejects_indices_past_the_image() {
-        let img = ImageBuf::<u8>::new(8, 8, 1).unwrap();
-        Kernel::box_blur(3).apply_gray_indices(&img, &[64], &mut [0u8; 1]);
+        let plane = PaddedGray::new(&ImageBuf::<u8>::new(8, 8, 1).unwrap(), 1);
+        Kernel::box_blur(3).apply_gray_indices(&plane, &[64], &mut [0u8; 1]);
     }
 
     #[test]
-    #[should_panic(expected = "single-channel")]
-    fn gather_kernel_rejects_multichannel() {
-        let img = ImageBuf::<u8>::new(8, 8, 3).unwrap();
-        Kernel::box_blur(3).apply_gray_indices(&img, &[0], &mut [0u8; 1]);
+    #[should_panic(expected = "radius of a 5x5 kernel")]
+    fn gather_kernel_rejects_a_plane_padded_for_another_kernel() {
+        let plane = PaddedGray::new(&ImageBuf::<u8>::new(8, 8, 1).unwrap(), 1);
+        Kernel::box_blur(5).apply_gray_indices(&plane, &[0], &mut [0u8; 1]);
     }
 
     #[test]

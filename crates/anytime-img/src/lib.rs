@@ -10,7 +10,9 @@
 //!   non-redistributable PERFECT/AxBench input sets;
 //! - [`metrics`]: the paper's accuracy metric — SNR in decibels relative to
 //!   the precise output, ∞ dB when identical;
-//! - [`Kernel`]: convolution kernels and the precise `2dconv` baseline.
+//! - [`Kernel`]: convolution kernels and the precise `2dconv` baseline;
+//! - [`PaddedGray`]: a gray image padded by a kernel's radius, which the
+//!   gray convolution kernels read so that no tap is clamped.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,9 +23,11 @@ mod image;
 pub mod io;
 mod kernel;
 pub mod metrics;
+mod padded;
 pub mod simd;
 pub mod synth;
 
 pub use error::{ImgError, Result};
 pub use image::{GrayImage, ImageBuf, RgbImage};
-pub use kernel::{convolve, Kernel};
+pub use kernel::{convolve, convolve_padded, Kernel};
+pub use padded::PaddedGray;

@@ -8,16 +8,17 @@
 //!   folds elements `i, i+LANES, i+2·LANES, …` in index order, and the
 //!   final horizontal sum is a left fold over the lane array — so the
 //!   floating-point operation sequence per lane is identical;
-//! - the convolution row kernel ([`convolve_row_gray`]) assigns each
-//!   output pixel its own lane and walks the kernel taps in the same
-//!   `dy`-outer / `dx`-inner order as [`Kernel::apply_at`], so every
-//!   pixel sees the exact scalar operation sequence.
+//! - the convolution row kernel ([`convolve_row_gray`]) reads a
+//!   [`PaddedGray`] plane, assigns each output pixel its own lane and walks
+//!   the kernel taps in the same `dy`-outer / `dx`-inner order as
+//!   [`Kernel::apply_at`], so every pixel, border pixels included, sees
+//!   the exact scalar operation sequence.
 //!
 //! Everything here is safe code; the crate-wide `#![forbid(unsafe_code)]`
 //! applies to both cfgs.
 
-use crate::image::ImageBuf;
 use crate::kernel::Kernel;
+use crate::padded::PaddedGray;
 
 #[cfg(feature = "simd")]
 use std::simd::{num::SimdUint, Simd};
@@ -97,53 +98,39 @@ pub fn sum_sq_diff_u8(a: &[u8], b: &[u8]) -> f64 {
     lanes.iter().sum()
 }
 
-/// Convolves row `y` of a single-channel image into `row`, one output
-/// sample per pixel, vectorizing across adjacent output pixels.
+/// Convolves row `y` of a padded single-channel image into `row`, one
+/// output sample per pixel, vectorizing across adjacent output pixels.
 ///
-/// Interior pixels (where the kernel window never leaves the image) take
-/// the vector path: each lane owns one output pixel and accumulates the
-/// taps in [`Kernel::apply_at`]'s order, so the result is bit-identical
-/// to the per-pixel scalar path used for the clamped borders.
+/// The row goes in groups of [`LANES`] adjacent pixels, border pixels and
+/// narrow images included: the plane holds every pixel's window, so no
+/// tap is clamped and there is no border path. Each lane owns one output
+/// pixel and accumulates the taps in [`Kernel::apply_at`]'s order, so the
+/// result is bit-identical to it. A short last group reads on into the
+/// padding (or the plane's spare bytes) and keeps only its own pixels.
 ///
 /// # Panics
 ///
-/// Panics if the image is not single-channel or `row` is not one full row.
-pub fn convolve_row_gray(img: &ImageBuf<u8>, kernel: &Kernel, y: usize, row: &mut [u8]) {
-    assert_eq!(img.channels(), 1, "single-channel images only");
-    assert_eq!(row.len(), img.width(), "row buffer must span the image");
-    let w = img.width();
-    let h = img.height();
-    let r = kernel.radius();
-    let ru = r.unsigned_abs();
-    // Rows the kernel window clamps against (top/bottom borders), and
-    // images too narrow to hold a vector of interior pixels, go scalar.
-    let interior_rows = y >= ru && y + ru < h;
-    let interior_cols = w > 2 * ru && (w - 2 * ru) >= LANES;
-    if !(interior_rows && interior_cols) {
-        for (x, out) in row.iter_mut().enumerate() {
-            *out = kernel.apply_at_gray(img, x, y);
-        }
-        return;
-    }
-    // Clamped left border.
-    for (x, out) in row.iter_mut().enumerate().take(ru) {
-        *out = kernel.apply_at_gray(img, x, y);
-    }
-    // Interior: full vectors of LANES adjacent output pixels.
-    let data = img.as_slice();
-    let mut x = ru;
-    while x + LANES <= w - ru {
+/// Panics if the plane is not padded by the kernel's radius, if `y` is
+/// not a row of the image, or if `row` is not one full row.
+pub fn convolve_row_gray(plane: &PaddedGray, kernel: &Kernel, y: usize, row: &mut [u8]) {
+    assert_eq!(row.len(), plane.width(), "row buffer must span the image");
+    assert!(y < plane.height(), "row {y} outside the image");
+    kernel.assert_padding(plane);
+    let stride = plane.stride();
+    let data = plane.samples();
+    let origin = plane.window_origin(0, y);
+    let size = kernel.size();
+    for (x, out) in (0..).step_by(LANES).zip(row.chunks_mut(LANES)) {
         #[cfg(feature = "simd")]
         let lanes = {
             let mut acc = Simd::<f64, LANES>::splat(0.0);
-            for dy in -r..=r {
-                let base = (y as isize + dy) as usize * w;
-                for dx in -r..=r {
-                    let weight = Simd::<f64, LANES>::splat(kernel.weight(dx, dy));
-                    let start = base + (x as isize + dx) as usize;
+            for (ky, wrow) in kernel.weights().chunks_exact(size).enumerate() {
+                let base = origin + ky * stride + x;
+                for (kx, &weight) in wrow.iter().enumerate() {
+                    let start = base + kx;
                     let v =
                         Simd::<u8, LANES>::from_slice(&data[start..start + LANES]).cast::<f64>();
-                    acc += weight * v;
+                    acc += Simd::splat(weight) * v;
                 }
             }
             acc.to_array()
@@ -151,11 +138,10 @@ pub fn convolve_row_gray(img: &ImageBuf<u8>, kernel: &Kernel, y: usize, row: &mu
         #[cfg(not(feature = "simd"))]
         let lanes = {
             let mut acc = [0.0f64; LANES];
-            for dy in -r..=r {
-                let base = (y as isize + dy) as usize * w;
-                for dx in -r..=r {
-                    let weight = kernel.weight(dx, dy);
-                    let start = base + (x as isize + dx) as usize;
+            for (ky, wrow) in kernel.weights().chunks_exact(size).enumerate() {
+                let base = origin + ky * stride + x;
+                for (kx, &weight) in wrow.iter().enumerate() {
+                    let start = base + kx;
                     for (lane, &v) in acc.iter_mut().zip(&data[start..start + LANES]) {
                         *lane += weight * f64::from(v);
                     }
@@ -163,14 +149,9 @@ pub fn convolve_row_gray(img: &ImageBuf<u8>, kernel: &Kernel, y: usize, row: &mu
             }
             acc
         };
-        for (out, a) in row[x..x + LANES].iter_mut().zip(lanes) {
+        for (out, a) in out.iter_mut().zip(lanes) {
             *out = a.round().clamp(0.0, 255.0) as u8;
         }
-        x += LANES;
-    }
-    // Interior remainder and clamped right border.
-    for (x, out) in row.iter_mut().enumerate().skip(x) {
-        *out = kernel.apply_at_gray(img, x, y);
     }
 }
 
@@ -226,9 +207,10 @@ mod tests {
                 Kernel::gaussian(5, 1.2),
                 Kernel::sharpen(),
             ] {
+                let plane = PaddedGray::new(&img, kernel.radius().unsigned_abs());
                 let mut row = vec![0u8; w];
                 for y in 0..h {
-                    convolve_row_gray(&img, &kernel, y, &mut row);
+                    convolve_row_gray(&plane, &kernel, y, &mut row);
                     for (x, &actual) in row.iter().enumerate() {
                         assert_eq!(
                             actual,
@@ -240,13 +222,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "single-channel")]
-    fn convolve_row_rejects_multichannel() {
-        let img = ImageBuf::<u8>::new(8, 8, 3).unwrap();
-        let mut row = vec![0u8; 8];
-        convolve_row_gray(&img, &Kernel::box_blur(3), 0, &mut row);
     }
 }

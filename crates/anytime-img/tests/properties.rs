@@ -2,7 +2,7 @@
 //! axioms, and convolution invariants.
 
 use anytime_img::io::{read_netpbm, write_netpbm};
-use anytime_img::{convolve, metrics, ImageBuf, Kernel};
+use anytime_img::{convolve, convolve_padded, metrics, ImageBuf, Kernel, PaddedGray};
 use proptest::prelude::*;
 
 fn arb_image(max_side: usize, channels: usize) -> impl Strategy<Value = ImageBuf<u8>> {
@@ -30,6 +30,23 @@ fn arb_image_pair(
                 )
             })
     })
+}
+
+/// Kernels of every odd size from 1 to 9, with negative weights, and one
+/// whose weights are neither symmetric nor normalized, so a transposed or
+/// mirrored tap order changes its bytes.
+fn plane_kernels() -> Vec<Kernel> {
+    let lopsided = (0..25)
+        .map(|i| f64::from(i * 7 % 11) / 40.0 - 0.08)
+        .collect();
+    vec![
+        Kernel::box_blur(1),
+        Kernel::box_blur(3),
+        Kernel::box_blur(5),
+        Kernel::gaussian(9, 2.0),
+        Kernel::sharpen(),
+        Kernel::new(5, lopsided),
+    ]
 }
 
 proptest! {
@@ -85,5 +102,44 @@ proptest! {
         let mut copy = img.clone();
         copy.set_pixel(x, y, &px);
         prop_assert_eq!(copy, img);
+    }
+
+    #[test]
+    fn plane_gather_matches_apply_at(
+        img in arb_image(24, 1),
+        picks in prop::collection::vec(any::<u32>(), 0..=64),
+    ) {
+        // Any run of 0 to 64 pixels, in any order and with repeats: full
+        // groups of eight and a short last group, border pixels and
+        // interior ones.
+        let pixels = img.pixel_count() as u32;
+        let indices: Vec<u32> = picks.iter().map(|&p| p % pixels).collect();
+        for kernel in plane_kernels() {
+            let plane = PaddedGray::new(&img, kernel.size() / 2);
+            let mut values = vec![0u8; indices.len()];
+            kernel.apply_gray_indices(&plane, &indices, &mut values);
+            for (&idx, &v) in indices.iter().zip(&values) {
+                let (x, y) = img.pixel_coords(idx as usize);
+                let expected = kernel.apply_at(&img, x, y)[0];
+                prop_assert_eq!(v, expected, "pixel {}, k{}", idx, kernel.size());
+            }
+        }
+    }
+
+    #[test]
+    fn plane_convolution_matches_apply_at(img in arb_image(24, 1)) {
+        for kernel in plane_kernels() {
+            let expected: Vec<u8> = (0..img.pixel_count())
+                .map(|i| {
+                    let (x, y) = img.pixel_coords(i);
+                    kernel.apply_at(&img, x, y)[0]
+                })
+                .collect();
+            let plane = PaddedGray::new(&img, kernel.size() / 2);
+            let padded = convolve_padded(&plane, &kernel);
+            prop_assert_eq!(padded.as_slice(), &expected[..], "k{}", kernel.size());
+            let whole = convolve(&img, &kernel);
+            prop_assert_eq!(whole.as_slice(), &expected[..], "k{}", kernel.size());
+        }
     }
 }
