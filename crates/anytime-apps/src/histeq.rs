@@ -23,6 +23,7 @@ use anytime_core::{
 };
 use anytime_img::ImageBuf;
 use anytime_permute::{DynPermutation, Lfsr};
+use std::sync::Arc;
 
 /// Number of intensity bins (8-bit images).
 pub const BINS: usize = 256;
@@ -85,7 +86,8 @@ pub fn apply_lut(img: &ImageBuf<u8>, lut: &[u8]) -> ImageBuf<u8> {
 /// The `histeq` benchmark over a grayscale image.
 #[derive(Debug, Clone)]
 pub struct Histeq {
-    image: ImageBuf<u8>,
+    /// The input, shared by every clone and automaton.
+    image: Arc<ImageBuf<u8>>,
     /// LFSR input-sampling order of the histogram stage.
     hist_perm: DynPermutation,
     /// Tree output-sampling order of the equalize stage.
@@ -96,8 +98,8 @@ impl Histeq {
     /// Creates the benchmark, with LFSR seed 1.
     ///
     /// Both sampling permutations are built here, once: every automaton
-    /// built from this value or its clones shares their sample orders,
-    /// which the first build materializes.
+    /// built from this value or its clones shares the image and the
+    /// sample orders, which the first build materializes.
     ///
     /// # Panics
     ///
@@ -109,7 +111,7 @@ impl Histeq {
         Self {
             hist_perm: lfsr(&image, 1),
             map_perm: crate::tree_permutation(&image),
-            image,
+            image: Arc::new(image),
         }
     }
 
@@ -155,11 +157,11 @@ impl Histeq {
         // Stage 1: anytime histogram via pseudo-random input sampling.
         let hist = pb.source(
             "hist",
-            self.image.clone(),
+            Arc::clone(&self.image),
             SampledReduce::new(
                 self.hist_perm.clone(),
-                |_: &ImageBuf<u8>| vec![0u64; BINS],
-                |acc: &mut Vec<u64>, img: &ImageBuf<u8>, idx| {
+                |_: &Arc<ImageBuf<u8>>| vec![0u64; BINS],
+                |acc: &mut Vec<u64>, img: &Arc<ImageBuf<u8>>, idx| {
                     acc[img.as_slice()[idx] as usize] += 1;
                 },
             )
@@ -183,18 +185,15 @@ impl Histeq {
         // Stage 4: anytime output generation via tree output sampling. The
         // (constant) input image is captured; the varying input is the
         // table.
-        let image = self.image.clone();
+        let (width, height) = (self.image.width(), self.image.height());
+        let image = Arc::clone(&self.image);
         let out = pb.stage(
             "equalize",
             &lut,
             SampledMap::new(
                 self.map_perm.clone(),
-                {
-                    let image = image.clone();
-                    move |_lut: &Vec<u8>| {
-                        ImageBuf::new(image.width(), image.height(), 1)
-                            .expect("input image has valid dimensions")
-                    }
+                move |_lut: &Vec<u8>| {
+                    ImageBuf::new(width, height, 1).expect("input image has valid dimensions")
                 },
                 move |lut: &Vec<u8>, out: &mut ImageBuf<u8>, idx| {
                     let v = image.as_slice()[idx];
@@ -299,11 +298,13 @@ mod tests {
         assert_eq!(&*reseeded.hist_perm.order(), narrow(7).as_slice());
         assert_ne!(narrow(7), narrow(1));
         assert_eq!(&*app.hist_perm.order(), narrow(1).as_slice());
-        // The output map's tree order is untouched by the seed.
-        assert!(std::sync::Arc::ptr_eq(
+        // The output map's tree order and the image are untouched by the
+        // seed.
+        assert!(Arc::ptr_eq(
             &reseeded.map_perm.order(),
             &app.map_perm.order()
         ));
+        assert!(Arc::ptr_eq(&reseeded.image, &app.image));
         let (pipeline, out) = reseeded.automaton(128, 128).unwrap();
         let auto = pipeline.launch().unwrap();
         let snap = out.wait_final_timeout(Duration::from_secs(120)).unwrap();

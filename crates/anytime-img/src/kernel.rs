@@ -7,11 +7,28 @@
 //! ([`Kernel::apply_gray_indices`]) and the precise baseline
 //! ([`convolve_padded`]), instead read a [`PaddedGray`] plane, whose
 //! padding repeats the border once: every pixel goes through an 8-lane
-//! group with no clamped tap and no border path, bit-identically.
+//! group with no clamped tap and no border path, bit-identically. The
+//! gather reads each tap's `f64` from a 256-entry table of `f64::from(b)`,
+//! one load a lane where converting would first pack eight scattered
+//! bytes into vectors; every byte converts exactly, so the table changes
+//! no value.
 
 use crate::image::ImageBuf;
 use crate::padded::PaddedGray;
 use crate::simd::LANES;
+
+/// `f64::from(b)` at index `b`, for every byte: the gather's taps read
+/// their values here. Each entry is the exact conversion (every `u8` is
+/// an `f64`), so a lookup is bit-identical to converting.
+static BYTE_F64: [f64; 256] = {
+    let mut table = [0.0; 256];
+    let mut b = 0;
+    while b < table.len() {
+        table[b] = b as f64;
+        b += 1;
+    }
+    table
+};
 
 /// A square convolution kernel with `f64` weights.
 ///
@@ -146,10 +163,12 @@ impl Kernel {
     /// walks `apply_at`'s taps in its order (`dy`-outer, `dx`-inner,
     /// `acc += w * px`), so every output byte sees the same operation
     /// sequence; the lanes only make the pixels' dependency chains
-    /// independent of each other. The plane puts every window inside it,
-    /// border pixels' too, so no tap is clamped, and a short last group
-    /// repeats its last pixel in its spare lanes and keeps only its own
-    /// values.
+    /// independent of each other. Each lane reads `px` as `f64::from(px)`
+    /// through a 256-entry table, one load per tap; the table holds the
+    /// exact conversion of every byte, so the values are the same. The
+    /// plane puts every window inside it, border pixels' too, so no tap
+    /// is clamped, and a short last group repeats its last pixel in its
+    /// spare lanes and keeps only its own values.
     ///
     /// # Panics
     ///
@@ -185,7 +204,8 @@ impl Kernel {
     /// Convolves [`LANES`] pixels of a padded single-channel image whose
     /// windows start (top-left tap) at `origins` in its samples, one
     /// accumulator per pixel. Each lane reads a kernel row's taps through
-    /// one slice of a padded row, cut once per kernel row.
+    /// one slice of a padded row, cut once per kernel row, and each tap's
+    /// `f64` from [`BYTE_F64`].
     fn convolve_lanes(&self, data: &[u8], stride: usize, origins: &[usize; LANES]) -> [u8; LANES] {
         let mut acc = [0.0f64; LANES];
         for (ky, wrow) in self.weights.chunks_exact(self.size).enumerate() {
@@ -195,7 +215,7 @@ impl Kernel {
             });
             for (kx, &wt) in wrow.iter().enumerate() {
                 for (a, row) in acc.iter_mut().zip(&rows) {
-                    *a += wt * f64::from(row[kx]);
+                    *a += wt * BYTE_F64[usize::from(row[kx])];
                 }
             }
         }
@@ -362,6 +382,16 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn byte_table_holds_each_bytes_exact_conversion() {
+        // A one-ulp error in one entry almost never moves a rounded byte,
+        // so the kernel tests cannot see it: compare the bits.
+        for b in 0..=u8::MAX {
+            let entry = BYTE_F64[usize::from(b)];
+            assert_eq!(entry.to_bits(), f64::from(b).to_bits(), "entry {b}");
         }
     }
 

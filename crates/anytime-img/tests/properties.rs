@@ -43,6 +43,7 @@ fn plane_kernels() -> Vec<Kernel> {
         Kernel::box_blur(1),
         Kernel::box_blur(3),
         Kernel::box_blur(5),
+        Kernel::gaussian(7, 1.5),
         Kernel::gaussian(9, 2.0),
         Kernel::sharpen(),
         Kernel::new(5, lopsided),
