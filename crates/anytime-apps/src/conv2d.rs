@@ -10,6 +10,12 @@
 //! and merges in sample order, so its versions do not depend on how many
 //! workers that is.
 //!
+//! Between two publications the stage filters its samples in data order:
+//! it samples the tree order blocked by its publication window
+//! ([`anytime_permute::DynPermutation::blocked`]), so its gathers sweep
+//! the image forward, and every version it publishes is the plain tree
+//! order's.
+//!
 //! A gray input is padded by the kernel's radius once, in [`Conv2d::new`]
 //! ([`PaddedGray`]). The automaton's chunk body and the precise baseline
 //! both read that plane, so every pixel, border pixels included, goes
@@ -117,9 +123,18 @@ impl Conv2d {
     /// `publish_every` controls output granularity in *pixels* filtered
     /// between publications (rounded to whole [`CHUNK`]s). The stage is a
     /// [`ParallelSampledMap`]: every worker of the runtime the pipeline
-    /// launches on filters chunks of the tree order (paper §IV-C1), and
+    /// launches on filters chunks of the sample order (paper §IV-C1), and
     /// the stage task merges them in sample order, so each version is the
     /// same as a one-thread run's at the same sample count.
+    ///
+    /// The sample order is the tree order blocked by the publication
+    /// window ([`anytime_permute::DynPermutation::blocked`]): the pixels
+    /// between two publications are filtered in data order. A version
+    /// published at a multiple of the window, and the precise output, are
+    /// the plain tree order's, bit for bit. A stop publishes the merged
+    /// chunks of its window in data order; its preview
+    /// ([`crate::preview::nearest_upsample`]) is the plain order's, since
+    /// every power-of-two prefix holds the same pixels.
     ///
     /// # Errors
     ///
@@ -127,8 +142,9 @@ impl Conv2d {
     ///
     /// # Panics
     ///
-    /// The first build materializes the sample order, which panics for an
-    /// image of 2³² pixels or more (indices are narrowed to `u32`).
+    /// The first build for a publication window materializes the sample
+    /// order, which panics for an image of 2³² pixels or more (indices are
+    /// narrowed to `u32`).
     pub fn automaton(&self, publish_every: u64) -> Result<(Pipeline, BufferReader<ImageBuf<u8>>)> {
         self.automaton_traced(publish_every, &anytime_core::Recorder::disabled())
     }
@@ -164,7 +180,7 @@ impl Conv2d {
         let out = ParallelSampledMap::new(
             "2dconv",
             Arc::clone(&self.input),
-            self.perm.clone(),
+            self.perm.blocked(crate::publication_window(CHUNK, &opts)),
             CHUNK,
             |input: &Arc<Input>| {
                 let image = &input.image;
@@ -207,19 +223,20 @@ impl Conv2d {
         (pb.build(), out)
     }
 
-    /// Drives the sampled map synchronously, recording the output after
-    /// each requested sample size — the deterministic sample-size sweeps
-    /// behind Figures 19 and 20 (no timing involved).
+    /// Drives the sampled map synchronously over `order`, recording the
+    /// output after each requested sample size — the deterministic
+    /// sample-size sweeps behind Figures 19 and 20 (no timing involved),
+    /// which take the plain tree order.
     ///
-    /// `transform` maps each input read to the value actually used
-    /// (identity for the plain sweep, quantization or upset injection for
-    /// the variants).
+    /// `read` maps each input read to the value actually used (identity
+    /// for the plain sweep, quantization or upset injection for the
+    /// variants).
     fn sample_sweep(
         &self,
+        order: &[u32],
         sample_sizes: &[usize],
         mut read: impl FnMut(&mut ImageBuf<u8>, usize, usize) -> f64,
     ) -> Result<Vec<(usize, ImageBuf<u8>)>> {
-        let order = self.perm.order();
         let total = order.len();
         let image = self.image();
         let mut working = image.clone(); // cells holding the input
@@ -278,7 +295,7 @@ impl Conv2d {
         sample_sizes: &[usize],
     ) -> Result<Vec<(usize, f64)>> {
         let reference = self.precise();
-        let outputs = self.sample_sweep(sample_sizes, |img, base, c| {
+        let outputs = self.sample_sweep(&self.perm.order(), sample_sizes, |img, base, c| {
             f64::from(quantize_u8(img.as_slice()[base + c], bits))
         })?;
         Ok(outputs
@@ -310,10 +327,11 @@ impl Conv2d {
     ) -> Result<Vec<(usize, f64)>> {
         let reference = self.precise();
         let mut injector = ReadInjector::new(upset_probability, seed);
-        let outputs = self.sample_sweep(sample_sizes, move |img, base, c| {
-            let slice = img.as_mut_slice();
-            f64::from(injector.read_byte(&mut slice[base + c]))
-        })?;
+        let outputs =
+            self.sample_sweep(&self.perm.order(), sample_sizes, move |img, base, c| {
+                let slice = img.as_mut_slice();
+                f64::from(injector.read_byte(&mut slice[base + c]))
+            })?;
         Ok(outputs
             .into_iter()
             .map(|(n, img)| {
@@ -327,6 +345,7 @@ impl Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::preview::nearest_upsample;
     use anytime_core::{Precise, Runtime};
     use anytime_img::{metrics, synth};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -362,6 +381,11 @@ mod tests {
             auto.join().unwrap();
         }
         assert!(Arc::ptr_eq(&app.perm.order(), &clone.perm.order()));
+        // Publishing every 256 pixels: the builds shared one blocked order.
+        assert!(Arc::ptr_eq(
+            &app.perm.blocked(256).order(),
+            &clone.perm.blocked(256).order()
+        ));
         assert!(Arc::ptr_eq(&app.input, &clone.input));
     }
 
@@ -382,21 +406,44 @@ mod tests {
     #[test]
     fn automaton_versions_match_the_sample_sweep() {
         // 96×80 pads its tree order to 128×128, and a 9×9 kernel puts
-        // about one pixel in five on the clamped border. On every worker
-        // count, every version of a whole run and every version of a run
-        // stopped after its first must be, bit for bit, the sweep's output
-        // at the same sample size; the sweep keeps its own per-pixel loop.
-        let history = || StageOptions::with_publish_every(4).keep_history();
+        // about one pixel in five on the clamped border; 64×64 and 64×32
+        // are power-of-two shapes, whose previews reconstruct. Publishing
+        // every 3 chunks, the stage samples the tree order blocked by a
+        // 192-pixel window, so it cuts at powers of two between multiples
+        // of the window too. On every worker count, every version of a whole
+        // run and of a run stopped after its first must be, bit for bit,
+        // the sweep's output over the blocked order at the same sample
+        // size; a version at a multiple of the window must be the plain
+        // tree order's, and every version's preview the plain order's
+        // preview. The sweep keeps its own per-pixel loop.
+        let history = || StageOptions::with_publish_every(3).keep_history();
+        let window = crate::publication_window(CHUNK, &history());
         let off = anytime_core::Recorder::disabled();
-        for image in [synth::value_noise(96, 80, 11), synth::rgb_scene(96, 80, 11)] {
-            let channels = image.channels();
+        let identity =
+            |img: &mut ImageBuf<u8>, base: usize, c: usize| f64::from(img.as_slice()[base + c]);
+        for image in [
+            synth::value_noise(96, 80, 11),
+            synth::rgb_scene(96, 80, 11),
+            synth::value_noise(64, 64, 12),
+            synth::rgb_scene(64, 32, 12),
+        ] {
+            let shape = format!("{}x{}x{}", image.width(), image.height(), image.channels());
+            let previews = image.width().is_power_of_two() && image.height().is_power_of_two();
             let app = Conv2d::new(image, Kernel::gaussian(9, 2.0));
-            // Versions fall on whole chunks: one sweep serves every run.
+            // Versions fall on whole chunks: one sweep an order serves
+            // every run.
             let pixels = app.image().pixel_count();
             let sizes: Vec<usize> = (CHUNK..pixels + CHUNK).step_by(CHUNK).collect();
-            let sweep = app
-                .sample_sweep(&sizes, |img, base, c| f64::from(img.as_slice()[base + c]))
+            let plain = app
+                .sample_sweep(&app.perm.order(), &sizes, identity)
                 .unwrap();
+            let blocked = app
+                .sample_sweep(&app.perm.blocked(window).order(), &sizes, identity)
+                .unwrap();
+            let at = |sweep: &[(usize, ImageBuf<u8>)], steps: u64| {
+                let (_, out) = sweep.iter().find(|(n, _)| *n as u64 == steps).unwrap();
+                out.clone()
+            };
             for workers in [1usize, 2, 4] {
                 let rt = Runtime::new(workers);
                 let (pipeline, whole) = app.pipeline(history(), &off);
@@ -413,21 +460,26 @@ mod tests {
                 auto.stop_and_join().unwrap();
                 let whole = whole.history().unwrap();
                 for snap in whole.iter().chain(&cut.history().unwrap()) {
-                    let (_, expected) = sweep
-                        .iter()
-                        .find(|(n, _)| *n as u64 == snap.steps())
-                        .unwrap();
-                    assert_eq!(
-                        snap.value(),
-                        expected,
-                        "{channels} channel(s), {workers} worker(s), at {} samples",
-                        snap.steps()
-                    );
+                    let steps = snap.steps();
+                    let case = format!("{shape}, {workers} worker(s), at {steps} samples");
+                    assert_eq!(snap.value(), &at(&blocked, steps), "{case}");
+                    let reference = at(&plain, steps);
+                    if steps.is_multiple_of(window as u64) || steps == pixels as u64 {
+                        assert_eq!(snap.value(), &reference, "{case}");
+                    }
+                    // Other shapes have no preview: it is the sparse image.
+                    if previews {
+                        assert_eq!(
+                            nearest_upsample(snap.value(), steps),
+                            nearest_upsample(&reference, steps),
+                            "{case}: preview"
+                        );
+                    }
                 }
                 assert_eq!(
                     whole.len(),
-                    30,
-                    "{channels} channel(s), {workers} worker(s)"
+                    pixels.div_ceil(window),
+                    "{shape}, {workers} worker(s)"
                 );
                 let last = whole.last().unwrap();
                 assert!(last.is_final());
@@ -479,7 +531,9 @@ mod tests {
         let reference = app.precise();
         let sizes = [64usize, 256, 512, 1024];
         let outputs = app
-            .sample_sweep(&sizes, |img, base, c| f64::from(img.as_slice()[base + c]))
+            .sample_sweep(&app.perm.order(), &sizes, |img, base, c| {
+                f64::from(img.as_slice()[base + c])
+            })
             .unwrap();
         let mut last = f64::NEG_INFINITY;
         for (n, img) in outputs {

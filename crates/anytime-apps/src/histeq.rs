@@ -12,6 +12,13 @@
 //! 4. **equalize** (diffusive): generates the output image by tree-order
 //!    *output sampling*, mapping each pixel through the latest table.
 //!
+//! The equalize stage samples the tree order blocked by its publication
+//! window ([`anytime_permute::DynPermutation::blocked`]): between two
+//! publications it maps its pixels in data order, and every version it
+//! publishes is the plain tree order's. The histogram keeps its LFSR
+//! order: a sorted part of a window of input samples would be a spatially
+//! biased sample.
+//!
 //! The two small non-anytime stages re-run on every histogram version —
 //! which is exactly why the paper reports histeq reaching its precise
 //! output only well after the baseline runtime (≈6×), while acceptable
@@ -99,7 +106,8 @@ impl Histeq {
     ///
     /// Both sampling permutations are built here, once: every automaton
     /// built from this value or its clones shares the image and the
-    /// sample orders, which the first build materializes.
+    /// sample orders, which the first build (for a publication window)
+    /// materializes.
     ///
     /// # Panics
     ///
@@ -153,20 +161,36 @@ impl Histeq {
         hist_publish_every: u64,
         map_publish_every: u64,
     ) -> Result<(Pipeline, BufferReader<ImageBuf<u8>>)> {
+        let every = |pixels: u64| StageOptions::with_publish_every(pixels.div_ceil(CHUNK as u64));
+        Ok(self.pipeline(every(hist_publish_every), every(map_publish_every)))
+    }
+
+    /// The automaton's pipeline, with its anytime stages' options spelled
+    /// out; `equalize` always restarts eagerly.
+    fn pipeline(
+        &self,
+        hist_opts: StageOptions,
+        map_opts: StageOptions,
+    ) -> (Pipeline, BufferReader<ImageBuf<u8>>) {
         let mut pb = PipelineBuilder::new();
         // Stage 1: anytime histogram via pseudo-random input sampling.
         let hist = pb.source(
             "hist",
             Arc::clone(&self.image),
-            SampledReduce::new(
+            SampledReduce::chunked(
                 self.hist_perm.clone(),
                 |_: &Arc<ImageBuf<u8>>| vec![0u64; BINS],
-                |acc: &mut Vec<u64>, img: &Arc<ImageBuf<u8>>, idx| {
-                    acc[img.as_slice()[idx] as usize] += 1;
+                |acc: &mut Vec<u64>, img: &Arc<ImageBuf<u8>>, indices: &[u32]| {
+                    let pixels = img.as_slice();
+                    let bins: &mut [u64; BINS] =
+                        acc.as_mut_slice().try_into().expect("one count per bin");
+                    for &idx in indices {
+                        bins[usize::from(pixels[idx as usize])] += 1;
+                    }
                 },
             )
             .with_chunk(CHUNK),
-            StageOptions::with_publish_every(hist_publish_every.div_ceil(CHUNK as u64)),
+            hist_opts,
         );
         // Stage 2: non-anytime cumulative distribution.
         let cdf = pb.stage(
@@ -182,32 +206,40 @@ impl Histeq {
             Precise::new(|c: &Vec<u64>| equalization_lut(c)),
             StageOptions::default(),
         );
-        // Stage 4: anytime output generation via tree output sampling. The
-        // (constant) input image is captured; the varying input is the
-        // table.
-        let (width, height) = (self.image.width(), self.image.height());
-        let image = Arc::clone(&self.image);
+        // Stage 4: anytime output generation via tree output sampling.
         let out = pb.stage(
             "equalize",
             &lut,
-            SampledMap::new(
-                self.map_perm.clone(),
-                move |_lut: &Vec<u8>| {
-                    ImageBuf::new(width, height, 1).expect("input image has valid dimensions")
-                },
-                move |lut: &Vec<u8>, out: &mut ImageBuf<u8>, idx| {
-                    let v = image.as_slice()[idx];
-                    out.as_mut_slice()[idx] = lut[v as usize];
-                },
-            )
-            .with_chunk(CHUNK),
+            self.equalize(crate::publication_window(CHUNK, &map_opts)),
             // Eager restart: abandon a half-finished map as soon as a newer
             // table arrives instead of re-processing the whole image per
             // intermediate table.
-            StageOptions::with_publish_every(map_publish_every.div_ceil(CHUNK as u64))
-                .restart(anytime_core::RestartPolicy::Eager),
+            map_opts.restart(anytime_core::RestartPolicy::Eager),
         );
-        Ok((pb.build(), out))
+        (pb.build(), out)
+    }
+
+    /// The `equalize` stage's body: maps pixels through the latest table,
+    /// in the tree order blocked by the stage's publication `window`. The
+    /// (constant) input image is captured; the varying input is the table.
+    fn equalize(&self, window: usize) -> SampledMap<Vec<u8>, ImageBuf<u8>> {
+        let (width, height) = (self.image.width(), self.image.height());
+        let image = Arc::clone(&self.image);
+        SampledMap::chunked(
+            self.map_perm.blocked(window),
+            move |_lut: &Vec<u8>| {
+                ImageBuf::new(width, height, 1).expect("input image has valid dimensions")
+            },
+            move |lut: &Vec<u8>, out: &mut ImageBuf<u8>, indices: &[u32], _first| {
+                let (pixels, out) = (image.as_slice(), out.as_mut_slice());
+                let lut: &[u8; BINS] = lut.as_slice().try_into().expect("one entry per bin");
+                for &idx in indices {
+                    let idx = idx as usize;
+                    out[idx] = lut[usize::from(pixels[idx])];
+                }
+            },
+        )
+        .with_chunk(CHUNK)
     }
 }
 
@@ -219,6 +251,8 @@ fn lfsr(image: &ImageBuf<u8>, seed: u32) -> DynPermutation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::preview::nearest_upsample;
+    use anytime_core::{AnytimeBody, Runtime, StepOutcome};
     use anytime_img::{metrics, synth};
     use std::time::Duration;
 
@@ -281,6 +315,92 @@ mod tests {
         let snap = out.wait_final_timeout(Duration::from_secs(120)).unwrap();
         assert_eq!(snap.value(), &precise);
         auto.join().unwrap();
+    }
+
+    #[test]
+    fn automaton_versions_match_the_sample_sweep() {
+        // With the histogram published once, `equalize` maps one table,
+        // the precise one. Publishing every 3 chunks, it samples the tree
+        // order blocked by a 768-pixel window. Its output after every step
+        // (what a stop publishes) and every version of a whole run and of a
+        // run stopped after its first must be that table applied to the
+        // blocked order's prefix of its sample count; one at a multiple of
+        // the window must be the plain tree order's, and every one's
+        // preview the plain order's preview.
+        let opts = |every: u64| StageOptions::with_publish_every(every).keep_history();
+        let map = opts(3);
+        let window = crate::publication_window(CHUNK, &map);
+        for image in [synth::blobs(64, 64, 4, 21), synth::blobs(48, 40, 3, 22)] {
+            let (width, height) = (image.width(), image.height());
+            let previews = width.is_power_of_two() && height.is_power_of_two();
+            let app = Histeq::new(image);
+            let pixels = app.image().pixel_count();
+            let lut = equalization_lut(&cumulative(&histogram(app.image())));
+            let sweep = |order: &[u32], steps: u64| {
+                let mut out = ImageBuf::new(width, height, 1).unwrap();
+                for &idx in &order[..steps as usize] {
+                    let idx = idx as usize;
+                    out.as_mut_slice()[idx] = lut[usize::from(app.image().as_slice()[idx])];
+                }
+                out
+            };
+            let (plain, blocked) = (app.map_perm.order(), app.map_perm.blocked(window).order());
+            let check = |value: &ImageBuf<u8>, steps: u64, case: &str| {
+                assert_eq!(value, &sweep(&blocked, steps), "{case}");
+                let reference = sweep(&plain, steps);
+                if steps.is_multiple_of(window as u64) || steps == pixels as u64 {
+                    assert_eq!(value, &reference, "{case}");
+                }
+                // Other shapes have no preview: it is the sparse image.
+                if previews {
+                    assert_eq!(
+                        nearest_upsample(value, steps),
+                        nearest_upsample(&reference, steps),
+                        "{case}: preview"
+                    );
+                }
+            };
+            let mut body = app.equalize(window);
+            let mut out = body.init(&lut);
+            for step in 0.. {
+                let done = body.step(&lut, &mut out, step) == StepOutcome::Done;
+                let steps = body.progress(step + 1, &lut);
+                check(
+                    &out,
+                    steps,
+                    &format!("{width}x{height}, after {steps} samples"),
+                );
+                if done {
+                    break;
+                }
+            }
+            let hist = opts(pixels.div_ceil(CHUNK) as u64);
+            for workers in [1usize, 2] {
+                let rt = Runtime::new(workers);
+                let (pipeline, whole) = app.pipeline(hist, map);
+                pipeline
+                    .on_runtime(rt.handle())
+                    .launch()
+                    .unwrap()
+                    .join()
+                    .unwrap();
+                let (pipeline, cut) = app.pipeline(hist, map);
+                let auto = pipeline.on_runtime(rt.handle()).launch().unwrap();
+                cut.wait_newer_timeout(None, Duration::from_secs(60))
+                    .unwrap();
+                auto.stop_and_join().unwrap();
+                let whole = whole.history().unwrap();
+                for snap in whole.iter().chain(&cut.history().unwrap()) {
+                    let steps = snap.steps();
+                    let case = format!("{width}x{height}, {workers} worker(s), at {steps} samples");
+                    check(snap.value(), steps, &case);
+                }
+                assert_eq!(whole.len(), pixels.div_ceil(window), "{width}x{height}");
+                let last = whole.last().unwrap();
+                assert!(last.is_final());
+                assert_eq!(last.value(), &app.precise());
+            }
+        }
     }
 
     #[test]

@@ -37,6 +37,7 @@ pub use histeq::Histeq;
 pub use kmeans::{ClusteredFrame, Kmeans};
 pub use profile::{profile, time_baseline, RuntimeAccuracyCurve, RuntimeAccuracyPoint};
 
+use anytime_core::StageOptions;
 use anytime_img::ImageBuf;
 use anytime_permute::{DynPermutation, Tree2d};
 
@@ -47,4 +48,13 @@ fn tree_permutation(image: &ImageBuf<u8>) -> DynPermutation {
         Tree2d::new(image.height(), image.width())
             .expect("Tree2d fails only on an empty grid, which ImageBuf rejects"),
     )
+}
+
+/// The samples between two publications of a stage that takes `chunk`
+/// samples a step with `opts`: the window its tree order is blocked by
+/// ([`DynPermutation::blocked`]), so every version it publishes is the
+/// plain tree order's.
+fn publication_window(chunk: usize, opts: &StageOptions) -> usize {
+    usize::try_from(opts.publish_every.max(1))
+        .map_or(usize::MAX, |every| every.saturating_mul(chunk))
 }

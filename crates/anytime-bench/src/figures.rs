@@ -248,23 +248,24 @@ pub struct LocalityRow {
 
 /// The data-locality study: miss rates of the sampling permutations on a
 /// 32 KiB / 64 B / 8-way cache, with and without the deterministic
-/// permutation prefetcher.
+/// permutation prefetcher. `tree-blocked` is the tree order sorted by data
+/// index within each 1/32 of it (and between powers of two), the order a
+/// stage publishing 32 versions samples ([`DynPermutation::blocked`]).
 pub fn locality(scale: Scale) -> anytime_sim::Result<Vec<LocalityRow>> {
     let side = match scale {
         Scale::Paper => 512usize,
         Scale::Quick => 128,
     };
     let n = side * side;
+    let tree = DynPermutation::new(Tree2d::new(side, side).expect("valid dims"));
     let perms: Vec<(&'static str, DynPermutation)> = vec![
         ("sequential", DynPermutation::new(Sequential::new(n))),
         (
             "morton",
             DynPermutation::new(Morton2d::new(side, side).expect("power-of-two side")),
         ),
-        (
-            "tree",
-            DynPermutation::new(Tree2d::new(side, side).expect("valid dims")),
-        ),
+        ("tree-blocked", tree.blocked(n / 32)),
+        ("tree", tree),
         (
             "lfsr",
             DynPermutation::new(Lfsr::with_len(n).expect("supported size")),
@@ -343,6 +344,8 @@ mod tests {
         };
         assert!(rate("sequential", 0) < rate("tree", 0));
         assert!(rate("sequential", 0) < rate("lfsr", 0));
+        // Sorting each publication's samples restores a forward sweep.
+        assert!(rate("tree-blocked", 0) < rate("tree", 0));
         // The deterministic prefetcher recovers the tree permutation.
         assert!(rate("tree", 1) < rate("tree", 0));
     }

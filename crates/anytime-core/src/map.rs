@@ -96,14 +96,22 @@ impl<I, O> SampledMap<I, O> {
         })
     }
 
-    /// An output-sampled map whose body computes a whole chunk of the
-    /// sample order per call: `body(input, out, indices, first)` computes
-    /// the output elements `indices` (a run of the sample order, as data
-    /// indices), where `indices[0]` is the `first`-th element sampled.
-    /// Each anytime step makes exactly one call, covering
+    /// Creates an output-sampled map whose body computes a whole chunk of
+    /// the sample order per call: `body(input, out, indices, first)`
+    /// computes the output elements `indices` (a run of the sample order,
+    /// as data indices), where `indices[0]` is the `first`-th element
+    /// sampled. Each anytime step makes exactly one call, covering
     /// [`SampledMap::chunk`] elements (fewer on the last step).
     /// [`SampledMap::with_positions`] wraps its per-element closure in it.
-    fn chunked(
+    ///
+    /// A chunk body can read its input and output through one slice each
+    /// for the whole chunk, where a per-element closure's store may alias
+    /// them and force a reload on every element.
+    ///
+    /// # Panics
+    ///
+    /// As [`SampledMap::new`].
+    pub fn chunked(
         perm: impl Into<DynPermutation>,
         init: impl FnMut(&I) -> O + Send + 'static,
         body: impl FnMut(&I, &mut O, &[u32], usize) + Send + 'static,

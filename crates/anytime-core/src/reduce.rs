@@ -89,16 +89,33 @@ impl<I, A> SampledReduce<I, A> {
         init: impl FnMut(&I) -> A + Send + 'static,
         mut fold: impl FnMut(&mut A, &I, usize) + Send + 'static,
     ) -> Self {
+        // One boxed call per chunk: `fold` is inlined into the loop.
+        Self::chunked(perm, init, move |acc, input, indices| {
+            for &idx in indices {
+                fold(acc, input, idx as usize);
+            }
+        })
+    }
+
+    /// Creates an input-sampled reduction whose fold takes a whole chunk
+    /// of the sample order per call: `fold(acc, input, indices)` combines
+    /// the input elements `indices` (a run of the sample order, as data
+    /// indices) into the accumulator. Each anytime step makes exactly one
+    /// call, as [`crate::SampledMap::chunked`] does.
+    ///
+    /// # Panics
+    ///
+    /// As [`SampledReduce::new`].
+    pub fn chunked(
+        perm: impl Into<DynPermutation>,
+        init: impl FnMut(&I) -> A + Send + 'static,
+        fold: impl FnMut(&mut A, &I, &[u32]) + Send + 'static,
+    ) -> Self {
         Self {
             order: perm.into().order(),
             chunk: 1,
             init: Box::new(init),
-            // One boxed call per chunk: `fold` is inlined into the loop.
-            fold: Box::new(move |acc, input, indices| {
-                for &idx in indices {
-                    fold(acc, input, idx as usize);
-                }
-            }),
+            fold: Box::new(fold),
             render: None,
         }
     }
@@ -247,7 +264,7 @@ impl<I, A> std::fmt::Debug for SampledReduce<I, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anytime_permute::{Lfsr, Sequential};
+    use anytime_permute::{Lfsr, Permutation, Sequential};
 
     fn step_to_completion<B: AnytimeBody>(body: &mut B, input: &B::Input) -> (B::Output, u64) {
         let mut out = body.init(input);
@@ -382,5 +399,26 @@ mod tests {
         );
         assert_eq!(body.total_steps(&vec![]), Some(42));
         assert_eq!(body.items(), 42);
+    }
+
+    #[test]
+    fn chunked_fold_gets_one_call_per_step() {
+        // Each step hands the fold one run of the sample order; the last
+        // chunk is short.
+        let mut body = SampledReduce::chunked(
+            DynPermutation::new(Lfsr::with_len(23).unwrap()),
+            |_| Vec::<Vec<u32>>::new(),
+            |acc: &mut Vec<Vec<u32>>, _: &(), indices: &[u32]| acc.push(indices.to_vec()),
+        )
+        .with_chunk(5);
+        let (calls, steps) = step_to_completion(&mut body, &());
+        let order: Vec<u32> = Lfsr::with_len(23)
+            .unwrap()
+            .iter()
+            .map(|i| i as u32)
+            .collect();
+        let expected: Vec<Vec<u32>> = order.chunks(5).map(<[u32]>::to_vec).collect();
+        assert_eq!(calls, expected);
+        assert_eq!(steps, 5);
     }
 }

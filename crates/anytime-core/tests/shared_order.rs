@@ -1,6 +1,7 @@
 //! Sampled stages built from clones of one permutation share its sample
 //! order: it is materialized once, when the first body is constructed,
-//! and never again by the bodies themselves.
+//! and never again by the bodies themselves. Its blocked orders are built
+//! from that one order, once per window.
 
 use anytime_core::{AnytimeBody, SampledMap, SampledReduce, StepOutcome};
 use anytime_permute::{DynPermutation, Lfsr, Permutation};
@@ -47,6 +48,7 @@ fn clones_of_one_permutation_materialize_once() {
     });
     let input: Vec<u64> = (0..300).collect();
     let expected: Vec<u64> = input.iter().map(|x| x * 5 + 1).collect();
+    let mut blocked = Vec::new();
     for chunk in [1, 7, 64] {
         let map = SampledMap::new(
             perm.clone(),
@@ -54,6 +56,16 @@ fn clones_of_one_permutation_materialize_once() {
             |i, out: &mut Vec<u64>, idx| out[idx] = i[idx] * 5 + 1,
         )
         .with_chunk(chunk);
+        // Publishing every four steps: a window of four chunks.
+        let window = chunk * 4;
+        let sorted = SampledMap::new(
+            perm.clone().blocked(window),
+            |i: &Vec<u64>| vec![0u64; i.len()],
+            |i, out: &mut Vec<u64>, idx| out[idx] = i[idx] * 5 + 1,
+        )
+        .with_chunk(chunk);
+        assert_eq!(run_to_completion(sorted, &input), expected, "chunk {chunk}");
+        blocked.push((window, perm.clone().blocked(window).order()));
         let sum = SampledReduce::new(
             perm.clone(),
             |_| 0u64,
@@ -69,4 +81,9 @@ fn clones_of_one_permutation_materialize_once() {
     }
     // relaxed: every materializing thread has joined (or was this one)
     assert_eq!(materialized.load(Ordering::Relaxed), 1);
+    // One blocked order per window, shared by every clone.
+    for (window, order) in &blocked {
+        assert!(Arc::ptr_eq(&perm.clone().blocked(*window).order(), order));
+    }
+    assert!(!Arc::ptr_eq(&blocked[0].1, &blocked[1].1));
 }

@@ -27,6 +27,12 @@
 //! Multi-threaded sampling (paper §IV-C1) divides one permutation sequence
 //! among threads cyclically or in blocks; see [`partition`].
 //!
+//! Non-sequential orders destroy cache locality (§IV-C3). A stage that
+//! publishes every `window` samples may apply the samples between two
+//! publications in any order; [`DynPermutation::blocked`] sorts them by
+//! data index, keeping every prefix that ends at a publication (or at a
+//! power of two) the plain order's.
+//!
 //! # Examples
 //!
 //! ```

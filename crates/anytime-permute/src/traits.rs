@@ -1,5 +1,5 @@
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A bijective permutation of the index set `[0, len)`.
 ///
@@ -75,13 +75,16 @@ impl fmt::Debug for Indices<'_> {
 ///
 /// Wraps any [`Permutation`] in an [`Arc`] so pipelines can store
 /// heterogeneous permutations and clone them into worker threads. Clones
-/// also share one materialized sample order ([`DynPermutation::order`]),
-/// so an application that builds many automata over the same data shape
-/// materializes it once.
+/// also share one materialized sample order ([`DynPermutation::order`])
+/// and one blocked order per window ([`DynPermutation::blocked`]), so an
+/// application that builds many automata over the same data shape
+/// materializes each once.
 #[derive(Clone)]
 pub struct DynPermutation {
     inner: Arc<dyn Permutation>,
     order: Arc<OnceLock<Arc<[u32]>>>,
+    /// The blocked orders built so far, by window.
+    blocked: Arc<Mutex<Vec<(usize, DynPermutation)>>>,
 }
 
 impl DynPermutation {
@@ -90,6 +93,7 @@ impl DynPermutation {
         Self {
             inner: Arc::new(perm),
             order: Arc::new(OnceLock::new()),
+            blocked: Arc::default(),
         }
     }
 
@@ -112,6 +116,101 @@ impl DynPermutation {
                 .map(|idx| u32::try_from(idx).expect("index fits u32"))
                 .collect()
         }))
+    }
+
+    /// This permutation's sample order, *blocked* for a stage that
+    /// publishes every `window` samples: sorted by data index within each
+    /// segment between two consecutive cut points, which are the
+    /// multiples of `window` and the powers of two.
+    ///
+    /// The samples between two publications may be applied in any order,
+    /// and in data order they sweep memory forward instead of scattering
+    /// over it (paper §IV-C3). Every prefix that ends at a cut point holds
+    /// the same indices as [`DynPermutation::order`]'s prefix of that
+    /// length, so a map publishes the same version at every multiple of
+    /// `window`, and a tree order completes each power-of-two resolution
+    /// level at the same sample count.
+    ///
+    /// The first call for a window on this permutation or any of its
+    /// clones builds the blocked order from [`DynPermutation::order`];
+    /// every later call for that window returns a permutation whose order
+    /// is the same shared slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window == 0`, or as [`DynPermutation::order`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use anytime_permute::{DynPermutation, Tree1d};
+    ///
+    /// let tree = DynPermutation::new(Tree1d::new(16).unwrap());
+    /// assert_eq!(&tree.order()[8..], &[1, 9, 5, 13, 3, 11, 7, 15]);
+    /// // Cut at 1, 2, 4, 8 and at every multiple of 6.
+    /// let blocked = tree.blocked(6).order();
+    /// assert_eq!(&blocked[8..], &[1, 5, 9, 13, 3, 7, 11, 15]);
+    /// ```
+    pub fn blocked(&self, window: usize) -> DynPermutation {
+        assert!(window > 0, "window must be non-zero");
+        // Held while building: a concurrent first call for a window waits.
+        // A build that panics pushes nothing, so the list stays valid.
+        let mut built = self.blocked.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, perm)) = built.iter().find(|(w, _)| *w == window) {
+            return perm.clone();
+        }
+        let order = sort_between_cuts(&self.order(), window);
+        let perm = Self {
+            inner: Arc::new(Listed(Arc::clone(&order))),
+            order: Arc::new(OnceLock::from(order)),
+            blocked: Arc::default(),
+        };
+        built.push((window, perm.clone()));
+        perm
+    }
+}
+
+/// `order` sorted by data index between consecutive cut points: the
+/// multiples of `window` and the powers of two. One pass marks each data
+/// index with its segment, and a pass over the indices in data order
+/// appends each to its segment.
+fn sort_between_cuts(order: &[u32], window: usize) -> Arc<[u32]> {
+    // The segments' first positions, then (as cursors) their next free ones.
+    let mut next = vec![0];
+    let mut end = 0;
+    while end < order.len() {
+        let power = (end + 1).next_power_of_two();
+        let multiple = (end / window + 1).saturating_mul(window);
+        end = power.min(multiple).min(order.len());
+        next.push(end);
+    }
+    // Segment numbers and data indices are below `order.len()`, and an
+    // order of `u32` indices has at most 2³² of them: both fit `u32`.
+    let mut segment = vec![0u32; order.len()];
+    for (s, bounds) in next.windows(2).enumerate() {
+        for &idx in &order[bounds[0]..bounds[1]] {
+            segment[idx as usize] = s as u32;
+        }
+    }
+    let mut sorted = vec![0u32; order.len()];
+    for (idx, &s) in segment.iter().enumerate() {
+        let at = &mut next[s as usize];
+        sorted[*at] = idx as u32;
+        *at += 1;
+    }
+    sorted.into()
+}
+
+/// A materialized sample order, as [`DynPermutation::blocked`] builds it.
+struct Listed(Arc<[u32]>);
+
+impl Permutation for Listed {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn index(&self, i: usize) -> usize {
+        self.0[i] as usize
     }
 }
 
@@ -222,17 +321,34 @@ mod tests {
             materialized: Arc::clone(&materialized),
         });
         let first = p.order();
+        let blocked = p.blocked(12).order();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let clone = p.clone();
-                let first = &first;
-                s.spawn(move || assert!(Arc::ptr_eq(&clone.order(), first)));
+                let (first, blocked) = (&first, &blocked);
+                s.spawn(move || {
+                    assert!(Arc::ptr_eq(&clone.order(), first));
+                    assert!(Arc::ptr_eq(&clone.blocked(12).order(), blocked));
+                });
             }
         });
         assert!(Arc::ptr_eq(&p.clone().clone().order(), &first));
+        // Another window builds another blocked order, from the same order.
+        let whole = p.blocked(100);
+        assert!(!Arc::ptr_eq(&whole.order(), &blocked));
         // relaxed: every materializing thread has joined (or was this one)
         assert_eq!(materialized.load(Ordering::Relaxed), 1);
         assert_eq!(&first[..3], &[0, 1, 2]);
+        // A sequential order is sorted already.
+        assert_eq!(&*blocked, &*first);
+        assert_eq!((whole.len(), whole.index(42)), (100, 42));
+        assert_eq!(whole.materialize(), p.materialize());
+    }
+
+    #[test]
+    #[should_panic(expected = "window must be non-zero")]
+    fn blocked_rejects_an_empty_window() {
+        let _ = DynPermutation::new(Sequential::new(4)).blocked(0);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property-based tests: every permutation in the crate must be a bijection
-//! of `[0, n)`, and partitions must cover the sample order exactly once.
+//! of `[0, n)`, partitions must cover the sample order exactly once, and a
+//! blocked order must hold its plain order's set at every cut point.
 
 use anytime_permute::{
-    partition, BitReverse, Interleaved, Lcg, Lfsr, Morton2d, Permutation, Restrict, Reversed,
-    Sequential, Tree1d, Tree2d, TreeNd,
+    partition, BitReverse, DynPermutation, Interleaved, Lcg, Lfsr, Morton2d, Permutation, Restrict,
+    Reversed, Sequential, Tree1d, Tree2d, TreeNd,
 };
 use proptest::prelude::*;
 
@@ -14,7 +15,56 @@ fn assert_bijective<P: Permutation>(p: &P) {
     assert_eq!(seen, (0..p.len()).collect::<Vec<_>>(), "not a bijection");
 }
 
+/// Checks `p.blocked(window)` against `p.order()`: a bijection whose
+/// segments between cut points (the multiples of `window` and the powers
+/// of two) ascend, and whose prefix ending at every cut point holds the
+/// same set of indices as the plain order's.
+fn assert_blocked(p: &DynPermutation, window: usize) {
+    let plain = p.order();
+    let blocked = p.blocked(window).order();
+    let n = plain.len();
+    let mut seen: Vec<u32> = blocked.to_vec();
+    seen.sort_unstable();
+    assert_eq!(seen, (0..n as u32).collect::<Vec<_>>(), "not a bijection");
+    let mut cuts: Vec<usize> = (1..=n / window)
+        .map(|k| k * window)
+        .chain((0..usize::BITS).map(|b| 1usize << b).take_while(|&c| c < n))
+        .chain([n])
+        .collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+    // Both prefixes hold `end` distinct indices, so they hold the same set
+    // once every blocked one is among the plain prefix's.
+    let mut in_plain = vec![false; n];
+    let mut start = 0;
+    for end in cuts {
+        let segment = &blocked[start..end];
+        assert!(
+            segment.windows(2).all(|w| w[0] < w[1]),
+            "segment {start}..{end} does not ascend (window {window})"
+        );
+        for &idx in &plain[start..end] {
+            in_plain[idx as usize] = true;
+        }
+        assert!(
+            segment.iter().all(|&idx| in_plain[idx as usize]),
+            "the prefix ending at {end} differs from the plain order's (window {window})"
+        );
+        start = end;
+    }
+}
+
 proptest! {
+    #[test]
+    fn blocked_tree2d_keeps_its_cut_sets(r in 1usize..48, c in 1usize..48, w in 1usize..3000) {
+        assert_blocked(&DynPermutation::new(Tree2d::new(r, c).unwrap()), w);
+    }
+
+    #[test]
+    fn blocked_lfsr_keeps_its_cut_sets(n in 1usize..3000, seed in 1u32..u32::MAX, w in 1usize..4000) {
+        assert_blocked(&DynPermutation::new(Lfsr::with_seed(n, seed).unwrap()), w);
+    }
+
     #[test]
     fn sequential_bijective(n in 0usize..2000) {
         assert_bijective(&Sequential::new(n));
