@@ -1,11 +1,11 @@
 //! Ablation: intra-stage worker count (paper §IV-C1).
 //!
 //! The same 2dconv automaton on private runtimes of 1, 2 and 4 workers.
-//! The stage task and one helper task per other worker claim chunks of
-//! the tree order and the stage task merges them in sample order, so
-//! time-to-precise scales with the worker count up to the host's cores;
-//! on one worker it is the stage alone, and past the core count the
-//! variants expose the claim-and-merge overhead instead.
+//! The stage task and one helper task per other worker claim batches of
+//! chunks of the tree order and the stage task merges them in sample
+//! order, so time-to-precise scales with the worker count up to the
+//! host's cores; on one worker it is the stage alone, and past the core
+//! count the variants expose the claim-and-merge overhead instead.
 
 use anytime_bench::workloads::{self, Scale};
 use anytime_core::Runtime;

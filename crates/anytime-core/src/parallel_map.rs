@@ -15,11 +15,22 @@
 //! A helper that starts late, or never (every other worker busy), only
 //! leaves more chunks to the stage task.
 //!
+//! A claim takes a *batch* of consecutive chunks, sized by factoring
+//! (Hummel, Schonberg & Flynn, CACM 1992): `ceil(left / (2 × tasks))` of
+//! the `left` unclaimed chunks of the cursor's publication window, at
+//! least one, where `tasks` counts the stage task and its helpers. Claims
+//! shrink as a window drains, so the tasks finish a window close together,
+//! and no batch crosses a publication. A batch costs one cursor update,
+//! and a helper hands it back once (one lock, one wake) however many
+//! chunks it holds, so the chunk need not amortize that synchronization:
+//! it stays the unit of steps, publication, stop and pause, and every
+//! claimer checks the control token before each chunk.
+//!
 //! Helpers receive only shared `Arc`s of the input, the sample order and
 //! the body; chunk computations must be pure (Property 1), which the
 //! `Fn(&I, &[u32], &mut Vec<V>) + Sync` bound encourages. No sampling work
 //! outlives the stage: a stopped run closes the cursor and reports its
-//! end only once every chunk a helper claimed has come back.
+//! end only once every batch a helper claimed has come back.
 
 use crate::buffer::{BufferReader, BufferWriter, DoubleBuffer};
 use crate::control::{ControlPoll, ControlToken};
@@ -30,7 +41,8 @@ use crate::runtime::{RtTask, TaskPoll};
 use crate::stage::{PollCx, StageEnd, StageOptions, StagePoll, StageRunner, MAX_STEPS_PER_SLICE};
 use crate::supervisor::Supervision;
 use anytime_permute::DynPermutation;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -108,10 +120,11 @@ where
 {
     /// Creates a parallel sampled source stage.
     ///
-    /// - `chunk` is the number of sample-order positions one claim covers;
+    /// - `chunk` is the number of sample-order positions one step covers;
+    ///   a claim takes one or more consecutive chunks;
     /// - `init(input)` builds the initial output;
     /// - `body(input, indices, values)` computes the output elements at
-    ///   `indices` (a run of the sample order, as data indices) into the
+    ///   `indices` (a chunk of the sample order, as data indices) into the
     ///   empty `values` — on any task, so it must be pure;
     /// - `write(out, indices, values)` stores them in the working output
     ///   (runs in the stage task, in sample order).
@@ -163,6 +176,36 @@ where
     }
 }
 
+/// How one run's chunks are shared out.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    /// Chunks in the run.
+    total: usize,
+    /// Chunks between two publications (`publish_every`).
+    window: usize,
+    /// Claimers: the stage task and its helpers.
+    tasks: usize,
+}
+
+impl Shape {
+    /// One past the last chunk of chunk `k`'s publication window.
+    fn window_end(&self, k: usize) -> usize {
+        (k - k % self.window)
+            .saturating_add(self.window)
+            .min(self.total)
+    }
+
+    /// The batch a claim at cursor `at` takes, if any chunk is left: a
+    /// `2 × tasks`-th of the chunks left in `at`'s window, rounded up.
+    fn batch(&self, at: usize) -> Option<Range<usize>> {
+        if at >= self.total {
+            return None;
+        }
+        let left = self.window_end(at) - at;
+        Some(at..at + left.div_ceil(2 * self.tasks))
+    }
+}
+
 /// The cursor is at or past this once the stage closed its run.
 const CLOSED: usize = usize::MAX / 2;
 
@@ -170,50 +213,145 @@ const CLOSED: usize = usize::MAX / 2;
 struct Claims<V> {
     /// Next chunk to claim.
     next: AtomicUsize,
-    /// Chunks helpers finished (`None`: lost to a panic), waiting for the
-    /// stage task to merge them.
-    done: Mutex<Vec<(usize, Option<Vec<V>>)>>,
-    /// The stage task's waker: a returned chunk may be the one it waits
-    /// for.
+    shape: Shape,
+    /// Batches helpers handed back, waiting for the stage task to merge
+    /// them, and how many were handed back in all.
+    done: Mutex<Vec<Batch<V>>>,
+    handed: AtomicUsize,
+    /// The stage task's waker: a returned batch may hold the chunk it
+    /// waits for.
     stage: Arc<dyn WakeTarget>,
 }
 
 impl<V> Claims<V> {
-    /// Claims the next of `total` chunks, if one is left.
-    fn claim(&self, total: usize) -> Option<usize> {
-        let k = self.next.fetch_add(1, Ordering::AcqRel);
-        (k < total).then_some(k)
+    /// Claims the next batch, if a chunk is left.
+    fn claim(&self) -> Option<Range<usize>> {
+        let mut at = self.next.load(Ordering::Acquire);
+        loop {
+            let batch = self.shape.batch(at)?;
+            match self.next.compare_exchange_weak(
+                at,
+                batch.end,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return Some(batch),
+                Err(now) => at = now,
+            }
+        }
     }
 
-    /// Ends claiming; returns the cursor it replaced — the claims made so
-    /// far (more than `total` once the chunks ran out), unless the run
-    /// was already closed.
+    /// Chunks claimed so far.
+    fn claimed(&self) -> usize {
+        self.next.load(Ordering::Acquire)
+    }
+
+    /// Ends claiming; returns the cursor it replaced — the chunks claimed
+    /// so far, unless the run was already closed.
     fn close(&self) -> usize {
         self.next.swap(CLOSED, Ordering::AcqRel)
     }
 
-    /// Hands chunk `k` back to the stage task and wakes it.
-    fn give_back(&self, k: usize, values: Option<Vec<V>>) {
-        lock_unpoisoned(&self.done).push((k, values));
+    /// Hands `batch` back to the stage task and wakes it.
+    fn give_back(&self, batch: Batch<V>) {
+        let mut done = lock_unpoisoned(&self.done);
+        done.push(batch);
+        // Counted under the lock: a drain never takes more than this says.
+        self.handed.fetch_add(1, Ordering::Release);
+        drop(done);
         self.stage.on_wake();
     }
 }
 
-/// A helper of one run: claims chunks and computes them on another worker
-/// until none is left, the run is stopped, or the stage closed the run.
+/// A claim: chunks `first..end` of one publication window, and the values
+/// of those computed so far, back to back.
+struct Batch<V> {
+    first: usize,
+    end: usize,
+    values: Vec<V>,
+    /// `values.len()` after each computed chunk.
+    ends: Vec<usize>,
+    /// Lost to a panicking body: no value of it will come.
+    lost: bool,
+}
+
+impl<V> Batch<V> {
+    fn new(chunks: Range<usize>) -> Self {
+        Self {
+            first: chunks.start,
+            end: chunks.end,
+            values: Vec::new(),
+            ends: Vec::new(),
+            lost: false,
+        }
+    }
+
+    /// One past the last computed chunk.
+    fn computed(&self) -> usize {
+        self.first + self.ends.len()
+    }
+
+    /// Computes the next chunk, through `scratch`; returns whether the
+    /// batch is complete.
+    fn compute_next<I>(&mut self, work: &Work<I, V>, scratch: &mut Vec<V>) -> bool {
+        work.compute(self.computed(), scratch);
+        if self.ends.is_empty() {
+            // Room for the whole batch, sized by its first chunk.
+            let chunks = self.end - self.first;
+            self.values.reserve(scratch.len() * chunks);
+            self.ends.reserve_exact(chunks);
+        }
+        self.values.append(scratch);
+        self.ends.push(self.values.len());
+        self.computed() == self.end
+    }
+
+    /// Drops the computed chunks and the next one, for a batch merged up
+    /// to that chunk whose owner computes it outside the batch.
+    fn skip_next(&mut self) {
+        self.first = self.computed() + 1;
+        self.values.clear();
+        self.ends.clear();
+    }
+
+    /// Values of computed chunk `k`.
+    fn values(&self, k: usize) -> &[V] {
+        let i = k - self.first;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.values[start..self.ends[i]]
+    }
+}
+
+/// A helper of one run: claims batches and computes them on another
+/// worker until no chunk is left, the run is stopped, or the stage closed
+/// the run.
 ///
-/// It checks the control token before every claim (paused → `Pending`,
-/// stopped → done) and yields after `slice` chunks, so it never holds a
-/// worker longer than the stage task's own slice. A chunk whose body
-/// panics is handed back as lost when the runtime drops the helper.
+/// It checks the control token and the cursor before every chunk: paused,
+/// it keeps its batch and computes nothing until resumed (`Pending`);
+/// stopped, or with the run closed, it hands back the chunks of its batch
+/// it computed and ends. It yields after `slice` chunks, mid-batch if need
+/// be, so it never holds a worker longer than the stage task's own slice.
+/// A batch whose body panics is handed back lost, whole, when the runtime
+/// drops the helper.
 struct Helper<I, V> {
     work: Arc<Work<I, V>>,
     claims: Arc<Claims<V>>,
     ctl: ControlToken,
     /// Chunks computed per poll before yielding.
     slice: u64,
-    /// The chunk being computed.
-    holding: Option<usize>,
+    /// The batch being computed.
+    batch: Option<Batch<V>>,
+    /// Values of the chunk being computed.
+    scratch: Vec<V>,
+}
+
+impl<I, V> Helper<I, V> {
+    /// Hands back the batch held, if any.
+    fn give_back(&mut self) {
+        if let Some(batch) = self.batch.take() {
+            self.claims.give_back(batch);
+        }
+    }
 }
 
 impl<I, V> RtTask for Helper<I, V>
@@ -228,22 +366,26 @@ where
     fn poll(&mut self, wake: &Arc<dyn WakeTarget>, credits: u64) -> TaskPoll {
         // Subscribe before checking: a resume or stop after this re-polls.
         self.ctl.subscribe_target(wake);
-        let total = self.work.chunks();
         let slice = self.slice.saturating_mul(credits).min(MAX_STEPS_PER_SLICE);
         for _ in 0..slice {
-            match self.ctl.poll_checkpoint() {
-                ControlPoll::Running => {}
-                ControlPoll::Paused => return TaskPoll::Pending,
-                ControlPoll::Stopped => return TaskPoll::Ready,
-            }
-            let Some(k) = self.claims.claim(total) else {
+            let ctl = self.ctl.poll_checkpoint();
+            if ctl == ControlPoll::Stopped || self.claims.claimed() >= CLOSED {
+                self.give_back();
                 return TaskPoll::Ready;
+            }
+            if ctl == ControlPoll::Paused {
+                return TaskPoll::Pending;
+            }
+            let batch = match &mut self.batch {
+                Some(batch) => batch,
+                None => match self.claims.claim() {
+                    Some(chunks) => self.batch.insert(Batch::new(chunks)),
+                    None => return TaskPoll::Ready,
+                },
             };
-            self.holding = Some(k);
-            let mut values = Vec::new();
-            self.work.compute(k, &mut values);
-            self.holding = None;
-            self.claims.give_back(k, Some(values));
+            if batch.compute_next(&self.work, &mut self.scratch) {
+                self.give_back();
+            }
         }
         TaskPoll::Yielded
     }
@@ -251,11 +393,27 @@ where
 
 impl<I, V> Drop for Helper<I, V> {
     fn drop(&mut self) {
-        // Only a panicking body leaves a chunk held.
-        if let Some(k) = self.holding.take() {
-            self.claims.give_back(k, None);
+        // Only a panicking body leaves a batch held.
+        if let Some(mut batch) = self.batch.take() {
+            batch.lost = true;
+            self.claims.give_back(batch);
         }
     }
+}
+
+/// Where the merge point's values are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Held {
+    /// In the first batch of `ahead`, computed.
+    Ahead,
+    /// In this task's batch, computed.
+    Mine,
+    /// In this task's batch, next to compute.
+    Next,
+    /// In a batch a helper lost.
+    Lost,
+    /// With a helper, or not claimed yet.
+    Elsewhere,
 }
 
 /// In-flight state of one run, kept across poll slices.
@@ -265,14 +423,21 @@ struct PmapRun<O, V> {
     /// Chunks merged into `out`, in sample order.
     merged: usize,
     published_at: usize,
-    /// Chunks this task claimed, and chunks helpers gave back.
+    /// Chunks this task claimed, and chunks of the batches helpers gave
+    /// back.
     own: usize,
     returned: usize,
-    /// Computed chunks past the merge point (`None`: lost).
-    ahead: BTreeMap<usize, Option<Vec<V>>>,
-    /// What the last drain of `claims.done` took.
-    inbox: Vec<(usize, Option<Vec<V>>)>,
-    /// Values of the chunk this task computes.
+    /// This task's latest batch, until it is merged.
+    mine: Option<Batch<V>>,
+    /// Computed batches with chunks past the merge point, in chunk order:
+    /// what helpers gave back (`lost` ones whole) and this task's earlier
+    /// batches.
+    ahead: VecDeque<Batch<V>>,
+    /// What the last drain of `claims.done` took, and how many batches
+    /// the drains took in all.
+    inbox: Vec<Batch<V>>,
+    drained: usize,
+    /// Values of a chunk this task computes outside its batch.
     scratch: Vec<V>,
     /// Publications recycle the two-versions-old allocation.
     db: DoubleBuffer<O>,
@@ -284,15 +449,63 @@ struct PmapRun<O, V> {
     claimed: Option<usize>,
 }
 
+/// Inserts `batch` into `ahead`, keeping it in chunk order.
+fn insert_ahead<V>(ahead: &mut VecDeque<Batch<V>>, batch: Batch<V>) {
+    let at = ahead.partition_point(|b| b.first < batch.first);
+    ahead.insert(at, batch);
+}
+
 impl<O, V> PmapRun<O, V> {
-    /// Moves the chunks helpers gave back into `ahead`, dropping those
-    /// this task already computed and merged itself.
+    /// Moves the batches helpers gave back into `ahead`, keeping only the
+    /// chunks they computed (a lost batch whole) that are not merged yet.
     fn drain(&mut self) {
+        if self.claims.handed.load(Ordering::Acquire) == self.drained {
+            return;
+        }
         std::mem::swap(&mut *lock_unpoisoned(&self.claims.done), &mut self.inbox);
-        for (k, values) in self.inbox.drain(..) {
-            self.returned += 1;
-            if k >= self.merged {
-                self.ahead.insert(k, values);
+        self.drained += self.inbox.len();
+        for mut batch in self.inbox.drain(..) {
+            self.returned += batch.end - batch.first;
+            if !batch.lost {
+                batch.end = batch.computed();
+            }
+            if batch.end > self.merged.max(batch.first) {
+                insert_ahead(&mut self.ahead, batch);
+            }
+        }
+    }
+
+    /// Where chunk `k`, the merge point, is; drops the batches merged.
+    fn held(&mut self, k: usize) -> Held {
+        while self.ahead.front().is_some_and(|batch| batch.end <= k) {
+            self.ahead.pop_front();
+        }
+        if self.mine.as_ref().is_some_and(|batch| batch.end <= k) {
+            self.mine = None;
+        }
+        if let Some(batch) = self.ahead.front().filter(|batch| batch.first <= k) {
+            return if batch.lost { Held::Lost } else { Held::Ahead };
+        }
+        match &self.mine {
+            Some(batch) if batch.first <= k && k < batch.computed() => Held::Mine,
+            Some(batch) if batch.first <= k => Held::Next,
+            _ => Held::Elsewhere,
+        }
+    }
+
+    /// Whether this task's batch has chunks left to compute.
+    fn computing(&self) -> bool {
+        self.mine
+            .as_ref()
+            .is_some_and(|batch| batch.computed() < batch.end)
+    }
+
+    /// Claims a batch for this task, keeping its previous one ahead.
+    fn claim(&mut self) {
+        if let Some(chunks) = self.claims.claim() {
+            self.own += chunks.len();
+            if let Some(previous) = self.mine.replace(Batch::new(chunks)) {
+                insert_ahead(&mut self.ahead, previous);
             }
         }
     }
@@ -300,7 +513,7 @@ impl<O, V> PmapRun<O, V> {
 
 impl<O, V> Drop for PmapRun<O, V> {
     fn drop(&mut self) {
-        // An abandoned run stops its helpers at their next claim.
+        // An abandoned run stops its helpers at their next chunk.
         self.claims.close();
     }
 }
@@ -334,19 +547,26 @@ where
     fn start_run(&mut self, cx: &PollCx<'_>) -> PmapRun<O, V> {
         let work = &self.stage.work;
         let out = (self.stage.init)(&work.input);
+        let helpers = (cx.rt.workers() - 1).min(work.chunks().saturating_sub(1));
         let claims = Arc::new(Claims {
             next: AtomicUsize::new(0),
+            shape: Shape {
+                total: work.chunks(),
+                window: usize::try_from(self.publish_every).unwrap_or(usize::MAX),
+                tasks: helpers + 1,
+            },
             done: Mutex::new(Vec::new()),
+            handed: AtomicUsize::new(0),
             stage: Arc::clone(cx.wake),
         });
-        let helpers = (cx.rt.workers() - 1).min(work.chunks().saturating_sub(1));
         for _ in 0..helpers {
             let helper = Helper {
                 work: Arc::clone(work),
                 claims: Arc::clone(&claims),
                 ctl: cx.ctl.clone(),
                 slice: self.publish_every,
-                holding: None,
+                batch: None,
+                scratch: Vec::new(),
             };
             cx.rt.spawn_from_task(Box::new(helper), cx.budget);
         }
@@ -361,8 +581,10 @@ where
             published_at: 0,
             own: 0,
             returned: 0,
-            ahead: BTreeMap::new(),
+            mine: None,
+            ahead: VecDeque::new(),
             inbox: Vec::new(),
+            drained: 0,
             scratch: Vec::new(),
             db: DoubleBuffer::new(),
             end: None,
@@ -391,7 +613,7 @@ where
             // Sealed while the run was in flight: the watchdog degraded it.
             run.end = Some(StageEnd::Degraded);
         }
-        let total = work.chunks();
+        let shape = run.claims.shape;
         let mut pubs: u64 = 0;
         let mut slice: u64 = 0;
         while run.end.is_none() {
@@ -403,10 +625,10 @@ where
                     break;
                 }
             }
-            if run.merged == total {
+            if run.merged == shape.total {
                 // Only an empty sample order gets here unpublished.
                 run.db
-                    .publish_final_from(&mut self.writer, &run.out, work.progress(total));
+                    .publish_final_from(&mut self.writer, &run.out, work.progress(shape.total));
                 run.end = Some(StageEnd::Final);
                 break;
             }
@@ -415,45 +637,51 @@ where
             }
             slice += 1;
             let k = run.merged;
-            let values = match run.ahead.remove(&k) {
-                Some(Some(values)) => values,
-                Some(None) => {
+            let mut held = run.held(k);
+            if held == Held::Elsewhere && k < run.claims.claimed() {
+                // A helper claimed chunk `k`: take what came back.
+                run.drain();
+                held = run.held(k);
+            }
+            let values: &[V] = match held {
+                Held::Ahead => run.ahead[0].values(k),
+                Held::Mine => run
+                    .mine
+                    .as_ref()
+                    .expect("chunk `k` is this task's")
+                    .values(k),
+                Held::Next => {
+                    // Merged up to its next chunk: compute that one for
+                    // the merge directly.
+                    run.mine
+                        .as_mut()
+                        .expect("chunk `k` is this task's")
+                        .skip_next();
+                    work.compute(k, &mut run.scratch);
+                    &run.scratch
+                }
+                Held::Lost => {
                     run.lost = Some(k);
                     run.end = Some(StageEnd::Stopped);
                     break;
                 }
-                None => {
-                    if run.claims.next.load(Ordering::Acquire) > k {
-                        // A helper claimed chunk `k`: take what came back.
-                        run.drain();
-                        if run.ahead.contains_key(&k) {
-                            continue;
-                        }
-                    }
-                    // Claim ahead only up to the next publication; past
-                    // it, compute the chunk a helper still holds here
-                    // rather than wait for it, so a stalled helper delays
-                    // no version by more than that chunk.
-                    let due =
-                        (k as u64 / self.publish_every + 1).saturating_mul(self.publish_every);
-                    let claim = if (run.claims.next.load(Ordering::Acquire) as u64) < due {
-                        run.claims.claim(total)
-                    } else {
-                        None
-                    };
-                    let c = match claim {
-                        Some(c) => {
-                            run.own += 1;
-                            c
-                        }
-                        None => k,
-                    };
-                    work.compute(c, &mut run.scratch);
-                    if c != k {
-                        run.ahead.insert(c, Some(std::mem::take(&mut run.scratch)));
+                Held::Elsewhere if run.computing() => {
+                    // A helper holds chunk `k`: compute ahead meanwhile.
+                    let mine = run.mine.as_mut().expect("this task holds a batch");
+                    mine.compute_next(work, &mut run.scratch);
+                    continue;
+                }
+                Held::Elsewhere => {
+                    // Claim ahead only inside chunk `k`'s window; past its
+                    // last claim, compute the chunk a helper still holds
+                    // here rather than wait for it, so a stalled helper
+                    // delays no version by more than the chunks it holds.
+                    if run.claims.claimed() < shape.window_end(k) {
+                        run.claim();
                         continue;
                     }
-                    std::mem::take(&mut run.scratch)
+                    work.compute(k, &mut run.scratch);
+                    &run.scratch
                 }
             };
             // Injected faults fire at merge boundaries — the stage's step
@@ -462,13 +690,12 @@ where
             if let Some(armed) = self.faults.as_mut() {
                 armed.before_step(&work.name, k as u64);
             }
-            (self.stage.write)(&mut run.out, work.indices(k), &values);
-            run.scratch = values;
+            (self.stage.write)(&mut run.out, work.indices(k), values);
             run.merged += 1;
             self.merged = run.merged as u64;
-            if run.merged == total {
+            if run.merged == shape.total {
                 run.db
-                    .publish_final_from(&mut self.writer, &run.out, work.progress(total));
+                    .publish_final_from(&mut self.writer, &run.out, work.progress(shape.total));
                 run.end = Some(StageEnd::Final);
             } else if self.merged.is_multiple_of(self.publish_every) {
                 run.db
@@ -488,10 +715,8 @@ where
             run.published_at = run.merged;
         }
         // No sampling work outlives the stage: close the cursor, then wait
-        // until every chunk a helper claimed has come back.
-        let claimed = *run
-            .claimed
-            .get_or_insert_with(|| run.claims.close().min(total));
+        // until every batch a helper claimed has come back.
+        let claimed = *run.claimed.get_or_insert_with(|| run.claims.close());
         run.drain();
         if run.own + run.returned < claimed {
             return StagePoll::Pending;
@@ -522,7 +747,7 @@ where
     fn poll(&mut self, cx: &mut PollCx<'_>) -> StagePoll {
         // Dirty on entry: the previous slice panicked (in `body`, `write`
         // or a fault hook). Abandon the run — dropping it closes its
-        // cursor, so its helpers stop at their next claim — and let a
+        // cursor, so its helpers stop at their next chunk — and let a
         // fresh run recompute from scratch.
         if std::mem::replace(&mut self.dirty, true) {
             self.run = None;
@@ -549,7 +774,6 @@ where
         self.faults = Some(crate::faultinject::ArmedFaults::new(faults));
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -746,18 +970,40 @@ mod tests {
         assert!(matches!(err, CoreError::StagePanicked { .. }), "{err}");
     }
 
-    /// Drives `stage`'s runner by hand on the calling thread, publishing
-    /// every 4 chunks, with its helpers on `rt`; returns how the run ended
-    /// and the output reader.
+    /// Triples `0..N` in LFSR order, 8 elements a chunk, calling `hook`
+    /// with the number of chunks computed before each.
+    fn triple_with(
+        hook: impl Fn(usize) + Send + Sync + 'static,
+    ) -> ParallelSampledMap<Vec<u64>, Vec<u64>, u64> {
+        let calls = AtomicUsize::new(0);
+        ParallelSampledMap::new(
+            "pmap",
+            (0..N as u64).collect::<Vec<u64>>(),
+            DynPermutation::new(Lfsr::with_len(N).unwrap()),
+            8,
+            |i: &Vec<u64>| vec![u64::MAX; i.len()],
+            move |i: &Vec<u64>, indices: &[u32], values: &mut Vec<u64>| {
+                hook(calls.fetch_add(1, Ordering::SeqCst));
+                values.extend(indices.iter().map(|&idx| i[idx as usize] * 3));
+            },
+            scatter(),
+        )
+    }
+
+    /// Drives `stage`'s runner by hand on the calling thread, under `ctl`,
+    /// publishing every `publish_every` chunks, with its helpers on `rt`;
+    /// returns how the run ended and the output reader.
     fn drive_by_hand(
         stage: ParallelSampledMap<Vec<u64>, Vec<u64>, u64>,
         rt: &RuntimeHandle,
+        ctl: &ControlToken,
+        publish_every: u64,
     ) -> (crate::Result<StageEnd>, BufferReader<Vec<u64>>) {
         let (writer, reader) = buffer::versioned("pmap");
         let mut runner = ParallelRunner {
             stage,
             writer,
-            publish_every: 4,
+            publish_every,
             supervision: Supervision::default(),
             merged: 0,
             run: None,
@@ -765,13 +1011,12 @@ mod tests {
             #[cfg(feature = "fault-inject")]
             faults: None,
         };
-        let ctl = ControlToken::new();
         let woken = WaitSet::new();
         let wake = woken.as_wake_target();
         loop {
             let seen = woken.epoch();
             let mut cx = PollCx {
-                ctl: &ctl,
+                ctl,
                 wake: &wake,
                 budget: 1,
                 rt,
@@ -787,8 +1032,8 @@ mod tests {
     #[test]
     fn lost_chunk_ends_the_run_with_stage_panicked() {
         // The stage task computes on this thread, slowly enough that the
-        // lost chunk is back before the merge reaches it; every helper
-        // chunk panics, so the helper loses the first chunk it claims.
+        // lost batch is back before the merge reaches it; every helper
+        // chunk panics, so the helper loses the first batch it claims.
         let rt = Runtime::new(2);
         let here = std::thread::current().id();
         let stage = ParallelSampledMap::new(
@@ -804,7 +1049,7 @@ mod tests {
             },
             scatter(),
         );
-        let (end, reader) = drive_by_hand(stage, &rt.handle());
+        let (end, reader) = drive_by_hand(stage, &rt.handle(), &ControlToken::new(), 4);
         match end {
             Err(CoreError::StagePanicked {
                 message: Some(message),
@@ -821,107 +1066,252 @@ mod tests {
         }
     }
 
-    /// A helper of a run of `triple(8)` whose stage task is `stage`.
-    fn helper(stage: &WaitSet, ctl: &ControlToken) -> Helper<Vec<u64>, u64> {
+    #[test]
+    fn a_stop_at_every_chunk_publishes_the_serial_prefix() {
+        // One worker: the stage task claims and computes every batch
+        // itself, 4, 2, 1 and 1 chunks a window of 8, so stopping the
+        // token in chunk `m`'s body lands the stop at every position of
+        // two windows, mid-batch ones included. The stage merges chunk `m`
+        // and stops before the next; what it publishes must be the serial
+        // map's output at that step count.
+        let every = 8u64;
+        let perm = DynPermutation::new(Lfsr::with_len(N).unwrap());
+        let input: Vec<u64> = (0..N as u64).collect();
+        let mut serial = SampledMap::new(
+            perm,
+            |i: &Vec<u64>| vec![u64::MAX; i.len()],
+            |i: &Vec<u64>, out: &mut Vec<u64>, idx| out[idx] = i[idx] * 3,
+        );
+        let mut by_steps = vec![serial.init(&input)];
+        let mut out = by_steps[0].clone();
+        for step in 0..N as u64 {
+            serial.step(&input, &mut out, step);
+            by_steps.push(out.clone());
+        }
+        let rt = Runtime::new(1);
+        for m in 0..2 * every as usize {
+            let ctl = ControlToken::new();
+            let stopper = ctl.clone();
+            let stage = triple_with(move |chunks| {
+                if chunks == m {
+                    stopper.stop();
+                }
+            });
+            let (end, reader) = drive_by_hand(stage, &rt.handle(), &ctl, every);
+            assert_eq!(end.unwrap(), StageEnd::Stopped, "stop in chunk {m}");
+            let snap = reader.latest().expect("the stop publishes");
+            assert_eq!(snap.steps(), (m as u64 + 1) * 8, "stop in chunk {m}");
+            assert_eq!(
+                snap.value(),
+                &by_steps[snap.steps() as usize],
+                "stop in chunk {m}"
+            );
+        }
+    }
+
+    /// A helper of a run of `map` in publication windows of 16 chunks
+    /// shared with one other claimer (batches of 4, 3, 3, 2, 1, … chunks),
+    /// whose stage task is `stage`; it yields after `slice` chunks.
+    fn helper(
+        map: &ParallelSampledMap<Vec<u64>, Vec<u64>, u64>,
+        stage: &WaitSet,
+        ctl: &ControlToken,
+        slice: u64,
+    ) -> Helper<Vec<u64>, u64> {
         Helper {
-            work: Arc::clone(&triple(8).work),
+            work: Arc::clone(&map.work),
             claims: Arc::new(Claims {
                 next: AtomicUsize::new(0),
+                shape: Shape {
+                    total: map.work.chunks(),
+                    window: 16,
+                    tasks: 2,
+                },
                 done: Mutex::new(Vec::new()),
+                handed: AtomicUsize::new(0),
                 stage: stage.as_wake_target(),
             }),
             ctl: ctl.clone(),
-            slice: 4,
-            holding: None,
+            slice,
+            batch: None,
+            scratch: Vec::new(),
         }
     }
 
-    #[test]
-    fn helper_gives_chunks_back_and_wakes_the_stage() {
-        let ctl = ControlToken::new();
-        let stage = WaitSet::new();
-        let mut h = helper(&stage, &ctl);
-        let wake = WaitSet::new().as_wake_target();
-        // One slice: four chunks, each handed back with its values.
-        assert!(matches!(h.poll(&wake, 1), TaskPoll::Yielded));
-        assert_eq!(stage.epoch(), 4, "one wake per chunk given back");
+    /// Takes the batches `h` handed back, checking every computed chunk's
+    /// values: `(first, end, one past the last computed, lost)` each.
+    fn handed_back(h: &Helper<Vec<u64>, u64>) -> Vec<(usize, usize, usize, bool)> {
         let done = std::mem::take(&mut *lock_unpoisoned(&h.claims.done));
-        assert_eq!(
-            done.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-            [0, 1, 2, 3]
-        );
-        for (k, values) in &done {
-            let values = values.as_ref().expect("computed");
-            let want: Vec<u64> = h
-                .work
-                .indices(*k)
-                .iter()
-                .map(|&i| u64::from(i) * 3)
-                .collect();
-            assert_eq!(values, &want);
-        }
-        // Once the stage closes the run, the next claim ends the helper.
-        assert_eq!(h.claims.close(), 4);
-        assert!(matches!(h.poll(&wake, 1), TaskPoll::Ready));
-        assert!(lock_unpoisoned(&h.claims.done).is_empty());
+        done.iter()
+            .map(|b| {
+                for k in b.first..b.computed() {
+                    let want: Vec<u64> = h
+                        .work
+                        .indices(k)
+                        .iter()
+                        .map(|&i| u64::from(i) * 3)
+                        .collect();
+                    assert_eq!(b.values(k), want.as_slice(), "chunk {k}");
+                }
+                (b.first, b.end, b.computed(), b.lost)
+            })
+            .collect()
     }
 
     #[test]
-    fn paused_helper_computes_nothing_until_resumed() {
+    fn helper_hands_each_batch_back_once_and_wakes_the_stage() {
         let ctl = ControlToken::new();
         let stage = WaitSet::new();
-        let mut h = helper(&stage, &ctl);
+        let mut h = helper(&triple(8), &stage, &ctl, 10);
+        let wake = WaitSet::new().as_wake_target();
+        // One slice of ten chunks: three whole batches, each handed back
+        // with its values, one wake each.
+        assert!(matches!(h.poll(&wake, 1), TaskPoll::Yielded));
+        assert_eq!(stage.epoch(), 3, "one wake per batch");
+        assert_eq!(
+            handed_back(&h),
+            [(0, 4, 4, false), (4, 7, 7, false), (7, 10, 10, false)]
+        );
+        // Once the stage closes the run, the helper ends before computing.
+        assert_eq!(h.claims.close(), 10);
+        assert!(matches!(h.poll(&wake, 1), TaskPoll::Ready));
+        assert!(handed_back(&h).is_empty());
+    }
+
+    #[test]
+    fn helper_paused_mid_batch_keeps_it_and_computes_nothing() {
+        let ctl = ControlToken::new();
+        let pauser = ctl.clone();
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&calls);
+        let map = triple_with(move |chunks| {
+            counted.store(chunks + 1, Ordering::SeqCst);
+            if chunks == 1 {
+                pauser.pause();
+            }
+        });
+        let stage = WaitSet::new();
+        let mut h = helper(&map, &stage, &ctl, 10);
         let woken = WaitSet::new();
         let wake = woken.as_wake_target();
-        ctl.pause();
+        // Paused in the batch's second chunk: nothing handed back.
         assert!(matches!(h.poll(&wake, 1), TaskPoll::Pending));
-        assert_eq!(
-            h.claims.next.load(Ordering::SeqCst),
-            0,
-            "claimed while paused"
-        );
+        assert!(matches!(h.poll(&wake, 1), TaskPoll::Pending));
+        assert_eq!(calls.load(Ordering::SeqCst), 2, "computed while paused");
+        assert_eq!(stage.epoch(), 0);
+        assert_eq!(h.claims.claimed(), 4, "claimed while paused");
         ctl.resume();
         assert!(woken.epoch() >= 1, "resume must wake the paused helper");
+        // Resumed, it finishes the batch it kept and hands it back whole.
+        h.slice = 2;
         assert!(matches!(h.poll(&wake, 1), TaskPoll::Yielded));
-        assert_eq!(lock_unpoisoned(&h.claims.done).len(), 4);
+        assert_eq!(handed_back(&h), [(0, 4, 4, false)]);
+        assert_eq!(stage.epoch(), 1);
         ctl.stop();
         assert!(matches!(h.poll(&wake, 1), TaskPoll::Ready));
     }
 
     #[test]
-    fn panicking_helper_gives_its_chunk_back_lost() {
+    fn helper_stopped_mid_batch_hands_back_the_computed_prefix() {
         let ctl = ControlToken::new();
-        let stage = WaitSet::new();
-        let claims = Arc::new(Claims {
-            next: AtomicUsize::new(3),
-            done: Mutex::new(Vec::new()),
-            stage: stage.as_wake_target(),
+        let stopper = ctl.clone();
+        let map = triple_with(move |chunks| {
+            if chunks == 2 {
+                stopper.stop();
+            }
         });
-        let bad = ParallelSampledMap::new(
-            "bad",
-            vec![0u64; 64],
-            DynPermutation::new(Lfsr::with_len(64).unwrap()),
-            8,
-            |i: &Vec<u64>| i.clone(),
-            |_: &Vec<u64>, _: &[u32], _: &mut Vec<u64>| panic!("helper exploded"),
-            scatter(),
-        );
-        let mut h = Helper {
-            work: Arc::clone(&bad.work),
-            claims: Arc::clone(&claims),
-            ctl: ctl.clone(),
-            slice: 4,
-            holding: None,
-        };
+        let stage = WaitSet::new();
+        let mut h = helper(&map, &stage, &ctl, 10);
+        let wake = WaitSet::new().as_wake_target();
+        assert!(matches!(h.poll(&wake, 1), TaskPoll::Ready));
+        // Chunks 0–2 of the batch 0..4, in one hand-back.
+        assert_eq!(handed_back(&h), [(0, 4, 3, false)]);
+        assert_eq!(stage.epoch(), 1);
+    }
+
+    #[test]
+    fn helper_that_panics_mid_batch_loses_the_batch() {
+        let map = triple_with(|chunks| assert!(chunks != 2, "helper exploded"));
+        let stage = WaitSet::new();
+        let mut h = helper(&map, &stage, &ControlToken::new(), 10);
         let wake = WaitSet::new().as_wake_target();
         let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.poll(&wake, 1)));
         assert!(polled.is_err());
-        assert!(lock_unpoisoned(&claims.done).is_empty());
-        // The runtime drops a panicked task: the held chunk comes back lost.
+        assert_eq!(stage.epoch(), 0);
+        // The runtime drops a panicked task: its batch comes back lost,
+        // whole, although two of its chunks were computed.
+        let claims = Arc::clone(&h.claims);
         drop(h);
         assert_eq!(stage.epoch(), 1);
         let done = std::mem::take(&mut *lock_unpoisoned(&claims.done));
-        assert!(matches!(done.as_slice(), [(3, None)]));
+        assert!(matches!(
+            done.as_slice(),
+            [Batch {
+                first: 0,
+                end: 4,
+                lost: true,
+                ..
+            }]
+        ));
+    }
+
+    #[test]
+    fn batches_of_a_window_of_128_chunks_on_two_tasks() {
+        // A 512² conv2d run: 4,096 chunks of 64 pixels, published every
+        // 128 chunks, on two workers.
+        let shape = Shape {
+            total: 4096,
+            window: 128,
+            tasks: 2,
+        };
+        let mut sizes = Vec::new();
+        let mut at = 0;
+        while let Some(batch) = shape.batch(at) {
+            sizes.push(batch.len());
+            at = batch.end;
+        }
+        assert_eq!(
+            sizes[..15],
+            [32, 24, 18, 14, 10, 8, 6, 4, 3, 3, 2, 1, 1, 1, 1]
+        );
+        assert_eq!(sizes.len(), 32 * 15);
+        // One window for the whole run: 64 chunks in 13 claims.
+        let whole = Shape {
+            total: 64,
+            window: usize::MAX,
+            tasks: 2,
+        };
+        assert_eq!(whole.batch(0), Some(0..16));
+        assert_eq!(whole.batch(63), Some(63..64));
+        assert_eq!(whole.batch(64), None);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn batches_shrink_inside_each_window_and_cover_the_order(
+            total in 0usize..3000,
+            window in 1usize..400,
+            tasks in 1usize..9,
+        ) {
+            let shape = Shape { total, window, tasks };
+            let mut at = 0;
+            let mut last: Option<(usize, usize)> = None;
+            while let Some(batch) = shape.batch(at) {
+                // Claims are consecutive, so they cover the order once.
+                proptest::prop_assert_eq!(batch.start, at);
+                proptest::prop_assert!(!batch.is_empty());
+                let w = batch.start / window;
+                proptest::prop_assert_eq!((batch.end - 1) / window, w, "crosses a window");
+                if let Some((prev_w, prev_len)) = last {
+                    if prev_w == w {
+                        proptest::prop_assert!(batch.len() <= prev_len, "grew in a window");
+                    }
+                }
+                last = Some((w, batch.len()));
+                at = batch.end;
+            }
+            proptest::prop_assert_eq!(at, total);
+        }
     }
 
     #[test]

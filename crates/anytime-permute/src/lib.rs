@@ -25,7 +25,8 @@
 //! are skipped, preserving bijectivity onto `[0, n)`).
 //!
 //! Multi-threaded sampling (paper §IV-C1) divides one permutation sequence
-//! among threads cyclically or in blocks; see [`partition`].
+//! among threads; `anytime_core::ParallelSampledMap` does so by claiming
+//! batches of consecutive chunks from one shared cursor.
 //!
 //! Non-sequential orders destroy cache locality (§IV-C3). A stage that
 //! publishes every `window` samples may apply the samples between two
@@ -57,7 +58,6 @@ mod interleaved;
 mod lcg;
 mod lfsr;
 mod morton;
-pub mod partition;
 mod restrict;
 mod sequential;
 mod traits;
@@ -69,7 +69,6 @@ pub use interleaved::Interleaved;
 pub use lcg::Lcg;
 pub use lfsr::{max_len_taps, Lfsr, LfsrReg};
 pub use morton::{deinterleave, interleave, Morton2d};
-pub use partition::{BlockPartition, CyclicPartition};
 pub use restrict::Restrict;
 pub use sequential::{Reversed, Sequential};
 pub use traits::{DynPermutation, Indices, Permutation};

@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 /// (paper §III-B2).
 ///
 /// Implementations must be cheap to clone or share (`Send + Sync`) since the
-/// automaton partitions one permutation sequence among worker threads
+/// automaton divides one permutation sequence among worker threads
 /// (paper §IV-C1).
 pub trait Permutation: Send + Sync {
     /// Number of elements in the permuted index set.

@@ -1,10 +1,10 @@
 //! Property-based tests: every permutation in the crate must be a bijection
-//! of `[0, n)`, partitions must cover the sample order exactly once, and a
-//! blocked order must hold its plain order's set at every cut point.
+//! of `[0, n)`, and a blocked order must hold its plain order's set at every
+//! cut point.
 
 use anytime_permute::{
-    partition, BitReverse, DynPermutation, Interleaved, Lcg, Lfsr, Morton2d, Permutation, Restrict,
-    Reversed, Sequential, Tree1d, Tree2d, TreeNd,
+    BitReverse, DynPermutation, Interleaved, Lcg, Lfsr, Morton2d, Permutation, Restrict, Reversed,
+    Sequential, Tree1d, Tree2d, TreeNd,
 };
 use proptest::prelude::*;
 
@@ -120,25 +120,6 @@ proptest! {
         let full = 1usize << bits;
         let n = ((full as f64 * frac) as usize).max(1);
         assert_bijective(&Restrict::new(BitReverse::with_bits(bits).unwrap(), n).unwrap());
-    }
-
-    #[test]
-    fn cyclic_partitions_cover(n in 1usize..600, workers in 1usize..9) {
-        let p = Lfsr::with_len(n).unwrap();
-        let shares = partition::split_cyclic(&p, workers);
-        let mut all: Vec<usize> = shares.into_iter().flatten().collect();
-        all.sort_unstable();
-        prop_assert_eq!(all, (0..n).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn block_partitions_cover(n in 1usize..600, workers in 1usize..9) {
-        let p = Tree2d::new(n.div_ceil(10).max(1), 10.min(n)).unwrap();
-        let len = p.len();
-        let shares = partition::split_blocks(&p, workers);
-        let mut all: Vec<usize> = shares.into_iter().flatten().collect();
-        all.sort_unstable();
-        prop_assert_eq!(all, (0..len).collect::<Vec<_>>());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   output buffers, asynchronous/synchronous pipelines, interruptible
 //!   execution, scheduling policies.
 //! - [`permute`] — bijective sampling permutations (sequential, N-D tree,
-//!   LFSR/LCG pseudo-random) and multi-threaded partitioning.
+//!   LFSR/LCG pseudo-random) and orders blocked by publication window.
 //! - [`approx`] — approximate-computing technique adapters: loop
 //!   perforation, fixed-point bit planes, float precision, approximate
 //!   storage schedules.
