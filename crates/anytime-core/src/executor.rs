@@ -102,14 +102,13 @@ impl RtTask for StageTask {
         &self.name
     }
 
-    fn poll(&mut self, wake: &Arc<dyn WakeTarget>, credits: u64) -> TaskPoll {
+    fn poll(&mut self, wake: &Arc<dyn WakeTarget>) -> TaskPoll {
         let Some(runner) = self.runner.as_mut() else {
             return TaskPoll::Ready;
         };
         let mut cx = PollCx {
             ctl: &self.ctl,
             wake,
-            budget: credits,
             rt: &self.runtime,
         };
         match catch_unwind(AssertUnwindSafe(|| runner.poll(&mut cx))) {
@@ -206,7 +205,6 @@ impl Automaton {
         fail_fast: bool,
         recorder: Recorder,
         runtime: RuntimeHandle,
-        credits: Option<Vec<u64>>,
     ) -> Result<Automaton> {
         let started = Instant::now();
         let finished = Arc::new(AtomicUsize::new(0));
@@ -228,7 +226,7 @@ impl Automaton {
             }
         }
         let mut stages = Vec::with_capacity(total_stages);
-        for (i, runner) in runners.into_iter().enumerate() {
+        for runner in runners {
             let name = runner.name().to_string();
             let slot: StageSlot = Arc::new(Mutex::new(None));
             let task = StageTask {
@@ -247,12 +245,7 @@ impl Automaton {
                 done_ws: done_ws.clone(),
                 runtime: runtime.clone(),
             };
-            let credit = credits
-                .as_ref()
-                .and_then(|c| c.get(i).copied())
-                .unwrap_or(1)
-                .max(1);
-            runtime.spawn_task(Box::new(task), credit);
+            runtime.spawn_task(Box::new(task));
             stages.push((name, slot));
         }
         let watchdog = if watched.is_empty() {

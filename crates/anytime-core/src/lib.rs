@@ -103,7 +103,6 @@ pub mod prelude;
 mod reduce;
 pub mod rta;
 pub mod runtime;
-pub mod scheduler;
 pub mod serve;
 mod stage;
 mod supervisor;

@@ -337,7 +337,8 @@ struct Helper<I, V> {
     work: Arc<Work<I, V>>,
     claims: Arc<Claims<V>>,
     ctl: ControlToken,
-    /// Chunks computed per poll before yielding.
+    /// Chunks computed per poll before yielding: the stage task's
+    /// publication window, capped at [`MAX_STEPS_PER_SLICE`] in `poll`.
     slice: u64,
     /// The batch being computed.
     batch: Option<Batch<V>>,
@@ -363,11 +364,10 @@ where
         &self.work.name
     }
 
-    fn poll(&mut self, wake: &Arc<dyn WakeTarget>, credits: u64) -> TaskPoll {
+    fn poll(&mut self, wake: &Arc<dyn WakeTarget>) -> TaskPoll {
         // Subscribe before checking: a resume or stop after this re-polls.
         self.ctl.subscribe_target(wake);
-        let slice = self.slice.saturating_mul(credits).min(MAX_STEPS_PER_SLICE);
-        for _ in 0..slice {
+        for _ in 0..self.slice.min(MAX_STEPS_PER_SLICE) {
             let ctl = self.ctl.poll_checkpoint();
             if ctl == ControlPoll::Stopped || self.claims.claimed() >= CLOSED {
                 self.give_back();
@@ -568,7 +568,7 @@ where
                 batch: None,
                 scratch: Vec::new(),
             };
-            cx.rt.spawn_from_task(Box::new(helper), cx.budget);
+            cx.rt.spawn_from_task(Box::new(helper));
         }
         self.merged = 0;
         // A crash-restarted run merges from zero, so the Property 2 steps
@@ -614,7 +614,6 @@ where
             run.end = Some(StageEnd::Degraded);
         }
         let shape = run.claims.shape;
-        let mut pubs: u64 = 0;
         let mut slice: u64 = 0;
         while run.end.is_none() {
             match cx.ctl.poll_checkpoint() {
@@ -701,10 +700,7 @@ where
                 run.db
                     .publish_from(&mut self.writer, &run.out, work.progress(run.merged));
                 run.published_at = run.merged;
-                pubs += 1;
-                if pubs >= cx.budget {
-                    return StagePoll::Yielded;
-                }
+                return StagePoll::Yielded;
             }
         }
         let end = run.end.expect("the loop exits once the run ended");
@@ -975,12 +971,22 @@ mod tests {
     fn triple_with(
         hook: impl Fn(usize) + Send + Sync + 'static,
     ) -> ParallelSampledMap<Vec<u64>, Vec<u64>, u64> {
+        triple_counted(N, 8, hook)
+    }
+
+    /// Triples `0..n` in LFSR order, `chunk` elements a chunk, calling
+    /// `hook` with the number of chunks computed before each.
+    fn triple_counted(
+        n: usize,
+        chunk: usize,
+        hook: impl Fn(usize) + Send + Sync + 'static,
+    ) -> ParallelSampledMap<Vec<u64>, Vec<u64>, u64> {
         let calls = AtomicUsize::new(0);
         ParallelSampledMap::new(
             "pmap",
-            (0..N as u64).collect::<Vec<u64>>(),
-            DynPermutation::new(Lfsr::with_len(N).unwrap()),
-            8,
+            (0..n as u64).collect::<Vec<u64>>(),
+            DynPermutation::new(Lfsr::with_len(n).unwrap()),
+            chunk,
             |i: &Vec<u64>| vec![u64::MAX; i.len()],
             move |i: &Vec<u64>, indices: &[u32], values: &mut Vec<u64>| {
                 hook(calls.fetch_add(1, Ordering::SeqCst));
@@ -988,6 +994,30 @@ mod tests {
             },
             scatter(),
         )
+    }
+
+    /// The runner of the tests' tripling maps.
+    type Tripler = ParallelRunner<Vec<u64>, Vec<u64>, u64>;
+
+    /// `stage`'s runner, publishing every `publish_every` chunks, and its
+    /// output reader.
+    fn runner(
+        stage: ParallelSampledMap<Vec<u64>, Vec<u64>, u64>,
+        publish_every: u64,
+    ) -> (Tripler, BufferReader<Vec<u64>>) {
+        let (writer, reader) = buffer::versioned("pmap");
+        let runner = ParallelRunner {
+            stage,
+            writer,
+            publish_every,
+            supervision: Supervision::default(),
+            merged: 0,
+            run: None,
+            dirty: false,
+            #[cfg(feature = "fault-inject")]
+            faults: None,
+        };
+        (runner, reader)
     }
 
     /// Drives `stage`'s runner by hand on the calling thread, under `ctl`,
@@ -999,18 +1029,7 @@ mod tests {
         ctl: &ControlToken,
         publish_every: u64,
     ) -> (crate::Result<StageEnd>, BufferReader<Vec<u64>>) {
-        let (writer, reader) = buffer::versioned("pmap");
-        let mut runner = ParallelRunner {
-            stage,
-            writer,
-            publish_every,
-            supervision: Supervision::default(),
-            merged: 0,
-            run: None,
-            dirty: false,
-            #[cfg(feature = "fault-inject")]
-            faults: None,
-        };
+        let (mut runner, reader) = runner(stage, publish_every);
         let woken = WaitSet::new();
         let wake = woken.as_wake_target();
         loop {
@@ -1018,7 +1037,6 @@ mod tests {
             let mut cx = PollCx {
                 ctl,
                 wake: &wake,
-                budget: 1,
                 rt,
             };
             match runner.poll(&mut cx) {
@@ -1027,6 +1045,61 @@ mod tests {
                 StagePoll::Pending => woken.wait(seen),
             }
         }
+    }
+
+    #[test]
+    fn a_poll_publishes_at_most_one_version_then_yields() {
+        // One worker, so no helper: the stage task merges every chunk.
+        // 64 chunks, a version every 4.
+        let rt = Runtime::new(1);
+        let (mut runner, reader) = runner(triple(16), 4);
+        let ctl = ControlToken::new();
+        let wake = WaitSet::new().as_wake_target();
+        let handle = rt.handle();
+        let mut cx = PollCx {
+            ctl: &ctl,
+            wake: &wake,
+            rt: &handle,
+        };
+        for published in 1..16u64 {
+            assert!(matches!(runner.poll(&mut cx), StagePoll::Yielded));
+            let snap = reader.latest().unwrap();
+            assert_eq!(snap.version().get(), published);
+            assert_eq!(snap.steps(), published * 4 * 16);
+        }
+        assert!(matches!(
+            runner.poll(&mut cx),
+            StagePoll::Ready(Ok(StageEnd::Final))
+        ));
+        assert_eq!(reader.latest().unwrap().version().get(), 16);
+    }
+
+    #[test]
+    fn polls_without_a_publication_yield_after_max_steps() {
+        // 8,192 one-element chunks, published every 10,000: no poll of
+        // this run reaches a publication before the step cap.
+        let rt = Runtime::new(1);
+        let (mut runner, reader) = runner(triple_counted(8192, 1, |_| {}), 10_000);
+        let ctl = ControlToken::new();
+        let wake = WaitSet::new().as_wake_target();
+        let handle = rt.handle();
+        let mut cx = PollCx {
+            ctl: &ctl,
+            wake: &wake,
+            rt: &handle,
+        };
+        assert!(matches!(runner.poll(&mut cx), StagePoll::Yielded));
+        assert!(reader.latest().is_none());
+        assert!((1..MAX_STEPS_PER_SLICE).contains(&runner.steps_completed()));
+        // A helper with the same slice computes exactly the cap, then
+        // yields.
+        let computed = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&computed);
+        let map = triple_counted(8192, 1, move |k| counted.store(k + 1, Ordering::SeqCst));
+        let stage = WaitSet::new();
+        let mut h = helper(&map, &stage, &ctl, 10_000);
+        assert!(matches!(h.poll(&wake), TaskPoll::Yielded));
+        assert_eq!(computed.load(Ordering::SeqCst) as u64, MAX_STEPS_PER_SLICE);
     }
 
     #[test]
@@ -1166,7 +1239,7 @@ mod tests {
         let wake = WaitSet::new().as_wake_target();
         // One slice of ten chunks: three whole batches, each handed back
         // with its values, one wake each.
-        assert!(matches!(h.poll(&wake, 1), TaskPoll::Yielded));
+        assert!(matches!(h.poll(&wake), TaskPoll::Yielded));
         assert_eq!(stage.epoch(), 3, "one wake per batch");
         assert_eq!(
             handed_back(&h),
@@ -1174,7 +1247,7 @@ mod tests {
         );
         // Once the stage closes the run, the helper ends before computing.
         assert_eq!(h.claims.close(), 10);
-        assert!(matches!(h.poll(&wake, 1), TaskPoll::Ready));
+        assert!(matches!(h.poll(&wake), TaskPoll::Ready));
         assert!(handed_back(&h).is_empty());
     }
 
@@ -1195,8 +1268,8 @@ mod tests {
         let woken = WaitSet::new();
         let wake = woken.as_wake_target();
         // Paused in the batch's second chunk: nothing handed back.
-        assert!(matches!(h.poll(&wake, 1), TaskPoll::Pending));
-        assert!(matches!(h.poll(&wake, 1), TaskPoll::Pending));
+        assert!(matches!(h.poll(&wake), TaskPoll::Pending));
+        assert!(matches!(h.poll(&wake), TaskPoll::Pending));
         assert_eq!(calls.load(Ordering::SeqCst), 2, "computed while paused");
         assert_eq!(stage.epoch(), 0);
         assert_eq!(h.claims.claimed(), 4, "claimed while paused");
@@ -1204,11 +1277,11 @@ mod tests {
         assert!(woken.epoch() >= 1, "resume must wake the paused helper");
         // Resumed, it finishes the batch it kept and hands it back whole.
         h.slice = 2;
-        assert!(matches!(h.poll(&wake, 1), TaskPoll::Yielded));
+        assert!(matches!(h.poll(&wake), TaskPoll::Yielded));
         assert_eq!(handed_back(&h), [(0, 4, 4, false)]);
         assert_eq!(stage.epoch(), 1);
         ctl.stop();
-        assert!(matches!(h.poll(&wake, 1), TaskPoll::Ready));
+        assert!(matches!(h.poll(&wake), TaskPoll::Ready));
     }
 
     #[test]
@@ -1223,7 +1296,7 @@ mod tests {
         let stage = WaitSet::new();
         let mut h = helper(&map, &stage, &ctl, 10);
         let wake = WaitSet::new().as_wake_target();
-        assert!(matches!(h.poll(&wake, 1), TaskPoll::Ready));
+        assert!(matches!(h.poll(&wake), TaskPoll::Ready));
         // Chunks 0–2 of the batch 0..4, in one hand-back.
         assert_eq!(handed_back(&h), [(0, 4, 3, false)]);
         assert_eq!(stage.epoch(), 1);
@@ -1235,7 +1308,7 @@ mod tests {
         let stage = WaitSet::new();
         let mut h = helper(&map, &stage, &ControlToken::new(), 10);
         let wake = WaitSet::new().as_wake_target();
-        let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.poll(&wake, 1)));
+        let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.poll(&wake)));
         assert!(polled.is_err());
         assert_eq!(stage.epoch(), 0);
         // The runtime drops a panicked task: its batch comes back lost,
@@ -1339,7 +1412,7 @@ mod tests {
             fn name(&self) -> &str {
                 "hog"
             }
-            fn poll(&mut self, _: &Arc<dyn WakeTarget>, _: u64) -> TaskPoll {
+            fn poll(&mut self, _: &Arc<dyn WakeTarget>) -> TaskPoll {
                 self.polled.store(true, Ordering::SeqCst);
                 while !self.release.load(Ordering::SeqCst) {
                     std::thread::sleep(Duration::from_millis(1));
@@ -1350,13 +1423,10 @@ mod tests {
         let rt = Runtime::new(2);
         let polled = Arc::new(AtomicBool::new(false));
         let release = Arc::new(AtomicBool::new(false));
-        rt.handle().spawn_task(
-            Box::new(Hog {
-                polled: Arc::clone(&polled),
-                release: Arc::clone(&release),
-            }),
-            1,
-        );
+        rt.handle().spawn_task(Box::new(Hog {
+            polled: Arc::clone(&polled),
+            release: Arc::clone(&release),
+        }));
         while !polled.load(Ordering::SeqCst) {
             std::thread::sleep(Duration::from_millis(1));
         }

@@ -3,7 +3,6 @@ use crate::control::{ControlPoll, ControlToken};
 use crate::error::{CoreError, Result};
 use crate::executor::Automaton;
 use crate::runtime::RuntimeHandle;
-use crate::scheduler::AllocPolicy;
 use crate::stage::{
     AnytimeBody, InputFeed, PollCx, StageEnd, StageNode, StageOptions, StagePoll, StageRunner,
 };
@@ -57,7 +56,6 @@ pub struct PipelineBuilder {
     recorder: Recorder,
     runtime: Option<RuntimeHandle>,
     fail_fast: bool,
-    schedule: Option<(AllocPolicy, Vec<f64>)>,
     #[cfg(feature = "fault-inject")]
     fault_plan: Option<crate::faultinject::FaultPlan>,
 }
@@ -71,7 +69,6 @@ impl PipelineBuilder {
             recorder: Recorder::disabled(),
             runtime: None,
             fail_fast: false,
-            schedule: None,
             #[cfg(feature = "fault-inject")]
             fault_plan: None,
         }
@@ -111,18 +108,6 @@ impl PipelineBuilder {
     /// latest published output remains readable, per the anytime contract.
     pub fn with_fail_fast(mut self) -> Self {
         self.fail_fast = true;
-        self
-    }
-
-    /// Maps a [`scheduler`](crate::scheduler) thread-allocation policy
-    /// onto per-stage task *credits*: the plan `allocate(policy, weights,
-    /// workers)` is computed against the runtime's worker count at launch,
-    /// and a stage allotted `k` threads gets `k` publish slices per
-    /// scheduling quantum instead of `k` OS threads. `weights` must have
-    /// one entry per stage, in the order stages were added (checked at
-    /// launch).
-    pub fn with_schedule(mut self, policy: AllocPolicy, weights: Vec<f64>) -> Self {
-        self.schedule = Some((policy, weights));
         self
     }
 
@@ -274,7 +259,6 @@ impl PipelineBuilder {
             fail_fast: self.fail_fast,
             recorder: self.recorder,
             runtime: self.runtime,
-            schedule: self.schedule,
         }
     }
 }
@@ -299,7 +283,6 @@ pub struct Pipeline {
     pub(crate) fail_fast: bool,
     pub(crate) recorder: Recorder,
     pub(crate) runtime: Option<RuntimeHandle>,
-    pub(crate) schedule: Option<(AllocPolicy, Vec<f64>)>,
 }
 
 impl Pipeline {
@@ -352,9 +335,7 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] for an empty pipeline, or for
-    /// a [`PipelineBuilder::with_schedule`] weight vector whose length
-    /// does not match the stage count.
+    /// Returns [`CoreError::InvalidConfig`] for an empty pipeline.
     pub fn launch_with(self, ctl: ControlToken) -> Result<Automaton> {
         if self.runners.is_empty() {
             return Err(CoreError::InvalidConfig(
@@ -362,28 +343,7 @@ impl Pipeline {
             ));
         }
         let runtime = self.runtime.unwrap_or_else(RuntimeHandle::global);
-        let credits = match &self.schedule {
-            Some((policy, weights)) => {
-                if weights.len() != self.runners.len() {
-                    return Err(CoreError::InvalidConfig(format!(
-                        "schedule weights ({}) do not match stage count ({})",
-                        weights.len(),
-                        self.runners.len()
-                    )));
-                }
-                let alloc = crate::scheduler::allocate(*policy, weights, runtime.workers());
-                Some(crate::scheduler::credits_from_alloc(&alloc))
-            }
-            None => None,
-        };
-        Automaton::spawn(
-            self.runners,
-            ctl,
-            self.fail_fast,
-            self.recorder,
-            runtime,
-            credits,
-        )
+        Automaton::spawn(self.runners, ctl, self.fail_fast, self.recorder, runtime)
     }
 
     /// The recorder this pipeline's stages report trace events to.
@@ -440,54 +400,46 @@ where
             self.writer.begin_run(0);
             self.began = true;
         }
-        let budget = cx.budget.max(1);
-        let mut pubs: u64 = 0;
-        loop {
-            match cx.ctl.poll_checkpoint() {
-                ControlPoll::Stopped => return StagePoll::Ready(Ok(StageEnd::Stopped)),
-                ControlPoll::Paused => return StagePoll::Pending,
-                ControlPoll::Running => {}
-            }
-            let (sa, sb) = (self.a.latest(), self.b.latest());
-            if let (Some(sa), Some(sb)) = (&sa, &sb) {
-                let pair = (sa.version(), sb.version());
-                if self.last != Some(pair) {
-                    self.steps += 1;
-                    let value = (sa.value_arc(), sb.value_arc());
-                    if sa.is_terminal() && sb.is_terminal() {
-                        // A degraded parent taints the joined pair: the
-                        // approximation flag propagates downstream.
-                        return StagePoll::Ready(Ok(if sa.is_degraded() || sb.is_degraded() {
-                            self.writer.publish_degraded(value, self.steps);
-                            StageEnd::Degraded
-                        } else {
-                            self.writer.publish_final(value, self.steps);
-                            StageEnd::Final
-                        }));
-                    }
-                    self.writer.publish(value, self.steps);
-                    self.last = Some(pair);
-                    pubs += 1;
-                    if pubs >= budget {
-                        return StagePoll::Yielded;
-                    }
-                    continue;
-                }
-            }
-            // A parent that exited without a terminal version will never
-            // satisfy the join; report it instead of waiting forever.
-            if self.a.is_closed() && !self.a.is_terminal() {
-                return StagePoll::Ready(Err(CoreError::SourceClosed {
-                    buffer: self.a.name().to_string(),
-                }));
-            }
-            if self.b.is_closed() && !self.b.is_terminal() {
-                return StagePoll::Ready(Err(CoreError::SourceClosed {
-                    buffer: self.b.name().to_string(),
-                }));
-            }
-            return StagePoll::Pending;
+        match cx.ctl.poll_checkpoint() {
+            ControlPoll::Stopped => return StagePoll::Ready(Ok(StageEnd::Stopped)),
+            ControlPoll::Paused => return StagePoll::Pending,
+            ControlPoll::Running => {}
         }
+        let (sa, sb) = (self.a.latest(), self.b.latest());
+        if let (Some(sa), Some(sb)) = (&sa, &sb) {
+            let pair = (sa.version(), sb.version());
+            if self.last != Some(pair) {
+                self.steps += 1;
+                let value = (sa.value_arc(), sb.value_arc());
+                if sa.is_terminal() && sb.is_terminal() {
+                    // A degraded parent taints the joined pair: the
+                    // approximation flag propagates downstream.
+                    return StagePoll::Ready(Ok(if sa.is_degraded() || sb.is_degraded() {
+                        self.writer.publish_degraded(value, self.steps);
+                        StageEnd::Degraded
+                    } else {
+                        self.writer.publish_final(value, self.steps);
+                        StageEnd::Final
+                    }));
+                }
+                self.writer.publish(value, self.steps);
+                self.last = Some(pair);
+                return StagePoll::Yielded;
+            }
+        }
+        // A parent that exited without a terminal version will never
+        // satisfy the join; report it instead of waiting forever.
+        if self.a.is_closed() && !self.a.is_terminal() {
+            return StagePoll::Ready(Err(CoreError::SourceClosed {
+                buffer: self.a.name().to_string(),
+            }));
+        }
+        if self.b.is_closed() && !self.b.is_terminal() {
+            return StagePoll::Ready(Err(CoreError::SourceClosed {
+                buffer: self.b.name().to_string(),
+            }));
+        }
+        StagePoll::Pending
     }
 
     fn output_control(&self) -> Option<Arc<dyn BufferControl>> {
@@ -586,6 +538,58 @@ mod tests {
         let out = s.wait_final_timeout(Duration::from_secs(20)).unwrap();
         assert_eq!(*out.value(), 12);
         auto.join().unwrap();
+    }
+
+    #[test]
+    fn join_publishes_one_pair_a_poll() {
+        use crate::notify::WaitSet;
+        let (mut aw, ar) = buffer::versioned::<u64>("a");
+        let (mut bw, br) = buffer::versioned::<u64>("b");
+        let (writer, out) = buffer::versioned_with("j", BufferOptions { keep_history: true });
+        let mut join = JoinRunner {
+            name: "j".into(),
+            a: ar,
+            b: br,
+            writer,
+            last: None,
+            steps: 0,
+            began: false,
+        };
+        let ctl = ControlToken::new();
+        let woken = WaitSet::new();
+        let wake = woken.as_wake_target();
+        let rt = RuntimeHandle::global();
+        let poll = |join: &mut JoinRunner<u64, u64>| {
+            join.poll(&mut PollCx {
+                ctl: &ctl,
+                wake: &wake,
+                rt: &rt,
+            })
+        };
+        aw.publish(1, 1);
+        assert!(matches!(poll(&mut join), StagePoll::Pending));
+        bw.publish(10, 1);
+        assert_eq!(woken.epoch(), 1, "b's publication wakes the join");
+        assert!(matches!(poll(&mut join), StagePoll::Yielded));
+        assert_eq!(out.history().unwrap().len(), 1);
+        assert!(matches!(poll(&mut join), StagePoll::Pending));
+        // Both parents moved: one publication for the newest pair.
+        aw.publish(2, 2);
+        bw.publish(20, 2);
+        assert!(matches!(poll(&mut join), StagePoll::Yielded));
+        aw.publish_final(3, 3);
+        bw.publish_final(30, 3);
+        assert!(matches!(
+            poll(&mut join),
+            StagePoll::Ready(Ok(StageEnd::Final))
+        ));
+        let pairs: Vec<(u64, u64)> = out
+            .history()
+            .unwrap()
+            .iter()
+            .map(|snap| (*snap.value().0, *snap.value().1))
+            .collect();
+        assert_eq!(pairs, [(1, 10), (2, 20), (3, 30)]);
     }
 
     #[test]

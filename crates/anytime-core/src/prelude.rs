@@ -7,8 +7,8 @@
 //! This is the intended import path: building a pipeline, running it,
 //! reading snapshots, supervising failures, serving requests, and
 //! observing what happened. Less common machinery stays under its module
-//! path (`buffer`, `metrics`, `monitor`, `scheduler`, `contract`,
-//! `sync_pipeline`, …).
+//! path (`buffer`, `metrics`, `monitor`, `contract`, `sync_pipeline`,
+//! …).
 
 pub use crate::buffer::BufferReader;
 pub use crate::control::ControlToken;

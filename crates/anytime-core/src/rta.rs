@@ -419,7 +419,6 @@ impl AdmissionGate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{allocate, estimate_response_time, AllocPolicy};
 
     fn policy() -> RtaPolicy {
         RtaPolicy {
@@ -630,21 +629,18 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_estimate_seeds_a_plausible_curve() {
-        // The static response-time estimate from the thread allocator is
-        // the natural synthetic seed before any real run has been
-        // observed: one linear ramp over the estimated chain makespan.
-        let weights = [8.0, 2.0, 2.0, 1.0];
-        let alloc = allocate(AllocPolicy::Proportional, &weights, 8);
-        let est_ms = estimate_response_time(&weights, &alloc);
-        assert!(est_ms > 0.0);
+    fn bounds_bracket_a_run_at_full_quality() {
+        // Floor 1.0 is crossed only by the last observation of a run, at
+        // its full length: the certified lower bound sits at or below that
+        // length and the calibrated upper bound at or above it.
+        let run = Duration::from_micros(5_667);
         let gate = AdmissionGate::new(policy()).unwrap();
         for _ in 0..2 {
-            feed_linear_run(&gate, Duration::from_secs_f64(est_ms / 1_000.0));
+            feed_linear_run(&gate, run);
         }
         let a = gate.analyze(1.0, &idle_backlog()).unwrap();
-        assert!(a.service_lower <= Duration::from_secs_f64(est_ms / 1_000.0));
-        assert!(a.service_upper >= Duration::from_secs_f64(est_ms / 1_000.0));
+        assert!(a.service_lower <= run);
+        assert!(a.service_upper >= run);
     }
 
     #[test]

@@ -5,20 +5,21 @@
 //! pool of N replicas × S stages burned N×S threads. This module replaces
 //! that with a **fixed-size worker pool** the whole process can share:
 //!
-//! - every stage becomes a resumable *task* ([`RtTask`]) that runs a
-//!   bounded slice of work per poll and **yields at publish points**
-//!   instead of owning a thread;
+//! - every stage becomes a resumable *task* that runs a bounded slice of
+//!   work per poll and **yields at publish points** instead of owning a
+//!   thread: a slice ends after one publication, or after
+//!   `MAX_STEPS_PER_SLICE` steps without one;
 //! - each worker owns a FIFO deque; externally woken tasks land in a
 //!   global **injector**, and idle workers **steal** from their peers'
-//!   deques before parking;
-//! - parked workers are woken through the same [`WaitSet`] epoch protocol
-//!   every other blocking wait in the crate uses, so wakeups between the
-//!   queue check and the park are never lost;
+//!   deques before parking. A worker takes its own deque first, then the
+//!   injector, then steals, so a task that yields keeps its worker;
+//! - parked workers are woken through the same epoch protocol every
+//!   other blocking wait in the crate uses, so wakeups between the queue
+//!   check and the park are never lost;
 //! - readiness is event-driven: a task waiting for input subscribes its
-//!   [`TaskWaker`] to the upstream buffer's / channel's / control token's
-//!   [`crate::notify::Watchers`] registry, and the next publication marks
-//!   it runnable. No polling loops, no timers except explicit restart
-//!   backoff.
+//!   waker to the upstream buffer's, channel's or control token's
+//!   registry of watchers, and the next publication marks it runnable.
+//!   No polling loops, no timers except explicit restart backoff.
 //!
 //! The waker state machine makes lost wakeups impossible without locking
 //! around `poll`:
@@ -39,11 +40,9 @@
 //! one spurious re-poll, never a hang.
 //!
 //! Mechanism vs. policy: this module schedules anonymous tasks; all stage
-//! semantics — supervision, restart backoff (via [`TaskPoll::PendingUntil`]
-//! timers), fault accounting, trace events — live in the executor's task
-//! wrapper. [`scheduler::allocate`](crate::scheduler::allocate) thread
-//! plans map onto per-task *credits* (publish slices per poll) via
-//! [`crate::scheduler::credits_from_alloc`].
+//! semantics — supervision, restart backoff (a pending poll that also
+//! arms a timer), fault accounting, trace events — live in the executor's
+//! task wrapper.
 
 use crate::metrics::Counter;
 use crate::notify::{lock_unpoisoned, WaitSet, WakeTarget};
@@ -60,9 +59,10 @@ pub(crate) enum TaskPoll {
     /// the task's own side channel (the executor wrapper fills its result
     /// slot *before* returning `Ready`).
     Ready,
-    /// The task hit its publish/credit boundary but has more work now:
-    /// requeue it at the back of the worker's deque (round-robin with its
-    /// peers) rather than waiting for a wake.
+    /// The task ended its slice at a publication, or after
+    /// `MAX_STEPS_PER_SLICE` steps, and has more work now: requeue it at
+    /// the back of the worker's deque (round-robin with its peers) rather
+    /// than waiting for a wake.
     Yielded,
     /// The task is blocked on an event source it has subscribed its waker
     /// to; leave it idle until the waker fires.
@@ -74,17 +74,18 @@ pub(crate) enum TaskPoll {
 
 /// A resumable unit of stage work scheduled by the runtime.
 ///
-/// `poll` must be non-blocking: run at most a bounded slice (e.g. up to
-/// `credits` publish intervals), subscribe `wake` to every event source
-/// the task may wait on, and return. Subscription-before-predicate-check
-/// ordering is the caller's responsibility; [`crate::notify::Watchers::subscribe_target`]
-/// is idempotent, so subscribing at the top of every poll is the easy way
+/// `poll` must be non-blocking: run at most a bounded slice (up to one
+/// publication, or `MAX_STEPS_PER_SLICE` steps), subscribe `wake` to
+/// every event source the task may wait on, and return.
+/// Subscription-before-predicate-check ordering is the caller's
+/// responsibility; [`crate::notify::Watchers::subscribe_target`] is
+/// idempotent, so subscribing at the top of every poll is the easy way
 /// to be correct.
 pub(crate) trait RtTask: Send {
     /// Stage name, for worker thread diagnostics.
     fn name(&self) -> &str;
     /// Run one slice of work.
-    fn poll(&mut self, wake: &Arc<dyn WakeTarget>, credits: u64) -> TaskPoll;
+    fn poll(&mut self, wake: &Arc<dyn WakeTarget>) -> TaskPoll;
 }
 
 const IDLE: u8 = 0;
@@ -148,8 +149,6 @@ struct TaskEntry {
     waker: Arc<TaskWaker>,
     /// The waker coerced once, handed to every poll for subscriptions.
     wake_target: Arc<dyn WakeTarget>,
-    /// Publish slices the task may run per poll (scheduler credits).
-    credits: u64,
 }
 
 #[derive(Default)]
@@ -293,7 +292,7 @@ impl RtShared {
     }
 
     fn run_task(self: &Arc<Self>, worker: usize, id: usize) {
-        let (mut task, waker, wake_target, credits) = {
+        let (mut task, waker, wake_target) = {
             let mut table = lock_unpoisoned(&self.tasks);
             let Some(entry) = table.slots.get_mut(id).and_then(|s| s.as_mut()) else {
                 return;
@@ -301,12 +300,7 @@ impl RtShared {
             let Some(task) = entry.task.take() else {
                 return;
             };
-            (
-                task,
-                entry.waker.clone(),
-                entry.wake_target.clone(),
-                entry.credits,
-            )
+            (task, entry.waker.clone(), entry.wake_target.clone())
         };
         waker.state.store(POLLING, Ordering::Release);
         self.counters.polls.inc();
@@ -315,9 +309,8 @@ impl RtShared {
         // helper whose chunk computation panicked, or a bug in wrapper
         // bookkeeping — as if it returned `Ready`, so it cannot drain the
         // pool.
-        let poll = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            task.poll(&wake_target, credits)
-        }));
+        let poll =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.poll(&wake_target)));
         match poll {
             Ok(TaskPoll::Ready) | Err(_) => {
                 waker.state.store(DONE, Ordering::Release);
@@ -534,13 +527,13 @@ impl RuntimeHandle {
     /// [`Runtime`] was dropped) — launching a pipeline onto a dead
     /// runtime is a caller bug, and panicking here turns a silent hang
     /// into an immediate diagnosis.
-    pub(crate) fn spawn_task(&self, task: Box<dyn RtTask>, credits: u64) {
+    pub(crate) fn spawn_task(&self, task: Box<dyn RtTask>) {
         assert!(
             !self.inner.shutdown.load(Ordering::Acquire),
             "spawn_task on a shut-down runtime (stage `{}`)",
             task.name()
         );
-        self.spawn_from_task(task, credits);
+        self.spawn_from_task(task);
     }
 
     /// Schedules a task from inside a live task's poll on this runtime
@@ -548,7 +541,7 @@ impl RuntimeHandle {
     /// [`Self::spawn_task`] this succeeds while the runtime shuts down:
     /// the spawning task is still live, so no worker has exited yet, and
     /// workers finish every live task before they exit.
-    pub(crate) fn spawn_from_task(&self, task: Box<dyn RtTask>, credits: u64) {
+    pub(crate) fn spawn_from_task(&self, task: Box<dyn RtTask>) {
         let rt = &self.inner;
         rt.live.fetch_add(1, Ordering::AcqRel);
         rt.counters.spawned.inc();
@@ -565,7 +558,6 @@ impl RuntimeHandle {
                 task: Some(task),
                 waker,
                 wake_target,
-                credits,
             });
             id
         };
@@ -655,7 +647,7 @@ mod tests {
         fn name(&self) -> &str {
             &self.name
         }
-        fn poll(&mut self, _wake: &Arc<dyn WakeTarget>, _credits: u64) -> TaskPoll {
+        fn poll(&mut self, _wake: &Arc<dyn WakeTarget>) -> TaskPoll {
             if self.left == 0 {
                 self.done.fetch_add(1, Ordering::SeqCst);
                 return TaskPoll::Ready;
@@ -681,14 +673,11 @@ mod tests {
         let rt = Runtime::new(2);
         let done = Arc::new(AtomicU32::new(0));
         for i in 0..8 {
-            rt.handle().spawn_task(
-                Box::new(Countdown {
-                    name: format!("t{i}"),
-                    left: 50,
-                    done: done.clone(),
-                }),
-                1,
-            );
+            rt.handle().spawn_task(Box::new(Countdown {
+                name: format!("t{i}"),
+                left: 50,
+                done: done.clone(),
+            }));
         }
         assert!(wait_until(Duration::from_secs(10), || done
             .load(Ordering::SeqCst)
@@ -711,7 +700,7 @@ mod tests {
         fn name(&self) -> &str {
             "waits-for-flag"
         }
-        fn poll(&mut self, wake: &Arc<dyn WakeTarget>, _credits: u64) -> TaskPoll {
+        fn poll(&mut self, wake: &Arc<dyn WakeTarget>) -> TaskPoll {
             *lock_unpoisoned(&self.waker_out) = Some(wake.clone());
             if self.flag.load(Ordering::SeqCst) {
                 self.done.fetch_add(1, Ordering::SeqCst);
@@ -728,14 +717,11 @@ mod tests {
         let flag = Arc::new(AtomicBool::new(false));
         let waker_out = Arc::new(Mutex::new(None));
         let done = Arc::new(AtomicU32::new(0));
-        rt.handle().spawn_task(
-            Box::new(WaitsForFlag {
-                flag: flag.clone(),
-                waker_out: waker_out.clone(),
-                done: done.clone(),
-            }),
-            1,
-        );
+        rt.handle().spawn_task(Box::new(WaitsForFlag {
+            flag: flag.clone(),
+            waker_out: waker_out.clone(),
+            done: done.clone(),
+        }));
         assert!(wait_until(Duration::from_secs(5), || lock_unpoisoned(
             &waker_out
         )
@@ -759,7 +745,7 @@ mod tests {
         fn name(&self) -> &str {
             "backoff-once"
         }
-        fn poll(&mut self, _wake: &Arc<dyn WakeTarget>, _credits: u64) -> TaskPoll {
+        fn poll(&mut self, _wake: &Arc<dyn WakeTarget>) -> TaskPoll {
             if self.fired {
                 self.done.fetch_add(1, Ordering::SeqCst);
                 return TaskPoll::Ready;
@@ -776,14 +762,11 @@ mod tests {
         let rt = Runtime::new(1);
         let done = Arc::new(AtomicU32::new(0));
         let start = Instant::now();
-        rt.handle().spawn_task(
-            Box::new(BackoffOnce {
-                fired: false,
-                done: done.clone(),
-                at: None,
-            }),
-            1,
-        );
+        rt.handle().spawn_task(Box::new(BackoffOnce {
+            fired: false,
+            done: done.clone(),
+            at: None,
+        }));
         assert!(wait_until(Duration::from_secs(5), || done
             .load(Ordering::SeqCst)
             == 1));
@@ -812,7 +795,7 @@ mod tests {
             fn name(&self) -> &str {
                 "count-to"
             }
-            fn poll(&mut self, _wake: &Arc<dyn WakeTarget>, _credits: u64) -> TaskPoll {
+            fn poll(&mut self, _wake: &Arc<dyn WakeTarget>) -> TaskPoll {
                 // Predicate re-checked from scratch each poll: the classic
                 // "subscribe then check" shape, with subscription standing
                 // in for the waker the feeder thread already holds.
@@ -840,23 +823,20 @@ mod tests {
             fn name(&self) -> &str {
                 "count-to"
             }
-            fn poll(&mut self, wake: &Arc<dyn WakeTarget>, credits: u64) -> TaskPoll {
+            fn poll(&mut self, wake: &Arc<dyn WakeTarget>) -> TaskPoll {
                 *lock_unpoisoned(&self.slot) = Some(wake.clone());
-                self.inner.poll(wake, credits)
+                self.inner.poll(wake)
             }
         }
 
         for i in 0..TASKS {
-            rt.handle().spawn_task(
-                Box::new(Publish {
-                    inner: CountTo {
-                        n: counts[i].clone(),
-                        done: done.clone(),
-                    },
-                    slot: waker_slots[i].clone(),
-                }),
-                1,
-            );
+            rt.handle().spawn_task(Box::new(Publish {
+                inner: CountTo {
+                    n: counts[i].clone(),
+                    done: done.clone(),
+                },
+                slot: waker_slots[i].clone(),
+            }));
         }
 
         // Feeder threads: bump a task's counter, then wake it — racing
@@ -901,14 +881,11 @@ mod tests {
         let done = Arc::new(AtomicU32::new(0));
         {
             let rt = Runtime::new(2);
-            rt.handle().spawn_task(
-                Box::new(Countdown {
-                    name: "c".into(),
-                    left: 20,
-                    done: done.clone(),
-                }),
-                1,
-            );
+            rt.handle().spawn_task(Box::new(Countdown {
+                name: "c".into(),
+                left: 20,
+                done: done.clone(),
+            }));
             // Drop immediately: shutdown must still run the task to done.
         }
         assert_eq!(done.load(Ordering::SeqCst), 1);

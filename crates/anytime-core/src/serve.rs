@@ -34,7 +34,7 @@
 //!   met its floor and used that budget, never before the floor, so
 //!   quality degrades and the queue drains; availability does not.
 //! - **Retry with capped exponential backoff + deterministic jitter** —
-//!   when a replica dies permanently (every [`FailurePolicy`] exhausted),
+//!   when a replica dies permanently (every [`FailurePolicy`](crate::FailurePolicy) exhausted),
 //!   the request is relaunched on a fresh pipeline, with delays drawn
 //!   deterministically from the pool seed and request id so chaos runs
 //!   reproduce exactly.
@@ -851,7 +851,7 @@ where
     ///
     /// # Shedding
     ///
-    /// With a calibrated [`rta`](crate::rta) gate, admission applies one
+    /// With a calibrated [`rta`] gate, admission applies one
     /// degradation rule. A request that finds at least one request
     /// already queued, and whose worst-case bound misses its deadline
     /// ([`Analysis::slack`] is `None`), is *shed*: it keeps its FIFO place
@@ -866,7 +866,7 @@ where
     /// - [`CoreError::AdmissionRejected`] — rejected fast: the projected
     ///   wait plus minimum service cannot make the deadline.
     /// - [`CoreError::Infeasible`] — rejected fast with a *proof*: the
-    ///   calibrated [`rta`](crate::rta) analysis certifies that even an
+    ///   calibrated [`rta`] analysis certifies that even an
     ///   optimistically-fast run cannot reach `floor` within `deadline`
     ///   given the current backlog; the error carries the certified lower
     ///   bound. Only possible with [`ServeOptions::rta`] installed and the
@@ -1075,7 +1075,7 @@ where
         stats
     }
 
-    /// `true` once the installed [`rta`](crate::rta) gate has absorbed
+    /// `true` once the installed [`rta`] gate has absorbed
     /// enough calibration runs to back admission analytically (`false`
     /// when no [`ServeOptions::rta`] policy is installed).
     pub fn rta_calibrated(&self) -> bool {

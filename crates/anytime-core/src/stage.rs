@@ -74,7 +74,7 @@ pub trait AnytimeBody: Send {
     }
 
     /// Converts a completed-step count into the progress figure published
-    /// in [`crate::version::SnapshotMeta::steps`].
+    /// with each version ([`crate::Snapshot::steps`]).
     ///
     /// Defaults to the step count itself. Chunked bodies override this to
     /// report *elements processed* (the sample size), keeping the metadata
@@ -230,8 +230,9 @@ pub(crate) enum InputFeed<I> {
 pub(crate) enum StagePoll {
     /// The stage is done, with how it ended.
     Ready(Result<StageEnd>),
-    /// The slice hit its publish budget with more work immediately
-    /// available: reschedule without waiting for an event.
+    /// The slice ended at a publication, or after
+    /// [`MAX_STEPS_PER_SLICE`] steps without one, with more work
+    /// immediately available: reschedule without waiting for an event.
     Yielded,
     /// Blocked (no new input, backpressured, or paused). The driver has
     /// subscribed the poll context's wake target to every source that can
@@ -248,9 +249,6 @@ pub(crate) struct PollCx<'a> {
     /// resubscribe at the top of every poll, *before* checking any
     /// predicate.
     pub(crate) wake: &'a Arc<dyn WakeTarget>,
-    /// Publications allowed in this slice before yielding (scheduler
-    /// credits).
-    pub(crate) budget: u64,
     /// The runtime this stage task runs on, for stages that fan their
     /// work out as tasks of their own (the parallel map's helpers). Read
     /// at poll time, not at registration, because
@@ -304,7 +302,8 @@ struct ActiveRun<B: AnytimeBody> {
     degraded: bool,
     version: Option<Version>,
     out: B::Output,
-    /// Raw steps completed on this input (includes crash-resume credit).
+    /// Raw steps completed on this input, counting the steps a
+    /// crash-resume skipped.
     steps: u64,
     /// Step count at the latest publication (or the run's start).
     published_at: u64,
@@ -377,13 +376,17 @@ impl<B: AnytimeBody> StageNode<B> {
 
     /// Acquires the next input snapshot and begins a run on it, or
     /// reports why it can't (`Err` maps straight to a `StagePoll`).
-    fn begin_next_run(&mut self) -> std::result::Result<(), StagePoll> {
+    fn begin_next_run(&mut self, ctl: &ControlToken) -> std::result::Result<(), StagePoll> {
         let (input, terminal, degraded, version) = match &self.input {
             InputFeed::Owned(arc) => (Arc::clone(arc), true, false, None),
             InputFeed::Upstream(reader) => {
                 // Same predicate order as `BufferReader::wait_newer`:
                 // accept a newer snapshot first (even on a closed buffer),
-                // only then report closure.
+                // only then report closure. Read closure before the
+                // snapshot: a producer publishes its last version before
+                // it closes, so a close seen here guarantees `latest`
+                // returns that version.
+                let closed = reader.is_closed();
                 match reader.latest() {
                     Some(snap) if self.consumed.is_none_or(|c| snap.version() > c) => {
                         let ver = snap.version();
@@ -394,14 +397,17 @@ impl<B: AnytimeBody> StageNode<B> {
                             Some(ver),
                         )
                     }
-                    _ => {
-                        if reader.is_closed() {
-                            return Err(StagePoll::Ready(Err(CoreError::SourceClosed {
-                                buffer: reader.name().to_string(),
-                            })));
-                        }
-                        return Err(StagePoll::Pending);
+                    // A parent stopped with the automaton exits without a
+                    // terminal version: that is this stage's stop too.
+                    _ if closed && ctl.is_stopped() => {
+                        return Err(StagePoll::Ready(Ok(StageEnd::Stopped)));
                     }
+                    _ if closed => {
+                        return Err(StagePoll::Ready(Err(CoreError::SourceClosed {
+                            buffer: reader.name().to_string(),
+                        })));
+                    }
+                    _ => return Err(StagePoll::Pending),
                 }
             }
         };
@@ -465,9 +471,7 @@ impl<B: AnytimeBody> StageRunner for StageNode<B> {
         if let InputFeed::Upstream(reader) = &self.input {
             reader.subscribe_target(cx.wake);
         }
-        let budget = cx.budget.max(1);
         let publish_every = self.opts.publish_every.max(1);
-        let mut pubs: u64 = 0;
         let mut slice_steps: u64 = 0;
         let verdict = loop {
             match cx.ctl.poll_checkpoint() {
@@ -479,7 +483,7 @@ impl<B: AnytimeBody> StageRunner for StageNode<B> {
                 ControlPoll::Running => {}
             }
             if self.run.is_none() {
-                if let Err(poll) = self.begin_next_run() {
+                if let Err(poll) = self.begin_next_run(cx.ctl) {
                     break poll;
                 }
             }
@@ -511,11 +515,7 @@ impl<B: AnytimeBody> StageRunner for StageNode<B> {
                 self.writer.publish(rendered, progress);
                 self.consumed = run.version;
                 self.last_pub = None;
-                pubs += 1;
-                if pubs >= budget {
-                    break StagePoll::Yielded;
-                }
-                continue;
+                break StagePoll::Yielded;
             }
             if run.steps.is_multiple_of(publish_every) {
                 let rendered = self.body.render(&run.out, &run.input, run.steps);
@@ -523,11 +523,9 @@ impl<B: AnytimeBody> StageRunner for StageNode<B> {
                 self.writer.publish(rendered, progress);
                 run.published_at = run.steps;
                 self.last_pub = Some((run.version, run.steps));
-                pubs += 1;
-                if pubs >= budget {
-                    break StagePoll::Yielded;
-                }
-            } else if slice_steps >= MAX_STEPS_PER_SLICE {
+                break StagePoll::Yielded;
+            }
+            if slice_steps >= MAX_STEPS_PER_SLICE {
                 break StagePoll::Yielded;
             }
             if self.opts.restart == RestartPolicy::Eager {
@@ -590,7 +588,6 @@ mod tests {
             let mut cx = PollCx {
                 ctl,
                 wake: &wake,
-                budget: u64::MAX,
                 rt: &rt,
             };
             match runner.poll(&mut cx) {
@@ -599,6 +596,17 @@ mod tests {
                 StagePoll::Pending => ws.wait(seen),
             }
         }
+    }
+
+    /// Polls `runner` once, as a runtime worker would.
+    fn poll_once(runner: &mut impl StageRunner, ctl: &ControlToken) -> StagePoll {
+        let wake = WaitSet::new().as_wake_target();
+        let rt = RuntimeHandle::global();
+        runner.poll(&mut PollCx {
+            ctl,
+            wake: &wake,
+            rt: &rt,
+        })
     }
 
     /// A body that counts to `n` by ones, diffusively.
@@ -625,6 +633,21 @@ mod tests {
 
         fn total_steps(&self, _input: &()) -> Option<u64> {
             Some(self.n)
+        }
+    }
+
+    /// A dependent body that copies its input in one step.
+    struct Id;
+
+    impl AnytimeBody for Id {
+        type Input = u64;
+        type Output = u64;
+        fn init(&mut self, _i: &u64) -> u64 {
+            0
+        }
+        fn step(&mut self, i: &u64, out: &mut u64, _s: u64) -> StepOutcome {
+            *out = *i;
+            StepOutcome::Done
         }
     }
 
@@ -667,6 +690,37 @@ mod tests {
         let steps: Vec<u64> = hist.iter().map(|s| s.steps()).collect();
         assert_eq!(steps, vec![4, 8, 10]);
         assert_eq!(*r.latest().unwrap().value(), 10);
+    }
+
+    #[test]
+    fn a_poll_publishes_at_most_one_version_then_yields() {
+        let (mut node, r) = node(5, 1);
+        let ctl = ControlToken::new();
+        for published in 1..5 {
+            assert!(matches!(poll_once(&mut node, &ctl), StagePoll::Yielded));
+            assert_eq!(r.history().unwrap().len(), published);
+        }
+        assert!(matches!(
+            poll_once(&mut node, &ctl),
+            StagePoll::Ready(Ok(StageEnd::Final))
+        ));
+        assert_eq!(r.history().unwrap().len(), 5);
+    }
+
+    #[test]
+    fn a_poll_without_a_publication_yields_after_max_steps() {
+        // 20,000 steps published every 10,000: the first two polls end at
+        // the step cap, unpublished; the third ends at the publication.
+        let (mut node, r) = node(20_000, 10_000);
+        let ctl = ControlToken::new();
+        for slice in 1..=2 {
+            assert!(matches!(poll_once(&mut node, &ctl), StagePoll::Yielded));
+            assert_eq!(node.steps_completed(), slice * MAX_STEPS_PER_SLICE);
+            assert!(r.latest().is_none());
+        }
+        assert!(matches!(poll_once(&mut node, &ctl), StagePoll::Yielded));
+        assert_eq!(node.steps_completed(), 10_000);
+        assert_eq!(r.history().unwrap().len(), 1);
     }
 
     #[test]
@@ -719,18 +773,6 @@ mod tests {
 
     #[test]
     fn closed_upstream_is_an_error() {
-        struct Id;
-        impl AnytimeBody for Id {
-            type Input = u64;
-            type Output = u64;
-            fn init(&mut self, _i: &u64) -> u64 {
-                0
-            }
-            fn step(&mut self, i: &u64, out: &mut u64, _s: u64) -> StepOutcome {
-                *out = *i;
-                StepOutcome::Done
-            }
-        }
         let (fw, fr) = buffer::versioned::<u64>("f");
         drop(fw);
         let (gw, _gr) = buffer::versioned::<u64>("g");
@@ -745,6 +787,30 @@ mod tests {
         assert!(matches!(
             poll_to_end(&mut g, &ctl),
             Err(CoreError::SourceClosed { .. })
+        ));
+    }
+
+    #[test]
+    fn a_parent_closed_by_a_stop_ends_the_stage_stopped() {
+        let (mut fw, fr) = buffer::versioned::<u64>("f");
+        let (gw, _gr) = buffer::versioned::<u64>("g");
+        let mut g = StageNode::new(
+            "g".into(),
+            Id,
+            InputFeed::Upstream(fr),
+            gw,
+            StageOptions::default(),
+        );
+        fw.publish(1, 1);
+        let ctl = ControlToken::new();
+        assert!(matches!(poll_once(&mut g, &ctl), StagePoll::Yielded));
+        // The stop lands after a poll's checkpoint, before its input read:
+        // the stopped parent has closed without a terminal version.
+        ctl.stop();
+        drop(fw);
+        assert!(matches!(
+            g.begin_next_run(&ctl),
+            Err(StagePoll::Ready(Ok(StageEnd::Stopped)))
         ));
     }
 
@@ -828,18 +894,6 @@ mod tests {
 
     #[test]
     fn degraded_input_propagates_through_dependent_stage() {
-        struct Id;
-        impl AnytimeBody for Id {
-            type Input = u64;
-            type Output = u64;
-            fn init(&mut self, _i: &u64) -> u64 {
-                0
-            }
-            fn step(&mut self, i: &u64, out: &mut u64, _s: u64) -> StepOutcome {
-                *out = *i;
-                StepOutcome::Done
-            }
-        }
         let (mut fw, fr) = buffer::versioned::<u64>("f");
         let (gw, gr) = buffer::versioned::<u64>("g");
         let mut g = StageNode::new(

@@ -107,41 +107,33 @@ where
         // event after this point re-polls the task.
         self.tx.subscribe_target(cx.wake);
         cx.ctl.subscribe_target(cx.wake);
-        let mut sent = 0u64;
-        loop {
-            match cx.ctl.poll_checkpoint() {
-                ControlPoll::Running => {}
-                ControlPoll::Paused => return StagePoll::Pending,
-                ControlPoll::Stopped => return StagePoll::Ready(Ok(StageEnd::Stopped)),
+        match cx.ctl.poll_checkpoint() {
+            ControlPoll::Running => {}
+            ControlPoll::Paused => return StagePoll::Pending,
+            ControlPoll::Stopped => return StagePoll::Ready(Ok(StageEnd::Stopped)),
+        }
+        let msg = match self.stalled.take() {
+            Some(m) => m,
+            None => match (self.next)(&self.input, self.step) {
+                Some(update) => Msg::Update(update),
+                None => Msg::Final,
+            },
+        };
+        let ends_stream = matches!(msg, Msg::Final);
+        match self.tx.poll_send(msg, cx.ctl) {
+            Ok(None) if ends_stream => StagePoll::Ready(Ok(StageEnd::Final)),
+            Ok(None) => {
+                // Each delivered update is this stage's publish point.
+                self.step += 1;
+                StagePoll::Yielded
             }
-            let msg = match self.stalled.take() {
-                Some(m) => m,
-                None => match (self.next)(&self.input, self.step) {
-                    Some(update) => Msg::Update(update),
-                    None => Msg::Final,
-                },
-            };
-            let ends_stream = matches!(msg, Msg::Final);
-            match self.tx.poll_send(msg, cx.ctl) {
-                Ok(None) => {
-                    if ends_stream {
-                        return StagePoll::Ready(Ok(StageEnd::Final));
-                    }
-                    self.step += 1;
-                    sent += 1;
-                    // Each delivered update is this stage's publish point.
-                    if sent >= cx.budget || sent >= MAX_STEPS_PER_SLICE {
-                        return StagePoll::Yielded;
-                    }
-                }
-                Ok(Some(m)) => {
-                    // Backpressured: hold the message and wait for space.
-                    self.stalled = Some(m);
-                    return StagePoll::Pending;
-                }
-                Err(CoreError::Stopped) => return StagePoll::Ready(Ok(StageEnd::Stopped)),
-                Err(e) => return StagePoll::Ready(Err(e)),
+            Ok(Some(m)) => {
+                // Backpressured: hold the message and wait for space.
+                self.stalled = Some(m);
+                StagePoll::Pending
             }
+            Err(CoreError::Stopped) => StagePoll::Ready(Ok(StageEnd::Stopped)),
+            Err(e) => StagePoll::Ready(Err(e)),
         }
     }
 }
@@ -213,7 +205,6 @@ where
         self.rx.subscribe_target(cx.wake);
         cx.ctl.subscribe_target(cx.wake);
         let granularity = self.publish_every.max(1);
-        let mut pubs = 0u64;
         let mut slice_steps = 0u64;
         let verdict = loop {
             match cx.ctl.poll_checkpoint() {
@@ -233,11 +224,9 @@ where
                     if self.steps.is_multiple_of(granularity) {
                         self.db.publish_from(&mut self.writer, out, self.steps);
                         self.published_at = self.steps;
-                        pubs += 1;
-                        if pubs >= cx.budget {
-                            break StagePoll::Yielded;
-                        }
-                    } else if slice_steps >= MAX_STEPS_PER_SLICE {
+                        break StagePoll::Yielded;
+                    }
+                    if slice_steps >= MAX_STEPS_PER_SLICE {
                         // Coarse granularity: cap the slice so one stage
                         // cannot monopolize a worker between publishes.
                         break StagePoll::Yielded;
@@ -375,6 +364,54 @@ mod tests {
         assert_eq!(*snap.value(), 55);
         let report = auto.join().unwrap();
         assert!(report.all_final());
+    }
+
+    #[test]
+    fn a_poll_delivers_one_update_or_publishes_one_version() {
+        let sent = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&sent);
+        let mut pb = PipelineBuilder::new();
+        let updates = pb.sync_source("f", 3u64, 8, move |n: &u64, step| {
+            counted.fetch_add(1, Ordering::SeqCst);
+            (step < *n).then_some(step + 1)
+        });
+        let out = pb.sync_stage(
+            "g",
+            updates,
+            || 0u64,
+            |acc: &mut u64, x: u64| *acc += x,
+            StageOptions::default().keep_history(),
+        );
+        let mut runners = pb.build().runners;
+        let ctl = crate::ControlToken::new();
+        let wake = crate::notify::WaitSet::new().as_wake_target();
+        let rt = crate::runtime::RuntimeHandle::global();
+        let poll = |runner: &mut Box<dyn StageRunner>| {
+            runner.poll(&mut PollCx {
+                ctl: &ctl,
+                wake: &wake,
+                rt: &rt,
+            })
+        };
+        // The source sends one update a poll, then the end of the stream.
+        for delivered in 1..=3 {
+            assert!(matches!(poll(&mut runners[0]), StagePoll::Yielded));
+            assert_eq!(sent.load(Ordering::SeqCst), delivered);
+        }
+        assert!(matches!(
+            poll(&mut runners[0]),
+            StagePoll::Ready(Ok(StageEnd::Final))
+        ));
+        // The child folds one update and publishes it per poll.
+        for published in 1..=3 {
+            assert!(matches!(poll(&mut runners[1]), StagePoll::Yielded));
+            assert_eq!(out.history().unwrap().len(), published);
+        }
+        assert!(matches!(
+            poll(&mut runners[1]),
+            StagePoll::Ready(Ok(StageEnd::Final))
+        ));
+        assert_eq!(*out.latest().unwrap().value(), 6);
     }
 
     #[test]

@@ -1,11 +1,7 @@
-//! Property tests for the planning modules: contract plans must respect
-//! deadlines and pick maximal quality; scheduler allocations must conserve
-//! threads and honor their policy's objective.
+//! Property tests for contract-mode planning: plans must respect
+//! deadlines and pick maximal quality.
 
 use anytime_core::contract::{plan_single_level, plan_strict, plan_with_insurance, LevelEstimate};
-use anytime_core::scheduler::{
-    allocate, credits_from_alloc, estimate_first_output_latency, estimate_output_gap, AllocPolicy,
-};
 use anytime_core::CoreError;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -135,140 +131,5 @@ proptest! {
             plan_strict(&nan, deadline),
             Err(CoreError::InvalidConfig(_))
         ));
-    }
-
-    #[test]
-    fn allocations_conserve_threads_and_floor(
-        weights in prop::collection::vec(0.1f64..100.0, 1..12),
-        threads in 1usize..64,
-    ) {
-        for policy in [
-            AllocPolicy::Equal,
-            AllocPolicy::Proportional,
-            AllocPolicy::FirstOutputFirst,
-            AllocPolicy::UpdateRateFirst,
-        ] {
-            let alloc = allocate(policy, &weights, threads);
-            prop_assert_eq!(alloc.len(), weights.len());
-            prop_assert!(alloc.iter().all(|&t| t >= 1), "policy {:?}", policy);
-            prop_assert_eq!(
-                alloc.iter().sum::<usize>(),
-                threads.max(weights.len()),
-                "policy {:?}",
-                policy
-            );
-        }
-    }
-
-    #[test]
-    fn first_output_first_minimizes_first_output_estimate(
-        weights in prop::collection::vec(0.1f64..100.0, 2..8),
-        spare in 0usize..24,
-    ) {
-        let threads = weights.len() + spare;
-        let fof = allocate(AllocPolicy::FirstOutputFirst, &weights, threads);
-        let urf = allocate(AllocPolicy::UpdateRateFirst, &weights, threads);
-        let lat_fof = estimate_first_output_latency(&weights, &fof, 0.25);
-        let lat_urf = estimate_first_output_latency(&weights, &urf, 0.25);
-        // Giving the spare threads to the longest stage can never yield a
-        // worse first-output estimate than giving them to the last stage.
-        prop_assert!(lat_fof <= lat_urf + 1e-9);
-    }
-
-    #[test]
-    fn equal_allocation_bounds_output_gap(
-        weights in prop::collection::vec(0.5f64..10.0, 2..8),
-    ) {
-        let threads = weights.len() * 4;
-        let eq = allocate(AllocPolicy::Equal, &weights, threads);
-        let gap = estimate_output_gap(&weights, &eq, 0.25);
-        // Gap is set by the heaviest stage under its share.
-        let max_w = weights.iter().cloned().fold(0.0, f64::max);
-        prop_assert!(gap <= max_w * 0.25);
-        prop_assert!(gap > 0.0);
-    }
-}
-
-// The work-stealing runtime expresses an [`allocate`] thread plan as
-// per-stage task *credits* (publish slices per scheduling quantum). These
-// properties pin down the contract of `credits_from_alloc`: the policy's
-// preference ordering survives the mapping, so `FirstOutputFirst` still
-// favors the longest stage and `UpdateRateFirst` still favors the final
-// stage once stages are tasks instead of thread groups.
-proptest! {
-    #[test]
-    fn credits_preserve_policy_ordering(
-        weights in prop::collection::vec(0.1f64..100.0, 1..12),
-        threads in 1usize..64,
-    ) {
-        for policy in [
-            AllocPolicy::Equal,
-            AllocPolicy::Proportional,
-            AllocPolicy::FirstOutputFirst,
-            AllocPolicy::UpdateRateFirst,
-        ] {
-            let alloc = allocate(policy, &weights, threads);
-            let credits = credits_from_alloc(&alloc);
-            prop_assert_eq!(credits.len(), alloc.len());
-            // Every stage can always make progress: no zero-credit stage,
-            // whatever the thread plan said.
-            prop_assert!(credits.iter().all(|&c| c >= 1), "policy {:?}", policy);
-            // Order preservation: a stage the policy favored over another
-            // never ends up with fewer publish slices.
-            for i in 0..alloc.len() {
-                for j in 0..alloc.len() {
-                    prop_assert_eq!(
-                        alloc[i].cmp(&alloc[j]),
-                        credits[i].cmp(&credits[j]),
-                        "policy {:?}: stages {} vs {} reordered", policy, i, j
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn first_output_first_credits_favor_a_heaviest_stage(
-        weights in prop::collection::vec(0.1f64..100.0, 2..10),
-        spare in 1usize..24,
-    ) {
-        let threads = weights.len() + spare;
-        let alloc = allocate(AllocPolicy::FirstOutputFirst, &weights, threads);
-        let credits = credits_from_alloc(&alloc);
-        let top = credits
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &c)| c)
-            .map(|(i, _)| i)
-            .unwrap();
-        // The whole spare budget lands on a stage of maximal weight…
-        prop_assert_eq!(credits[top], 1 + spare as u64);
-        let max_w = weights.iter().cloned().fold(f64::MIN, f64::max);
-        prop_assert!(
-            weights[top].total_cmp(&max_w).is_eq(),
-            "spare credits went to stage {} (weight {}), max weight {}",
-            top, weights[top], max_w
-        );
-        // …and every other stage keeps exactly the one-slice floor.
-        for (i, &c) in credits.iter().enumerate() {
-            if i != top {
-                prop_assert_eq!(c, 1, "stage {} lost its floor share", i);
-            }
-        }
-    }
-
-    #[test]
-    fn update_rate_first_credits_favor_the_final_stage(
-        weights in prop::collection::vec(0.1f64..100.0, 2..10),
-        spare in 1usize..24,
-    ) {
-        let threads = weights.len() + spare;
-        let alloc = allocate(AllocPolicy::UpdateRateFirst, &weights, threads);
-        let credits = credits_from_alloc(&alloc);
-        let last = credits.len() - 1;
-        prop_assert_eq!(credits[last], 1 + spare as u64);
-        for (i, &c) in credits[..last].iter().enumerate() {
-            prop_assert_eq!(c, 1, "non-final stage {} above the floor", i);
-        }
     }
 }

@@ -311,7 +311,7 @@ fn parse_impl_header(tokens: &[Token], kw: &str, mut j: usize) -> (Option<String
 }
 
 /// Builds the per-file AST from a lexed token stream. `in_test` is the
-/// per-token `#[cfg(test)]` map from [`crate::cfg_test_regions`];
+/// per-token `#[cfg(test)]` map from the crate's `cfg_test_regions`;
 /// `ctx.sleep_exempt` marks whole-file test trees.
 pub fn build_file_ast(lexed: &Lexed, in_test: &[bool], ctx: &FileCtx) -> FileAst {
     let toks = &lexed.tokens;

@@ -1,6 +1,6 @@
 //! The cross-file workspace model: phase two of the analyzer.
 //!
-//! Consumes every file's [`FileAst`](crate::ast::FileAst) and builds the
+//! Consumes every file's [`FileAst`] and builds the
 //! three structures the semantic rules need:
 //!
 //! - a **name-resolved call graph** with task-context reachability: roots

@@ -1,5 +1,5 @@
 //! The cross-file semantic rules (L7–L10), each a pass over the
-//! workspace [`Model`](crate::model::Model). Per-file token rules (L1–L6)
+//! workspace [`Model`]. Per-file token rules (L1–L6)
 //! live in the crate root; these four need the call graph, the lock-order
 //! graph, or the atomic pairing table, so they run once per lint
 //! invocation after every file has been parsed.

@@ -11,7 +11,7 @@
 //!
 //! - [`core`] — the computation model: anytime stage bodies, versioned
 //!   output buffers, asynchronous/synchronous pipelines, interruptible
-//!   execution, scheduling policies.
+//!   execution on a work-stealing task runtime.
 //! - [`permute`] — bijective sampling permutations (sequential, N-D tree,
 //!   LFSR/LCG pseudo-random) and orders blocked by publication window.
 //! - [`approx`] — approximate-computing technique adapters: loop
