@@ -12,12 +12,23 @@
 //! 4. **equalize** (diffusive): generates the output image by tree-order
 //!    *output sampling*, mapping each pixel through the latest table.
 //!
-//! The equalize stage samples the tree order blocked by its publication
+//! Both anytime stages sample their order blocked by their publication
 //! window ([`anytime_permute::DynPermutation::blocked`]): between two
-//! publications it maps its pixels in data order, and every version it
-//! publishes is the plain tree order's. The histogram keeps its LFSR
-//! order: a sorted part of a window of input samples would be a spatially
-//! biased sample.
+//! publications they visit their pixels in data order, and every version
+//! published at a window boundary is the plain order's, bit for bit.
+//!
+//! - **equalize** maps the tree order's pixels. A stop publishes the
+//!   chunks mapped so far in the current window.
+//! - **hist** counts the LFSR order's pixels. A stop publishes nothing past
+//!   the last whole window: the part of a window counted so far holds its
+//!   lowest data indices, the window's top rows, a spatially biased sample
+//!   ([`anytime_core::AnytimeBody::publishes_stop_progress`]). A window in
+//!   data order repeats values (a blob's run of equal pixels), so the fold
+//!   counts round-robin into four counter tables, and each publication
+//!   sums them into the 256-bin histogram.
+//! - The precise [`histogram`] keeps its one-table loop over the image.
+//!   It is the reference the tests hold the anytime histograms to, and the
+//!   precise baseline the automaton's runtime is measured against.
 //!
 //! The two small non-anytime stages re-run on every histogram version —
 //! which is exactly why the paper reports histeq reaching its precise
@@ -37,6 +48,12 @@ pub const BINS: usize = 256;
 
 /// Pixels processed per anytime step in the sampled stages.
 pub const CHUNK: usize = 256;
+
+/// Counter tables the `hist` stage counts into, round-robin. A window in
+/// data order repeats values (a blob image's runs of equal pixels), and
+/// in one table each repeat would wait on the previous increment of the
+/// same counter.
+const TABLES: usize = 4;
 
 /// Computes the intensity histogram of a grayscale image.
 ///
@@ -177,19 +194,7 @@ impl Histeq {
         let hist = pb.source(
             "hist",
             Arc::clone(&self.image),
-            SampledReduce::chunked(
-                self.hist_perm.clone(),
-                |_: &Arc<ImageBuf<u8>>| vec![0u64; BINS],
-                |acc: &mut Vec<u64>, img: &Arc<ImageBuf<u8>>, indices: &[u32]| {
-                    let pixels = img.as_slice();
-                    let bins: &mut [u64; BINS] =
-                        acc.as_mut_slice().try_into().expect("one count per bin");
-                    for &idx in indices {
-                        bins[usize::from(pixels[idx as usize])] += 1;
-                    }
-                },
-            )
-            .with_chunk(CHUNK),
+            self.hist(crate::publication_window(CHUNK, &hist_opts)),
             hist_opts,
         );
         // Stage 2: non-anytime cumulative distribution.
@@ -217,6 +222,42 @@ impl Histeq {
             map_opts.restart(anytime_core::RestartPolicy::Eager),
         );
         (pb.build(), out)
+    }
+
+    /// The `hist` stage's body: counts the pixels of the LFSR order blocked
+    /// by the stage's publication `window`, round-robin into [`TABLES`]
+    /// counter tables, and publishes their sum, the 256-bin histogram.
+    fn hist(&self, window: usize) -> SampledReduce<Arc<ImageBuf<u8>>, Vec<u64>> {
+        SampledReduce::chunked(
+            self.hist_perm.blocked(window),
+            |_: &Arc<ImageBuf<u8>>| vec![0u64; TABLES * BINS],
+            |acc: &mut Vec<u64>, img: &Arc<ImageBuf<u8>>, indices: &[u32]| {
+                let pixels = img.as_slice();
+                let tables: &mut [[u64; BINS]; TABLES] = acc
+                    .as_chunks_mut()
+                    .0
+                    .try_into()
+                    .expect("four tables of one count per bin");
+                let [t0, t1, t2, t3] = tables;
+                let (quads, rest) = indices.as_chunks::<TABLES>();
+                for &[a, b, c, d] in quads {
+                    t0[usize::from(pixels[a as usize])] += 1;
+                    t1[usize::from(pixels[b as usize])] += 1;
+                    t2[usize::from(pixels[c as usize])] += 1;
+                    t3[usize::from(pixels[d as usize])] += 1;
+                }
+                for (table, &idx) in [t0, t1, t2].into_iter().zip(rest) {
+                    table[usize::from(pixels[idx as usize])] += 1;
+                }
+            },
+        )
+        .with_chunk(CHUNK)
+        .with_render(|acc: &Vec<u64>, _: &Arc<ImageBuf<u8>>, _, _| {
+            let tables = acc.as_chunks::<BINS>().0;
+            (0..BINS)
+                .map(|bin| tables.iter().map(|table| table[bin]).sum())
+                .collect()
+        })
     }
 
     /// The `equalize` stage's body: maps pixels through the latest table,
@@ -254,6 +295,7 @@ mod tests {
     use crate::preview::nearest_upsample;
     use anytime_core::{AnytimeBody, Runtime, StepOutcome};
     use anytime_img::{metrics, synth};
+    use proptest::prelude::*;
     use std::time::Duration;
 
     fn app() -> Histeq {
@@ -400,6 +442,52 @@ mod tests {
                 assert!(last.is_final());
                 assert_eq!(last.value(), &app.precise());
             }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn blocked_hist_publishes_the_plain_orders_histograms(
+            width in 1usize..90,
+            height in 1usize..90,
+            blobs in 1usize..6,
+            image_seed in 0u64..1_000,
+            seed in 0u32..u32::MAX,
+            every in 1u64..12,
+        ) {
+            // Publishing every `every` chunks, `hist` folds the LFSR order
+            // blocked by `every × CHUNK` samples. At every window boundary
+            // and at the end, what it publishes must be the one-table
+            // histogram of the plain order's prefix.
+            let app = Histeq::new(synth::blobs(width, height, blobs, image_seed)).with_seed(seed);
+            let window = crate::publication_window(CHUNK, &StageOptions::with_publish_every(every));
+            let (plain, image) = (app.hist_perm.order(), Arc::clone(&app.image));
+            let mut body = app.hist(window);
+            let mut acc = body.init(&image);
+            let mut published = 0;
+            for step in 0.. {
+                let done = body.step(&image, &mut acc, step) == StepOutcome::Done;
+                let samples = body.progress(step + 1, &image) as usize;
+                if samples.is_multiple_of(window) || done {
+                    let prefix: Vec<u8> = plain[..samples]
+                        .iter()
+                        .map(|&idx| image.as_slice()[idx as usize])
+                        .collect();
+                    let reference = histogram(&ImageBuf::from_vec(samples, 1, 1, prefix).unwrap());
+                    prop_assert_eq!(
+                        body.render(&acc, &image, step + 1),
+                        reference,
+                        "{}x{}, seed {}, window {}, at {} samples",
+                        width, height, seed, window, samples
+                    );
+                    published += 1;
+                }
+                if done {
+                    prop_assert_eq!(samples, width * height);
+                    break;
+                }
+            }
+            prop_assert_eq!(published, (width * height).div_ceil(window));
         }
     }
 

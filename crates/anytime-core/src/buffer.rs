@@ -31,6 +31,7 @@ use crate::notify::{lock_unpoisoned, WaitSet, Watchers};
 use crate::trace::{EventKind, Recorder, StageId, TraceEvent};
 use crate::version::{Snapshot, SnapshotMeta, Version};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -55,6 +56,11 @@ struct State<T> {
 struct Shared<T> {
     name: String,
     state: Mutex<State<T>>,
+    /// The latest snapshot's version number, 0 before the first
+    /// publication. Stored under the `state` lock by every publication
+    /// and degraded seal, and read without it: the eager-restart check
+    /// runs after every step, and the watchdog probes progress.
+    published: AtomicU64,
     /// Retained snapshots (oldest first) when history is enabled, `None`
     /// otherwise. Kept outside `state` so [`BufferReader::history`]'s O(n)
     /// clone never blocks the publish / latest / wait paths. Lock order:
@@ -95,10 +101,7 @@ pub(crate) trait BufferControl: Send + Sync {
 
 impl<T: Send + Sync> BufferControl for Shared<T> {
     fn latest_version(&self) -> Option<Version> {
-        lock_unpoisoned(&self.state)
-            .latest
-            .as_ref()
-            .map(Snapshot::version)
+        self.published_version()
     }
 
     fn is_closed(&self) -> bool {
@@ -138,6 +141,16 @@ impl<T: Send + Sync> BufferControl for Shared<T> {
 }
 
 impl<T> Shared<T> {
+    /// The latest snapshot's version, read without the state lock.
+    fn published_version(&self) -> Option<Version> {
+        // Paired with the Release stores under the state lock: a version
+        // seen here is in `latest` for the next lock holder.
+        match self.published.load(Ordering::Acquire) {
+            0 => None,
+            v => Some(Version::new(v)),
+        }
+    }
+
     /// Re-publishes the latest version flagged degraded, making the buffer
     /// terminal. `false` if nothing was ever published. Idempotent once a
     /// terminal version stands.
@@ -174,6 +187,7 @@ impl<T> Shared<T> {
         let version = snap.version();
         let steps = snap.steps();
         st.latest = Some(snap);
+        self.published.store(version.get(), Ordering::Release);
         drop(st);
         self.watchers.wake_all();
         self.recorder.emit_with(|at| {
@@ -244,6 +258,7 @@ pub fn versioned_traced<T>(
     let stage = recorder.stage(&name);
     let shared = Arc::new(Shared {
         name,
+        published: AtomicU64::new(0),
         state: Mutex::new(State {
             latest: None,
             closed: false,
@@ -412,6 +427,7 @@ impl<T> BufferWriter<T> {
         }
         drop(hist);
         st.latest = Some(snap);
+        self.shared.published.store(v.get(), Ordering::Release);
         drop(st);
         self.shared.watchers.wake_all();
         self.shared
@@ -506,6 +522,13 @@ impl<T> BufferReader<T> {
     /// The most recently published snapshot, if any.
     pub fn latest(&self) -> Option<Snapshot<T>> {
         lock_unpoisoned(&self.shared.state).latest.clone()
+    }
+
+    /// The version of [`BufferReader::latest`], if any, without taking the
+    /// state lock or cloning the snapshot: the check an eager restart
+    /// makes after every step.
+    pub(crate) fn latest_version(&self) -> Option<Version> {
+        self.shared.published_version()
     }
 
     /// `true` once the producer has exited (with or without a final output).
@@ -1299,6 +1322,47 @@ mod tests {
             worst < Duration::from_millis(250),
             "a publish stalled {worst:?} behind history readers"
         );
+    }
+
+    /// Asserts that the lock-free version number is `r.latest()`'s, read
+    /// raw, through the reader and through the control handle.
+    fn assert_version_agrees(r: &BufferReader<i32>, control: &Arc<dyn BufferControl>, case: &str) {
+        let latest = r.latest().map(|snap| snap.version());
+        let raw = r.shared.published.load(Ordering::Acquire);
+        assert_eq!(raw, latest.map_or(0, |v| v.get()), "{case}");
+        assert_eq!(r.latest_version(), latest, "{case}");
+        assert_eq!(control.latest_version(), latest, "{case}");
+    }
+
+    #[test]
+    fn the_lock_free_version_is_the_latest_snapshots() {
+        let (mut w, r) = versioned::<i32>("t");
+        let control = w.control_handle();
+        assert_version_agrees(&r, &control, "before the first publication");
+        assert_eq!(r.shared.published.load(Ordering::Acquire), 0);
+        w.publish(1, 1);
+        assert_version_agrees(&r, &control, "after a publication");
+        w.publish_arc(Arc::new(2), 2);
+        assert_version_agrees(&r, &control, "after a shared publication");
+        assert!(control.seal_degraded());
+        assert_version_agrees(&r, &control, "after a seal by the watchdog");
+        assert_eq!(r.latest_version().map(|v| v.get()), Some(3));
+        w.publish(4, 4);
+        assert_version_agrees(&r, &control, "after a dropped publication");
+        // A seal by the producer, a degraded and a final publication.
+        let (mut w, r) = versioned::<i32>("u");
+        let control = w.control_handle();
+        w.publish(1, 1);
+        assert!(w.seal_degraded());
+        assert_version_agrees(&r, &control, "after a seal by the producer");
+        let (mut w, r) = versioned::<i32>("v");
+        let control = w.control_handle();
+        w.publish_degraded(1, 1);
+        assert_version_agrees(&r, &control, "after a degraded publication");
+        let (mut w, r) = versioned::<i32>("w");
+        let control = w.control_handle();
+        w.publish_final(1, 1);
+        assert_version_agrees(&r, &control, "after the final publication");
     }
 
     #[test]

@@ -269,8 +269,11 @@ struct Batch<V> {
     first: usize,
     end: usize,
     values: Vec<V>,
-    /// `values.len()` after each computed chunk.
-    ends: Vec<usize>,
+    /// Chunks computed.
+    done: usize,
+    /// Where each computed chunk but the first starts in `values`: a batch
+    /// of one chunk allocates none.
+    starts: Vec<usize>,
     /// Lost to a panicking body: no value of it will come.
     lost: bool,
 }
@@ -281,28 +284,33 @@ impl<V> Batch<V> {
             first: chunks.start,
             end: chunks.end,
             values: Vec::new(),
-            ends: Vec::new(),
+            done: 0,
+            starts: Vec::new(),
             lost: false,
         }
     }
 
     /// One past the last computed chunk.
     fn computed(&self) -> usize {
-        self.first + self.ends.len()
+        self.first + self.done
     }
 
     /// Computes the next chunk, through `scratch`; returns whether the
     /// batch is complete.
     fn compute_next<I>(&mut self, work: &Work<I, V>, scratch: &mut Vec<V>) -> bool {
         work.compute(self.computed(), scratch);
-        if self.ends.is_empty() {
+        let chunks = self.end - self.first;
+        if self.done == 0 {
             // Room for the whole batch, sized by its first chunk.
-            let chunks = self.end - self.first;
             self.values.reserve(scratch.len() * chunks);
-            self.ends.reserve_exact(chunks);
+        } else {
+            if self.starts.is_empty() {
+                self.starts.reserve_exact(chunks - 1);
+            }
+            self.starts.push(self.values.len());
         }
         self.values.append(scratch);
-        self.ends.push(self.values.len());
+        self.done += 1;
         self.computed() == self.end
     }
 
@@ -310,15 +318,17 @@ impl<V> Batch<V> {
     /// to that chunk whose owner computes it outside the batch.
     fn skip_next(&mut self) {
         self.first = self.computed() + 1;
+        self.done = 0;
         self.values.clear();
-        self.ends.clear();
+        self.starts.clear();
     }
 
     /// Values of computed chunk `k`.
     fn values(&self, k: usize) -> &[V] {
         let i = k - self.first;
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.values[start..self.ends[i]]
+        let start = if i == 0 { 0 } else { self.starts[i - 1] };
+        let end = self.starts.get(i).copied().unwrap_or(self.values.len());
+        &self.values[start..end]
     }
 }
 
@@ -1229,6 +1239,36 @@ mod tests {
                 (b.first, b.end, b.computed(), b.lost)
             })
             .collect()
+    }
+
+    #[test]
+    fn a_one_chunk_batch_allocates_only_its_values() {
+        let map = triple(8);
+        let tripled = |k: usize| -> Vec<u64> {
+            let indices = map.work.indices(k);
+            indices.iter().map(|&i| u64::from(i) * 3).collect()
+        };
+        let mut scratch = Vec::new();
+        let mut one = Batch::new(2..3);
+        assert!(one.compute_next(&map.work, &mut scratch));
+        assert_eq!(one.starts.capacity(), 0, "a chunk start was allocated");
+        assert_eq!(one.values(2), tripled(2).as_slice());
+        let mut three = Batch::new(4..7);
+        assert!(!three.compute_next(&map.work, &mut scratch));
+        assert_eq!(three.starts.capacity(), 0);
+        while !three.compute_next(&map.work, &mut scratch) {}
+        assert_eq!(three.computed(), 7);
+        for k in 4..7 {
+            assert_eq!(three.values(k), tripled(k).as_slice(), "chunk {k}");
+        }
+        // Merged up to chunk 5, which its owner computes outside the
+        // batch: the batch keeps chunk 6 alone.
+        let mut skipped = Batch::new(4..7);
+        skipped.compute_next(&map.work, &mut scratch);
+        skipped.skip_next();
+        assert_eq!((skipped.first, skipped.computed()), (6, 6));
+        assert!(skipped.compute_next(&map.work, &mut scratch));
+        assert_eq!(skipped.values(6), tripled(6).as_slice());
     }
 
     #[test]

@@ -28,6 +28,14 @@ use std::sync::Arc;
 /// reduction is constructed, so reductions built from clones of one
 /// permutation share one materialized order.
 ///
+/// Over a blocked order ([`DynPermutation::blocked`], by the stage's
+/// publication window) the fold sweeps each window's samples in data
+/// order, and every version published at a window boundary is the plain
+/// order's. A stop between two boundaries publishes nothing: the steps
+/// done in the window are its lowest data indices, a biased sample, so
+/// the last whole window's version stands
+/// ([`AnytimeBody::publishes_stop_progress`]).
+///
 /// # Examples
 ///
 /// An anytime sum with weighting:
@@ -57,6 +65,8 @@ use std::sync::Arc;
 /// ```
 pub struct SampledReduce<I, A> {
     order: Arc<[u32]>,
+    /// The order is blocked: a stop publishes no partial window.
+    blocked: bool,
     chunk: usize,
     init: InitFn<I, A>,
     fold: FoldFn<I, A>,
@@ -111,8 +121,10 @@ impl<I, A> SampledReduce<I, A> {
         init: impl FnMut(&I) -> A + Send + 'static,
         fold: impl FnMut(&mut A, &I, &[u32]) + Send + 'static,
     ) -> Self {
+        let perm = perm.into();
         Self {
-            order: perm.into().order(),
+            order: perm.order(),
+            blocked: perm.is_blocked(),
             chunk: 1,
             init: Box::new(init),
             fold: Box::new(fold),
@@ -250,12 +262,17 @@ where
             None => out.clone(),
         }
     }
+
+    fn publishes_stop_progress(&self) -> bool {
+        !self.blocked
+    }
 }
 
 impl<I, A> std::fmt::Debug for SampledReduce<I, A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SampledReduce")
             .field("items", &self.order.len())
+            .field("blocked", &self.blocked)
             .field("weighted", &self.render.is_some())
             .finish_non_exhaustive()
     }

@@ -93,6 +93,19 @@ pub trait AnytimeBody: Send {
         out.clone()
     }
 
+    /// Whether a stop between two publications publishes the progress
+    /// made since the last one.
+    ///
+    /// Defaults to `true`: the stopped output is as fresh as the steps
+    /// done. A body whose partial progress is not a valid version returns
+    /// `false`, and a stop leaves its last publication standing — a
+    /// [`crate::SampledReduce`] over a blocked order
+    /// ([`anytime_permute::DynPermutation::blocked`]), whose steps between
+    /// two publications sample the window's lowest data indices first.
+    fn publishes_stop_progress(&self) -> bool {
+        true
+    }
+
     /// Re-seeds the working output after a crash-restart.
     ///
     /// When a stage driver panics and is re-run under
@@ -363,10 +376,14 @@ impl<B: AnytimeBody> StageNode<B> {
     }
 
     /// Stopped mid-run: publish the progress made so far so the
-    /// interruptible output is as fresh as possible.
+    /// interruptible output is as fresh as possible, unless the body keeps
+    /// its last publication ([`AnytimeBody::publishes_stop_progress`]).
     fn publish_stop_progress(&mut self) {
         if let Some(run) = self.run.take() {
-            if run.steps > run.published_at && !self.writer.is_terminal() {
+            if run.steps > run.published_at
+                && !self.writer.is_terminal()
+                && self.body.publishes_stop_progress()
+            {
                 let rendered = self.body.render(&run.out, &run.input, run.steps);
                 self.writer
                     .publish(rendered, self.body.progress(run.steps, &run.input));
@@ -531,7 +548,8 @@ impl<B: AnytimeBody> StageRunner for StageNode<B> {
             if self.opts.restart == RestartPolicy::Eager {
                 let version = run.version;
                 if let (InputFeed::Upstream(reader), Some(ver)) = (&self.input, version) {
-                    if reader.latest().is_some_and(|snap| snap.version() > ver) {
+                    // Lock-free: this check runs after every step.
+                    if reader.latest_version().is_some_and(|latest| latest > ver) {
                         // Eager restart on newer input.
                         self.consumed = version;
                         self.last_pub = None;
@@ -871,6 +889,147 @@ mod tests {
         let snap = r.latest().expect("progress published on stop");
         assert!(*snap.value() > 0);
         assert!(!snap.is_final());
+    }
+
+    #[test]
+    fn a_stopped_blocked_reduction_keeps_its_last_whole_window() {
+        // Sums 96 items, 4 a chunk, publishing every 3 chunks: a
+        // 12-sample window. Stopped after every chunk of its first two
+        // windows, over the LFSR order blocked by that window it publishes
+        // only whole windows, each the plain order's prefix sum, while over
+        // the plain order a stop publishes its progress.
+        use crate::SampledReduce;
+        use anytime_permute::{DynPermutation, Lfsr};
+        const ITEMS: usize = 96;
+        const CHUNK: usize = 4;
+        const EVERY: u64 = 3;
+        let window = CHUNK * EVERY as usize;
+        let input: Arc<Vec<u64>> = Arc::new((0..ITEMS as u64).map(|i| i * i + 1).collect());
+        let lfsr = DynPermutation::new(Lfsr::with_seed(ITEMS, 5).unwrap());
+        let plain = lfsr.order();
+        let prefix_sum = |samples: u64| -> u64 {
+            plain[..samples as usize]
+                .iter()
+                .map(|&idx| input[idx as usize])
+                .sum()
+        };
+        for stop_after in 1..=2 * EVERY {
+            for perm in [lfsr.blocked(window), lfsr.clone()] {
+                let blocked = perm.is_blocked();
+                let ctl = ControlToken::new();
+                let stopper = ctl.clone();
+                let mut chunks = 0;
+                let body = SampledReduce::chunked(
+                    perm,
+                    |_: &Vec<u64>| 0u64,
+                    move |acc: &mut u64, input: &Vec<u64>, indices: &[u32]| {
+                        *acc += indices.iter().map(|&idx| input[idx as usize]).sum::<u64>();
+                        chunks += 1;
+                        if chunks == stop_after {
+                            stopper.stop();
+                        }
+                    },
+                )
+                .with_chunk(CHUNK);
+                let (w, r) = buffer::versioned_with(
+                    "sum",
+                    crate::buffer::BufferOptions { keep_history: true },
+                );
+                let mut node = StageNode::new(
+                    "sum".into(),
+                    body,
+                    InputFeed::Owned(Arc::clone(&input)),
+                    w,
+                    StageOptions::with_publish_every(EVERY),
+                );
+                assert_eq!(poll_to_end(&mut node, &ctl).unwrap(), StageEnd::Stopped);
+                let steps: Vec<u64> = r.history().unwrap().iter().map(|s| s.steps()).collect();
+                let whole = stop_after / EVERY * window as u64;
+                let stopped_at = stop_after * CHUNK as u64;
+                let last = if blocked { whole } else { stopped_at };
+                let case = format!("stopped after {stop_after} chunks, blocked {blocked}");
+                assert_eq!(steps.last().copied().unwrap_or(0), last, "{case}");
+                for snap in r.history().unwrap() {
+                    assert!(!snap.is_final(), "{case}");
+                    assert_eq!(*snap.value(), prefix_sum(snap.steps()), "{case}");
+                }
+                let windows: Vec<u64> = (1..=whole / window as u64)
+                    .map(|k| k * window as u64)
+                    .collect();
+                let partial = (!blocked && stopped_at > whole).then_some(stopped_at);
+                assert_eq!(
+                    steps,
+                    [windows, partial.into_iter().collect()].concat(),
+                    "{case}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_newer_parent_version_restarts_an_eager_child_at_its_next_step() {
+        /// Counts its input five times, one step each, and records every
+        /// `(input, step)`. During step 2 on input 1 it publishes the
+        /// parent's final version, 2.
+        struct Recording {
+            parent: BufferWriter<u64>,
+            seen: Vec<(u64, u64)>,
+        }
+        impl AnytimeBody for Recording {
+            type Input = u64;
+            type Output = u64;
+            fn init(&mut self, _input: &u64) -> u64 {
+                0
+            }
+            fn step(&mut self, input: &u64, out: &mut u64, step: u64) -> StepOutcome {
+                self.seen.push((*input, step));
+                if (*input, step) == (1, 2) {
+                    self.parent.publish_final(2, 2);
+                }
+                *out += input;
+                if step + 1 == 5 {
+                    StepOutcome::Done
+                } else {
+                    StepOutcome::Continue
+                }
+            }
+        }
+        for restart in [RestartPolicy::Eager, RestartPolicy::OnCompletion] {
+            let (mut fw, fr) = buffer::versioned::<u64>("f");
+            let (gw, gr) = buffer::versioned_with::<u64>(
+                "g",
+                crate::buffer::BufferOptions { keep_history: true },
+            );
+            fw.publish(1, 1);
+            let mut g = StageNode::new(
+                "g".into(),
+                Recording {
+                    parent: fw,
+                    seen: Vec::new(),
+                },
+                InputFeed::Upstream(fr),
+                gw,
+                StageOptions::with_publish_every(u64::MAX).restart(restart),
+            );
+            let ctl = ControlToken::new();
+            assert_eq!(poll_to_end(&mut g, &ctl).unwrap(), StageEnd::Final);
+            let on_two: Vec<(u64, u64)> = (0..5).map(|step| (2, step)).collect();
+            let (on_one, published) = match restart {
+                // Abandoned right after the step that published version 2.
+                RestartPolicy::Eager => (3, vec![(10, true)]),
+                RestartPolicy::OnCompletion => (5, vec![(5, false), (10, true)]),
+            };
+            let expected: Vec<(u64, u64)> =
+                (0..on_one).map(|step| (1, step)).chain(on_two).collect();
+            assert_eq!(g.body.seen, expected, "{restart:?}");
+            let versions: Vec<(u64, bool)> = gr
+                .history()
+                .unwrap()
+                .iter()
+                .map(|s| (*s.value(), s.is_final()))
+                .collect();
+            assert_eq!(versions, published, "{restart:?}");
+        }
     }
 
     #[test]

@@ -85,6 +85,8 @@ pub struct DynPermutation {
     order: Arc<OnceLock<Arc<[u32]>>>,
     /// The blocked orders built so far, by window.
     blocked: Arc<Mutex<Vec<(usize, DynPermutation)>>>,
+    /// `true` for an order [`DynPermutation::blocked`] built.
+    is_blocked: bool,
 }
 
 impl DynPermutation {
@@ -94,6 +96,7 @@ impl DynPermutation {
             inner: Arc::new(perm),
             order: Arc::new(OnceLock::new()),
             blocked: Arc::default(),
+            is_blocked: false,
         }
     }
 
@@ -129,7 +132,11 @@ impl DynPermutation {
     /// the same indices as [`DynPermutation::order`]'s prefix of that
     /// length, so a map publishes the same version at every multiple of
     /// `window`, and a tree order completes each power-of-two resolution
-    /// level at the same sample count.
+    /// level at the same sample count. A prefix that ends between two cut
+    /// points holds the lowest data indices of its segment, which a map
+    /// may publish but a reduction that samples its input may not: the
+    /// order remembers that it is blocked ([`DynPermutation::is_blocked`]),
+    /// and a stopped reduction over it keeps its last whole window.
     ///
     /// The first call for a window on this permutation or any of its
     /// clones builds the blocked order from [`DynPermutation::order`];
@@ -164,9 +171,20 @@ impl DynPermutation {
             inner: Arc::new(Listed(Arc::clone(&order))),
             order: Arc::new(OnceLock::from(order)),
             blocked: Arc::default(),
+            is_blocked: true,
         };
         built.push((window, perm.clone()));
         perm
+    }
+
+    /// `true` if [`DynPermutation::blocked`] built this permutation.
+    ///
+    /// A blocked order's prefixes hold the plain order's sets only at its
+    /// cut points. In between, they are sorted parts of a window: for a
+    /// reduction that samples its input, a spatially biased sample, which
+    /// a stop must not publish (see [`DynPermutation::blocked`]).
+    pub fn is_blocked(&self) -> bool {
+        self.is_blocked
     }
 }
 
@@ -343,6 +361,18 @@ mod tests {
         assert_eq!(&*blocked, &*first);
         assert_eq!((whole.len(), whole.index(42)), (100, 42));
         assert_eq!(whole.materialize(), p.materialize());
+    }
+
+    #[test]
+    fn blocked_orders_say_so() {
+        let p = DynPermutation::new(Lfsr::with_len(100).unwrap());
+        let blocked = p.blocked(12);
+        assert!(!p.is_blocked());
+        assert!(blocked.is_blocked());
+        assert!(blocked.clone().is_blocked());
+        assert!(p.blocked(12).is_blocked(), "the cached copy");
+        assert!(blocked.blocked(5).is_blocked());
+        assert!(!p.clone().is_blocked());
     }
 
     #[test]
