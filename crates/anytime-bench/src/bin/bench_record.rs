@@ -213,8 +213,6 @@ fn record_serve_throughput(report: &mut Report) -> Result<(), CoreError> {
     let opts = || ServeOptions {
         replicas: 1,
         queue_capacity: SERVE_REQUESTS * 2,
-        hedge: None,
-        breaker: None,
         ..ServeOptions::default()
     };
 
@@ -278,8 +276,6 @@ fn record_admission_decision(report: &mut Report, opts: &MeasureOptions) -> Resu
         ServeOptions {
             replicas: 1,
             min_service: Duration::from_nanos(1),
-            hedge: None,
-            breaker: None,
             ..ServeOptions::default()
         }
         .rta(RtaPolicy {

@@ -54,13 +54,12 @@ fn run(chrome_path: &str, jsonl_path: &str, prom_path: &str) -> Result<(), Strin
     }
     let summary = summarize(&records);
     println!(
-        "{jsonl_path}: OK ({} events; {} admitted, {} rejected, {} shed, {} hedged, \
+        "{jsonl_path}: OK ({} events; {} admitted, {} rejected, {} shed, \
          {} completed, {} failed)",
         records.len(),
         summary.admitted,
         summary.rejected,
         summary.shed,
-        summary.hedged,
         summary.completed,
         summary.failed,
     );
@@ -72,7 +71,6 @@ fn run(chrome_path: &str, jsonl_path: &str, prom_path: &str) -> Result<(), Strin
         ("admitted", summary.admitted),
         ("rejected", summary.rejected),
         ("shed", summary.shed),
-        ("hedged", summary.hedged),
         ("retried", summary.retried),
         ("completed", summary.completed),
         ("failed", summary.failed),
@@ -110,16 +108,6 @@ fn run(chrome_path: &str, jsonl_path: &str, prom_path: &str) -> Result<(), Strin
     for state in ["live", "draining", "target"] {
         let name = format!("anytime_serve_workers{{state=\"{state}\"}}");
         prom_value(&samples, &name).ok_or_else(|| format!("{prom_path}: missing sample {name}"))?;
-    }
-    // Per-replica breaker gauges, when exported, sit on the documented
-    // 0 (closed) / 1 (half-open) / 2 (open) scale.
-    for (name, value) in samples
-        .iter()
-        .filter(|(n, _)| n.starts_with("anytime_serve_breaker_state{"))
-    {
-        if value.fract() != 0.0 || !(0.0..=2.0).contains(value) {
-            return Err(format!("{name}: {value} is not a breaker state (0, 1, 2)"));
-        }
     }
     println!(
         "{prom_path}: OK ({} samples, counters and worker lifecycle reconcile)",

@@ -442,8 +442,6 @@ pub struct TraceSummary {
     pub rejected: u64,
     /// `shed` events.
     pub shed: u64,
-    /// `hedge` events.
-    pub hedged: u64,
     /// `retry` events.
     pub retried: u64,
     /// `request_done` events.
@@ -466,7 +464,6 @@ pub fn summarize(records: &[TraceRecord]) -> TraceSummary {
             "admit" => s.admitted += 1,
             "reject" => s.rejected += 1,
             "shed" => s.shed += 1,
-            "hedge" => s.hedged += 1,
             "retry" => s.retried += 1,
             "request_done" => s.completed += 1,
             "request_failed" => s.failed += 1,

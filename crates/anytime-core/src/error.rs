@@ -75,7 +75,7 @@ pub enum CoreError {
     /// fenced by `catch_unwind`, so the worker survives and the run is
     /// reported as this structured failure. A caller-supplied closure's
     /// panic (pipeline factory, batch factory, or quality estimator)
-    /// feeds the pool's retry and circuit-breaker machinery; any other
+    /// feeds the pool's retry path; any other
     /// panic fails the request at once (`context` `"serve"`).
     ReplicaPanicked {
         /// Index of the replica whose run absorbed the panic.

@@ -32,12 +32,11 @@
 //!   it run longer.
 //! - The [`serve`] module turns single runs into a deadline-budgeted
 //!   service: a [`ServePool`] of replica pipelines with admission control,
-//!   retries, hedged execution, and per-replica circuit breakers. With an
+//!   retries, and batching. With an
 //!   [`RtaPolicy`] installed, admission is backed by the [`rta`]
 //!   response-time analysis: provably-infeasible requests are rejected
-//!   with a certified bound, the hedge and retry budgets derive from the
-//!   worst-case service bound instead of latency-percentile guesses, and
-//!   under backlog a request whose worst case misses its deadline is shed:
+//!   with a certified bound, the retry backoff is capped by the
+//!   worst-case service bound, and under backlog a request whose worst case misses its deadline is shed:
 //!   it runs only as long as its quality floor's worst-case service bound.
 //!   Stopping early is the approximation, so overload costs quality, not
 //!   answers.
@@ -131,10 +130,7 @@ pub use precise::Precise;
 pub use reduce::SampledReduce;
 pub use rta::RtaPolicy;
 pub use runtime::{Runtime, RuntimeHandle, RuntimeStats};
-pub use serve::{
-    BatchPolicy, BreakerPolicy, HedgePolicy, RetryPolicy, ServeOptions, ServePool, ServeResponse,
-    ServeStatus,
-};
+pub use serve::{BatchPolicy, RetryPolicy, ServeOptions, ServePool, ServeResponse, ServeStatus};
 pub use stage::{AnytimeBody, RestartPolicy, StageEnd, StageOptions, StepOutcome};
 pub use supervisor::{FailurePolicy, StallAction, Supervision};
 pub use trace::Recorder;

@@ -328,9 +328,9 @@ impl LatencyHistogram {
     ///
     /// Interpolates linearly *within* the bucket containing the quantile
     /// rank. Earlier revisions returned a bucket edge outright, which on
-    /// sparse data snapped P95 hedge triggers a whole power of two away
-    /// from the observed latencies; interpolation keeps the estimate
-    /// inside the bucket, proportional to where the rank falls in it.
+    /// sparse data snapped a P95 a whole power of two away from the
+    /// observed latencies; interpolation keeps the estimate inside the
+    /// bucket, proportional to where the rank falls in it.
     pub fn quantile(&self, q: f64) -> Option<Duration> {
         self.snapshot().quantile(q)
     }
@@ -503,18 +503,15 @@ impl DeadlineHistogramStats {
 }
 
 /// Cumulative counters for one [`crate::serve::ServePool`]'s robustness
-/// machinery: admission control, load shedding, hedging, retries, and the
-/// per-replica circuit breakers.
+/// machinery: admission control, load shedding, batching, and retries.
 #[derive(Debug, Default)]
 pub struct ServeCounters {
     pub(crate) admitted: Counter,
     pub(crate) rejected: Counter,
     pub(crate) shed: Counter,
-    pub(crate) hedged: Counter,
     batches: Counter,
     batched_requests: Counter,
     pub(crate) retried: Counter,
-    pub(crate) breaker_opens: Counter,
     pub(crate) completed: Counter,
     pub(crate) failed: Counter,
     pub(crate) degraded_responses: Counter,
@@ -533,11 +530,9 @@ impl ServeCounters {
             admitted: self.admitted.get(),
             rejected: self.rejected.get(),
             shed: self.shed.get(),
-            hedged: self.hedged.get(),
             batches: self.batches.get(),
             batched_requests: self.batched_requests.get(),
             retried: self.retried.get(),
-            breaker_opens: self.breaker_opens.get(),
             completed: self.completed.get(),
             failed: self.failed.get(),
             degraded_responses: self.degraded_responses.get(),
@@ -558,10 +553,8 @@ fn render_serve_counters(out: &mut dyn fmt::Write, s: &ServeStats) -> fmt::Resul
         ("admitted", s.admitted),
         ("rejected", s.rejected),
         ("shed", s.shed),
-        ("hedged", s.hedged),
         ("batched", s.batched_requests),
         ("retried", s.retried),
-        ("breaker_opens", s.breaker_opens),
         ("completed", s.completed),
         ("failed", s.failed),
         ("degraded_responses", s.degraded_responses),
@@ -584,11 +577,9 @@ impl MetricStats for ServeStats {
         self.admitted += other.admitted;
         self.rejected += other.rejected;
         self.shed += other.shed;
-        self.hedged += other.hedged;
         self.batches += other.batches;
         self.batched_requests += other.batched_requests;
         self.retried += other.retried;
-        self.breaker_opens += other.breaker_opens;
         self.completed += other.completed;
         self.failed += other.failed;
         self.degraded_responses += other.degraded_responses;
@@ -617,9 +608,6 @@ pub struct ServeStats {
     /// ran under their floor's worst-case service bound instead of their
     /// whole deadline (degrade quality, never availability).
     pub shed: u64,
-    /// Hedge dispatches: a second replica launched after the primary
-    /// crossed the latency trigger.
-    pub hedged: u64,
     /// Batch runs performed: one pipeline serving several compatible
     /// requests at once.
     pub batches: u64,
@@ -628,9 +616,6 @@ pub struct ServeStats {
     /// Serve-layer retries: a replica died permanently and the request was
     /// relaunched with capped exponential backoff.
     pub retried: u64,
-    /// Circuit-breaker open transitions (a replica quarantined after
-    /// consecutive permanent failures).
-    pub breaker_opens: u64,
     /// Requests answered with a snapshot.
     pub completed: u64,
     /// Admitted requests for which no snapshot could be produced.
@@ -908,40 +893,19 @@ fn render_governor_stats(out: &mut dyn fmt::Write, s: &GovernorStats) -> fmt::Re
 
 /// Writes a serve pool's whole exposition ([`crate::ServePool::prometheus`]):
 /// serve counters, the deadline-ratio and service-latency histograms,
-/// aggregated run faults, the admission analysis, the worker lifecycle,
-/// and the per-replica breaker gauge.
+/// aggregated run faults, the admission analysis, and the worker
+/// lifecycle.
 pub(crate) fn render_serve_pool(
     out: &mut dyn fmt::Write,
     stats: &ServeStats,
     service: &LatencyStats,
-    breakers: &[(String, f64)],
 ) -> fmt::Result {
     render_serve_counters(out, stats)?;
     stats.deadline.render_as(out, "anytime_deadline_ratio")?;
     render_fault_stats(out, &stats.faults)?;
     service.render_as(out, "anytime_serve_service_seconds")?;
     render_rta_stats(out, &stats.rta)?;
-    render_governor_stats(out, &stats.governor)?;
-    render_breaker_states(out, breakers)
-}
-
-/// Writes the per-replica circuit-breaker state gauge
-/// (`anytime_serve_breaker_state{replica="..."}`): 0 closed, 1 half-open,
-/// 2 open.
-fn render_breaker_states(out: &mut dyn fmt::Write, entries: &[(String, f64)]) -> fmt::Result {
-    if entries.is_empty() {
-        return Ok(());
-    }
-    write_type(out, "anytime_serve_breaker_state", "gauge")?;
-    for (replica, value) in entries {
-        write_sample(
-            out,
-            "anytime_serve_breaker_state",
-            &[("replica", replica.as_str())],
-            *value,
-        )?;
-    }
-    Ok(())
+    render_governor_stats(out, &stats.governor)
 }
 
 /// A recorded runtime–accuracy profile: the data behind the paper's
@@ -1055,8 +1019,8 @@ mod tests {
 
     /// Pins P50/P95/P99 on a known distribution: interpolation must place
     /// the estimate *inside* the bucket, proportional to the rank, instead
-    /// of snapping to a bucket edge (which biased hedge triggers by up to
-    /// a full power of two).
+    /// of snapping to a bucket edge (which biased the estimate by up to a
+    /// full power of two).
     #[test]
     fn quantile_interpolates_within_bucket() {
         let h = LatencyHistogram::default();
@@ -1218,11 +1182,9 @@ mod tests {
             admitted: 101,
             rejected: 102,
             shed: 103,
-            hedged: 104,
             batches: 105,
             batched_requests: 106,
             retried: 107,
-            breaker_opens: 108,
             completed: 109,
             failed: 110,
             degraded_responses: 111,
@@ -1262,10 +1224,6 @@ mod tests {
             *b = (i % 4) as u64;
         }
         service.count = service.buckets.iter().sum();
-        let breakers = [
-            ("replica-0".to_string(), 0.0),
-            ("replica-1".to_string(), 2.0),
-        ];
         let stage = |name: &str, waits: WaitStats| StageReport {
             name: name.into(),
             end: StageEnd::Final,
@@ -1308,25 +1266,8 @@ mod tests {
         };
 
         let mut text = String::new();
-        render_serve_pool(&mut text, &serve, &service, &breakers).unwrap();
+        render_serve_pool(&mut text, &serve, &service).unwrap();
         text.push_str(&report.prometheus());
         assert_eq!(text, include_str!("../testdata/exposition.prom"));
-    }
-
-    #[test]
-    fn breaker_state_gauge_renders_per_replica() {
-        let mut out = String::new();
-        render_breaker_states(&mut out, &[]).unwrap();
-        assert!(out.is_empty(), "no replicas, no family: {out}");
-        render_breaker_states(
-            &mut out,
-            &[
-                ("replica-0".to_string(), 0.0),
-                ("replica-1".to_string(), 2.0),
-            ],
-        )
-        .unwrap();
-        assert!(out.contains("anytime_serve_breaker_state{replica=\"replica-0\"} 0"));
-        assert!(out.contains("anytime_serve_breaker_state{replica=\"replica-1\"} 2"));
     }
 }

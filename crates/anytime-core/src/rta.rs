@@ -20,11 +20,9 @@
 //!   observed crossing inflated by [`RtaPolicy::margin`], plus the queued
 //!   demand ahead and the control-plane wakeup overhead. The difference
 //!   `deadline − upper` is the request's **slack**, and the serving
-//!   layer's derived budgets all come from these bounds: the hedge
-//!   trigger fires when a run overstays its worst-case service bound,
-//!   retry backoff is capped so the final attempt still fits inside the
-//!   bound, and a request admitted behind a queue with negative slack is
-//!   shed: its run is capped at its floor's worst-case service bound
+//!   layer's derived budgets all come from these bounds: retry backoff
+//!   is capped so the final attempt still fits inside the bound, and a
+//!   request admitted behind a queue with negative slack is shed: its run is capped at its floor's worst-case service bound
 //!   ([`Analysis::service_upper`]) once it has met its floor.
 //!
 //! Calibration is **online**: every replica run feeds its quality
@@ -38,7 +36,7 @@
 //! The model is falsifiable, and the repo's chaos/soak suites try: fault
 //! plans inject stalls and slowdowns mid-run and assert that requests
 //! admitted by the analytical gate still meet their quality floors (the
-//! derived hedge/retry budgets are the defense), while the
+//! derived retry budget is the defense), while the
 //! predicted-vs-actual bound error is exported as a Prometheus gauge
 //! (`anytime_rta_bound_error_ratio`, see [`crate::metrics::RtaCounters`]).
 
@@ -192,13 +190,13 @@ fn bin_below(floor: f64) -> usize {
 pub struct Backlog {
     /// Requests already queued (admitted, unstarted) ahead of this one.
     pub queued: usize,
-    /// Replica workers currently healthy (breaker not open).
+    /// Replica workers taking new work (not draining after a resize).
     pub healthy: usize,
     /// Requests one run can serve at once (1 unless the pool batches).
     pub batch_size: usize,
-    /// `true` when at least one healthy replica is idle right now.
+    /// `true` when at least one of those replicas is idle right now.
     pub any_idle: bool,
-    /// When every healthy replica is mid-run: the soonest replica's
+    /// When every such replica is mid-run: the soonest replica's
     /// estimated remaining occupancy. An *estimate* (EWMA-derived), so it
     /// widens only the worst-case bound, never the certified lower one.
     pub soonest_free: Duration,

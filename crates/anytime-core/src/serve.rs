@@ -1,6 +1,5 @@
 //! Deadline-budgeted serving: a pool of replica pipelines behind
-//! admission control, retries, hedging, budget-capped degradation, and
-//! per-replica circuit breakers.
+//! admission control, retries, and budget-capped degradation.
 //!
 //! The automaton's headline property — stop it at any moment and still
 //! hold a valid whole-application output (paper §III) — is exactly the
@@ -22,9 +21,8 @@
 //!   replaces the EWMA guess once calibrated (online, from the same
 //!   quality observations the trace records): a request whose certified
 //!   lower bound exceeds its deadline is *proven* infeasible and rejected
-//!   with [`CoreError::Infeasible`] carrying the bound, and the hedge
-//!   trigger and retry backoff are derived from the worst-case service
-//!   bound instead of P95 guesses.
+//!   with [`CoreError::Infeasible`] carrying the bound, and the retry
+//!   backoff is capped by the worst-case service bound.
 //! - **Degrade by budget** — the pool's one overload rule, decided at
 //!   admission from the same analysis: a request queued behind others
 //!   whose worst case misses its deadline (negative slack) keeps its FIFO
@@ -38,23 +36,27 @@
 //!   the request is relaunched on a fresh pipeline, with delays drawn
 //!   deterministically from the pool seed and request id so chaos runs
 //!   reproduce exactly.
-//! - **Hedged execution** — once a run crosses the pool's observed P95
-//!   service latency (or a fixed trigger), a second replica is dispatched
-//!   for the same request; the first usable snapshot wins and the loser is
-//!   stopped promptly through the event-driven [`ControlToken`].
-//! - **Per-replica circuit breaker** — a worker whose runs fail
-//!   permanently K times in a row is quarantined (Open) for a cooldown,
-//!   then probes back with a single canary request (HalfOpen) before
-//!   resuming normal service (Closed).
 //! - **Panic fences** — every caller-supplied closure (factory, batch
 //!   factory, quality estimator) runs behind a `catch_unwind` fence that
 //!   converts panics into structured [`CoreError::ReplicaPanicked`] run
-//!   failures feeding the breaker/retry machinery, and one more fence
+//!   failures feeding the retry path, and one more fence
 //!   around each dequeued request's whole serve path answers that request
 //!   with `ReplicaPanicked { context: "serve", .. }` if anything else
 //!   unwinds. A replica thread never dies, so nothing needs healing.
 //!   [`ServePool::resize`] grows or shrinks the worker set at runtime
 //!   with graceful drains that never drop an in-flight admitted request.
+//!
+//! A replica is a run slot, not a machine: every replica's pipeline runs
+//! on one shared task runtime, and a run samples on all of its workers.
+//! The pool therefore has no hedged execution and no per-replica circuit
+//! breaker. Both were measured before they were deleted (EXPERIMENTS.md,
+//! "A replica is a run slot"). A hedge's second run took workers from its
+//! own primary: in the seeded soak, hedging failed 66–77 of 560 requests
+//! against 30–55 without it (8 of 8 pairs), and in three `serve_demo`
+//! batches it had fewer failures in 15 of 40, 13 of 20 and 13 of 40
+//! pairs. Each request builds a fresh
+//! pipeline, so a replica holds nothing to quarantine, and the breaker
+//! opened in none of the measured soak, demo or benchmark runs.
 //!
 //! Every counter lands in [`ServeStats`] (see [`crate::metrics`]), and the
 //! pool aggregates the [`FaultStats`] of every pipeline run it performed,
@@ -110,27 +112,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Hedged-execution policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HedgePolicy {
-    /// Fixed latency after which a second replica is dispatched. `None`
-    /// uses the pool's observed P95 service latency (falling back to
-    /// [`ServeOptions::default_service_estimate`] before enough samples).
-    pub after: Option<Duration>,
-    /// Do not hedge when less than this remains before the deadline — the
-    /// hedge could not produce anything in time anyway.
-    pub min_remaining: Duration,
-}
-
-impl Default for HedgePolicy {
-    fn default() -> Self {
-        Self {
-            after: None,
-            min_remaining: Duration::from_millis(1),
-        }
-    }
-}
-
 /// Batched-execution policy: one replica drains several queued compatible
 /// requests and serves them all from a single pipeline run, amortizing
 /// build/launch/join overhead across the batch.
@@ -138,9 +119,8 @@ impl Default for HedgePolicy {
 /// Requires a pool built with [`ServePool::new_batched`] — the batch
 /// factory sees every input in the batch at once and decides how to share
 /// work (identical inputs can share one stage chain outright; distinct
-/// inputs can share a pipeline's launch and supervision). Only plain
-/// primaries batch: shed requests keep their budget cap and hedge copies
-/// their urgency, both serving singly.
+/// inputs can share a pipeline's launch and supervision). Shed requests
+/// keep their budget cap and serve singly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Maximum requests served by one batch run (≥ 2; a lone head request
@@ -161,24 +141,6 @@ impl Default for BatchPolicy {
     }
 }
 
-/// Circuit-breaker policy for a replica worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerPolicy {
-    /// Consecutive permanent failures that open the breaker.
-    pub failures: u32,
-    /// Quarantine duration before the half-open canary probe.
-    pub cooldown: Duration,
-}
-
-impl Default for BreakerPolicy {
-    fn default() -> Self {
-        Self {
-            failures: 3,
-            cooldown: Duration::from_millis(100),
-        }
-    }
-}
-
 /// Configuration for a [`ServePool`].
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -194,19 +156,15 @@ pub struct ServeOptions {
     pub default_service_estimate: Duration,
     /// Retry policy for permanently failed runs.
     pub retry: RetryPolicy,
-    /// Hedged execution, if enabled.
-    pub hedge: Option<HedgePolicy>,
     /// Batched execution, if enabled (requires
     /// [`ServePool::new_batched`]; [`ServePool::new`] rejects it).
     pub batch: Option<BatchPolicy>,
-    /// Per-replica circuit breaker, if enabled.
-    pub breaker: Option<BreakerPolicy>,
     /// Response-time-analysis policy. When set, the pool calibrates a
     /// [`crate::rta::AdmissionGate`] online from its runs' quality
     /// observations; once calibrated, admission proves infeasible
     /// (deadline, floor) pairs and rejects them with
-    /// [`CoreError::Infeasible`], the hedge and retry budgets derive from
-    /// the worst-case service bound, and requests with negative slack
+    /// [`CoreError::Infeasible`], the retry backoff is capped by the
+    /// worst-case service bound, and requests with negative slack
     /// behind a queue are shed (see [`ServePool::submit`]). `None` keeps
     /// the EWMA heuristic throughout and never sheds.
     pub rta: Option<RtaPolicy>,
@@ -219,8 +177,8 @@ pub struct ServeOptions {
     pub runtime: Option<RuntimeHandle>,
     /// Seed for the deterministic retry jitter.
     pub seed: u64,
-    /// Trace recorder for serving-plane events (admissions, hedges,
-    /// breaker transitions, per-request quality observations). The default
+    /// Trace recorder for serving-plane events (admissions, sheds,
+    /// retries, per-request quality observations). The default
     /// disabled recorder makes every emission a no-op; share the same
     /// enabled recorder with the pipelines the factory builds to get one
     /// merged timeline.
@@ -240,9 +198,7 @@ impl Default for ServeOptions {
             min_service: Duration::from_micros(500),
             default_service_estimate: Duration::from_millis(10),
             retry: RetryPolicy::default(),
-            hedge: None,
             batch: None,
-            breaker: Some(BreakerPolicy::default()),
             rta: None,
             runtime: None,
             seed: 0,
@@ -272,22 +228,10 @@ impl ServeOptions {
         self
     }
 
-    /// Enables hedged execution.
-    pub fn hedge(mut self, hedge: HedgePolicy) -> Self {
-        self.hedge = Some(hedge);
-        self
-    }
-
     /// Enables batched execution (only valid with
     /// [`ServePool::new_batched`]).
     pub fn batch(mut self, batch: BatchPolicy) -> Self {
         self.batch = Some(batch);
-        self
-    }
-
-    /// Sets (or disables, with `None`) the circuit breaker.
-    pub fn breaker(mut self, breaker: Option<BreakerPolicy>) -> Self {
-        self.breaker = breaker;
         self
     }
 
@@ -351,8 +295,6 @@ pub struct ServeResponse<T> {
     /// analytical slack and ran under its floor's worst-case service
     /// bound instead of its whole deadline (see [`ServePool::submit`]).
     pub shed: bool,
-    /// `true` if a hedge replica was dispatched for this request.
-    pub hedged: bool,
     /// `true` if the request was served as part of a batch run.
     pub batched: bool,
     /// Serve-layer relaunches performed for this request.
@@ -406,39 +348,29 @@ impl<I, T> Factory<I, T> {
     }
 }
 
-/// Circuit-breaker state machine (Closed → Open → HalfOpen → …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Breaker {
-    Closed { consecutive: u32 },
-    Open { until: Instant },
-    HalfOpen,
-}
-
 struct ReplicaState {
     /// Stable replica index; workers added by [`ServePool::resize`] take
     /// fresh ones.
     index: usize,
     ewma: LatencyEwma,
-    breaker: Mutex<Breaker>,
     /// Projected end of the run this replica is currently serving
     /// (`None` when idle). Admission adds the soonest of these when no
-    /// healthy replica is free — an empty queue does not mean zero wait.
+    /// replica is free — an empty queue does not mean zero wait.
     busy_until: Mutex<Option<Instant>>,
     /// Set by `resize`: finish the current run, take no new work, exit.
     /// Release/Acquire so the worker that observes the flag also observes
     /// everything the drainer did before setting it.
     draining: AtomicBool,
-    /// Interned trace id (`replica-N`) for breaker and quality events.
+    /// Interned trace id (`replica-N`) for quality and lifecycle events.
     trace_id: StageId,
 }
 
 impl ReplicaState {
-    /// Fresh state (EWMA, breaker, occupancy all reset) for `index`.
+    /// Fresh state (EWMA and occupancy reset) for `index`.
     fn new(index: usize, recorder: &Recorder) -> Self {
         ReplicaState {
             index,
             ewma: LatencyEwma::default(),
-            breaker: Mutex::new(Breaker::Closed { consecutive: 0 }),
             busy_until: Mutex::new(None),
             draining: AtomicBool::new(false),
             trace_id: recorder.stage(&format!("replica-{index}")),
@@ -463,35 +395,25 @@ struct Job<I, T> {
     /// bound. `Some` exactly when admission shed the request.
     budget_cap: Option<Duration>,
     /// The admission-time response-time analysis, when the gate was
-    /// calibrated: the hedge trigger and retry backoff derive their
-    /// budgets from its service bounds, and the response records the
-    /// predicted-vs-actual bound error against its worst case.
+    /// calibrated: the retry backoff is capped by its worst-case service
+    /// bound, and the response records the predicted-vs-actual bound
+    /// error against its worst case.
     analysis: Option<Analysis>,
-    slot: Arc<Slot<T>>,
-}
-
-/// A queue entry: the job plus whether this dispatch is the hedge copy
-/// (hedges never hedge again).
-struct QueueItem<I, T> {
-    job: Arc<Job<I, T>>,
-    is_hedge: bool,
+    slot: Slot<T>,
 }
 
 struct SlotState<T> {
-    /// The response, once some attempt filled it. `filled` stays true
-    /// after the submitter takes the value, so late racers still lose.
+    /// The response, once filled. `filled` stays true after the
+    /// submitter takes the value, so a second answer still loses.
     result: Option<Result<ServeResponse<T>>>,
     filled: bool,
-    /// Control tokens of every live run for this request; the winner stops
-    /// them all, so hedge losers halt promptly.
-    tokens: Vec<ControlToken>,
-    /// A hedge was dispatched for this request.
-    hedged: bool,
-    /// Total serve-layer retries across all dispatches of this request.
+    /// Total serve-layer retries across all runs of this request.
     retries: u32,
 }
 
-/// The rendezvous between a submitter and the worker(s) running its job.
+/// The rendezvous between a submitter and the worker running its job.
+/// The first fill wins: a request is answered once, even when a worker's
+/// serve fence fails a batch that lists its head twice.
 struct Slot<T> {
     state: Mutex<SlotState<T>>,
     // lint: allow(l1-condvar) -- waiters re-check `filled` under `state` before and after every wait
@@ -504,8 +426,6 @@ impl<T> Slot<T> {
             state: Mutex::new(SlotState {
                 result: None,
                 filled: false,
-                tokens: Vec::new(),
-                hedged: false,
                 retries: 0,
             }),
             // lint: allow(l1-condvar) -- same predicate-under-mutex protocol as the field above
@@ -513,44 +433,24 @@ impl<T> Slot<T> {
         }
     }
 
-    /// Installs the response if no other attempt has; returns `false` to
-    /// the loser. The winner inherits every registered control token,
-    /// stops them (after releasing the lock), and wakes the submitter.
+    /// Installs the response unless one is already installed; returns
+    /// `false` to the second answer. Wakes the submitter.
     fn fill(&self, result: Result<ServeResponse<T>>) -> bool {
-        let tokens = {
+        {
             let mut st = lock(&self.state);
             if st.filled {
                 return false;
             }
             st.filled = true;
             st.result = Some(result);
-            std::mem::take(&mut st.tokens)
-        };
+        }
         self.cv.notify_all();
-        for t in tokens {
-            t.stop();
-        }
-        true
-    }
-
-    fn is_filled(&self) -> bool {
-        lock(&self.state).filled
-    }
-
-    /// Registers a run's control token, unless the slot is already filled
-    /// (the attempt should abort instead of launching).
-    fn register(&self, ctl: ControlToken) -> bool {
-        let mut st = lock(&self.state);
-        if st.filled {
-            return false;
-        }
-        st.tokens.push(ctl);
         true
     }
 }
 
 struct QueueState<I, T> {
-    jobs: VecDeque<QueueItem<I, T>>,
+    jobs: VecDeque<Arc<Job<I, T>>>,
     closed: bool,
 }
 
@@ -563,8 +463,7 @@ struct Shared<I, T> {
     queue_cv: Condvar,
     /// The live replica registry. Admission scans it for occupancy;
     /// `resize` mutates it. Lock order: `workers` →
-    /// `queue` → `replicas` (each replica's `breaker`/`busy_until` are
-    /// leaves).
+    /// `queue` → `replicas` (each replica's `busy_until` is a leaf).
     replicas: Mutex<Vec<Arc<ReplicaState>>>,
     /// Worker threads, paired with the states they serve under; mutated
     /// by `resize` and shutdown.
@@ -602,8 +501,8 @@ impl<I, T> Shared<I, T> {
     }
 
     /// The EWMA-heuristic wait projection admission compares against a
-    /// request's deadline: queue depth amortized over healthy replicas,
-    /// plus the soonest-free occupancy when nobody is idle.
+    /// request's deadline: queue depth amortized over the serving
+    /// replicas, plus the soonest-free occupancy when nobody is idle.
     fn projected_wait(&self, depth: usize) -> Duration {
         let occ = self.occupancy();
         let est = occ.est.unwrap_or(self.opts.default_service_estimate);
@@ -618,7 +517,7 @@ impl<I, T> Shared<I, T> {
 
     /// One scan over the replica set, shared by the EWMA projection above
     /// and the analytical [`Backlog`] below so admission's two gates never
-    /// disagree about which replicas count as healthy or idle. Draining
+    /// disagree about which replicas count as serving or idle. Draining
     /// replicas take no new work, so they do not count as capacity.
     fn occupancy(&self) -> Occupancy {
         let now = Instant::now();
@@ -629,10 +528,6 @@ impl<I, T> Shared<I, T> {
         let mut soonest_free = Duration::ZERO;
         for r in lock(&self.replicas).iter() {
             if r.draining.load(Ordering::Acquire) {
-                continue;
-            }
-            let open = matches!(*lock(&r.breaker), Breaker::Open { until } if now < until);
-            if open {
                 continue;
             }
             healthy += 1;
@@ -651,7 +546,7 @@ impl<I, T> Shared<I, T> {
             }
         }
         Occupancy {
-            // All replicas quarantined: project as if one will recover.
+            // Floored so the projection never divides by zero.
             healthy: healthy.max(1),
             any_idle,
             soonest_free,
@@ -675,13 +570,13 @@ impl<I, T> Shared<I, T> {
 
 /// One point-in-time scan of the replica set (see `Shared::occupancy`).
 struct Occupancy {
-    /// Replicas not quarantined by an open breaker, floored at 1.
+    /// Replicas not draining, floored at 1.
     healthy: usize,
-    /// At least one healthy replica is between runs right now.
+    /// At least one of them is between runs right now.
     any_idle: bool,
     /// Remaining advertised occupancy of the soonest-free busy replica.
     soonest_free: Duration,
-    /// Mean service EWMA across healthy replicas with samples.
+    /// Mean service EWMA across those replicas with samples.
     est: Option<Duration>,
 }
 
@@ -968,12 +863,9 @@ where
                 floor,
                 budget_cap,
                 analysis,
-                slot: Arc::new(Slot::new()),
+                slot: Slot::new(),
             });
-            q.jobs.push_back(QueueItem {
-                job: Arc::clone(&job),
-                is_hedge: false,
-            });
+            q.jobs.push_back(Arc::clone(&job));
             shared.counters.admitted.inc();
             shared.opts.recorder.serve_event(EventKind::Admit, req_id);
             if budget_cap.is_some() {
@@ -1010,25 +902,12 @@ where
             // the queue, evict and answer Timeout ourselves; if a worker
             // holds it, it will respond imminently — wait out the grace.
             drop(st);
-            // Drop every queued copy of this job, but only a *primary*
-            // eviction means "never started": a lingering hedge copy with
-            // its primary mid-run must not time the request out — the
-            // primary still holds the best snapshot and responds at the
-            // deadline.
-            let primary_evicted = {
+            let evicted = {
                 let mut q = lock(&shared.queue);
-                let mut primary = false;
-                q.jobs.retain(|item| {
-                    if item.job.id == job.id {
-                        primary |= !item.is_hedge;
-                        false
-                    } else {
-                        true
-                    }
-                });
-                primary
+                let at = q.jobs.iter().position(|queued| queued.id == job.id);
+                at.and_then(|i| q.jobs.remove(i)).is_some()
             };
-            if primary_evicted {
+            if evicted {
                 fail_job(shared, job, None, CoreError::Timeout);
             }
             st = lock(&job.slot.state);
@@ -1103,30 +982,11 @@ where
     /// faults, and the admission-analysis decision counters and
     /// bound-error gauge — in Prometheus text exposition format.
     pub fn prometheus(&self) -> String {
-        let stats = self.stats();
-        let breakers: Vec<(String, f64)> = {
-            let now = Instant::now();
-            lock(&self.shared.replicas)
-                .iter()
-                .map(|r| {
-                    let value = match *lock(&r.breaker) {
-                        Breaker::Closed { .. } => 0.0,
-                        Breaker::HalfOpen => 1.0,
-                        Breaker::Open { until } if now < until => 2.0,
-                        // Cooldown elapsed but no worker has probed yet:
-                        // the next pop transitions to HalfOpen.
-                        Breaker::Open { .. } => 1.0,
-                    };
-                    (format!("replica-{}", r.index), value)
-                })
-                .collect()
-        };
         let mut out = String::new();
         let _ = crate::metrics::render_serve_pool(
             &mut out,
-            &stats,
+            &self.stats(),
             &self.shared.service_hist.snapshot(),
-            &breakers,
         );
         out
     }
@@ -1226,8 +1086,7 @@ where
     /// twice.
     ///
     /// `live_runs == 0` in the returned stats is the no-leak guarantee:
-    /// every pipeline run — hedge losers included — was stopped and
-    /// joined.
+    /// every pipeline run was stopped and joined.
     pub fn shutdown(&self) -> ServeStats {
         shutdown_inner(&self.shared);
         self.stats()
@@ -1242,14 +1101,14 @@ where
 /// sequential call observes empty state and does nothing — no drained
 /// request is double-counted.
 fn shutdown_inner<I, T>(shared: &Arc<Shared<I, T>>) {
-    let drained: Vec<QueueItem<I, T>> = {
+    let drained: Vec<Arc<Job<I, T>>> = {
         let mut q = lock(&shared.queue);
         q.closed = true;
         q.jobs.drain(..).collect()
     };
     shared.queue_cv.notify_all();
-    for item in drained.iter().filter(|item| !item.is_hedge) {
-        fail_job(shared, &item.job, None, CoreError::PoolShutdown);
+    for job in &drained {
+        fail_job(shared, job, None, CoreError::PoolShutdown);
     }
     for w in std::mem::take(&mut *lock(&shared.workers)) {
         let _ = w.handle.join();
@@ -1267,8 +1126,6 @@ enum Attempt<T> {
     /// The run reached a terminal output, or the deadline arrived; the
     /// best snapshot so far (if any) goes to the caller.
     Respond(BestSeen<T>),
-    /// Another dispatch filled the slot first; this run was stopped.
-    Lost,
     /// The replica died permanently (retryable). Carries the best
     /// snapshot so far, kept across attempts, plus the structured panic
     /// error when the death was a fenced caller-closure panic.
@@ -1295,8 +1152,8 @@ where
 /// Runs a caller-supplied closure (factory, batch factory, or quality
 /// estimator) behind a panic fence: a panic becomes a structured
 /// [`CoreError::ReplicaPanicked`] instead of unwinding through the worker,
-/// so it feeds the ordinary breaker/retry machinery and the worker thread
-/// survives to serve the next request.
+/// so it feeds the ordinary retry path and the worker thread survives to
+/// serve the next request.
 fn fence_closure<R>(
     counters: &GovernorCounters,
     state: &ReplicaState,
@@ -1379,48 +1236,14 @@ where
         if state.draining.load(Ordering::Acquire) {
             return;
         }
-        // Circuit breaker gate: while Open, sleep out the cooldown (still
-        // responsive to shutdown), then probe with a single canary.
-        let cooldown = {
-            let breaker = lock(&state.breaker);
-            match *breaker {
-                Breaker::Open { until } => Some(until),
-                _ => None,
-            }
-        };
-        if let Some(until) = cooldown {
-            let mut q = lock(&shared.queue);
-            loop {
-                let now = Instant::now();
-                if now >= until {
-                    break;
-                }
-                if q.closed && q.jobs.is_empty() {
-                    return;
-                }
-                if state.draining.load(Ordering::Acquire) {
-                    return;
-                }
-                let (guard, _) = shared
-                    .queue_cv
-                    .wait_timeout(q, until - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
-            }
-            *lock(&state.breaker) = Breaker::HalfOpen;
-            shared
-                .opts
-                .recorder
-                .breaker(EventKind::BreakerHalfOpen, state.trace_id);
-        }
-        let item = {
+        let head = {
             let mut q = lock(&shared.queue);
             loop {
                 if state.draining.load(Ordering::Acquire) {
                     return;
                 }
-                if let Some(item) = q.jobs.pop_front() {
-                    break item;
+                if let Some(job) = q.jobs.pop_front() {
+                    break job;
                 }
                 if q.closed {
                     return;
@@ -1428,27 +1251,22 @@ where
                 q = shared.queue_cv.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
-        // One fence per dequeued item: if its serve path unwinds, every
+        // One fence per dequeued request: if its serve path unwinds, every
         // request it popped that is still unanswered fails with a
-        // structured error, and this thread takes the next item. A batch
+        // structured error, and this thread takes the next one. A batch
         // lists its head again; the slot answers it once.
         let mut batch_jobs: Vec<Arc<Job<I, T>>> = Vec::new();
         let served =
-            std::panic::catch_unwind(AssertUnwindSafe(|| match drain_batch(shared, &item) {
+            std::panic::catch_unwind(AssertUnwindSafe(|| match drain_batch(shared, &head) {
                 Some(batch) => {
-                    batch_jobs.extend(batch.iter().map(|it| Arc::clone(&it.job)));
+                    batch_jobs.extend(batch.iter().cloned());
                     serve_batch(shared, state, batch);
                 }
-                None => serve_job(shared, state, &item, None),
+                None => serve_job(shared, state, &head, None),
             }));
         let Err(payload) = served else { continue };
-        // A hedge copy's request stays with its primary, which is still
-        // running and answers it.
-        if item.is_hedge {
-            continue;
-        }
         let message = panic_message(payload.as_ref());
-        for job in std::iter::once(&item.job).chain(&batch_jobs) {
+        for job in std::iter::once(&head).chain(&batch_jobs) {
             let failure = CoreError::ReplicaPanicked {
                 replica: state.index,
                 context: "serve",
@@ -1462,25 +1280,22 @@ where
 }
 
 /// Drains queued requests batch-compatible with `head` (deadlines within
-/// the policy window; plain primaries only, since a batch run ignores shed
-/// requests' budget caps). Returns the batch — a clone
-/// of `head` plus the drained followers — or `None` when the pool is not
-/// batched or no follower qualifies (the head then serves singly).
+/// the policy window; unshed requests only, since a batch run ignores shed
+/// requests' budget caps). Returns the batch — `head` plus the drained
+/// followers — or `None` when the pool is not batched or no follower
+/// qualifies (the head then serves singly).
 fn drain_batch<I, T>(
     shared: &Arc<Shared<I, T>>,
-    head: &QueueItem<I, T>,
-) -> Option<Vec<QueueItem<I, T>>> {
+    head: &Arc<Job<I, T>>,
+) -> Option<Vec<Arc<Job<I, T>>>> {
     if !matches!(shared.factory, Factory::Batch(_)) {
         return None;
     }
     let policy = shared.opts.batch?;
-    if head.is_hedge || head.job.budget_cap.is_some() || head.job.slot.is_filled() {
+    if head.budget_cap.is_some() {
         return None;
     }
-    let mut batch = vec![QueueItem {
-        job: Arc::clone(&head.job),
-        is_hedge: false,
-    }];
+    let mut batch = vec![Arc::clone(head)];
     {
         let mut q = lock(&shared.queue);
         let now = Instant::now();
@@ -1488,19 +1303,14 @@ fn drain_batch<I, T>(
         while i < q.jobs.len() && batch.len() < policy.max_size {
             let it = &q.jobs[i];
             let gap = head
-                .job
                 .deadline
-                .saturating_duration_since(it.job.deadline)
-                .max(it.job.deadline.saturating_duration_since(head.job.deadline));
+                .saturating_duration_since(it.deadline)
+                .max(it.deadline.saturating_duration_since(head.deadline));
             // Leave members whose deadline is already unreachable for the
             // eviction path — pulling them in would only pad the batch.
-            let reachable = deadline_reachable(
-                now,
-                Duration::ZERO,
-                shared.opts.min_service,
-                it.job.deadline,
-            );
-            if !it.is_hedge && it.job.budget_cap.is_none() && reachable && gap <= policy.window {
+            let reachable =
+                deadline_reachable(now, Duration::ZERO, shared.opts.min_service, it.deadline);
+            if it.budget_cap.is_none() && reachable && gap <= policy.window {
                 if let Some(it) = q.jobs.remove(i) {
                     batch.push(it);
                 }
@@ -1512,7 +1322,7 @@ fn drain_batch<I, T>(
     (batch.len() > 1).then_some(batch)
 }
 
-/// Runs one queue item to response (or concedes it to a faster dispatch).
+/// Runs one request to its response, retrying permanent deaths.
 ///
 /// `initial_best` seeds the best-snapshot tracking when the job already
 /// holds partial output from a failed batch run — a fallback must never
@@ -1520,13 +1330,12 @@ fn drain_batch<I, T>(
 fn serve_job<I, T>(
     shared: &Arc<Shared<I, T>>,
     state: &Arc<ReplicaState>,
-    item: &QueueItem<I, T>,
+    job: &Arc<Job<I, T>>,
     initial_best: BestSeen<T>,
 ) where
     I: Send + Sync + 'static,
     T: Send + Sync + 'static,
 {
-    let job = &item.job;
     let service_start = Instant::now();
     // The occupancy estimate ends at a shed job's cap (it may run on past
     // it only until its floor lands) and otherwise at the deadline.
@@ -1545,26 +1354,20 @@ fn serve_job<I, T>(
     // attempts died instead of a generic timeout.
     let mut last_death: Option<CoreError> = None;
     let mut local_retries = 0u32;
-    let outcome = loop {
-        let now = Instant::now();
-        if job.slot.is_filled() {
-            break Attempt::Lost;
+    let best = loop {
+        if Instant::now() >= job.deadline {
+            break best;
         }
-        if now >= job.deadline {
-            break Attempt::Respond(best);
-        }
-        match run_attempt(shared, state, item, &mut best) {
-            Attempt::Lost => break Attempt::Lost,
-            Attempt::Respond(b) => break Attempt::Respond(b),
+        match run_attempt(shared, state, job, &mut best) {
+            Attempt::Respond(b) => break b,
             Attempt::Died(b, death) => {
                 best = b;
                 if death.is_some() {
                     last_death = death;
                 }
-                record_breaker_failure(shared, state);
                 let retry = &shared.opts.retry;
                 if local_retries >= retry.max_attempts {
-                    break Attempt::Respond(best);
+                    break best;
                 }
                 let mut delay = retry_backoff(
                     retry.base_backoff,
@@ -1583,7 +1386,7 @@ fn serve_job<I, T>(
                 // Retry only if the backoff plus a minimal run still fits.
                 if !deadline_reachable(Instant::now(), delay, shared.opts.min_service, job.deadline)
                 {
-                    break Attempt::Respond(best);
+                    break best;
                 }
                 local_retries += 1;
                 shared.counters.retried.inc();
@@ -1597,13 +1400,7 @@ fn serve_job<I, T>(
             }
         }
     };
-    match outcome {
-        Attempt::Lost => {}
-        Attempt::Died(..) => unreachable!("Died is handled in the retry loop"),
-        Attempt::Respond(best) => {
-            respond(shared, state, job, best, service_start, false, last_death);
-        }
-    }
+    respond(shared, state, job, best, service_start, false, last_death);
 }
 
 /// Answers a job with the best snapshot an attempt produced (or an error
@@ -1629,10 +1426,7 @@ fn respond<I, T>(
         fail_job(shared, job, Some(state.trace_id), failure);
         return;
     };
-    let (hedged, retries) = {
-        let st = lock(&job.slot.state);
-        (st.hedged, st.retries)
-    };
+    let retries = lock(&job.slot.state).retries;
     let status = if snapshot.is_final() && quality >= job.floor {
         ServeStatus::Final
     } else if snapshot.is_degraded() || quality < job.floor {
@@ -1647,7 +1441,6 @@ fn respond<I, T>(
         quality,
         status,
         shed: job.budget_cap.is_some(),
-        hedged,
         batched,
         retries,
         replica: state.index,
@@ -1677,15 +1470,15 @@ fn respond<I, T>(
         // bound-error gauge.
         shared.rta_counters.record_bound_sample(a.upper, elapsed);
     }
-    // The EWMA and P95 track *service* time (pop to response), not queue
-    // wait — admission multiplies them by queue depth itself.
+    // The EWMA and the service histogram track *service* time (pop to
+    // response), not queue wait — admission multiplies the EWMA by queue
+    // depth itself.
     let service = service_start.elapsed();
     state.ewma.record(service);
     shared.service_hist.record(service);
-    record_breaker_success(shared, state);
 }
 
-/// Fails a job with `err` unless another dispatch already answered it,
+/// Fails a job with `err` unless it was already answered,
 /// counting and tracing the failure (`replica` is the answering replica's
 /// trace id, `None` when the pool itself failed the job). Returns `false`
 /// when the job had already been answered.
@@ -1715,8 +1508,6 @@ fn fail_job<I, T>(
 enum BatchOutcome {
     /// Deadline or terminal output: answer with the best snapshot so far.
     Respond,
-    /// Another dispatch filled the slot first.
-    Lost,
     /// The shared run died permanently; this member retries alone.
     Died,
 }
@@ -1725,15 +1516,14 @@ enum BatchOutcome {
 ///
 /// The batch factory builds a single pipeline covering every member; each
 /// member is then answered in deadline order against its own reader — at
-/// its own deadline, against its own floor. Members never hedge (the
-/// shared run IS their dispatch), and a member whose chain dies falls back
-/// to the single-request path carrying the best snapshot the batch had
-/// already produced, so batching can only cost amortization, never an
-/// answer.
+/// its own deadline, against its own floor. A member whose chain dies
+/// falls back to the single-request path carrying the best snapshot the
+/// batch had already produced, so batching can only cost amortization,
+/// never an answer.
 fn serve_batch<I, T>(
     shared: &Arc<Shared<I, T>>,
     state: &Arc<ReplicaState>,
-    mut batch: Vec<QueueItem<I, T>>,
+    mut batch: Vec<Arc<Job<I, T>>>,
 ) where
     I: Send + Sync + 'static,
     T: Send + Sync + 'static,
@@ -1741,11 +1531,11 @@ fn serve_batch<I, T>(
     let service_start = Instant::now();
     // Members are answered soonest-deadline first; the factory sees inputs
     // in the same order.
-    batch.sort_by_key(|it| it.job.deadline);
+    batch.sort_by_key(|job| job.deadline);
     // The last member's deadline is the hard end of the batch run.
     let Some(last) = batch.last() else { return };
-    let _busy = occupy(shared, state, service_start, last.job.deadline);
-    let inputs: Vec<Arc<I>> = batch.iter().map(|it| Arc::clone(&it.job.input)).collect();
+    let _busy = occupy(shared, state, service_start, last.deadline);
+    let inputs: Vec<Arc<I>> = batch.iter().map(|job| Arc::clone(&job.input)).collect();
     let built = match &shared.factory {
         Factory::Batch(factory) => {
             fence_closure(&shared.governor_counters, state, "batch factory", || {
@@ -1780,33 +1570,25 @@ fn serve_batch<I, T>(
         Err(_) => {
             // The whole batch build/launch failed: every member falls back
             // to its own single-path run (which has its own retry loop).
-            record_breaker_failure(shared, state);
-            for item in &batch {
-                fallback_single(shared, state, item, None);
+            for job in &batch {
+                fallback_single(shared, state, job, None);
             }
             return;
         }
     };
     shared.counters.record_batch(batch.len() as u64);
-    for item in &batch {
-        shared
-            .opts
-            .recorder
-            .serve_event(EventKind::Batch, item.job.id);
+    for job in &batch {
+        shared.opts.recorder.serve_event(EventKind::Batch, job.id);
     }
     shared.live_runs.fetch_add(1, Ordering::Relaxed); // relaxed: count-up precedes any batch work; completion ordering comes from the Release decrement
     let mut fallbacks: Vec<(usize, BestSeen<T>)> = Vec::new();
-    for (idx, (item, reader)) in batch.iter().zip(&readers).enumerate() {
-        let job = &item.job;
+    for (idx, (job, reader)) in batch.iter().zip(&readers).enumerate() {
         let mut last_seen: Option<Version> = None;
         let mut best: BestSeen<T> = None;
         // Calibration: each member's reader watches the same shared run,
         // but crossings are tracked per member — its own quality scale.
         let mut tracker = shared.gate.as_ref().map(|g| g.tracker());
         let outcome = loop {
-            if job.slot.is_filled() {
-                break BatchOutcome::Lost;
-            }
             let now = Instant::now();
             if now >= job.deadline {
                 break BatchOutcome::Respond;
@@ -1850,7 +1632,6 @@ fn serve_batch<I, T>(
             }
         };
         match outcome {
-            BatchOutcome::Lost => {}
             BatchOutcome::Respond => {
                 // A member whose deadline elapsed while earlier members
                 // were being answered may never have polled its reader —
@@ -1882,10 +1663,7 @@ fn serve_batch<I, T>(
                 }
                 respond(shared, state, job, best, service_start, true, None);
             }
-            BatchOutcome::Died => {
-                record_breaker_failure(shared, state);
-                fallbacks.push((idx, best));
-            }
+            BatchOutcome::Died => fallbacks.push((idx, best)),
         }
         if let (Some(gate), Some(t)) = (&shared.gate, &tracker) {
             gate.absorb(t);
@@ -1922,25 +1700,16 @@ fn serve_batch<I, T>(
 fn fallback_single<I, T>(
     shared: &Arc<Shared<I, T>>,
     state: &Arc<ReplicaState>,
-    item: &QueueItem<I, T>,
+    job: &Arc<Job<I, T>>,
     best: BestSeen<T>,
 ) where
     I: Send + Sync + 'static,
     T: Send + Sync + 'static,
 {
-    if item.job.slot.is_filled() {
-        return;
-    }
     shared.counters.retried.inc();
-    shared
-        .opts
-        .recorder
-        .serve_event(EventKind::Retry, item.job.id);
-    {
-        let mut st = lock(&item.job.slot.state);
-        st.retries += 1;
-    }
-    serve_job(shared, state, item, best);
+    shared.opts.recorder.serve_event(EventKind::Retry, job.id);
+    lock(&job.slot.state).retries += 1;
+    serve_job(shared, state, job, best);
 }
 
 /// Applies the pool's runtime choice to a factory-built pipeline: a
@@ -1958,18 +1727,17 @@ fn pool_runtime<I, T>(shared: &Shared<I, T>, pipeline: Pipeline) -> Pipeline {
 }
 
 /// One pipeline launch for a request: build, run, track the best snapshot,
-/// hedge at the trigger, respond at the deadline or terminal output.
+/// respond at the deadline or terminal output.
 fn run_attempt<I, T>(
     shared: &Arc<Shared<I, T>>,
     state: &Arc<ReplicaState>,
-    item: &QueueItem<I, T>,
+    job: &Job<I, T>,
     best: &mut BestSeen<T>,
 ) -> Attempt<T>
 where
     I: Send + Sync + 'static,
     T: Send + Sync + 'static,
 {
-    let job = &item.job;
     let started = Instant::now();
     let built = fence_closure(&shared.governor_counters, state, "pipeline factory", || {
         shared.factory.build_one(&job.input)
@@ -1982,38 +1750,12 @@ where
         Err(e) => return Attempt::Died(best.take(), Some(e)),
     };
     let ctl = ControlToken::new();
-    if !job.slot.register(ctl.clone()) {
-        return Attempt::Lost;
-    }
     let auto = match pool_runtime(shared, pipeline).launch_with(ctl.clone()) {
         Ok(auto) => auto,
         Err(_) => return Attempt::Died(best.take(), None),
     };
     // relaxed: count-up precedes any attempt work; completion ordering comes from the Release decrement
     shared.live_runs.fetch_add(1, Ordering::Relaxed);
-    // Hedge trigger, in preference order: the fixed configured trigger;
-    // the admission analysis' worst-case service bound (a healthy run that
-    // outlives it is analytically late — hedge now); the P95 latency
-    // guess. Primary dispatch only — hedges do not hedge. Hedging needs a
-    // second worker to be anything but queue pressure.
-    // relaxed: gauge read; a hedge decision one resize stale is harmless
-    let hedge_capacity = shared.target_replicas.load(Ordering::Relaxed) > 1;
-    let mut hedge_at: Option<Instant> = match (&shared.opts.hedge, item.is_hedge) {
-        (Some(policy), false) if hedge_capacity => {
-            let after = policy
-                .after
-                .or_else(|| job.analysis.map(|a| a.service_upper))
-                .unwrap_or_else(|| {
-                    shared
-                        .service_hist
-                        .quantile(0.95)
-                        .unwrap_or(shared.opts.default_service_estimate)
-                });
-            let at = started + after;
-            (at + policy.min_remaining < job.deadline).then_some(at)
-        }
-        _ => None,
-    };
     // Versions restart per run: never carry a previous attempt's version
     // into this reader's waits (the quality comparison keeps `best`
     // monotone across attempts instead).
@@ -2022,9 +1764,6 @@ where
     // threshold, feeding the admission gate's supply curves.
     let mut tracker = shared.gate.as_ref().map(|g| g.tracker());
     let outcome = loop {
-        if job.slot.is_filled() {
-            break Attempt::Lost;
-        }
         let now = Instant::now();
         // A shed run ends at `started + cap` only once its best snapshot
         // meets the floor; until then it keeps its real deadline, so the
@@ -2038,9 +1777,7 @@ where
         if now >= attempt_end {
             break Attempt::Respond(best.take());
         }
-        let wait_until = hedge_at.map_or(attempt_end, |h| h.min(attempt_end));
-        match reader.wait_newer_timeout_with(last, wait_until.saturating_duration_since(now), &ctl)
-        {
+        match reader.wait_newer_timeout_with(last, attempt_end - now, &ctl) {
             Ok(snap) => {
                 last = Some(snap.version());
                 // A panicking quality estimator kills this *attempt* (the
@@ -2072,29 +1809,16 @@ where
                     break Attempt::Respond(best.take());
                 }
             }
-            Err(CoreError::Timeout) => {
-                if let Some(h) = hedge_at {
-                    if Instant::now() >= h {
-                        hedge_at = None;
-                        spawn_hedge(shared, item);
-                    }
-                }
-            }
-            Err(CoreError::Stopped) => {
-                // Stopped mid-wait: the winner halted this run. If the
-                // slot is somehow unfilled, answer with the best so far.
-                if job.slot.is_filled() {
-                    break Attempt::Lost;
-                }
-                break Attempt::Respond(best.take());
-            }
+            Err(CoreError::Timeout) => {}
+            // Stopped externally: answer with whatever the run gave us.
+            Err(CoreError::Stopped) => break Attempt::Respond(best.take()),
             // The replica died permanently (SourceClosed or another
             // terminal error): retryable at the serve layer.
             Err(_) => break Attempt::Died(best.take(), None),
         }
     };
-    // Stop and fully reap the run, win or lose: stages halt at their next
-    // step boundary and the join aggregates this run's fault handling.
+    // Stop and fully reap the run: stages halt at their next step
+    // boundary and the join aggregates this run's fault handling.
     auto.stop();
     let pre_join = auto.fault_stats();
     match auto.join() {
@@ -2121,89 +1845,6 @@ where
         gate.absorb_wait_stats(&reader.wait_stats());
     }
     outcome
-}
-
-/// Dispatches the hedge copy of a request: same job, same slot, flagged so
-/// it cannot hedge again; queue-jumps so an idle replica picks it up now.
-fn spawn_hedge<I, T>(shared: &Arc<Shared<I, T>>, item: &QueueItem<I, T>) {
-    {
-        let mut st = lock(&item.job.slot.state);
-        if st.filled || st.hedged {
-            return;
-        }
-        st.hedged = true;
-    }
-    let pushed = {
-        let mut q = lock(&shared.queue);
-        if q.closed {
-            false
-        } else {
-            q.jobs.push_front(QueueItem {
-                job: Arc::clone(&item.job),
-                is_hedge: true,
-            });
-            true
-        }
-    };
-    if !pushed {
-        // No hedge actually exists; undo the flag so the response and the
-        // hedged counter stay truthful. Only this (primary) dispatch sets
-        // or reads the flag before the response, so the revert is safe.
-        lock(&item.job.slot.state).hedged = false;
-        return;
-    }
-    shared.counters.hedged.inc();
-    shared
-        .opts
-        .recorder
-        .serve_event(EventKind::Hedge, item.job.id);
-    shared.queue_cv.notify_all();
-}
-
-fn record_breaker_failure<I, T>(shared: &Arc<Shared<I, T>>, state: &ReplicaState) {
-    let Some(policy) = &shared.opts.breaker else {
-        return;
-    };
-    let mut breaker = lock(&state.breaker);
-    let open = |shared: &Shared<I, T>| {
-        shared.counters.breaker_opens.inc();
-        shared
-            .opts
-            .recorder
-            .breaker(EventKind::BreakerOpen, state.trace_id);
-        Breaker::Open {
-            until: Instant::now() + policy.cooldown,
-        }
-    };
-    *breaker = match *breaker {
-        Breaker::Closed { consecutive } => {
-            let consecutive = consecutive + 1;
-            if consecutive >= policy.failures {
-                open(shared)
-            } else {
-                Breaker::Closed { consecutive }
-            }
-        }
-        // A failed canary re-opens immediately.
-        Breaker::HalfOpen => open(shared),
-        b @ Breaker::Open { .. } => b,
-    };
-}
-
-fn record_breaker_success<I, T>(shared: &Arc<Shared<I, T>>, state: &ReplicaState) {
-    if shared.opts.breaker.is_none() {
-        return;
-    }
-    let mut breaker = lock(&state.breaker);
-    // Only a half-open canary success is a state transition worth tracing;
-    // routine successes just reset the consecutive-failure count.
-    if *breaker == Breaker::HalfOpen {
-        shared
-            .opts
-            .recorder
-            .breaker(EventKind::BreakerClose, state.trace_id);
-    }
-    *breaker = Breaker::Closed { consecutive: 0 };
 }
 
 #[cfg(test)]
@@ -2245,6 +1886,54 @@ mod tests {
         move |s: &Snapshot<u64>| *s.value() as f64 / n as f64
     }
 
+    /// The input that marks a test's blocker: a factory built with
+    /// [`factory_gate`]'s `hold` holds only the builds it marks.
+    const BLOCKER: u64 = 1;
+
+    /// A gate for factory builds, so that a test orders a blocker and its
+    /// followers without sleeping. `hold` announces a build on `entered`
+    /// and waits for one send on `release`. Re-declare `release` after the
+    /// pool: unwinding then drops it first and frees a held build, instead
+    /// of hanging the pool's shutdown join.
+    fn factory_gate() -> (
+        impl Fn() + Send + Sync + 'static,
+        std::sync::mpsc::Receiver<()>,
+        std::sync::mpsc::Sender<()>,
+    ) {
+        let (entered_tx, entered) = std::sync::mpsc::channel::<()>();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        let hold = move || {
+            let _ = entered_tx.send(());
+            let _ = lock(&release_rx).recv();
+        };
+        (hold, entered, release)
+    }
+
+    /// Waits until a gated build has started. Fails instead of hanging
+    /// when the blocker never reaches its factory, for instance when its
+    /// deadline evicts it from the queue first.
+    fn await_build(entered: &std::sync::mpsc::Receiver<()>) {
+        entered
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the blocker never reached its factory");
+    }
+
+    /// Waits, without sleeping, until admission has decided `n` requests.
+    fn decided<I, T>(pool: &ServePool<I, T>, n: u64) -> ServeStats
+    where
+        I: Send + Sync + 'static,
+        T: Send + Sync + 'static,
+    {
+        loop {
+            let s = pool.stats();
+            if s.admitted + s.rejected >= n {
+                break s;
+            }
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn generous_deadline_reaches_final() {
         let pool = ServePool::new(
@@ -2257,7 +1946,7 @@ mod tests {
         assert_eq!(resp.status, ServeStatus::Final);
         assert_eq!(*resp.snapshot.value(), 10);
         assert_eq!(resp.quality, 1.0);
-        assert!(!resp.shed && !resp.hedged);
+        assert!(!resp.shed);
         let stats = pool.shutdown();
         assert_eq!(stats.admitted, 1);
         assert_eq!(stats.completed, 1);
@@ -2347,7 +2036,6 @@ mod tests {
                     base_backoff: Duration::from_micros(100),
                     max_backoff: Duration::from_millis(1),
                 },
-                breaker: None,
                 ..ServeOptions::default()
             },
             factory,
@@ -2360,50 +2048,6 @@ mod tests {
         let stats = pool.shutdown();
         assert!(stats.retried >= 1);
         assert!(stats.faults.permanent_failures >= 1);
-        assert_eq!(stats.live_runs, 0);
-    }
-
-    #[test]
-    fn consecutive_failures_open_the_breaker() {
-        let factory = |_input: &u64| {
-            let mut pb = PipelineBuilder::new();
-            let out = pb.source(
-                "boom",
-                (),
-                Diffusive::new(
-                    |_: &()| 0u64,
-                    |_: &(), _: &mut u64, _| -> StepOutcome { panic!("always dies") },
-                ),
-                StageOptions::with_publish_every(1),
-            );
-            Ok((pb.build(), out))
-        };
-        let pool = ServePool::new(
-            ServeOptions {
-                replicas: 1,
-                retry: RetryPolicy {
-                    max_attempts: 0,
-                    base_backoff: Duration::ZERO,
-                    max_backoff: Duration::ZERO,
-                },
-                breaker: Some(BreakerPolicy {
-                    failures: 2,
-                    cooldown: Duration::from_millis(5),
-                }),
-                min_service: Duration::from_micros(1),
-                ..ServeOptions::default()
-            },
-            factory,
-            fraction_quality(1),
-        )
-        .unwrap();
-        for _ in 0..4 {
-            let res = pool.submit(0, Duration::from_millis(300), 0.0);
-            assert!(res.is_err(), "a dead pipeline cannot produce a snapshot");
-        }
-        let stats = pool.shutdown();
-        assert!(stats.breaker_opens >= 1, "breaker never opened: {stats:?}");
-        assert_eq!(stats.failed, 4);
         assert_eq!(stats.live_runs, 0);
     }
 
@@ -2434,9 +2078,7 @@ mod tests {
         deadline: Duration,
         floor: f64,
     ) -> (Result<ServeResponse<u64>>, ServeStats) {
-        let (entered_tx, entered) = std::sync::mpsc::channel::<()>();
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        let release_rx = Mutex::new(release_rx);
+        let (hold, entered, release) = factory_gate();
         let runtime = crate::Runtime::new(1);
         let pool = Arc::new(
             ServePool::new(
@@ -2449,8 +2091,7 @@ mod tests {
                     }),
                 move |r: &Req| {
                     if r.gate {
-                        let _ = entered_tx.send(());
-                        let _ = lock(&release_rx).recv();
+                        hold();
                     }
                     counting_factory(r.steps, r.step)(&0)
                 },
@@ -2458,9 +2099,8 @@ mod tests {
             )
             .unwrap(),
         );
-        // Declared after the pool, so unwinding drops it first and frees a
-        // held factory instead of hanging the pool's shutdown join.
-        let release = release_tx;
+        // Re-declared after the pool: see `factory_gate`.
+        let release = release;
         let full = Req {
             steps: RULE_STEPS,
             step: Duration::from_millis(2),
@@ -2475,15 +2115,6 @@ mod tests {
             let p = Arc::clone(&pool);
             std::thread::spawn(move || p.submit(r, deadline, floor))
         };
-        // Waits, without sleeping, until admission has decided `n`
-        // requests.
-        let decided = |n: u64| loop {
-            let s = pool.stats();
-            if s.admitted + s.rejected >= n {
-                break;
-            }
-            std::thread::yield_now();
-        };
         let quick = Req {
             steps: 1,
             step: Duration::from_millis(2),
@@ -2497,11 +2128,11 @@ mod tests {
             Duration::from_secs(10),
             0.0,
         );
-        entered.recv().unwrap();
+        await_build(&entered);
         let ahead = submit(quick, Duration::from_secs(10), 0.0);
-        decided(5);
+        decided(&pool, 5);
         let probe = submit(probe, deadline, floor);
-        decided(6);
+        decided(&pool, 6);
         release.send(()).unwrap();
         assert!(blocker.join().unwrap().is_ok());
         assert!(!ahead.join().unwrap().expect("queued request failed").shed);
@@ -2607,76 +2238,23 @@ mod tests {
         assert_eq!(stats.shed, 0, "{stats:?}");
     }
 
-    #[test]
-    fn hedge_dispatches_and_loser_is_stopped() {
-        let pool = ServePool::new(
-            ServeOptions {
-                replicas: 2,
-                hedge: Some(HedgePolicy {
-                    after: Some(Duration::from_millis(5)),
-                    min_remaining: Duration::from_millis(1),
-                }),
-                ..ServeOptions::default()
-            },
-            counting_factory(60, Duration::from_millis(1)),
-            fraction_quality(60),
-        )
-        .unwrap();
-        let resp = pool.submit(0, Duration::from_secs(10), 0.0).unwrap();
-        assert!(resp.hedged, "hedge never dispatched");
-        assert_eq!(resp.status, ServeStatus::Final);
-        let stats = pool.shutdown();
-        assert_eq!(stats.hedged, 1);
-        assert_eq!(stats.live_runs, 0, "hedge loser leaked a run");
-    }
-
-    /// A hedge copy that never leaves the queue (every other replica busy
-    /// through the deadline) must not count as "never started" at deadline
-    /// eviction: the primary dispatch is running and owes the caller its
-    /// best snapshot, not a Timeout.
-    #[test]
-    fn lingering_hedge_does_not_time_out_running_primary() {
-        let pool = Arc::new(
-            ServePool::new(
-                ServeOptions {
-                    replicas: 2,
-                    hedge: Some(HedgePolicy {
-                        after: Some(Duration::from_millis(50)),
-                        min_remaining: Duration::from_millis(1),
-                    }),
-                    ..ServeOptions::default()
-                },
-                counting_factory(1_000_000, Duration::from_millis(1)),
-                fraction_quality(1_000_000),
-            )
-            .unwrap(),
-        );
-        // The test request starts on one replica; its hedge fires at 50ms,
-        // by which point the blocker occupies the other replica until well
-        // past the test deadline — the hedge copy can only sit in the
-        // queue.
-        let p1 = Arc::clone(&pool);
-        let victim = std::thread::spawn(move || p1.submit(0, Duration::from_millis(300), 0.0));
-        std::thread::sleep(Duration::from_millis(10));
-        let p2 = Arc::clone(&pool);
-        let blocker = std::thread::spawn(move || p2.submit(0, Duration::from_millis(600), 0.0));
-        let resp = victim
-            .join()
-            .unwrap()
-            .expect("running primary timed out by its own queued hedge");
-        assert!(resp.hedged);
-        assert!(*resp.snapshot.value() >= 1);
-        assert_eq!(resp.status, ServeStatus::AtDeadline);
-        assert!(blocker.join().unwrap().is_ok());
-        let stats = pool.shutdown();
-        assert_eq!(stats.admitted, 2);
-        assert_eq!(stats.completed, 2, "{stats:?}");
-        assert_eq!(stats.failed, 0, "{stats:?}");
-        assert_eq!(stats.live_runs, 0);
+    /// `counting_factory(1_000_000, 1 ms)` whose [`BLOCKER`] builds wait
+    /// on `hold`.
+    fn gated_counting_factory(
+        hold: impl Fn() + Send + Sync,
+    ) -> impl Fn(&u64) -> Result<(Pipeline, BufferReader<u64>)> + Send + Sync {
+        let build = counting_factory(1_000_000, Duration::from_millis(1));
+        move |input: &u64| {
+            if *input == BLOCKER {
+                hold();
+            }
+            build(input)
+        }
     }
 
     #[test]
     fn full_queue_rejects_with_queue_full() {
+        let (hold, entered, release) = factory_gate();
         let pool = Arc::new(
             ServePool::new(
                 ServeOptions {
@@ -2684,18 +2262,20 @@ mod tests {
                     queue_capacity: 1,
                     ..ServeOptions::default()
                 },
-                counting_factory(1_000_000, Duration::from_millis(1)),
+                gated_counting_factory(hold),
                 fraction_quality(1_000_000),
             )
             .unwrap(),
         );
+        // Re-declared after the pool: see `factory_gate`.
+        let release = release;
         // Occupy the only replica, then fill the single queue slot.
         let p1 = Arc::clone(&pool);
-        let busy = std::thread::spawn(move || p1.submit(0, Duration::from_millis(400), 0.0));
-        std::thread::sleep(Duration::from_millis(30));
+        let busy = std::thread::spawn(move || p1.submit(BLOCKER, Duration::from_millis(400), 0.0));
+        await_build(&entered);
         let p2 = Arc::clone(&pool);
         let queued = std::thread::spawn(move || p2.submit(0, Duration::from_millis(600), 0.0));
-        std::thread::sleep(Duration::from_millis(30));
+        decided(&pool, 2);
         // Capacity, not deadline, is the problem: the budget is generous.
         match pool.submit(0, Duration::from_secs(60), 0.0) {
             Err(CoreError::QueueFull { depth, capacity }) => {
@@ -2704,6 +2284,7 @@ mod tests {
             }
             other => panic!("expected QueueFull, got {other:?}"),
         }
+        release.send(()).unwrap();
         assert!(busy.join().unwrap().is_ok());
         assert!(queued.join().unwrap().is_ok());
         let stats = pool.shutdown();
@@ -2713,30 +2294,37 @@ mod tests {
 
     #[test]
     fn shutdown_fails_queued_requests() {
+        let (hold, entered, release) = factory_gate();
         let pool = Arc::new(
             ServePool::new(
                 ServeOptions {
                     replicas: 1,
                     ..ServeOptions::default()
                 },
-                counting_factory(1_000_000, Duration::from_millis(1)),
+                gated_counting_factory(hold),
                 fraction_quality(1_000_000),
             )
             .unwrap(),
         );
+        // Re-declared after the pool: see `factory_gate`.
+        let release = release;
         // Occupy the only replica, then queue a second request.
         let p1 = Arc::clone(&pool);
-        let busy = std::thread::spawn(move || p1.submit(0, Duration::from_millis(400), 0.0));
-        std::thread::sleep(Duration::from_millis(30));
+        let busy = std::thread::spawn(move || p1.submit(BLOCKER, Duration::from_millis(400), 0.0));
+        await_build(&entered);
         let p2 = Arc::clone(&pool);
         let queued = std::thread::spawn(move || p2.submit(0, Duration::from_secs(5), 0.0));
-        std::thread::sleep(Duration::from_millis(30));
-        let stats = pool.shutdown();
+        decided(&pool, 2);
+        // Shut down while the blocker's build holds the replica. Shutdown
+        // fails the queued request before it joins the worker, so that
+        // answer comes first, and the release then lets the join finish.
+        let p3 = Arc::clone(&pool);
+        let shutdown = std::thread::spawn(move || p3.shutdown());
+        let queued = queued.join().unwrap();
+        release.send(()).unwrap();
+        let stats = shutdown.join().unwrap();
         assert!(busy.join().unwrap().is_ok());
-        assert!(matches!(
-            queued.join().unwrap(),
-            Err(CoreError::PoolShutdown)
-        ));
+        assert!(matches!(queued, Err(CoreError::PoolShutdown)));
         assert_eq!(stats.live_runs, 0);
     }
 
@@ -2775,6 +2363,8 @@ mod tests {
     #[test]
     fn compatible_requests_share_one_batch_run() {
         let sizes = Arc::new(Mutex::new(Vec::new()));
+        let build = shared_batch_factory(40, Duration::from_millis(1), Arc::clone(&sizes));
+        let (hold, entered, release) = factory_gate();
         let pool = Arc::new(
             ServePool::new_batched(
                 ServeOptions {
@@ -2785,22 +2375,32 @@ mod tests {
                     }),
                     ..ServeOptions::default()
                 },
-                shared_batch_factory(40, Duration::from_millis(1), Arc::clone(&sizes)),
+                move |inputs: &[Arc<u64>]| {
+                    if inputs.iter().any(|input| **input == BLOCKER) {
+                        hold();
+                    }
+                    build(inputs)
+                },
                 fraction_quality(40),
             )
             .unwrap(),
         );
+        // Re-declared after the pool: see `factory_gate`.
+        let release = release;
         // Occupy the lone replica so the next three requests pile up in the
         // queue and drain together as one batch.
         let p0 = Arc::clone(&pool);
-        let blocker = std::thread::spawn(move || p0.submit(0, Duration::from_millis(200), 0.0));
-        std::thread::sleep(Duration::from_millis(30));
+        let blocker =
+            std::thread::spawn(move || p0.submit(BLOCKER, Duration::from_millis(200), 0.0));
+        await_build(&entered);
         let followers: Vec<_> = (0..3)
             .map(|_| {
                 let p = Arc::clone(&pool);
                 std::thread::spawn(move || p.submit(0, Duration::from_secs(5), 0.0))
             })
             .collect();
+        decided(&pool, 4);
+        release.send(()).unwrap();
         assert!(blocker.join().unwrap().is_ok());
         for f in followers {
             let resp = f.join().unwrap().expect("batched request failed");
@@ -2861,15 +2461,6 @@ mod tests {
             let p = Arc::clone(&pool);
             std::thread::spawn(move || p.submit(0, deadline, 0.0))
         };
-        // Waits, without sleeping, until admission has decided `n`
-        // requests.
-        let decided = |n: u64| loop {
-            let s = pool.stats();
-            if s.admitted + s.rejected >= n {
-                break s;
-            }
-            std::thread::yield_now();
-        };
 
         // A single run holds the replica while two followers queue up.
         let first = submit(Duration::from_secs(60));
@@ -2878,13 +2469,13 @@ mod tests {
             submit(Duration::from_secs(120)),
             submit(Duration::from_secs(120)),
         ];
-        decided(3);
+        decided(&pool, 3);
         // The followers drain as one batch, whose factory now holds.
         release.send(()).unwrap();
         assert_eq!(entered.recv().unwrap(), 2);
         // Its deadline is 60 s sooner than the batch head's.
         let arrival = submit(Duration::from_secs(60));
-        let refused = decided(4).rejected;
+        let refused = decided(&pool, 4).rejected;
         // Release the batch and the arrival's own run.
         release.send(()).unwrap();
         release.send(()).unwrap();
@@ -2905,9 +2496,13 @@ mod tests {
     fn failed_batch_falls_back_to_single_runs() {
         // The factory refuses multi-input batches; members must still be
         // answered via the single-run fallback (counted as retries).
+        let (hold, entered, release) = factory_gate();
         let factory = move |inputs: &[Arc<u64>]| {
             if inputs.len() > 1 {
                 return Err(CoreError::InvalidConfig("no batches today".into()));
+            }
+            if *inputs[0] == BLOCKER {
+                hold();
             }
             let mut pb = PipelineBuilder::new();
             let out = pb.source(
@@ -2940,15 +2535,20 @@ mod tests {
             )
             .unwrap(),
         );
+        // Re-declared after the pool: see `factory_gate`.
+        let release = release;
         let p0 = Arc::clone(&pool);
-        let blocker = std::thread::spawn(move || p0.submit(0, Duration::from_millis(100), 0.0));
-        std::thread::sleep(Duration::from_millis(20));
+        let blocker =
+            std::thread::spawn(move || p0.submit(BLOCKER, Duration::from_millis(100), 0.0));
+        await_build(&entered);
         let followers: Vec<_> = (0..2)
             .map(|_| {
                 let p = Arc::clone(&pool);
                 std::thread::spawn(move || p.submit(0, Duration::from_secs(5), 0.0))
             })
             .collect();
+        decided(&pool, 3);
+        release.send(()).unwrap();
         assert!(blocker.join().unwrap().is_ok());
         for f in followers {
             let resp = f.join().unwrap().expect("fallback request failed");
@@ -3086,7 +2686,10 @@ mod tests {
     fn rta_feasible_requests_keep_their_floor() {
         // Analytically-admitted requests must meet the floor they were
         // admitted against: deadline far above the worst case, floor well
-        // inside observed quality.
+        // inside observed quality. The pool runs on a runtime of its own,
+        // so that other tests' stage tasks cannot stall the one run that
+        // calibrates the gate.
+        let runtime = crate::Runtime::new(1);
         let pool = ServePool::new(
             ServeOptions {
                 replicas: 1,
@@ -3096,7 +2699,8 @@ mod tests {
             .rta(RtaPolicy {
                 min_runs: 1,
                 ..RtaPolicy::default()
-            }),
+            })
+            .runtime(runtime.handle()),
             counting_factory(5, Duration::from_millis(1)),
             fraction_quality(5),
         )
@@ -3160,7 +2764,6 @@ mod tests {
                     base_backoff: Duration::ZERO,
                     max_backoff: Duration::ZERO,
                 },
-                breaker: None,
                 min_service: Duration::from_micros(1),
                 ..ServeOptions::default()
             },
@@ -3210,7 +2813,6 @@ mod tests {
                     base_backoff: Duration::from_micros(100),
                     max_backoff: Duration::from_millis(1),
                 },
-                breaker: None,
                 min_service: Duration::from_micros(1),
                 ..ServeOptions::default()
             },
@@ -3229,32 +2831,38 @@ mod tests {
 
     #[test]
     fn double_shutdown_is_idempotent() {
+        let (hold, entered, release) = factory_gate();
         let pool = Arc::new(
             ServePool::new(
                 ServeOptions {
                     replicas: 1,
                     ..ServeOptions::default()
                 },
-                counting_factory(1_000_000, Duration::from_millis(1)),
+                gated_counting_factory(hold),
                 fraction_quality(1_000_000),
             )
             .unwrap(),
         );
+        // Re-declared after the pool: see `factory_gate`.
+        let release = release;
         // Occupy the only replica, then queue a second request so the
         // first shutdown has something to drain-fail.
         let p1 = Arc::clone(&pool);
-        let busy = std::thread::spawn(move || p1.submit(0, Duration::from_millis(300), 0.0));
-        std::thread::sleep(Duration::from_millis(30));
+        let busy = std::thread::spawn(move || p1.submit(BLOCKER, Duration::from_millis(300), 0.0));
+        await_build(&entered);
         let p2 = Arc::clone(&pool);
         let queued = std::thread::spawn(move || p2.submit(0, Duration::from_secs(5), 0.0));
-        std::thread::sleep(Duration::from_millis(30));
-        let first = pool.shutdown();
+        decided(&pool, 2);
+        // As in `shutdown_fails_queued_requests`: the queued request is
+        // answered before the first shutdown joins the held worker.
+        let p3 = Arc::clone(&pool);
+        let shutdown = std::thread::spawn(move || p3.shutdown());
+        let queued = queued.join().unwrap();
+        release.send(()).unwrap();
+        let first = shutdown.join().unwrap();
         let second = pool.shutdown();
         assert!(busy.join().unwrap().is_ok());
-        assert!(matches!(
-            queued.join().unwrap(),
-            Err(CoreError::PoolShutdown)
-        ));
+        assert!(matches!(queued, Err(CoreError::PoolShutdown)));
         // The drained request failed exactly once; the second shutdown
         // found nothing left to drain or join.
         assert_eq!(first.failed, 1);

@@ -6,7 +6,7 @@
 //! executor and serving layer were doing at that moment. This module
 //! records exactly that trajectory as a stream of [`TraceEvent`]s —
 //! publish/observe on the buffer plane, restart/stall/degrade on the
-//! supervision plane, admit/hedge/shed/breaker on the serving plane — each
+//! supervision plane, admit/shed/retry on the serving plane — each
 //! stamped with monotonic time since the recorder's epoch, a stage id, a
 //! version level, and accuracy when available.
 //!
@@ -93,18 +93,10 @@ pub enum EventKind {
     /// Admission shed a serve request: queued with negative analytical
     /// slack, it runs under its floor's worst-case service bound.
     Shed,
-    /// A hedge run was dispatched after the primary crossed the trigger.
-    Hedge,
     /// A serve request was drained into a shared batch run.
     Batch,
     /// A serve request was relaunched after a permanent replica failure.
     Retry,
-    /// A replica circuit breaker opened (quarantine).
-    BreakerOpen,
-    /// A replica circuit breaker moved to half-open (probe).
-    BreakerHalfOpen,
-    /// A replica circuit breaker closed (recovered).
-    BreakerClose,
     /// A serve request completed with a snapshot (`dur` is its latency).
     RequestDone,
     /// An admitted serve request failed with no snapshot.
@@ -131,12 +123,8 @@ impl EventKind {
             Self::Feasible => "feasible",
             Self::Infeasible => "infeasible",
             Self::Shed => "shed",
-            Self::Hedge => "hedge",
             Self::Batch => "batch",
             Self::Retry => "retry",
-            Self::BreakerOpen => "breaker_open",
-            Self::BreakerHalfOpen => "breaker_half_open",
-            Self::BreakerClose => "breaker_close",
             Self::RequestDone => "request_done",
             Self::RequestFailed => "request_failed",
             Self::WorkerAdded => "worker_added",
@@ -380,7 +368,7 @@ impl Recorder {
         });
     }
 
-    /// Records a serving-plane event (`Admit`, `Reject`, `Shed`, `Hedge`,
+    /// Records a serving-plane event (`Admit`, `Reject`, `Shed`, `Batch`,
     /// `Retry`) for request `req`.
     #[inline]
     pub fn serve_event(&self, kind: EventKind, req: u64) {
@@ -403,16 +391,6 @@ impl Recorder {
             ev.req = Some(req);
             ev.dur = Some(bound);
             ev.accuracy = Some(floor);
-            ev
-        });
-    }
-
-    /// Records a circuit-breaker transition on replica `replica`.
-    #[inline]
-    pub fn breaker(&self, kind: EventKind, replica: StageId) {
-        self.emit_with(|at| {
-            let mut ev = TraceEvent::new(at, kind);
-            ev.stage = Some(replica);
             ev
         });
     }

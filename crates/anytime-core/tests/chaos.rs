@@ -484,8 +484,6 @@ mod batched {
         ServeOptions {
             replicas: 1,
             min_service: Duration::from_micros(100),
-            hedge: None,
-            breaker: None,
             ..ServeOptions::default()
         }
         .batch(BatchPolicy {
@@ -652,17 +650,16 @@ fn watchdog_degrades_an_injected_stall() {
     assert!(f.is_degraded());
 }
 
-/// Serve-pool chaos: worker kills, fenced panics, and breaker recovery,
-/// end to end against the pool's counters and trace.
+/// Serve-pool chaos: worker kills and fenced panics, end to end against
+/// the pool's counters and trace.
 mod serve_chaos {
     use anytime_core::buffer::BufferReader;
-    use anytime_core::serve::{BreakerPolicy, RetryPolicy, ServeOptions, ServePool, ServeStatus};
+    use anytime_core::serve::{ServeOptions, ServePool, ServeStatus};
     use anytime_core::trace::{EventKind, Recorder};
     use anytime_core::{
         CoreError, Diffusive, Pipeline, PipelineBuilder, Result, Snapshot, StageOptions,
         StepOutcome, WorkerKillPlan,
     };
-    use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -697,77 +694,6 @@ mod serve_chaos {
         move |s: &Snapshot<u64>| *s.value() as f64 / n as f64
     }
 
-    /// Closed → Open on consecutive fenced factory panics; a half-open
-    /// canary after the cooldown heals it back to Closed. Counters and
-    /// trace events reconcile at every step.
-    #[test]
-    fn breaker_opens_then_heals_end_to_end() {
-        let builds = Arc::new(AtomicU32::new(0));
-        let counter = Arc::clone(&builds);
-        let working = counting_factory(3, Duration::from_micros(100));
-        let factory = move |input: &u64| {
-            if counter.fetch_add(1, Ordering::SeqCst) < 2 {
-                // resume_unwind skips the panic hook: intentional chaos
-                // stays silent in test output.
-                std::panic::resume_unwind(Box::new("chaos: factory panic".to_string()));
-            }
-            working(input)
-        };
-        let pool = ServePool::new(
-            ServeOptions {
-                replicas: 1,
-                retry: RetryPolicy {
-                    max_attempts: 0,
-                    base_backoff: Duration::ZERO,
-                    max_backoff: Duration::ZERO,
-                },
-                breaker: Some(BreakerPolicy {
-                    failures: 2,
-                    cooldown: Duration::from_millis(30),
-                }),
-                min_service: Duration::from_micros(1),
-                recorder: Recorder::enabled(4096),
-                ..ServeOptions::default()
-            },
-            factory,
-            fraction_quality(3),
-        )
-        .unwrap();
-        // Two fenced panics in a row: both fail structurally, the second
-        // trips the breaker.
-        for _ in 0..2 {
-            let err = pool.submit(0, Duration::from_millis(200), 0.0).unwrap_err();
-            assert!(
-                matches!(err, CoreError::ReplicaPanicked { context, .. }
-                    if context == "pipeline factory"),
-                "expected a fenced factory panic, got {err:?}"
-            );
-        }
-        // Wait out the cooldown; the healed factory serves the canary.
-        std::thread::sleep(Duration::from_millis(45));
-        let resp = pool.submit(0, Duration::from_secs(5), 0.0).unwrap();
-        assert_eq!(resp.status, ServeStatus::Final);
-        // The fence kept the worker thread alive throughout.
-        assert_eq!(pool.worker_count(), 1);
-        let stats = pool.shutdown();
-        // Drained only after shutdown joined the worker: it traces the
-        // breaker close after it has answered the canary.
-        let trace = pool.trace();
-        assert_eq!(stats.breaker_opens, 1, "{stats:?}");
-        assert_eq!(stats.failed, 2);
-        assert_eq!(stats.completed, 1);
-        assert!(stats.governor.closure_panics >= 2, "{:?}", stats.governor);
-        assert_eq!(stats.live_runs, 0);
-        let count = |kind: EventKind| trace.events().iter().filter(|e| e.kind == kind).count();
-        assert_eq!(
-            count(EventKind::BreakerOpen) as u64,
-            stats.breaker_opens,
-            "trace and counters disagree on opens"
-        );
-        assert!(count(EventKind::BreakerHalfOpen) >= 1, "no canary probe");
-        assert!(count(EventKind::BreakerClose) >= 1, "breaker never healed");
-    }
-
     /// Seeded worker kills across a 3-replica default pool: the
     /// per-request serve fence answers each killed request with a
     /// structured `ReplicaPanicked`, every other request still reaches
@@ -790,7 +716,6 @@ mod serve_chaos {
                         replicas: 3,
                         queue_capacity: 128,
                         min_service: Duration::from_micros(1),
-                        breaker: None,
                         recorder: Recorder::enabled(8192),
                         ..ServeOptions::default()
                     }

@@ -210,12 +210,26 @@ fn final_publication_races_stop() {
 
 /// Wait-set registrations are scoped: thousands of short-lived waiters
 /// must leave no residue that slows or breaks later wakeups.
+///
+/// A waiter that first checks after its 50 µs deadline (its thread was
+/// preempted) returns `Timeout` from the fast path without blocking, and
+/// `WaitStats::waits` does not count it. So the churn runs until 2,000
+/// blocking waits are counted, under a fixed cap on the calls.
 #[test]
 fn transient_waiters_leave_no_residue() {
+    /// Calls allowed to reach 2,000 blocking waits.
+    const MAX_CALLS: u32 = 20_000;
     let (mut w, r) = buffer::versioned::<u64>("residue");
-    for _ in 0..2000 {
+    let mut calls = 0u32;
+    while r.wait_stats().waits < 2000 {
+        assert!(
+            calls < MAX_CALLS,
+            "{calls} waits of 50 µs blocked only {} times",
+            r.wait_stats().waits
+        );
         // Briefly blocks, expires by deadline, unsubscribes on exit.
         let _ = r.wait_newer_timeout(None, Duration::from_micros(50));
+        calls += 1;
     }
     w.publish(7, 1);
     let snap = r

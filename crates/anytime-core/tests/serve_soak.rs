@@ -7,8 +7,8 @@
 //! - every response arrives by its deadline (plus scheduling slop) or the
 //!   request is rejected at admission; zero hangs;
 //! - no response is below its quality floor unless flagged degraded;
-//! - hedged losers are verifiably stopped: `live_runs == 0` at pool
-//!   shutdown, i.e. no leaked running stages;
+//! - every run is verifiably stopped: `live_runs == 0` at pool shutdown,
+//!   i.e. no leaked running stages;
 //! - the serve counters reconcile: `admitted + rejected` equals the
 //!   submissions, `completed + failed` equals the admissions, the
 //!   aggregated per-run `FaultStats` reflect the injected faults, and the
@@ -16,15 +16,15 @@
 //!
 //! Deterministic: all faults derive from `SOAK_SEED` (default 0xA17) and
 //! fire only on a request's *first* pipeline build (the transient-fault
-//! model), so retries and hedges recover reproducibly. Request volume is
+//! model), so retries recover reproducibly. Request volume is
 //! `SOAK_REQUESTS` per submitter thread (default 70 ⇒ 560 total).
 //! Requires `--features fault-inject`.
 #![cfg(feature = "fault-inject")]
 
-use anytime_core::serve::{HedgePolicy, RetryPolicy, ServeOptions, ServePool};
+use anytime_core::serve::{RetryPolicy, ServeOptions, ServePool};
 use anytime_core::{
-    BreakerPolicy, CoreError, Diffusive, FaultPlan, Precise, RtaPolicy, ServeResponse, ServeStatus,
-    StageOptions, StepOutcome, Supervision,
+    CoreError, Diffusive, FaultPlan, Precise, RtaPolicy, ServeResponse, ServeStatus, StageOptions,
+    StepOutcome, Supervision,
 };
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
@@ -65,8 +65,8 @@ enum Class {
     /// Degrade supervision + a fully seeded plan: exercises degraded
     /// responses.
     Degrade,
-    /// A heavy per-step slowdown on the first build: exercises hedging
-    /// (the clean hedge rebuild overtakes the slow primary).
+    /// A heavy per-step slowdown on the first build: the slowed run is
+    /// answered at its deadline with the best snapshot it reached.
     Slow,
     /// No injected fault.
     Clean,
@@ -112,7 +112,7 @@ fn build_pool(seed: u64) -> ServePool<u64, u64> {
         );
         let g = pb.stage("g", &f, Precise::new(|v: &u64| v * 2), opts);
         // Transient-fault model: faults arm only on the first build of
-        // each request id, so retries and hedges rebuild clean.
+        // each request id, so retries rebuild clean.
         let first_build = seen.lock().unwrap().insert(id);
         let pb = if first_build {
             let plan = match class {
@@ -137,14 +137,6 @@ fn build_pool(seed: u64) -> ServePool<u64, u64> {
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(10),
         },
-        hedge: Some(HedgePolicy {
-            after: Some(Duration::from_millis(10)),
-            min_remaining: Duration::from_millis(1),
-        }),
-        breaker: Some(BreakerPolicy {
-            failures: 8,
-            cooldown: Duration::from_millis(10),
-        }),
         seed,
         ..ServeOptions::default()
     };
@@ -197,7 +189,6 @@ fn soak_pool_under_seeded_faults_and_concurrent_load() {
     let mut err_admission = 0u64;
     let mut err_other = 0u64;
     let mut retries_in_ok = 0u64;
-    let mut hedged_seen = false;
     let mut degraded_seen = false;
     for h in handles {
         for (id, deadline, floor, res) in h.join().expect("submitter panicked — a hang or assert")
@@ -224,7 +215,6 @@ fn soak_pool_under_seeded_faults_and_concurrent_load() {
                         );
                     }
                     retries_in_ok += u64::from(resp.retries);
-                    hedged_seen |= resp.hedged;
                     degraded_seen |= resp.status == ServeStatus::Degraded;
                 }
                 Err(CoreError::AdmissionRejected { projected, budget }) => {
@@ -256,8 +246,8 @@ fn soak_pool_under_seeded_faults_and_concurrent_load() {
         "tight deadlines not rejected: {err_admission} of {total}"
     );
     let stats = pool.shutdown();
-    // No leaked running stages: every run — hedge losers included — was
-    // stopped and joined before shutdown returned.
+    // No leaked running stages: every run was stopped and joined before
+    // shutdown returned.
     assert_eq!(stats.live_runs, 0, "leaked pipeline runs: {stats:?}");
     // Counter reconciliation with the submitters' view and the per-run
     // RunReport aggregation.
@@ -274,8 +264,6 @@ fn soak_pool_under_seeded_faults_and_concurrent_load() {
         "serve retry counter ({}) below per-response sum ({retries_in_ok})",
         stats.retried
     );
-    assert!(hedged_seen, "no request was ever hedged");
-    assert!(stats.hedged >= 1, "{stats:?}");
     assert!(
         degraded_seen || stats.degraded_responses == 0,
         "pool counted degraded responses no submitter saw: {stats:?}"
@@ -337,7 +325,7 @@ fn soak_rta_gate_floor_invariant() {
             );
             // Transient faults on the first build only: stalls and
             // slowdowns delay the run (fail-stop passes them through);
-            // retries and hedges rebuild clean.
+            // retries rebuild clean.
             let pb = if seen.lock().unwrap().insert(id) {
                 let plan = match id % 3 {
                     0 => FaultPlan::new().stall_at(
@@ -365,11 +353,6 @@ fn soak_rta_gate_floor_invariant() {
                         base_backoff: Duration::from_millis(1),
                         max_backoff: Duration::from_millis(5),
                     },
-                    hedge: Some(HedgePolicy {
-                        after: None,
-                        min_remaining: Duration::from_millis(1),
-                    }),
-                    breaker: None,
                     seed,
                     ..ServeOptions::default()
                 }
@@ -526,8 +509,6 @@ fn soak_shedding_degrades_quality_not_availability() {
             queue_capacity: 64,
             min_service: Duration::from_millis(1),
             retry: RetryPolicy::default(),
-            hedge: None,
-            breaker: None,
             seed,
             ..ServeOptions::default()
         }
@@ -653,8 +634,6 @@ fn soak_resize_never_drops_inflight() {
             queue_capacity: 256,
             min_service: Duration::from_micros(200),
             retry: RetryPolicy::default(),
-            hedge: None,
-            breaker: None,
             seed,
             ..ServeOptions::default()
         },

@@ -11,11 +11,10 @@
 //! request by its deadline* with the best snapshot available: generous
 //! budgets get the precise convolution, tight ones a valid approximation,
 //! and compatible queued requests share one batch run. The run ends with
-//! the pool's own accounting: admission, hedge, batch, and deadline-hit
-//! rates.
+//! the pool's own accounting: admission, batch, and deadline-hit rates.
 //!
 //! With `--trace out.json`, the run records a structured trace — buffer
-//! publications, admissions, hedges, batches, per-request quality
+//! publications, admissions, batches, per-request quality
 //! observations — and writes three artifacts: `out.json` (Chrome
 //! `trace_event` timeline for `chrome://tracing` / Perfetto), `out.jsonl`
 //! (the event log `anytime-bench`'s `trace_check` turns back into
@@ -25,8 +24,7 @@
 use anytime::apps::conv2d::CHUNK;
 use anytime::apps::{time_baseline, Conv2d};
 use anytime::core::{
-    BatchPolicy, CoreError, HedgePolicy, Recorder, Runtime, RuntimeHandle, ServeOptions, ServePool,
-    ServeStatus,
+    BatchPolicy, CoreError, Recorder, Runtime, RuntimeHandle, ServeOptions, ServePool, ServeStatus,
 };
 use anytime::img::{metrics, synth, Kernel};
 use std::path::PathBuf;
@@ -39,8 +37,8 @@ const ARRIVALS_PER_BASELINE: f64 = 4.0;
 const REPLICAS: usize = 2;
 const REQUESTS: usize = 48;
 
-/// Per-response record: (quality, SNR dB, status, shed, hedged).
-type Served = (f64, f64, ServeStatus, bool, bool);
+/// Per-response record: (quality, SNR dB, status, shed).
+type Served = (f64, f64, ServeStatus, bool);
 
 struct Outcome {
     fraction: f64,
@@ -112,11 +110,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             // below this are rejected at submit instead of admitted and
             // then answered with a timeout.
             min_service: Duration::from_secs_f64(baseline.as_secs_f64() * 0.12),
-            // Hedge at the observed P95 service latency (the `None` trigger).
-            hedge: Some(HedgePolicy {
-                after: None,
-                min_remaining: Duration::from_secs_f64(baseline.as_secs_f64() * 0.05),
-            }),
             // A narrow window batches only like-deadlined requests: a
             // tight request stapled to a leisurely batch would wait out
             // the whole batch and starve.
@@ -159,7 +152,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             scope.spawn(move || {
                 let result = pool.submit((), deadline, floor).map(|resp| {
                     let snr = metrics::snr_db(resp.snapshot.value(), reference);
-                    (resp.quality, snr, resp.status, resp.shed, resp.hedged)
+                    (resp.quality, snr, resp.status, resp.shed)
                 });
                 outcomes.lock().unwrap().push(Outcome {
                     fraction,
@@ -213,7 +206,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stats = pool.shutdown();
     println!(
-        "\npool: {} admitted ({} completed, {} failed), {} rejected, {} shed, {} hedged, \
+        "\npool: {} admitted ({} completed, {} failed), {} rejected, {} shed, \
          {} retried, {} batched into {} runs, deadline hit rate {:.1}%, \
          live runs after shutdown: {}",
         stats.admitted,
@@ -221,7 +214,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.failed,
         stats.rejected,
         stats.shed,
-        stats.hedged,
         stats.retried,
         stats.batched_requests,
         stats.batches,
