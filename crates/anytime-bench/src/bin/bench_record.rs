@@ -14,10 +14,9 @@
 //! - `kernel/bitserial_dot_64k`, `kernel/quantize_1m`,
 //!   `kernel/conv2d_256`, `kernel/reduction_1m` — the data-plane kernels
 //!   behind the SIMD speed pass (scalar or SIMD per build features);
-//! - `serve/unbatched_request`, `serve/batched_request` — end-to-end
-//!   requests through a single-replica `ServePool`, without and with
-//!   batched execution; their ratio is the batching speedup in
-//!   requests/sec/core;
+//! - `serve/unbatched_request` — end-to-end requests through a
+//!   single-replica `ServePool`, one run a request (the name predates the
+//!   deletion of batched execution and is kept so that records compare);
 //! - `serve/admission_decision` — one calibrated response-time-analysis
 //!   admission decision ending in a certified-infeasible rejection: the
 //!   control-plane cost every request pays before any data-plane work;
@@ -40,10 +39,9 @@
 
 use anytime_bench::record::{calibration_ns, MeasureOptions, Report};
 use anytime_core::buffer;
-use anytime_core::{BatchPolicy, ControlToken, CoreError, ServeOptions, ServePool};
+use anytime_core::{ControlToken, CoreError, ServeOptions, ServePool};
 use anytime_img::{synth, Kernel};
 use std::hint::black_box;
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -98,26 +96,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if e.hot { "  [hot]" } else { "" }
         );
     }
-    let unbatched = entry_mean(&report, "serve/unbatched_request");
-    let batched = entry_mean(&report, "serve/batched_request");
-    if let (Some(u), Some(b)) = (unbatched, batched) {
-        eprintln!(
-            "serve throughput: {:.0} -> {:.0} requests/sec/core ({:.1}x from batching)",
-            1e9 / u,
-            1e9 / b,
-            u / b
-        );
-    }
     println!("{path}");
     Ok(())
-}
-
-fn entry_mean(report: &Report, name: &str) -> Option<f64> {
-    report
-        .entries
-        .iter()
-        .find(|e| e.name == name)
-        .map(|e| e.mean_ns)
 }
 
 /// Event-driven stop wakeup: park a waiter in a control-aware buffer wait,
@@ -204,62 +184,30 @@ fn record_kernels(report: &mut Report, opts: &MeasureOptions) {
 }
 
 /// End-to-end serve throughput on one replica: `SERVE_REQUESTS` identical
-/// generous-deadline requests, submitted concurrently, without and with
-/// batched execution. With batching, compatible queued requests share one
-/// pipeline run, so a single core answers them roughly
-/// `SERVE_REQUESTS / runs` times faster.
+/// generous-deadline requests, submitted concurrently, each served by a
+/// pipeline run of its own.
 fn record_serve_throughput(report: &mut Report) -> Result<(), CoreError> {
     let app = anytime_apps::Conv2d::new(synth::value_noise(160, 160, 5), Kernel::box_blur(3));
-    let opts = || ServeOptions {
-        replicas: 1,
-        queue_capacity: SERVE_REQUESTS * 2,
-        ..ServeOptions::default()
-    };
-
-    let single_app = app.clone();
-    let unbatched = ServePool::new(
-        opts(),
+    let pool = ServePool::new(
+        ServeOptions {
+            replicas: 1,
+            queue_capacity: SERVE_REQUESTS * 2,
+            ..ServeOptions::default()
+        },
         move |_: &()| {
-            single_app
-                .automaton(4096)
+            app.automaton(4096)
                 .map_err(|e| CoreError::InvalidConfig(e.to_string()))
         },
         |snap| if snap.is_final() { 1.0 } else { 0.0 },
     )?;
-    let elapsed = run_scenario(&unbatched);
+    let elapsed = run_scenario(&pool);
     report.push(
         "serve/unbatched_request",
         false,
         elapsed.as_nanos() as f64 / SERVE_REQUESTS as f64,
         SERVE_REQUESTS as u64,
     );
-    unbatched.shutdown();
-
-    let batch_app = app.clone();
-    let batched = ServePool::new_batched(
-        ServeOptions {
-            batch: Some(BatchPolicy {
-                max_size: SERVE_REQUESTS,
-                window: Duration::from_secs(30),
-            }),
-            ..opts()
-        },
-        move |inputs: &[Arc<()>]| {
-            let (pipeline, reader) = batch_app
-                .automaton(4096)
-                .map_err(|e| CoreError::InvalidConfig(e.to_string()))?;
-            Ok((pipeline, vec![reader; inputs.len()]))
-        },
-        |snap| if snap.is_final() { 1.0 } else { 0.0 },
-    )?;
-    let elapsed = run_scenario(&batched);
-    report.push(
-        "serve/batched_request",
-        false,
-        elapsed.as_nanos() as f64 / SERVE_REQUESTS as f64,
-        SERVE_REQUESTS as u64,
-    );
-    batched.shutdown();
+    pool.shutdown();
     Ok(())
 }
 

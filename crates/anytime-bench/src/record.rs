@@ -617,7 +617,7 @@ mod tests {
         };
         r.push("kernel/conv2d_256", true, 2500.0, 64);
         r.push("kernel/reduction_1m", true, 900.0, 512);
-        r.push("serve/batched_request", false, 50_000.0, 32);
+        r.push("serve/unbatched_request", false, 50_000.0, 32);
         r
     }
 

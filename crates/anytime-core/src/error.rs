@@ -74,15 +74,14 @@ pub enum CoreError {
     /// A serve path panicked inside a replica worker. The panic was
     /// fenced by `catch_unwind`, so the worker survives and the run is
     /// reported as this structured failure. A caller-supplied closure's
-    /// panic (pipeline factory, batch factory, or quality estimator)
-    /// feeds the pool's retry path; any other
-    /// panic fails the request at once (`context` `"serve"`).
+    /// panic (pipeline factory or quality estimator) feeds the pool's
+    /// retry path; any other panic fails the request at once (`context`
+    /// `"serve"`).
     ReplicaPanicked {
         /// Index of the replica whose run absorbed the panic.
         replica: usize,
-        /// What panicked: `"pipeline factory"`, `"batch factory"`,
-        /// `"quality estimator"`, or `"serve"` (the rest of the serve
-        /// path).
+        /// What panicked: `"pipeline factory"`, `"quality estimator"`, or
+        /// `"serve"` (the rest of the serve path).
         context: &'static str,
         /// The panic payload, when it was a `String` or `&str`.
         message: Option<String>,

@@ -31,8 +31,8 @@
 //!   stop it whenever the current output is acceptable — otherwise just let
 //!   it run longer.
 //! - The [`serve`] module turns single runs into a deadline-budgeted
-//!   service: a [`ServePool`] of replica pipelines with admission control,
-//!   retries, and batching. With an
+//!   service: a [`ServePool`] of replica pipelines with admission control
+//!   and retries, each request served by one run. With an
 //!   [`RtaPolicy`] installed, admission is backed by the [`rta`]
 //!   response-time analysis: provably-infeasible requests are rejected
 //!   with a certified bound, the retry backoff is capped by the
@@ -130,7 +130,7 @@ pub use precise::Precise;
 pub use reduce::SampledReduce;
 pub use rta::RtaPolicy;
 pub use runtime::{Runtime, RuntimeHandle, RuntimeStats};
-pub use serve::{BatchPolicy, RetryPolicy, ServeOptions, ServePool, ServeResponse, ServeStatus};
+pub use serve::{RetryPolicy, ServeOptions, ServePool, ServeResponse, ServeStatus};
 pub use stage::{AnytimeBody, RestartPolicy, StageEnd, StageOptions, StepOutcome};
 pub use supervisor::{FailurePolicy, StallAction, Supervision};
 pub use trace::Recorder;

@@ -287,12 +287,12 @@ impl LatencyEwma {
     }
 }
 
-/// A lock-free log₂-bucketed latency histogram with quantile estimation.
+/// A lock-free log₂-bucketed latency histogram.
 ///
 /// Bucket `i` counts samples in `[2^i, 2^(i+1))` microseconds (bucket 0
 /// also absorbs sub-microsecond samples; the last bucket absorbs
-/// everything ≥ ~67 s). The serving layer uses the P95 of observed service
-/// latencies as its hedging trigger.
+/// everything ≥ ~67 s). The serving layer records each request's service
+/// time here and exports it as `anytime_serve_service_seconds`.
 #[derive(Debug, Default)]
 pub struct LatencyHistogram {
     buckets: [Counter; Self::BUCKETS],
@@ -322,18 +322,6 @@ impl LatencyHistogram {
             count: self.count(),
         }
     }
-
-    /// An estimate of quantile `q` (clamped to `[0, 1]`), or `None` before
-    /// the first sample.
-    ///
-    /// Interpolates linearly *within* the bucket containing the quantile
-    /// rank. Earlier revisions returned a bucket edge outright, which on
-    /// sparse data snapped a P95 a whole power of two away from the
-    /// observed latencies; interpolation keeps the estimate inside the
-    /// bucket, proportional to where the rank falls in it.
-    pub fn quantile(&self, q: f64) -> Option<Duration> {
-        self.snapshot().quantile(q)
-    }
 }
 
 /// A point-in-time view of a [`LatencyHistogram`].
@@ -347,34 +335,6 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// An estimate of quantile `q` (clamped to `[0, 1]`), interpolated
-    /// linearly within the bucket containing the quantile rank; `None`
-    /// before the first sample. See [`LatencyHistogram::quantile`].
-    pub fn quantile(&self, q: f64) -> Option<Duration> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((self.count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n > 0 && seen + n >= rank {
-                let lower = (1u64 << i) as f64;
-                let upper = (1u64 << (i + 1)) as f64;
-                // Midpoint rule: the k-th of n samples in a bucket sits at
-                // fraction (k - 1/2)/n of the bucket's width, so a lone
-                // sample estimates the bucket midpoint instead of an edge.
-                let pos = (rank - seen) as f64;
-                let frac = (pos - 0.5) / n as f64;
-                let us = lower + (upper - lower) * frac;
-                return Some(Duration::from_secs_f64(us * 1e-6));
-            }
-            seen += n;
-        }
-        // Unreachable when count equals the bucket sum; be conservative if
-        // a racy snapshot undercounts.
-        Some(Duration::from_micros(1u64 << self.buckets.len()))
-    }
-
     /// Writes this histogram in the Prometheus text format under `family`
     /// (`_bucket` cumulative counts with `le` in seconds, plus `_count`).
     fn render_as(&self, out: &mut dyn fmt::Write, family: &str) -> fmt::Result {
@@ -503,14 +463,12 @@ impl DeadlineHistogramStats {
 }
 
 /// Cumulative counters for one [`crate::serve::ServePool`]'s robustness
-/// machinery: admission control, load shedding, batching, and retries.
+/// machinery: admission control, load shedding, and retries.
 #[derive(Debug, Default)]
 pub struct ServeCounters {
     pub(crate) admitted: Counter,
     pub(crate) rejected: Counter,
     pub(crate) shed: Counter,
-    batches: Counter,
-    batched_requests: Counter,
     pub(crate) retried: Counter,
     pub(crate) completed: Counter,
     pub(crate) failed: Counter,
@@ -518,11 +476,6 @@ pub struct ServeCounters {
 }
 
 impl ServeCounters {
-    pub(crate) fn record_batch(&self, size: u64) {
-        self.batches.inc();
-        self.batched_requests.add(size);
-    }
-
     /// A point-in-time copy of the counters (the non-counter fields of
     /// [`ServeStats`] start at their defaults; the pool fills them in).
     pub fn snapshot(&self) -> ServeStats {
@@ -530,8 +483,6 @@ impl ServeCounters {
             admitted: self.admitted.get(),
             rejected: self.rejected.get(),
             shed: self.shed.get(),
-            batches: self.batches.get(),
-            batched_requests: self.batched_requests.get(),
             retried: self.retried.get(),
             completed: self.completed.get(),
             failed: self.failed.get(),
@@ -553,7 +504,6 @@ fn render_serve_counters(out: &mut dyn fmt::Write, s: &ServeStats) -> fmt::Resul
         ("admitted", s.admitted),
         ("rejected", s.rejected),
         ("shed", s.shed),
-        ("batched", s.batched_requests),
         ("retried", s.retried),
         ("completed", s.completed),
         ("failed", s.failed),
@@ -566,8 +516,6 @@ fn render_serve_counters(out: &mut dyn fmt::Write, s: &ServeStats) -> fmt::Resul
             value as f64,
         )?;
     }
-    write_type(out, "anytime_serve_batches_total", "counter")?;
-    write_sample(out, "anytime_serve_batches_total", &[], s.batches as f64)?;
     write_type(out, "anytime_serve_live_runs", "gauge")?;
     write_sample(out, "anytime_serve_live_runs", &[], s.live_runs as f64)
 }
@@ -577,8 +525,6 @@ impl MetricStats for ServeStats {
         self.admitted += other.admitted;
         self.rejected += other.rejected;
         self.shed += other.shed;
-        self.batches += other.batches;
-        self.batched_requests += other.batched_requests;
         self.retried += other.retried;
         self.completed += other.completed;
         self.failed += other.failed;
@@ -608,11 +554,6 @@ pub struct ServeStats {
     /// ran under their floor's worst-case service bound instead of their
     /// whole deadline (degrade quality, never availability).
     pub shed: u64,
-    /// Batch runs performed: one pipeline serving several compatible
-    /// requests at once.
-    pub batches: u64,
-    /// Requests served as batch members (each batch contributes its size).
-    pub batched_requests: u64,
     /// Serve-layer retries: a replica died permanently and the request was
     /// relaunched with capped exponential backoff.
     pub retried: u64,
@@ -1017,42 +958,6 @@ mod tests {
         t.push(Duration::from_millis(1), 2.0);
     }
 
-    /// Pins P50/P95/P99 on a known distribution: interpolation must place
-    /// the estimate *inside* the bucket, proportional to the rank, instead
-    /// of snapping to a bucket edge (which biased the estimate by up to a
-    /// full power of two).
-    #[test]
-    fn quantile_interpolates_within_bucket() {
-        let h = LatencyHistogram::default();
-        // 90 samples in the [512 µs, 1024 µs) bucket, 10 in [8192, 16384).
-        for _ in 0..90 {
-            h.record(Duration::from_micros(700));
-        }
-        for _ in 0..10 {
-            h.record(Duration::from_micros(10_000));
-        }
-        let us = |q: f64| h.quantile(q).unwrap().as_secs_f64() * 1e6;
-        // P50: rank 50 of 90 in [512, 1024) -> 512 + 512·(49.5/90).
-        assert!((us(0.50) - 793.6).abs() < 0.1, "p50 = {}", us(0.50));
-        // P95: rank 95 -> 5th of 10 in [8192, 16384) -> 8192 + 8192·0.45.
-        assert!((us(0.95) - 11_878.4).abs() < 0.1, "p95 = {}", us(0.95));
-        // P99: rank 99 -> 9th of 10 -> 8192 + 8192·0.85.
-        assert!((us(0.99) - 15_155.2).abs() < 0.1, "p99 = {}", us(0.99));
-        // Quantiles stay within the bucket that contains their rank.
-        assert!(us(1.0) < 16_384.0 && us(1.0) >= 8192.0);
-        assert!(us(0.0) >= 512.0 && us(0.0) < 1024.0);
-    }
-
-    #[test]
-    fn quantile_single_sample_hits_bucket_midpoint() {
-        let h = LatencyHistogram::default();
-        h.record(Duration::from_micros(600)); // bucket [512, 1024)
-        let got = h.quantile(0.5).unwrap().as_secs_f64() * 1e6;
-        assert!((got - 768.0).abs() < 0.1, "got {got}");
-        assert!(h.quantile(0.5).is_some());
-        assert!(LatencyHistogram::default().quantile(0.5).is_none());
-    }
-
     #[test]
     fn metric_stats_absorb_is_uniform() {
         fn fold<S: MetricStats>(a: &S, b: &S) -> S {
@@ -1182,8 +1087,6 @@ mod tests {
             admitted: 101,
             rejected: 102,
             shed: 103,
-            batches: 105,
-            batched_requests: 106,
             retried: 107,
             completed: 109,
             failed: 110,

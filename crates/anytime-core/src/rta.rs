@@ -191,9 +191,9 @@ pub struct Backlog {
     /// Requests already queued (admitted, unstarted) ahead of this one.
     pub queued: usize,
     /// Replica workers taking new work (not draining after a resize).
+    /// Each serves one request at a time, so each is one slot of the
+    /// queue's demand.
     pub healthy: usize,
-    /// Requests one run can serve at once (1 unless the pool batches).
-    pub batch_size: usize,
     /// `true` when at least one of those replicas is idle right now.
     pub any_idle: bool,
     /// When every such replica is mid-run: the soonest replica's
@@ -392,13 +392,12 @@ impl AdmissionGate {
         let service_lower = scale(service_lo, self.policy.optimism);
         let service_upper = scale(service_hi, self.policy.margin) + control;
         // Waves of queued work that must fully drain before this request
-        // starts: `queued / slots` (the partial wave it rides in is not a
-        // wait). Certified side: each wave takes at least the optimistic
+        // starts: `queued / healthy`, one request per replica a wave (the
+        // partial wave it rides in is not a wait). Certified side: each wave takes at least the optimistic
         // first-publish time; worst side: a full pessimistic run, plus the
         // soonest-busy residual when nobody is idle (estimate-grade, so it
         // never tightens the proof).
-        let slots = (backlog.healthy.max(1) * backlog.batch_size.max(1)) as u32;
-        let waves = (backlog.queued as u64 / u64::from(slots)) as u32;
+        let waves = (backlog.queued / backlog.healthy.max(1)) as u32;
         let delay_lower = scale(run_lo, self.policy.optimism) * waves;
         let mut queue_delay = (scale(run_hi, self.policy.margin) + control) * waves;
         if !backlog.any_idle {
@@ -441,7 +440,6 @@ mod tests {
         Backlog {
             queued: 0,
             healthy: 2,
-            batch_size: 1,
             any_idle: true,
             soonest_free: Duration::ZERO,
         }
@@ -535,7 +533,6 @@ mod tests {
                 &Backlog {
                     queued: 6,
                     healthy: 2,
-                    batch_size: 1,
                     any_idle: false,
                     soonest_free: Duration::from_millis(3),
                 },
@@ -547,21 +544,6 @@ mod tests {
         assert_eq!(deep.lower, empty.lower + Duration::from_millis(12)); // 3 × 4ms optimistic full run
                                                                          // The estimate-grade residual only widens the worst case.
         assert_eq!(deep.queue_delay, Duration::from_millis(3 * 16 + 3));
-        // Batching divides the demand: 6 queued over 2 replicas × 4-batches
-        // is zero full waves.
-        let batched = gate
-            .analyze(
-                0.5,
-                &Backlog {
-                    queued: 6,
-                    healthy: 2,
-                    batch_size: 4,
-                    any_idle: true,
-                    soonest_free: Duration::ZERO,
-                },
-            )
-            .unwrap();
-        assert_eq!(batched.lower, empty.lower);
     }
 
     #[test]

@@ -36,13 +36,13 @@
 //!   the request is relaunched on a fresh pipeline, with delays drawn
 //!   deterministically from the pool seed and request id so chaos runs
 //!   reproduce exactly.
-//! - **Panic fences** — every caller-supplied closure (factory, batch
-//!   factory, quality estimator) runs behind a `catch_unwind` fence that
-//!   converts panics into structured [`CoreError::ReplicaPanicked`] run
-//!   failures feeding the retry path, and one more fence
-//!   around each dequeued request's whole serve path answers that request
-//!   with `ReplicaPanicked { context: "serve", .. }` if anything else
-//!   unwinds. A replica thread never dies, so nothing needs healing.
+//! - **Panic fences** — every caller-supplied closure (factory, quality
+//!   estimator) runs behind a `catch_unwind` fence that converts panics
+//!   into structured [`CoreError::ReplicaPanicked`] run failures feeding
+//!   the retry path, and one more fence around each dequeued request's
+//!   whole serve path answers that request with
+//!   `ReplicaPanicked { context: "serve", .. }` if anything else unwinds.
+//!   A replica thread never dies, so nothing needs healing.
 //!   [`ServePool::resize`] grows or shrinks the worker set at runtime
 //!   with graceful drains that never drop an in-flight admitted request.
 //!
@@ -52,11 +52,20 @@
 //! breaker. Both were measured before they were deleted (EXPERIMENTS.md,
 //! "A replica is a run slot"). A hedge's second run took workers from its
 //! own primary: in the seeded soak, hedging failed 66–77 of 560 requests
-//! against 30–55 without it (8 of 8 pairs), and in three `serve_demo`
-//! batches it had fewer failures in 15 of 40, 13 of 20 and 13 of 40
-//! pairs. Each request builds a fresh
-//! pipeline, so a replica holds nothing to quarantine, and the breaker
-//! opened in none of the measured soak, demo or benchmark runs.
+//! against 30–55 without it (8 of 8 pairs), and in three series of
+//! `serve_demo` runs it had fewer failures in 15 of 40, 13 of 20 and 13 of
+//! 40 pairs. Each request builds a fresh pipeline, so a replica holds
+//! nothing to quarantine, and the breaker opened in none of the measured
+//! soak, demo or benchmark runs.
+//!
+//! A request is one run: the automaton answers with the best version its
+//! run has published (paper §III), and each dequeued request takes one
+//! path — build, run, retry, respond. Batched execution, which served
+//! several queued requests from one shared run, was measured and deleted
+//! too (EXPERIMENTS.md, "A request is one run"). No soak or benchmark
+//! workload could reach it, and `serve_demo` formed no batch run. A
+//! batch's chains ran on the same runtime workers that separate runs use,
+//! so it saved one build, launch and join, not compute.
 //!
 //! Every counter lands in [`ServeStats`] (see [`crate::metrics`]), and the
 //! pool aggregates the [`FaultStats`] of every pipeline run it performed,
@@ -112,35 +121,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Batched-execution policy: one replica drains several queued compatible
-/// requests and serves them all from a single pipeline run, amortizing
-/// build/launch/join overhead across the batch.
-///
-/// Requires a pool built with [`ServePool::new_batched`] — the batch
-/// factory sees every input in the batch at once and decides how to share
-/// work (identical inputs can share one stage chain outright; distinct
-/// inputs can share a pipeline's launch and supervision). Shed requests
-/// keep their budget cap and serve singly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Maximum requests served by one batch run (≥ 2; a lone head request
-    /// with no compatible followers serves singly).
-    pub max_size: usize,
-    /// Two requests are batch-compatible when their absolute deadlines
-    /// differ by at most this window — a batch never staples a tight
-    /// request to a leisurely one.
-    pub window: Duration,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        Self {
-            max_size: 8,
-            window: Duration::from_millis(20),
-        }
-    }
-}
-
 /// Configuration for a [`ServePool`].
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -156,9 +136,6 @@ pub struct ServeOptions {
     pub default_service_estimate: Duration,
     /// Retry policy for permanently failed runs.
     pub retry: RetryPolicy,
-    /// Batched execution, if enabled (requires
-    /// [`ServePool::new_batched`]; [`ServePool::new`] rejects it).
-    pub batch: Option<BatchPolicy>,
     /// Response-time-analysis policy. When set, the pool calibrates a
     /// [`crate::rta::AdmissionGate`] online from its runs' quality
     /// observations; once calibrated, admission proves infeasible
@@ -198,7 +175,6 @@ impl Default for ServeOptions {
             min_service: Duration::from_micros(500),
             default_service_estimate: Duration::from_millis(10),
             retry: RetryPolicy::default(),
-            batch: None,
             rta: None,
             runtime: None,
             seed: 0,
@@ -225,13 +201,6 @@ impl ServeOptions {
     /// Sets the retry policy.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Enables batched execution (only valid with
-    /// [`ServePool::new_batched`]).
-    pub fn batch(mut self, batch: BatchPolicy) -> Self {
-        self.batch = Some(batch);
         self
     }
 
@@ -295,8 +264,6 @@ pub struct ServeResponse<T> {
     /// analytical slack and ran under its floor's worst-case service
     /// bound instead of its whole deadline (see [`ServePool::submit`]).
     pub shed: bool,
-    /// `true` if the request was served as part of a batch run.
-    pub batched: bool,
     /// Serve-layer relaunches performed for this request.
     pub retries: u32,
     /// Index of the replica worker that answered.
@@ -308,45 +275,11 @@ pub struct ServeResponse<T> {
 /// Pipeline factory: builds a fresh replica run for a request input and
 /// returns the pipeline plus the reader of its whole-application output.
 type FactoryFn<I, T> = dyn Fn(&I) -> Result<(Pipeline, BufferReader<T>)> + Send + Sync;
-/// Batch pipeline factory: builds ONE pipeline serving every input of a
-/// batch, returning one whole-application output reader per input (same
-/// order). Identical inputs may share a reader ([`BufferReader`] is
-/// cloneable); distinct inputs get their own chains inside the shared
-/// pipeline.
-type BatchFactoryFn<I, T> =
-    dyn Fn(&[Arc<I>]) -> Result<(Pipeline, Vec<BufferReader<T>>)> + Send + Sync;
 /// Quality estimator for a published snapshot (same scale as the floors).
 type QualityFn<T> = dyn Fn(&Snapshot<T>) -> f64 + Send + Sync;
 
 /// The best snapshot seen so far for a request, with its quality.
 type BestSeen<T> = Option<(f64, Snapshot<T>)>;
-
-/// How the pool builds replica runs: one pipeline per request, or one
-/// pipeline per drained batch of requests.
-enum Factory<I, T> {
-    Single(Box<FactoryFn<I, T>>),
-    Batch(Box<BatchFactoryFn<I, T>>),
-}
-
-impl<I, T> Factory<I, T> {
-    /// Builds a run for exactly one input (the non-batched path; also the
-    /// fallback when a batch member must be retried alone).
-    fn build_one(&self, input: &Arc<I>) -> Result<(Pipeline, BufferReader<T>)> {
-        match self {
-            Factory::Single(f) => f(input),
-            Factory::Batch(f) => {
-                let (pipeline, mut readers) = f(std::slice::from_ref(input))?;
-                if readers.len() != 1 {
-                    return Err(CoreError::InvalidConfig(format!(
-                        "batch factory returned {} readers for 1 input",
-                        readers.len()
-                    )));
-                }
-                Ok((pipeline, readers.pop().expect("length checked above")))
-            }
-        }
-    }
-}
 
 struct ReplicaState {
     /// Stable replica index; workers added by [`ServePool::resize`] take
@@ -387,7 +320,7 @@ struct WorkerHandle {
 /// One queued request.
 struct Job<I, T> {
     id: u64,
-    input: Arc<I>,
+    input: I,
     accepted: Instant,
     deadline: Instant,
     floor: f64,
@@ -413,7 +346,7 @@ struct SlotState<T> {
 
 /// The rendezvous between a submitter and the worker running its job.
 /// The first fill wins: a request is answered once, even when a worker's
-/// serve fence fails a batch that lists its head twice.
+/// serve fence fires after `respond` has filled the slot.
 struct Slot<T> {
     state: Mutex<SlotState<T>>,
     // lint: allow(l1-condvar) -- waiters re-check `filled` under `state` before and after every wait
@@ -456,7 +389,7 @@ struct QueueState<I, T> {
 
 struct Shared<I, T> {
     opts: ServeOptions,
-    factory: Factory<I, T>,
+    factory: Box<FactoryFn<I, T>>,
     quality: Box<QualityFn<T>>,
     queue: Mutex<QueueState<I, T>>,
     // lint: allow(l1-condvar) -- workers re-check the job queue under `queue` around every wait
@@ -491,23 +424,13 @@ struct Shared<I, T> {
 }
 
 impl<I, T> Shared<I, T> {
-    /// Requests drained per replica run: the batch width for a batched
-    /// pool, 1 otherwise.
-    fn batch_size(&self) -> usize {
-        match (&self.factory, self.opts.batch) {
-            (Factory::Batch(_), Some(policy)) => policy.max_size.max(1),
-            _ => 1,
-        }
-    }
-
     /// The EWMA-heuristic wait projection admission compares against a
     /// request's deadline: queue depth amortized over the serving
     /// replicas, plus the soonest-free occupancy when nobody is idle.
     fn projected_wait(&self, depth: usize) -> Duration {
         let occ = self.occupancy();
         let est = occ.est.unwrap_or(self.opts.default_service_estimate);
-        let batch_size = self.batch_size();
-        let queue_share = est.mul_f64(depth as f64 / (occ.healthy * batch_size) as f64);
+        let queue_share = est.mul_f64(depth as f64 / occ.healthy as f64);
         if occ.any_idle {
             queue_share
         } else {
@@ -561,7 +484,6 @@ impl<I, T> Shared<I, T> {
         Backlog {
             queued: depth,
             healthy: occ.healthy,
-            batch_size: self.batch_size(),
             any_idle: occ.any_idle,
             soonest_free: occ.soonest_free,
         }
@@ -582,10 +504,9 @@ struct Occupancy {
 
 /// The single reachability rule for "can a minimal run still answer this
 /// deadline": after waiting out `pending`, a run of at least `min_service`
-/// must finish *strictly before* the deadline. Admission, batch draining,
-/// and the retry loop all consult this one predicate, so a request can
-/// never be admitted under one rule and then abandoned under a stricter
-/// one.
+/// must finish *strictly before* the deadline. Admission and the retry
+/// loop both consult this one predicate, so a request can never be
+/// admitted under one rule and then abandoned under a stricter one.
 fn deadline_reachable(
     now: Instant,
     pending: Duration,
@@ -632,61 +553,10 @@ where
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for a zero replica count, zero
-    /// queue capacity, an invalid RTA policy, or a batch policy (batching
-    /// needs the batch factory of [`ServePool::new_batched`]).
+    /// queue capacity, or an invalid RTA policy.
     pub fn new(
         opts: ServeOptions,
         factory: impl Fn(&I) -> Result<(Pipeline, BufferReader<T>)> + Send + Sync + 'static,
-        quality: impl Fn(&Snapshot<T>) -> f64 + Send + Sync + 'static,
-    ) -> Result<Self> {
-        if opts.batch.is_some() {
-            return Err(CoreError::InvalidConfig(
-                "batched execution requires ServePool::new_batched".into(),
-            ));
-        }
-        Self::new_inner(opts, Factory::Single(Box::new(factory)), quality)
-    }
-
-    /// Creates a pool whose replicas serve *batches*: when several queued
-    /// requests have compatible deadlines (within
-    /// [`BatchPolicy::window`]), one worker drains up to
-    /// [`BatchPolicy::max_size`] of them and runs them all against a
-    /// single pipeline built by `batch_factory`, amortizing build, launch,
-    /// and join overhead across the batch. Each batch member is answered
-    /// individually — at *its own* deadline, against its own quality floor.
-    ///
-    /// `batch_factory` receives every input of the batch and must return
-    /// one output reader per input, in order. Since [`BufferReader`] is
-    /// cloneable, identical inputs can share one stage chain and one
-    /// reader; the factory is also called with single-input slices (the
-    /// fallback path for incompatible, shed, or retried requests).
-    ///
-    /// Uses [`BatchPolicy::default`] when `opts.batch` is `None`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] for a zero replica count, zero
-    /// queue capacity, an invalid RTA policy, or a batch size below 2.
-    pub fn new_batched(
-        mut opts: ServeOptions,
-        batch_factory: impl Fn(&[Arc<I>]) -> Result<(Pipeline, Vec<BufferReader<T>>)>
-            + Send
-            + Sync
-            + 'static,
-        quality: impl Fn(&Snapshot<T>) -> f64 + Send + Sync + 'static,
-    ) -> Result<Self> {
-        let policy = opts.batch.get_or_insert_with(BatchPolicy::default);
-        if policy.max_size < 2 {
-            return Err(CoreError::InvalidConfig(
-                "batch max_size below 2 cannot amortize anything".into(),
-            ));
-        }
-        Self::new_inner(opts, Factory::Batch(Box::new(batch_factory)), quality)
-    }
-
-    fn new_inner(
-        opts: ServeOptions,
-        factory: Factory<I, T>,
         quality: impl Fn(&Snapshot<T>) -> f64 + Send + Sync + 'static,
     ) -> Result<Self> {
         if opts.replicas == 0 {
@@ -706,7 +576,7 @@ where
         let target = opts.replicas;
         let shared = Arc::new(Shared {
             opts,
-            factory,
+            factory: Box::new(factory),
             quality: Box::new(quality),
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
@@ -857,7 +727,7 @@ where
                 .map(|a| a.service_upper);
             let job = Arc::new(Job {
                 id: req_id,
-                input: Arc::new(input),
+                input,
                 accepted,
                 deadline: deadline_at,
                 floor,
@@ -1149,11 +1019,10 @@ where
     Ok(WorkerHandle { state, handle })
 }
 
-/// Runs a caller-supplied closure (factory, batch factory, or quality
-/// estimator) behind a panic fence: a panic becomes a structured
-/// [`CoreError::ReplicaPanicked`] instead of unwinding through the worker,
-/// so it feeds the ordinary retry path and the worker thread survives to
-/// serve the next request.
+/// Runs a caller-supplied closure (factory or quality estimator) behind a
+/// panic fence: a panic becomes a structured [`CoreError::ReplicaPanicked`]
+/// instead of unwinding through the worker, so it feeds the ordinary retry
+/// path and the worker thread survives to serve the next request.
 fn fence_closure<R>(
     counters: &GovernorCounters,
     state: &ReplicaState,
@@ -1176,10 +1045,8 @@ fn fence_closure<R>(
 /// Advertises a replica's occupancy for admission while it serves a run:
 /// its service EWMA counted from `service_start`
 /// ([`ServeOptions::default_service_estimate`] before any sample), capped
-/// by `run_end`, the run's hard end. Single and batch runs share this one
-/// estimate: runs often end early at a terminal output, and the EWMA
-/// already holds the batch runs this replica served, so a batch's last
-/// deadline is only its cap.
+/// by `run_end`, the run's hard end: runs often end early at a terminal
+/// output, so the deadline is only the cap.
 ///
 /// The returned guard clears the occupancy when the run ends.
 fn occupy<'a, I, T>(
@@ -1251,88 +1118,25 @@ where
                 q = shared.queue_cv.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
-        // One fence per dequeued request: if its serve path unwinds, every
-        // request it popped that is still unanswered fails with a
-        // structured error, and this thread takes the next one. A batch
-        // lists its head again; the slot answers it once.
-        let mut batch_jobs: Vec<Arc<Job<I, T>>> = Vec::new();
-        let served =
-            std::panic::catch_unwind(AssertUnwindSafe(|| match drain_batch(shared, &head) {
-                Some(batch) => {
-                    batch_jobs.extend(batch.iter().cloned());
-                    serve_batch(shared, state, batch);
-                }
-                None => serve_job(shared, state, &head, None),
-            }));
+        // One fence per dequeued request: if its serve path unwinds, the
+        // request fails with a structured error unless it was already
+        // answered, and this thread takes the next one.
+        let served = std::panic::catch_unwind(AssertUnwindSafe(|| serve_job(shared, state, &head)));
         let Err(payload) = served else { continue };
-        let message = panic_message(payload.as_ref());
-        for job in std::iter::once(&head).chain(&batch_jobs) {
-            let failure = CoreError::ReplicaPanicked {
-                replica: state.index,
-                context: "serve",
-                message: message.clone(),
-            };
-            if fail_job(shared, job, Some(state.trace_id), failure) {
-                shared.governor_counters.closure_panics.inc();
-            }
+        let failure = CoreError::ReplicaPanicked {
+            replica: state.index,
+            context: "serve",
+            message: panic_message(payload.as_ref()),
+        };
+        if fail_job(shared, &head, Some(state.trace_id), failure) {
+            shared.governor_counters.closure_panics.inc();
         }
     }
-}
-
-/// Drains queued requests batch-compatible with `head` (deadlines within
-/// the policy window; unshed requests only, since a batch run ignores shed
-/// requests' budget caps). Returns the batch — `head` plus the drained
-/// followers — or `None` when the pool is not batched or no follower
-/// qualifies (the head then serves singly).
-fn drain_batch<I, T>(
-    shared: &Arc<Shared<I, T>>,
-    head: &Arc<Job<I, T>>,
-) -> Option<Vec<Arc<Job<I, T>>>> {
-    if !matches!(shared.factory, Factory::Batch(_)) {
-        return None;
-    }
-    let policy = shared.opts.batch?;
-    if head.budget_cap.is_some() {
-        return None;
-    }
-    let mut batch = vec![Arc::clone(head)];
-    {
-        let mut q = lock(&shared.queue);
-        let now = Instant::now();
-        let mut i = 0;
-        while i < q.jobs.len() && batch.len() < policy.max_size {
-            let it = &q.jobs[i];
-            let gap = head
-                .deadline
-                .saturating_duration_since(it.deadline)
-                .max(it.deadline.saturating_duration_since(head.deadline));
-            // Leave members whose deadline is already unreachable for the
-            // eviction path — pulling them in would only pad the batch.
-            let reachable =
-                deadline_reachable(now, Duration::ZERO, shared.opts.min_service, it.deadline);
-            if it.budget_cap.is_none() && reachable && gap <= policy.window {
-                if let Some(it) = q.jobs.remove(i) {
-                    batch.push(it);
-                }
-            } else {
-                i += 1;
-            }
-        }
-    }
-    (batch.len() > 1).then_some(batch)
 }
 
 /// Runs one request to its response, retrying permanent deaths.
-///
-/// `initial_best` seeds the best-snapshot tracking when the job already
-/// holds partial output from a failed batch run — a fallback must never
-/// answer worse than the batch had already computed.
-fn serve_job<I, T>(
-    shared: &Arc<Shared<I, T>>,
-    state: &Arc<ReplicaState>,
-    job: &Arc<Job<I, T>>,
-    initial_best: BestSeen<T>,
-) where
+fn serve_job<I, T>(shared: &Arc<Shared<I, T>>, state: &Arc<ReplicaState>, job: &Arc<Job<I, T>>)
+where
     I: Send + Sync + 'static,
     T: Send + Sync + 'static,
 {
@@ -1348,7 +1152,7 @@ fn serve_job<I, T>(
     let _busy = occupy(shared, state, service_start, run_end);
     #[cfg(feature = "fault-inject")]
     maybe_kill_worker(shared, job.id);
-    let mut best = initial_best;
+    let mut best: BestSeen<T> = None;
     // The structured error of the most recent fenced-panic death: when the
     // request ultimately fails empty-handed, the caller learns *why* the
     // attempts died instead of a generic timeout.
@@ -1400,21 +1204,19 @@ fn serve_job<I, T>(
             }
         }
     };
-    respond(shared, state, job, best, service_start, false, last_death);
+    respond(shared, state, job, best, service_start, last_death);
 }
 
 /// Answers a job with the best snapshot an attempt produced (or an error
 /// when none: the structured `failure` of the last fenced-panic death if
 /// there was one, [`CoreError::Timeout`] otherwise), filling its slot and
 /// recording the response-side counters, histograms, and trace events.
-#[allow(clippy::too_many_arguments)]
 fn respond<I, T>(
     shared: &Arc<Shared<I, T>>,
     state: &Arc<ReplicaState>,
     job: &Arc<Job<I, T>>,
     best: BestSeen<T>,
     service_start: Instant,
-    batched: bool,
     failure: Option<CoreError>,
 ) where
     I: Send + Sync + 'static,
@@ -1441,7 +1243,6 @@ fn respond<I, T>(
         quality,
         status,
         shed: job.budget_cap.is_some(),
-        batched,
         retries,
         replica: state.index,
         elapsed,
@@ -1504,214 +1305,6 @@ fn fail_job<I, T>(
     true
 }
 
-/// How one batch member's wait against the shared batch run ended.
-enum BatchOutcome {
-    /// Deadline or terminal output: answer with the best snapshot so far.
-    Respond,
-    /// The shared run died permanently; this member retries alone.
-    Died,
-}
-
-/// Serves a drained batch of compatible requests from one pipeline run.
-///
-/// The batch factory builds a single pipeline covering every member; each
-/// member is then answered in deadline order against its own reader — at
-/// its own deadline, against its own floor. A member whose chain dies
-/// falls back to the single-request path carrying the best snapshot the
-/// batch had already produced, so batching can only cost amortization,
-/// never an answer.
-fn serve_batch<I, T>(
-    shared: &Arc<Shared<I, T>>,
-    state: &Arc<ReplicaState>,
-    mut batch: Vec<Arc<Job<I, T>>>,
-) where
-    I: Send + Sync + 'static,
-    T: Send + Sync + 'static,
-{
-    let service_start = Instant::now();
-    // Members are answered soonest-deadline first; the factory sees inputs
-    // in the same order.
-    batch.sort_by_key(|job| job.deadline);
-    // The last member's deadline is the hard end of the batch run.
-    let Some(last) = batch.last() else { return };
-    let _busy = occupy(shared, state, service_start, last.deadline);
-    let inputs: Vec<Arc<I>> = batch.iter().map(|job| Arc::clone(&job.input)).collect();
-    let built = match &shared.factory {
-        Factory::Batch(factory) => {
-            fence_closure(&shared.governor_counters, state, "batch factory", || {
-                factory(&inputs)
-            })
-            .and_then(|r| r)
-            .and_then(|(pipeline, readers)| {
-                if readers.len() == batch.len() {
-                    Ok((pipeline, readers))
-                } else {
-                    Err(CoreError::InvalidConfig(format!(
-                        "batch factory returned {} readers for {} inputs",
-                        readers.len(),
-                        batch.len()
-                    )))
-                }
-            })
-        }
-        // drain_batch only assembles batches for batch factories.
-        Factory::Single(_) => Err(CoreError::InvalidConfig(
-            "batch dispatch without a batch factory".into(),
-        )),
-    };
-    let launched = built.and_then(|(pipeline, readers)| {
-        let ctl = ControlToken::new();
-        pool_runtime(shared, pipeline)
-            .launch_with(ctl.clone())
-            .map(|auto| (auto, ctl, readers))
-    });
-    let (auto, ctl, readers) = match launched {
-        Ok(l) => l,
-        Err(_) => {
-            // The whole batch build/launch failed: every member falls back
-            // to its own single-path run (which has its own retry loop).
-            for job in &batch {
-                fallback_single(shared, state, job, None);
-            }
-            return;
-        }
-    };
-    shared.counters.record_batch(batch.len() as u64);
-    for job in &batch {
-        shared.opts.recorder.serve_event(EventKind::Batch, job.id);
-    }
-    shared.live_runs.fetch_add(1, Ordering::Relaxed); // relaxed: count-up precedes any batch work; completion ordering comes from the Release decrement
-    let mut fallbacks: Vec<(usize, BestSeen<T>)> = Vec::new();
-    for (idx, (job, reader)) in batch.iter().zip(&readers).enumerate() {
-        let mut last_seen: Option<Version> = None;
-        let mut best: BestSeen<T> = None;
-        // Calibration: each member's reader watches the same shared run,
-        // but crossings are tracked per member — its own quality scale.
-        let mut tracker = shared.gate.as_ref().map(|g| g.tracker());
-        let outcome = loop {
-            let now = Instant::now();
-            if now >= job.deadline {
-                break BatchOutcome::Respond;
-            }
-            match reader.wait_newer_timeout_with(last_seen, job.deadline - now, &ctl) {
-                Ok(snap) => {
-                    last_seen = Some(snap.version());
-                    // A panicking quality estimator fails this member over
-                    // to its single-path retry, not the whole worker.
-                    let Ok(q) = fence_closure(
-                        &shared.governor_counters,
-                        state,
-                        "quality estimator",
-                        || (shared.quality)(&snap),
-                    ) else {
-                        break BatchOutcome::Died;
-                    };
-                    if let Some(t) = tracker.as_mut() {
-                        t.observe(service_start.elapsed(), q);
-                    }
-                    shared.opts.recorder.observe_quality(
-                        job.id,
-                        state.trace_id,
-                        snap.version().get(),
-                        q,
-                    );
-                    let better = best.as_ref().is_none_or(|(bq, _)| q >= *bq);
-                    let terminal = snap.is_terminal();
-                    if better {
-                        best = Some((q, snap));
-                    }
-                    if terminal {
-                        break BatchOutcome::Respond;
-                    }
-                }
-                Err(CoreError::Timeout) => {}
-                // Stopped externally: answer with whatever the run gave us.
-                Err(CoreError::Stopped) => break BatchOutcome::Respond,
-                // This member's chain died permanently; retry it alone.
-                Err(_) => break BatchOutcome::Died,
-            }
-        };
-        match outcome {
-            BatchOutcome::Respond => {
-                // A member whose deadline elapsed while earlier members
-                // were being answered may never have polled its reader —
-                // but the shared run was publishing the whole time. Scoop
-                // the latest snapshot so the member benefits from every
-                // step the batch ran, instead of timing out empty-handed.
-                if let Some(snap) = reader.latest() {
-                    // A scoop is best-effort: a panicking estimator here
-                    // just forfeits the extra snapshot.
-                    if let Ok(q) = fence_closure(
-                        &shared.governor_counters,
-                        state,
-                        "quality estimator",
-                        || (shared.quality)(&snap),
-                    ) {
-                        if let Some(t) = tracker.as_mut() {
-                            t.observe(service_start.elapsed(), q);
-                        }
-                        if best.as_ref().is_none_or(|(bq, _)| q >= *bq) {
-                            shared.opts.recorder.observe_quality(
-                                job.id,
-                                state.trace_id,
-                                snap.version().get(),
-                                q,
-                            );
-                            best = Some((q, snap));
-                        }
-                    }
-                }
-                respond(shared, state, job, best, service_start, true, None);
-            }
-            BatchOutcome::Died => fallbacks.push((idx, best)),
-        }
-        if let (Some(gate), Some(t)) = (&shared.gate, &tracker) {
-            gate.absorb(t);
-        }
-    }
-    // Stop and fully reap the batch run before any fallback relaunches,
-    // exactly as run_attempt reaps a single run.
-    auto.stop();
-    let pre_join = auto.fault_stats();
-    match auto.join() {
-        Ok(report) => lock(&shared.faults).absorb(&report.faults),
-        Err(_) => {
-            let mut stats = pre_join;
-            stats.permanent_failures = stats.permanent_failures.max(1);
-            lock(&shared.faults).absorb(&stats);
-        }
-    }
-    // Release pairs with the Acquire load in stats(): same protocol as
-    // run_attempt's decrement.
-    shared.live_runs.fetch_sub(1, Ordering::Release);
-    if let Some(gate) = &shared.gate {
-        for reader in &readers {
-            gate.absorb_wait_stats(&reader.wait_stats());
-        }
-    }
-    for (idx, best) in fallbacks {
-        fallback_single(shared, state, &batch[idx], best);
-    }
-}
-
-/// Relaunches a batch member alone after its batch run failed it, seeding
-/// the single path with the batch's best snapshot. Counted as a
-/// serve-layer retry — it is one.
-fn fallback_single<I, T>(
-    shared: &Arc<Shared<I, T>>,
-    state: &Arc<ReplicaState>,
-    job: &Arc<Job<I, T>>,
-    best: BestSeen<T>,
-) where
-    I: Send + Sync + 'static,
-    T: Send + Sync + 'static,
-{
-    shared.counters.retried.inc();
-    shared.opts.recorder.serve_event(EventKind::Retry, job.id);
-    lock(&job.slot.state).retries += 1;
-    serve_job(shared, state, job, best);
-}
-
 /// Applies the pool's runtime choice to a factory-built pipeline: a
 /// factory that pinned its own runtime wins; otherwise the pool's
 /// configured runtime is installed (with neither, `launch` falls back to
@@ -1740,7 +1333,7 @@ where
 {
     let started = Instant::now();
     let built = fence_closure(&shared.governor_counters, state, "pipeline factory", || {
-        shared.factory.build_one(&job.input)
+        (shared.factory)(&job.input)
     });
     let (pipeline, reader) = match built {
         Ok(Ok(built)) => built,
@@ -2328,262 +1921,6 @@ mod tests {
         assert_eq!(stats.live_runs, 0);
     }
 
-    /// Batch factory for identical inputs: one counting chain, every
-    /// member reads the same buffer (readers are cloneable).
-    #[allow(clippy::type_complexity)]
-    fn shared_batch_factory(
-        n: u64,
-        step_delay: Duration,
-        batch_sizes: Arc<Mutex<Vec<usize>>>,
-    ) -> impl Fn(&[Arc<u64>]) -> Result<(Pipeline, Vec<BufferReader<u64>>)> + Send + Sync {
-        move |inputs: &[Arc<u64>]| {
-            lock(&batch_sizes).push(inputs.len());
-            let mut pb = PipelineBuilder::new();
-            let out = pb.source(
-                "count",
-                (),
-                Diffusive::new(
-                    |_: &()| 0u64,
-                    move |_: &(), out: &mut u64, _| {
-                        std::thread::sleep(step_delay);
-                        *out += 1;
-                        if *out == n {
-                            StepOutcome::Done
-                        } else {
-                            StepOutcome::Continue
-                        }
-                    },
-                ),
-                StageOptions::with_publish_every(1),
-            );
-            Ok((pb.build(), vec![out; inputs.len()]))
-        }
-    }
-
-    #[test]
-    fn compatible_requests_share_one_batch_run() {
-        let sizes = Arc::new(Mutex::new(Vec::new()));
-        let build = shared_batch_factory(40, Duration::from_millis(1), Arc::clone(&sizes));
-        let (hold, entered, release) = factory_gate();
-        let pool = Arc::new(
-            ServePool::new_batched(
-                ServeOptions {
-                    replicas: 1,
-                    batch: Some(BatchPolicy {
-                        max_size: 4,
-                        window: Duration::from_secs(5),
-                    }),
-                    ..ServeOptions::default()
-                },
-                move |inputs: &[Arc<u64>]| {
-                    if inputs.iter().any(|input| **input == BLOCKER) {
-                        hold();
-                    }
-                    build(inputs)
-                },
-                fraction_quality(40),
-            )
-            .unwrap(),
-        );
-        // Re-declared after the pool: see `factory_gate`.
-        let release = release;
-        // Occupy the lone replica so the next three requests pile up in the
-        // queue and drain together as one batch.
-        let p0 = Arc::clone(&pool);
-        let blocker =
-            std::thread::spawn(move || p0.submit(BLOCKER, Duration::from_millis(200), 0.0));
-        await_build(&entered);
-        let followers: Vec<_> = (0..3)
-            .map(|_| {
-                let p = Arc::clone(&pool);
-                std::thread::spawn(move || p.submit(0, Duration::from_secs(5), 0.0))
-            })
-            .collect();
-        decided(&pool, 4);
-        release.send(()).unwrap();
-        assert!(blocker.join().unwrap().is_ok());
-        for f in followers {
-            let resp = f.join().unwrap().expect("batched request failed");
-            assert_eq!(resp.status, ServeStatus::Final);
-            assert_eq!(*resp.snapshot.value(), 40);
-            assert!(resp.batched, "queued follower was not batched");
-        }
-        let stats = pool.shutdown();
-        assert_eq!(stats.admitted, 4);
-        assert_eq!(stats.completed, 4);
-        assert!(stats.batches >= 1, "no batch run happened: {stats:?}");
-        assert!(stats.batched_requests >= 2, "{stats:?}");
-        assert_eq!(stats.live_runs, 0);
-        let sizes = lock(&sizes);
-        assert!(
-            sizes.iter().any(|&s| s >= 2),
-            "factory never saw a multi-request batch: {sizes:?}"
-        );
-    }
-
-    /// A batch run advertises the same occupancy estimate as a single run,
-    /// capped by its last deadline: a request that arrives mid-batch with
-    /// a deadline no later than the batch head's is admitted, queued, and
-    /// answered once the batch is done. Each factory call announces its
-    /// batch size and then holds until the test releases it, so every
-    /// step is ordered by the test, not by timing.
-    #[test]
-    fn batch_occupancy_admits_same_deadline_arrivals() {
-        let sizes = Arc::new(Mutex::new(Vec::new()));
-        let build = shared_batch_factory(5, Duration::ZERO, Arc::clone(&sizes));
-        let (entered_tx, entered) = std::sync::mpsc::channel::<usize>();
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        let release_rx = Mutex::new(release_rx);
-        let pool = Arc::new(
-            ServePool::new_batched(
-                ServeOptions {
-                    replicas: 1,
-                    batch: Some(BatchPolicy {
-                        max_size: 4,
-                        window: Duration::from_secs(10),
-                    }),
-                    ..ServeOptions::default()
-                },
-                move |inputs: &[Arc<u64>]| {
-                    let _ = entered_tx.send(inputs.len());
-                    let _ = lock(&release_rx).recv();
-                    build(inputs)
-                },
-                fraction_quality(5),
-            )
-            .unwrap(),
-        );
-        // Declared after the pool, so unwinding drops it first: a failed
-        // assertion frees a held factory instead of hanging the pool's
-        // shutdown join.
-        let release = release_tx;
-        let submit = |deadline: Duration| {
-            let p = Arc::clone(&pool);
-            std::thread::spawn(move || p.submit(0, deadline, 0.0))
-        };
-
-        // A single run holds the replica while two followers queue up.
-        let first = submit(Duration::from_secs(60));
-        assert_eq!(entered.recv().unwrap(), 1);
-        let followers = [
-            submit(Duration::from_secs(120)),
-            submit(Duration::from_secs(120)),
-        ];
-        decided(&pool, 3);
-        // The followers drain as one batch, whose factory now holds.
-        release.send(()).unwrap();
-        assert_eq!(entered.recv().unwrap(), 2);
-        // Its deadline is 60 s sooner than the batch head's.
-        let arrival = submit(Duration::from_secs(60));
-        let refused = decided(&pool, 4).rejected;
-        // Release the batch and the arrival's own run.
-        release.send(()).unwrap();
-        release.send(()).unwrap();
-
-        assert!(first.join().unwrap().is_ok());
-        for f in followers {
-            assert!(f.join().unwrap().expect("batch member failed").batched);
-        }
-        let answer = arrival.join().unwrap();
-        assert_eq!(refused, 0, "arrival refused behind the batch: {answer:?}");
-        assert_eq!(answer.expect("arrival failed").status, ServeStatus::Final);
-        let stats = pool.shutdown();
-        assert_eq!((stats.admitted, stats.completed), (4, 4));
-        assert_eq!(*lock(&sizes), vec![1, 2, 1]);
-    }
-
-    #[test]
-    fn failed_batch_falls_back_to_single_runs() {
-        // The factory refuses multi-input batches; members must still be
-        // answered via the single-run fallback (counted as retries).
-        let (hold, entered, release) = factory_gate();
-        let factory = move |inputs: &[Arc<u64>]| {
-            if inputs.len() > 1 {
-                return Err(CoreError::InvalidConfig("no batches today".into()));
-            }
-            if *inputs[0] == BLOCKER {
-                hold();
-            }
-            let mut pb = PipelineBuilder::new();
-            let out = pb.source(
-                "count",
-                (),
-                Diffusive::new(
-                    |_: &()| 0u64,
-                    |_: &(), out: &mut u64, _| {
-                        std::thread::sleep(Duration::from_millis(1));
-                        *out += 1;
-                        if *out == 10 {
-                            StepOutcome::Done
-                        } else {
-                            StepOutcome::Continue
-                        }
-                    },
-                ),
-                StageOptions::with_publish_every(1),
-            );
-            Ok((pb.build(), vec![out]))
-        };
-        let pool = Arc::new(
-            ServePool::new_batched(
-                ServeOptions {
-                    replicas: 1,
-                    ..ServeOptions::default()
-                },
-                factory,
-                fraction_quality(10),
-            )
-            .unwrap(),
-        );
-        // Re-declared after the pool: see `factory_gate`.
-        let release = release;
-        let p0 = Arc::clone(&pool);
-        let blocker =
-            std::thread::spawn(move || p0.submit(BLOCKER, Duration::from_millis(100), 0.0));
-        await_build(&entered);
-        let followers: Vec<_> = (0..2)
-            .map(|_| {
-                let p = Arc::clone(&pool);
-                std::thread::spawn(move || p.submit(0, Duration::from_secs(5), 0.0))
-            })
-            .collect();
-        decided(&pool, 3);
-        release.send(()).unwrap();
-        assert!(blocker.join().unwrap().is_ok());
-        for f in followers {
-            let resp = f.join().unwrap().expect("fallback request failed");
-            assert_eq!(resp.status, ServeStatus::Final);
-        }
-        let stats = pool.shutdown();
-        assert_eq!(stats.completed, 3);
-        assert_eq!(stats.failed, 0);
-        assert_eq!(stats.live_runs, 0);
-    }
-
-    #[test]
-    fn new_rejects_batch_policy_without_batch_factory() {
-        let r = ServePool::new(
-            ServeOptions::default().batch(BatchPolicy::default()),
-            counting_factory(1, Duration::ZERO),
-            fraction_quality(1),
-        );
-        assert!(matches!(r, Err(CoreError::InvalidConfig(_))));
-    }
-
-    #[test]
-    fn batch_size_below_two_rejected() {
-        let sizes = Arc::new(Mutex::new(Vec::new()));
-        let r = ServePool::new_batched(
-            ServeOptions::default().batch(BatchPolicy {
-                max_size: 1,
-                window: Duration::from_millis(1),
-            }),
-            shared_batch_factory(1, Duration::ZERO, sizes),
-            fraction_quality(1),
-        );
-        assert!(matches!(r, Err(CoreError::InvalidConfig(_))));
-    }
-
     #[test]
     fn zero_replicas_rejected() {
         let r = ServePool::new(
@@ -2596,11 +1933,11 @@ mod tests {
 
     #[test]
     fn reachability_rule_is_strict_and_shared() {
-        // Regression for the admit/drain split: admission used to admit a
-        // request whose projected arrival landed *exactly on* its deadline
-        // while drain_batch skipped members on the same boundary. One
-        // helper now decides both, strictly: arriving at the deadline is
-        // not reaching it.
+        // Regression for a split between two reachability rules: admission
+        // used to admit a request whose projected arrival landed *exactly
+        // on* its deadline while another path skipped requests on the same
+        // boundary. One helper now decides admission and retry, strictly:
+        // arriving at the deadline is not reaching it.
         let now = Instant::now();
         let min = Duration::from_millis(5);
         assert!(!deadline_reachable(now, Duration::ZERO, min, now + min));

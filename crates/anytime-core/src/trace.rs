@@ -93,8 +93,6 @@ pub enum EventKind {
     /// Admission shed a serve request: queued with negative analytical
     /// slack, it runs under its floor's worst-case service bound.
     Shed,
-    /// A serve request was drained into a shared batch run.
-    Batch,
     /// A serve request was relaunched after a permanent replica failure.
     Retry,
     /// A serve request completed with a snapshot (`dur` is its latency).
@@ -123,7 +121,6 @@ impl EventKind {
             Self::Feasible => "feasible",
             Self::Infeasible => "infeasible",
             Self::Shed => "shed",
-            Self::Batch => "batch",
             Self::Retry => "retry",
             Self::RequestDone => "request_done",
             Self::RequestFailed => "request_failed",
@@ -368,8 +365,8 @@ impl Recorder {
         });
     }
 
-    /// Records a serving-plane event (`Admit`, `Reject`, `Shed`, `Batch`,
-    /// `Retry`) for request `req`.
+    /// Records a serving-plane event (`Admit`, `Reject`, `Shed`, `Retry`)
+    /// for request `req`.
     #[inline]
     pub fn serve_event(&self, kind: EventKind, req: u64) {
         self.emit_with(|at| {

@@ -423,213 +423,6 @@ fn parallel_map_merge_panic_under_degrade_flags_downstream() {
     assert!(pmap.is_degraded());
 }
 
-// ---------------------------------------------------------------------------
-// Batched serving under injected faults: ServePool::new_batched must keep
-// every batch member answered when the *shared* batch run is stalled,
-// slowed, or killed mid-batch.
-// ---------------------------------------------------------------------------
-
-mod batched {
-    use super::*;
-    use anytime_core::buffer::BufferReader;
-    use anytime_core::serve::{BatchPolicy, ServeOptions, ServePool};
-    use anytime_core::{Diffusive, PipelineBuilder, Result, StageOptions, Supervision};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    /// Steps in the batch pipeline's shared source.
-    const BN: u64 = 16;
-    /// Per-step work, slow enough that followers queue behind a blocker.
-    const BSTEP: Duration = Duration::from_millis(2);
-
-    /// A batch factory whose single shared source stage `bf` counts to
-    /// [`BN`]; every member reads the same chain (cloned readers), so a
-    /// mid-batch fault on `bf` hits all members at once. `plan_for` maps a
-    /// build's input count to the fault plan to arm (the first multi-input
-    /// build is the batch under test).
-    #[allow(clippy::type_complexity)]
-    fn chaos_batch_factory(
-        sup: Supervision,
-        plan_for: impl Fn(usize) -> Option<FaultPlan> + Send + Sync + 'static,
-    ) -> impl Fn(&[Arc<u64>]) -> Result<(Pipeline, Vec<BufferReader<u64>>)> + Send + Sync + 'static
-    {
-        move |inputs: &[Arc<u64>]| {
-            let mut pb = PipelineBuilder::new();
-            let out = pb.source(
-                "bf",
-                (),
-                Diffusive::new(
-                    |_: &()| 0u64,
-                    |_: &(), out: &mut u64, _| {
-                        std::thread::sleep(BSTEP);
-                        *out += 1;
-                        if *out == BN {
-                            StepOutcome::Done
-                        } else {
-                            StepOutcome::Continue
-                        }
-                    },
-                ),
-                StageOptions::with_publish_every(1).supervise(sup),
-            );
-            let pb = match plan_for(inputs.len()) {
-                Some(plan) => pb.with_faults(plan),
-                None => pb,
-            };
-            Ok((pb.build(), vec![out; inputs.len()]))
-        }
-    }
-
-    fn batched_opts() -> ServeOptions {
-        ServeOptions {
-            replicas: 1,
-            min_service: Duration::from_micros(100),
-            ..ServeOptions::default()
-        }
-        .batch(BatchPolicy {
-            max_size: 4,
-            window: Duration::from_secs(1),
-        })
-    }
-
-    /// Submits one blocker (occupying the lone worker) and three
-    /// followers (queuing behind it so the next drain forms a batch),
-    /// returning the follower responses.
-    fn run_blocker_and_followers(
-        pool: &Arc<ServePool<u64, u64>>,
-    ) -> Vec<anytime_core::ServeResponse<u64>> {
-        let p0 = Arc::clone(pool);
-        let blocker = std::thread::spawn(move || p0.submit(0, Duration::from_secs(5), 0.0));
-        // Let the blocker's (single-member) run start before the
-        // followers queue, so they are all drained into one batch.
-        std::thread::sleep(Duration::from_millis(8));
-        let followers: Vec<_> = (1..=3u64)
-            .map(|id| {
-                let p = Arc::clone(pool);
-                std::thread::spawn(move || p.submit(id, Duration::from_secs(5), 0.0))
-            })
-            .collect();
-        blocker
-            .join()
-            .unwrap()
-            .expect("blocker request must be answered");
-        followers
-            .into_iter()
-            .map(|f| {
-                f.join()
-                    .unwrap()
-                    .expect("a batch member was never answered")
-            })
-            .collect()
-    }
-
-    #[test]
-    fn batched_pool_survives_seeded_stalls_and_slowdowns_mid_batch() {
-        // Three seeds vary where the stall lands inside the shared batch
-        // run. Under fail-stop supervision the faults only delay, so with
-        // generous deadlines every member must still reach the precise
-        // output — and nothing may hang or leak.
-        for seed in [3u64, 11, 42] {
-            let armed = Arc::new(AtomicBool::new(false));
-            let plan_for = {
-                let armed = Arc::clone(&armed);
-                move |n_inputs: usize| {
-                    (n_inputs > 1 && !armed.swap(true, Ordering::SeqCst)).then(|| {
-                        FaultPlan::new()
-                            .stall_at("bf", 1 + seed % BN, Duration::from_millis(30))
-                            .slow_down("bf", Duration::from_micros(200 * (1 + seed % 3)))
-                    })
-                }
-            };
-            let pool = Arc::new(
-                ServePool::new_batched(
-                    batched_opts(),
-                    chaos_batch_factory(Supervision::fail_stop(), plan_for),
-                    |s: &Snapshot<u64>| *s.value() as f64 / BN as f64,
-                )
-                .unwrap(),
-            );
-            let responses = run_blocker_and_followers(&pool);
-            for resp in &responses {
-                assert_eq!(
-                    *resp.snapshot.value(),
-                    BN,
-                    "seed {seed}: a member missed the precise output: {resp:?}"
-                );
-                assert!((resp.quality - 1.0).abs() < f64::EPSILON, "seed {seed}");
-            }
-            let stats = pool.shutdown();
-            assert!(
-                armed.load(Ordering::SeqCst),
-                "seed {seed}: no multi-member batch ever formed"
-            );
-            assert!(stats.batches >= 1, "seed {seed}: {stats:?}");
-            assert!(stats.batched_requests >= 2, "seed {seed}: {stats:?}");
-            assert_eq!(stats.live_runs, 0, "seed {seed}: leaked runs: {stats:?}");
-            assert_eq!(stats.failed, 0, "seed {seed}: {stats:?}");
-        }
-    }
-
-    #[test]
-    fn mid_batch_death_under_degrade_seals_every_member() {
-        // The shared source panics mid-batch under Degrade supervision:
-        // the degraded seal must propagate to *every* member of that
-        // batch — each one answers flagged, with the same partial value,
-        // and none of them hangs waiting on the dead chain.
-        for seed in [5u64, 19, 77] {
-            let armed = Arc::new(AtomicBool::new(false));
-            let panic_step = 2 + seed % (BN / 2);
-            let plan_for = {
-                let armed = Arc::clone(&armed);
-                move |n_inputs: usize| {
-                    (n_inputs > 1 && !armed.swap(true, Ordering::SeqCst))
-                        .then(|| FaultPlan::new().panic_at("bf", panic_step))
-                }
-            };
-            let pool = Arc::new(
-                ServePool::new_batched(
-                    batched_opts(),
-                    chaos_batch_factory(Supervision::degrade(), plan_for),
-                    |s: &Snapshot<u64>| *s.value() as f64 / BN as f64,
-                )
-                .unwrap(),
-            );
-            let responses = run_blocker_and_followers(&pool);
-            let degraded_members: Vec<_> = responses
-                .iter()
-                .filter(|r| r.batched && r.snapshot.is_degraded())
-                .collect();
-            assert!(
-                degraded_members.len() >= 2,
-                "seed {seed}: degraded seal did not propagate to the batch \
-                 ({} of {} followers batched+degraded)",
-                degraded_members.len(),
-                responses.len()
-            );
-            for resp in &degraded_members {
-                assert_eq!(
-                    resp.status,
-                    anytime_core::ServeStatus::Degraded,
-                    "seed {seed}: sealed member not flagged: {resp:?}"
-                );
-                assert!(
-                    *resp.snapshot.value() < BN,
-                    "seed {seed}: a degraded member claims the precise output"
-                );
-                assert!(resp.quality < 1.0, "seed {seed}");
-            }
-            let stats = pool.shutdown();
-            assert!(
-                armed.load(Ordering::SeqCst),
-                "seed {seed}: no multi-member batch ever formed"
-            );
-            assert!(stats.batches >= 1, "seed {seed}: {stats:?}");
-            assert_eq!(stats.live_runs, 0, "seed {seed}: leaked runs: {stats:?}");
-            assert_eq!(stats.failed, 0, "seed {seed}: every member must answer");
-        }
-    }
-}
-
 #[test]
 fn watchdog_degrades_an_injected_stall() {
     // f stalls for far longer than its heartbeat; the watchdog seals it
@@ -657,8 +450,8 @@ mod serve_chaos {
     use anytime_core::serve::{ServeOptions, ServePool, ServeStatus};
     use anytime_core::trace::{EventKind, Recorder};
     use anytime_core::{
-        CoreError, Diffusive, Pipeline, PipelineBuilder, Result, Snapshot, StageOptions,
-        StepOutcome, WorkerKillPlan,
+        CoreError, Diffusive, FaultPlan, Pipeline, PipelineBuilder, Result, Snapshot, StageOptions,
+        StepOutcome, Supervision, WorkerKillPlan,
     };
     use std::sync::Arc;
     use std::time::Duration;
@@ -692,6 +485,106 @@ mod serve_chaos {
 
     fn fraction_quality(n: u64) -> impl Fn(&Snapshot<u64>) -> f64 + Send + Sync {
         move |s: &Snapshot<u64>| *s.value() as f64 / n as f64
+    }
+
+    /// Steps in [`faulted_factory`]'s source.
+    const FN: u64 = 16;
+
+    /// A factory whose source `sf` counts to [`FN`] under `sup`, publishing
+    /// every step, with the faults `plan` derives from the request's input
+    /// (its seed). The source never sleeps: only the injected faults delay
+    /// it.
+    fn faulted_factory(
+        sup: Supervision,
+        plan: impl Fn(u64) -> FaultPlan + Send + Sync + 'static,
+    ) -> impl Fn(&u64) -> Result<(Pipeline, BufferReader<u64>)> + Send + Sync + 'static {
+        move |seed: &u64| {
+            let mut pb = PipelineBuilder::new();
+            let out = pb.source(
+                "sf",
+                (),
+                Diffusive::new(
+                    |_: &()| 0u64,
+                    |_: &(), out: &mut u64, _| {
+                        *out += 1;
+                        if *out == FN {
+                            StepOutcome::Done
+                        } else {
+                            StepOutcome::Continue
+                        }
+                    },
+                ),
+                StageOptions::with_publish_every(1).supervise(sup),
+            );
+            Ok((pb.with_faults(plan(*seed)).build(), out))
+        }
+    }
+
+    /// A fault inside one request's run, three seeds a case. The request
+    /// is answered from its own run, and the pool fails nothing and leaks
+    /// no run:
+    ///
+    /// - *degrade*: the source panics at a seeded step under
+    ///   `Supervision::degrade()`, and the request is answered `Degraded`
+    ///   with the sealed partial count;
+    /// - *fail-stop*: the source stalls at a seeded step and runs slowed,
+    ///   and the request still reaches the precise count.
+    #[test]
+    fn a_fault_inside_a_run_is_answered_by_its_request() {
+        let opts = || ServeOptions {
+            replicas: 1,
+            min_service: Duration::from_micros(100),
+            ..ServeOptions::default()
+        };
+        let panic_step = |seed: u64| 2 + seed % (FN / 2);
+        let degrade = ServePool::new(
+            opts(),
+            faulted_factory(Supervision::degrade(), move |seed| {
+                FaultPlan::new().panic_at("sf", panic_step(seed))
+            }),
+            fraction_quality(FN),
+        )
+        .unwrap();
+        for seed in [5u64, 19, 77] {
+            let resp = degrade
+                .submit(seed, Duration::from_secs(10), 0.0)
+                .unwrap_or_else(|e| panic!("seed {seed}: not answered: {e}"));
+            assert_eq!(resp.status, ServeStatus::Degraded, "seed {seed}: {resp:?}");
+            assert!(resp.snapshot.is_degraded(), "seed {seed}: {resp:?}");
+            assert_eq!(
+                *resp.snapshot.value(),
+                panic_step(seed),
+                "seed {seed}: not the sealed partial count"
+            );
+            assert!(resp.quality < 1.0, "seed {seed}: {resp:?}");
+            let stats = degrade.stats();
+            assert_eq!(stats.failed, 0, "seed {seed}: {stats:?}");
+            assert_eq!(stats.live_runs, 0, "seed {seed}: leaked runs: {stats:?}");
+        }
+        assert_eq!(degrade.shutdown().completed, 3);
+
+        let fail_stop = ServePool::new(
+            opts(),
+            faulted_factory(Supervision::fail_stop(), |seed| {
+                FaultPlan::new()
+                    .stall_at("sf", 1 + seed % FN, Duration::from_millis(30))
+                    .slow_down("sf", Duration::from_micros(200 * (1 + seed % 3)))
+            }),
+            fraction_quality(FN),
+        )
+        .unwrap();
+        for seed in [3u64, 11, 42] {
+            let resp = fail_stop
+                .submit(seed, Duration::from_secs(10), 0.0)
+                .unwrap_or_else(|e| panic!("seed {seed}: not answered: {e}"));
+            assert_eq!(resp.status, ServeStatus::Final, "seed {seed}: {resp:?}");
+            assert_eq!(*resp.snapshot.value(), FN, "seed {seed}: {resp:?}");
+            assert_eq!(resp.quality, 1.0, "seed {seed}");
+            let stats = fail_stop.stats();
+            assert_eq!(stats.failed, 0, "seed {seed}: {stats:?}");
+            assert_eq!(stats.live_runs, 0, "seed {seed}: leaked runs: {stats:?}");
+        }
+        assert_eq!(fail_stop.shutdown().completed, 3);
     }
 
     /// Seeded worker kills across a 3-replica default pool: the

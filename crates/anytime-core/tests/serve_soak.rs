@@ -21,6 +21,7 @@
 //! Requires `--features fault-inject`.
 #![cfg(feature = "fault-inject")]
 
+use anytime_core::metrics::ServeStats;
 use anytime_core::serve::{RetryPolicy, ServeOptions, ServePool};
 use anytime_core::{
     CoreError, Diffusive, FaultPlan, Precise, RtaPolicy, ServeResponse, ServeStatus, StageOptions,
@@ -624,8 +625,14 @@ fn soak_shedding_degrades_quality_not_availability() {
 /// submitters hammer the pool. No admitted request is ever dropped: every
 /// submission completes, and the final worker count matches the last
 /// resize target.
+///
+/// The pool's own counters order the resizes, not sleeps: the scale-up
+/// waits until 4 requests are admitted and the scale-down until 16 have
+/// completed, and the counters read after each resize show requests still
+/// unanswered, so each resize landed under load.
 #[test]
 fn soak_resize_never_drops_inflight() {
+    const REQUESTS: u64 = 48;
     let _threads = shared_process();
     let seed = env_u64("SOAK_SEED", 0xA17);
     let pool = Arc::new(counting_pool(
@@ -643,23 +650,47 @@ fn soak_resize_never_drops_inflight() {
         .map(|t| {
             let pool = Arc::clone(&pool);
             std::thread::spawn(move || {
-                for i in 0..12u64 {
-                    let id = t * 12 + i;
+                for i in 0..REQUESTS / 4 {
+                    let id = t * (REQUESTS / 4) + i;
                     pool.submit(id, Duration::from_secs(2), 0.0)
                         .unwrap_or_else(|e| panic!("request {id} dropped mid-reconfigure: {e}"));
                 }
             })
         })
         .collect();
-    std::thread::sleep(Duration::from_millis(10));
+    // Spins on the pool's counters until `ready` holds, failing instead of
+    // hanging when every submitter has finished first.
+    let await_stats = |ready: &dyn Fn(&ServeStats) -> bool| {
+        while !ready(&pool.stats()) {
+            assert!(
+                !submitters.iter().all(|h| h.is_finished()),
+                "the load ended before the resize point: {:?}",
+                pool.stats()
+            );
+            std::thread::yield_now();
+        }
+    };
+    let answered = |s: &ServeStats| s.completed + s.failed;
+    await_stats(&|s| s.admitted >= 4);
     pool.resize(5).expect("scale-up under load");
-    std::thread::sleep(Duration::from_millis(10));
+    let up = pool.stats();
+    assert!(
+        answered(&up) < REQUESTS,
+        "scale-up landed after the load: {up:?}"
+    );
+    await_stats(&|s| s.completed >= 16);
     pool.resize(2).expect("scale-down under load");
+    let down = pool.stats();
+    assert!(
+        answered(&down) < REQUESTS,
+        "scale-down landed after the load: {down:?}"
+    );
     for s in submitters {
         s.join().expect("submitter panicked — a dropped request");
     }
     assert_eq!(pool.worker_count(), 2, "worker count != last resize target");
     let stats = pool.shutdown();
+    assert_eq!(stats.admitted, REQUESTS, "{stats:?}");
     assert_eq!(stats.completed, stats.admitted, "{stats:?}");
     assert_eq!(stats.failed, 0, "{stats:?}");
     assert_eq!(stats.live_runs, 0, "leaked runs: {stats:?}");

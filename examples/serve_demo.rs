@@ -8,14 +8,14 @@
 //! An open-loop generator fires 2-D convolution requests at a fixed
 //! arrival rate — faster than the pool can serve precisely — with mixed
 //! deadline budgets and quality floors. The pool answers *every admitted
-//! request by its deadline* with the best snapshot available: generous
-//! budgets get the precise convolution, tight ones a valid approximation,
-//! and compatible queued requests share one batch run. The run ends with
-//! the pool's own accounting: admission, batch, and deadline-hit rates.
+//! request by its deadline* with the best snapshot its own run has
+//! published: generous budgets get the precise convolution, tight ones a
+//! valid approximation. The run ends with the pool's own accounting:
+//! admission and deadline-hit rates.
 //!
 //! With `--trace out.json`, the run records a structured trace — buffer
-//! publications, admissions, batches, per-request quality
-//! observations — and writes three artifacts: `out.json` (Chrome
+//! publications, admissions, per-request quality observations — and
+//! writes three artifacts: `out.json` (Chrome
 //! `trace_event` timeline for `chrome://tracing` / Perfetto), `out.jsonl`
 //! (the event log `anytime-bench`'s `trace_check` turns back into
 //! accuracy-vs-time tables), and `out.prom` (the pool's Prometheus text
@@ -24,15 +24,15 @@
 use anytime::apps::conv2d::CHUNK;
 use anytime::apps::{time_baseline, Conv2d};
 use anytime::core::{
-    BatchPolicy, CoreError, Recorder, Runtime, RuntimeHandle, ServeOptions, ServePool, ServeStatus,
+    CoreError, Recorder, Runtime, RuntimeHandle, ServeOptions, ServePool, ServeStatus,
 };
 use anytime::img::{metrics, synth, Kernel};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Arrivals per precise-baseline interval: 2 replicas at rate 4 is a
-/// sustained 2× overload, so queueing — and batching — actually happens.
+/// sustained 2× overload, so requests queue and admission rejects some.
 const ARRIVALS_PER_BASELINE: f64 = 4.0;
 const REPLICAS: usize = 2;
 const REQUESTS: usize = 48;
@@ -97,11 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let factory_app = app.clone();
     let factory_recorder = recorder.clone();
-    // Every request carries the same `()` input, so a batch shares one
-    // pipeline run outright: the factory builds a single convolution chain
-    // and hands every member a clone of its output reader. Queued
-    // compatible requests then cost one run instead of one run each.
-    let pool = ServePool::new_batched(
+    let pool = ServePool::new(
         ServeOptions {
             replicas: REPLICAS,
             recorder: recorder.clone(),
@@ -110,23 +106,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             // below this are rejected at submit instead of admitted and
             // then answered with a timeout.
             min_service: Duration::from_secs_f64(baseline.as_secs_f64() * 0.12),
-            // A narrow window batches only like-deadlined requests: a
-            // tight request stapled to a leisurely batch would wait out
-            // the whole batch and starve.
-            batch: Some(BatchPolicy {
-                max_size: 8,
-                window: Duration::from_secs_f64(baseline.as_secs_f64() * 0.25),
-            }),
             ..ServeOptions::default()
         },
-        move |inputs: &[Arc<()>]| {
+        move |_: &()| {
             // Publish every 32 chunks: each publication copies the whole
             // image payload into the double buffer, so publishing too
             // finely would spend the deadline on memcpy instead of taps.
-            let (pipeline, reader) = factory_app
+            factory_app
                 .automaton_traced(32 * CHUNK as u64, &factory_recorder)
-                .map_err(|e| CoreError::InvalidConfig(e.to_string()))?;
-            Ok((pipeline, vec![reader; inputs.len()]))
+                .map_err(|e| CoreError::InvalidConfig(e.to_string()))
         },
         move |snap| snap.steps() as f64 / total_pixels,
     )?;
@@ -207,16 +195,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = pool.shutdown();
     println!(
         "\npool: {} admitted ({} completed, {} failed), {} rejected, {} shed, \
-         {} retried, {} batched into {} runs, deadline hit rate {:.1}%, \
-         live runs after shutdown: {}",
+         {} retried, deadline hit rate {:.1}%, live runs after shutdown: {}",
         stats.admitted,
         stats.completed,
         stats.failed,
         stats.rejected,
         stats.shed,
         stats.retried,
-        stats.batched_requests,
-        stats.batches,
         100.0 * stats.deadline.hit_rate(),
         stats.live_runs,
     );
