@@ -567,10 +567,14 @@ pub struct ServeStats {
     /// Response arrival relative to deadline budgets.
     pub deadline: DeadlineHistogramStats,
     /// Fault handling aggregated over every pipeline run the pool
-    /// performed (each run's [`crate::RunReport`]-level `FaultStats`).
+    /// performed (each run's [`crate::RunReport`]-level `FaultStats`). A
+    /// run's share is folded in when its replica reaps it, after the
+    /// request's answer, so a snapshot taken in between lacks it.
     pub faults: FaultStats,
     /// Pipeline runs still live when this snapshot was taken; zero after
-    /// shutdown proves no leaked running stages.
+    /// shutdown proves no leaked running stages. A replica reaps a run
+    /// after answering its request, so a snapshot taken in between still
+    /// counts it.
     pub live_runs: u64,
     /// Response-time-analysis admission activity, when the pool runs with
     /// an analytical gate (all-zero otherwise).

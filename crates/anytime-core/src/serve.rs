@@ -60,12 +60,22 @@
 //!
 //! A request is one run: the automaton answers with the best version its
 //! run has published (paper §III), and each dequeued request takes one
-//! path — build, run, retry, respond. Batched execution, which served
+//! path — build, run, answer, reap, retry. Batched execution, which served
 //! several queued requests from one shared run, was measured and deleted
 //! too (EXPERIMENTS.md, "A request is one run"). No soak or benchmark
 //! workload could reach it, and `serve_demo` formed no batch run. A
 //! batch's chains ran on the same runtime workers that separate runs use,
 //! so it saved one build, launch and join, not compute.
+//!
+//! The answer comes before the reap. A published version is a valid
+//! output (paper §III), so a request's answer is fixed once its replica
+//! has seen the run's terminal version, or the attempt's end (its
+//! deadline, or a shed request's cap once the floor is met). The replica
+//! then feeds the admission gate and answers. Only after that does it stop,
+//! join and account the run, and pop its next request: the teardown is
+//! not on the request's critical path (EXPERIMENTS.md, "Answer first, reap
+//! after"). A run that dies has no answer yet, so it is reaped before its
+//! retry.
 //!
 //! Every counter lands in [`ServeStats`] (see [`crate::metrics`]), and the
 //! pool aggregates the [`FaultStats`] of every pipeline run it performed,
@@ -73,7 +83,7 @@
 
 use crate::control::ControlToken;
 use crate::error::{CoreError, Result};
-use crate::executor::panic_message;
+use crate::executor::{panic_message, Automaton};
 #[cfg(feature = "fault-inject")]
 use crate::faultinject::WorkerKillPlan;
 use crate::metrics::{
@@ -287,7 +297,8 @@ struct ReplicaState {
     index: usize,
     ewma: LatencyEwma,
     /// Projected end of the run this replica is currently serving
-    /// (`None` when idle). Admission adds the soonest of these when no
+    /// (`None` when idle). It clears once the replica has reaped the run,
+    /// after the answer. Admission adds the soonest of these when no
     /// replica is free — an empty queue does not mean zero wait.
     busy_until: Mutex<Option<Instant>>,
     /// Set by `resize`: finish the current run, take no new work, exit.
@@ -346,7 +357,8 @@ struct SlotState<T> {
 
 /// The rendezvous between a submitter and the worker running its job.
 /// The first fill wins: a request is answered once, even when a worker's
-/// serve fence fires after `respond` has filled the slot.
+/// serve fence fires after `respond` has filled the slot, for instance
+/// during the reap that follows the answer.
 struct Slot<T> {
     state: Mutex<SlotState<T>>,
     // lint: allow(l1-condvar) -- waiters re-check `filled` under `state` before and after every wait
@@ -801,14 +813,20 @@ where
     /// A point-in-time view of the pool's counters, deadline histogram,
     /// aggregated run faults, live run count, and worker lifecycle
     /// gauges.
+    ///
+    /// A replica reaps a request's run after answering it, so a snapshot
+    /// taken between the two, for instance right after `submit` returns,
+    /// may still count that run in [`ServeStats::live_runs`] and lack its
+    /// [`FaultStats`] in [`ServeStats::faults`]. [`ServePool::shutdown`]
+    /// returns fully reaped stats.
     pub fn stats(&self) -> ServeStats {
         let shared = &self.shared;
         let mut stats = shared.counters.snapshot();
         stats.deadline = shared.deadline_hist.snapshot();
         stats.faults = *lock(&shared.faults);
-        // Acquire pairs with the Release decrement in run_attempt: once a
-        // completed attempt is no longer counted live, its fault/latency
-        // stats recorded before the decrement are visible to this snapshot.
+        // Acquire pairs with the Release decrement in `reap`: once a
+        // reaped run is no longer counted live, the fault stats it
+        // absorbed before the decrement are visible to this snapshot.
         stats.live_runs = shared.live_runs.load(Ordering::Acquire);
         stats.rta = shared.rta_counters.snapshot();
         if let Some(gate) = &shared.gate {
@@ -993,12 +1011,16 @@ impl<I, T> Drop for ServePool<I, T> {
 
 /// How one pipeline attempt for a request ended.
 enum Attempt<T> {
-    /// The run reached a terminal output, or the deadline arrived; the
-    /// best snapshot so far (if any) goes to the caller.
-    Respond(BestSeen<T>),
-    /// The replica died permanently (retryable). Carries the best
-    /// snapshot so far, kept across attempts, plus the structured panic
-    /// error when the death was a fenced caller-closure panic.
+    /// The attempt has the request's answer: the run reached a terminal
+    /// output, the attempt's end arrived, or the run was stopped
+    /// externally. Carries the best snapshot so far (if any) for the
+    /// caller, and the run itself, still live: the replica reaps it after
+    /// the answer.
+    Respond(BestSeen<T>, Automaton),
+    /// The replica died permanently (retryable), and its run, if one was
+    /// launched, is reaped. Carries the best snapshot so far, kept across
+    /// attempts, plus the structured panic error when the death was a
+    /// fenced caller-closure panic.
     Died(BestSeen<T>, Option<CoreError>),
 }
 
@@ -1048,7 +1070,8 @@ fn fence_closure<R>(
 /// by `run_end`, the run's hard end: runs often end early at a terminal
 /// output, so the deadline is only the cap.
 ///
-/// The returned guard clears the occupancy when the run ends.
+/// The returned guard clears the occupancy when the request's serve path
+/// ends, once its run is reaped.
 fn occupy<'a, I, T>(
     shared: &Shared<I, T>,
     state: &'a ReplicaState,
@@ -1134,7 +1157,8 @@ where
     }
 }
 
-/// Runs one request to its response, retrying permanent deaths.
+/// Runs one request: observes its runs, retrying permanent deaths, answers
+/// it, and only then reaps the run that answered.
 fn serve_job<I, T>(shared: &Arc<Shared<I, T>>, state: &Arc<ReplicaState>, job: &Arc<Job<I, T>>)
 where
     I: Send + Sync + 'static,
@@ -1158,12 +1182,12 @@ where
     // attempts died instead of a generic timeout.
     let mut last_death: Option<CoreError> = None;
     let mut local_retries = 0u32;
-    let best = loop {
+    let (best, run) = loop {
         if Instant::now() >= job.deadline {
-            break best;
+            break (best, None);
         }
         match run_attempt(shared, state, job, &mut best) {
-            Attempt::Respond(b) => break b,
+            Attempt::Respond(b, run) => break (b, Some(run)),
             Attempt::Died(b, death) => {
                 best = b;
                 if death.is_some() {
@@ -1171,7 +1195,7 @@ where
                 }
                 let retry = &shared.opts.retry;
                 if local_retries >= retry.max_attempts {
-                    break best;
+                    break (best, None);
                 }
                 let mut delay = retry_backoff(
                     retry.base_backoff,
@@ -1190,7 +1214,7 @@ where
                 // Retry only if the backoff plus a minimal run still fits.
                 if !deadline_reachable(Instant::now(), delay, shared.opts.min_service, job.deadline)
                 {
-                    break best;
+                    break (best, None);
                 }
                 local_retries += 1;
                 shared.counters.retried.inc();
@@ -1204,21 +1228,33 @@ where
             }
         }
     };
-    respond(shared, state, job, best, service_start, last_death);
+    let answered = respond(shared, state, job, best, last_death);
+    if let Some(run) = run {
+        reap(shared, run);
+    }
+    if answered {
+        // The EWMA and the service histogram track the replica's
+        // occupancy (pop to reaped), not queue wait — admission
+        // multiplies the EWMA by queue depth itself.
+        let service = service_start.elapsed();
+        state.ewma.record(service);
+        shared.service_hist.record(service);
+    }
 }
 
 /// Answers a job with the best snapshot an attempt produced (or an error
 /// when none: the structured `failure` of the last fenced-panic death if
 /// there was one, [`CoreError::Timeout`] otherwise), filling its slot and
 /// recording the response-side counters, histograms, and trace events.
+/// Returns `true` when this call answered the job with a snapshot.
 fn respond<I, T>(
     shared: &Arc<Shared<I, T>>,
     state: &Arc<ReplicaState>,
     job: &Arc<Job<I, T>>,
     best: BestSeen<T>,
-    service_start: Instant,
     failure: Option<CoreError>,
-) where
+) -> bool
+where
     I: Send + Sync + 'static,
     T: Send + Sync + 'static,
 {
@@ -1226,7 +1262,7 @@ fn respond<I, T>(
     let Some((quality, snapshot)) = best else {
         let failure = failure.unwrap_or(CoreError::Timeout);
         fail_job(shared, job, Some(state.trace_id), failure);
-        return;
+        return false;
     };
     let retries = lock(&job.slot.state).retries;
     let status = if snapshot.is_final() && quality >= job.floor {
@@ -1248,7 +1284,7 @@ fn respond<I, T>(
         elapsed,
     };
     if !job.slot.fill(Ok(response)) {
-        return;
+        return false;
     }
     shared.counters.completed.inc();
     if status == ServeStatus::Degraded {
@@ -1271,12 +1307,7 @@ fn respond<I, T>(
         // bound-error gauge.
         shared.rta_counters.record_bound_sample(a.upper, elapsed);
     }
-    // The EWMA and the service histogram track *service* time (pop to
-    // response), not queue wait — admission multiplies the EWMA by queue
-    // depth itself.
-    let service = service_start.elapsed();
-    state.ewma.record(service);
-    shared.service_hist.record(service);
+    true
 }
 
 /// Fails a job with `err` unless it was already answered,
@@ -1319,8 +1350,12 @@ fn pool_runtime<I, T>(shared: &Shared<I, T>, pipeline: Pipeline) -> Pipeline {
     }
 }
 
-/// One pipeline launch for a request: build, run, track the best snapshot,
-/// respond at the deadline or terminal output.
+/// One pipeline launch for a request: build, launch, and observe the run,
+/// tracking the best snapshot, until the attempt has the request's answer
+/// (its terminal output, the attempt's end, or an external stop) or the run
+/// dies. Either way the run has fed the admission gate when this returns.
+/// A died run is reaped here; an answering one is handed back live, so
+/// that the request is answered before its run's teardown.
 fn run_attempt<I, T>(
     shared: &Arc<Shared<I, T>>,
     state: &Arc<ReplicaState>,
@@ -1356,7 +1391,10 @@ where
     // Calibration: record when this run first crosses each quality
     // threshold, feeding the admission gate's supply curves.
     let mut tracker = shared.gate.as_ref().map(|g| g.tracker());
-    let outcome = loop {
+    // Observe: `Ok` once the attempt has the request's answer, `Err` when
+    // the run died, with the structured error of a fenced panic if one
+    // killed it.
+    let observed: std::result::Result<(), Option<CoreError>> = loop {
         let now = Instant::now();
         // A shed run ends at `started + cap` only once its best snapshot
         // meets the floor; until then it keeps its real deadline, so the
@@ -1368,7 +1406,7 @@ where
             _ => job.deadline,
         };
         if now >= attempt_end {
-            break Attempt::Respond(best.take());
+            break Ok(());
         }
         match reader.wait_newer_timeout_with(last, attempt_end - now, &ctl) {
             Ok(snap) => {
@@ -1382,7 +1420,7 @@ where
                     || (shared.quality)(&snap),
                 ) {
                     Ok(q) => q,
-                    Err(e) => break Attempt::Died(best.take(), Some(e)),
+                    Err(e) => break Err(Some(e)),
                 };
                 if let Some(t) = tracker.as_mut() {
                     t.observe(started.elapsed(), q);
@@ -1399,26 +1437,48 @@ where
                     *best = Some((q, snap));
                 }
                 if terminal {
-                    break Attempt::Respond(best.take());
+                    break Ok(());
                 }
             }
             Err(CoreError::Timeout) => {}
             // Stopped externally: answer with whatever the run gave us.
-            Err(CoreError::Stopped) => break Attempt::Respond(best.take()),
+            Err(CoreError::Stopped) => break Ok(()),
             // The replica died permanently (SourceClosed or another
             // terminal error): retryable at the serve layer.
-            Err(_) => break Attempt::Died(best.take(), None),
+            Err(_) => break Err(None),
         }
     };
-    // Stop and fully reap the run: stages halt at their next step
-    // boundary and the join aggregates this run's fault handling.
+    if let Some(gate) = &shared.gate {
+        // Observation is over: the run's crossings are final, and so are
+        // its reader's publish→observe latencies, since this replica was
+        // the reader's one waiter. Fed before the answer, so that the
+        // gate's calibration is current when `submit` returns. Runs that
+        // never published contribute nothing (absorb ignores them).
+        if let Some(t) = &tracker {
+            gate.absorb(t);
+        }
+        gate.absorb_wait_stats(&reader.wait_stats());
+    }
+    match observed {
+        Ok(()) => Attempt::Respond(best.take(), auto),
+        Err(death) => {
+            reap(shared, auto);
+            Attempt::Died(best.take(), death)
+        }
+    }
+}
+
+/// Stops and fully reaps a run: its stages halt at their next step
+/// boundary, and the join aggregates the run's fault handling into the
+/// pool's. The run stops counting as live only here.
+fn reap<I, T>(shared: &Shared<I, T>, auto: Automaton) {
     auto.stop();
     let pre_join = auto.fault_stats();
     match auto.join() {
         Ok(report) => lock(&shared.faults).absorb(&report.faults),
         Err(_) => {
-            // The join error is the permanent failure the attempt already
-            // observed; keep the counters it managed to record.
+            // The join error is a permanent failure of the run; keep the
+            // counters it managed to record.
             let mut stats = pre_join;
             stats.permanent_failures = stats.permanent_failures.max(1);
             lock(&shared.faults).absorb(&stats);
@@ -1428,16 +1488,6 @@ where
     // so an observer that sees the run counted done also sees the stats it
     // absorbed above.
     shared.live_runs.fetch_sub(1, Ordering::Release);
-    if let Some(gate) = &shared.gate {
-        // The run is fully reaped: its crossings are final and its
-        // reader's publish→observe latencies are complete. Runs that
-        // never published contribute nothing (absorb ignores them).
-        if let Some(t) = &tracker {
-            gate.absorb(t);
-        }
-        gate.absorb_wait_stats(&reader.wait_stats());
-    }
-    outcome
 }
 
 #[cfg(test)]
@@ -1642,6 +1692,76 @@ mod tests {
         assert!(stats.retried >= 1);
         assert!(stats.faults.permanent_failures >= 1);
         assert_eq!(stats.live_runs, 0);
+    }
+
+    #[test]
+    fn a_request_is_answered_before_its_run_is_reaped() {
+        // The output stage `out` publishes its final version after one
+        // step. A side stage `tail` reads `out`, and its step blocks until
+        // the test releases it, or for 5 s. The quality estimator waits
+        // until `tail` has entered that step, so the run is stopped only
+        // once `tail` blocks, and its join cannot return before `tail`'s
+        // step does.
+        let (entered_tx, entered) = std::sync::mpsc::channel::<()>();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        let entered = Mutex::new(entered);
+        let release_rx = Arc::new(Mutex::new(release_rx));
+        let runtime = crate::Runtime::new(2);
+        let pool = ServePool::new(
+            ServeOptions::default()
+                .replicas(1)
+                .runtime(runtime.handle()),
+            move |_: &u64| {
+                let mut pb = PipelineBuilder::new();
+                let out = pb.source(
+                    "out",
+                    (),
+                    Diffusive::new(
+                        |_: &()| 0u64,
+                        |_: &(), out: &mut u64, _| {
+                            *out = 1;
+                            StepOutcome::Done
+                        },
+                    ),
+                    StageOptions::with_publish_every(1),
+                );
+                let (entered_tx, release_rx) = (entered_tx.clone(), Arc::clone(&release_rx));
+                pb.stage(
+                    "tail",
+                    &out,
+                    Diffusive::new(
+                        |_: &u64| 0u64,
+                        move |_: &u64, _: &mut u64, _| {
+                            let _ = entered_tx.send(());
+                            let _ = lock(&release_rx).recv_timeout(Duration::from_secs(5));
+                            StepOutcome::Done
+                        },
+                    ),
+                    StageOptions::default(),
+                );
+                Ok((pb.build(), out))
+            },
+            move |s: &Snapshot<u64>| {
+                let _ = lock(&entered).recv_timeout(Duration::from_secs(5));
+                *s.value() as f64
+            },
+        )
+        .unwrap();
+        // Re-declared after the pool: unwinding then drops it first and
+        // frees `tail`, instead of holding the pool's shutdown join.
+        let release = release;
+        let resp = pool.submit(0, Duration::from_secs(30), 0.0).unwrap();
+        assert_eq!(resp.status, ServeStatus::Final, "{resp:?}");
+        assert!(
+            resp.elapsed < Duration::from_secs(2),
+            "the answer waited for the run's reap: {resp:?}"
+        );
+        // `tail` still blocks, so the answering run is not reaped yet.
+        assert_eq!(pool.stats().live_runs, 1);
+        release.send(()).unwrap();
+        let stats = pool.shutdown();
+        assert_eq!(stats.live_runs, 0, "{stats:?}");
+        assert_eq!(stats.completed, 1, "{stats:?}");
     }
 
     /// A request of the shed-rule tests: `steps` counting steps of `step`

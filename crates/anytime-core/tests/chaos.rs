@@ -447,6 +447,7 @@ fn watchdog_degrades_an_injected_stall() {
 /// the pool's counters and trace.
 mod serve_chaos {
     use anytime_core::buffer::BufferReader;
+    use anytime_core::metrics::ServeStats;
     use anytime_core::serve::{ServeOptions, ServePool, ServeStatus};
     use anytime_core::trace::{EventKind, Recorder};
     use anytime_core::{
@@ -454,7 +455,7 @@ mod serve_chaos {
         StepOutcome, Supervision, WorkerKillPlan,
     };
     use std::sync::Arc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     fn counting_factory(
         n: u64,
@@ -485,6 +486,22 @@ mod serve_chaos {
 
     fn fraction_quality(n: u64) -> impl Fn(&Snapshot<u64>) -> f64 + Send + Sync {
         move |s: &Snapshot<u64>| *s.value() as f64 / n as f64
+    }
+
+    /// Waits, without sleeping, until `pool` counts no live run, and
+    /// returns the stats that showed it. A replica reaps a request's run
+    /// after answering it, so a run can still be live when `submit`
+    /// returns. Fails after 10 s: a leaked run is never reaped.
+    fn reaped(pool: &ServePool<u64, u64>) -> ServeStats {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let s = pool.stats();
+            if s.live_runs == 0 {
+                break s;
+            }
+            assert!(Instant::now() < deadline, "leaked runs: {s:?}");
+            std::thread::yield_now();
+        }
     }
 
     /// Steps in [`faulted_factory`]'s source.
@@ -557,9 +574,8 @@ mod serve_chaos {
                 "seed {seed}: not the sealed partial count"
             );
             assert!(resp.quality < 1.0, "seed {seed}: {resp:?}");
-            let stats = degrade.stats();
+            let stats = reaped(&degrade);
             assert_eq!(stats.failed, 0, "seed {seed}: {stats:?}");
-            assert_eq!(stats.live_runs, 0, "seed {seed}: leaked runs: {stats:?}");
         }
         assert_eq!(degrade.shutdown().completed, 3);
 
@@ -580,9 +596,8 @@ mod serve_chaos {
             assert_eq!(resp.status, ServeStatus::Final, "seed {seed}: {resp:?}");
             assert_eq!(*resp.snapshot.value(), FN, "seed {seed}: {resp:?}");
             assert_eq!(resp.quality, 1.0, "seed {seed}");
-            let stats = fail_stop.stats();
+            let stats = reaped(&fail_stop);
             assert_eq!(stats.failed, 0, "seed {seed}: {stats:?}");
-            assert_eq!(stats.live_runs, 0, "seed {seed}: leaked runs: {stats:?}");
         }
         assert_eq!(fail_stop.shutdown().completed, 3);
     }
